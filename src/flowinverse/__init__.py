@@ -13,9 +13,10 @@ __version__ = "0.1.0"
 
 from . import tensor
 from .cfm import (PosteriorEnsemble, SamplerConfig, TrainConfig, cfm_loss,
-                  interpolate, path_straightness, sample_posterior, train)
+                  interpolate, path_straightness, sample_batch, sample_posterior,
+                  train)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import (Batch, DataGenConfig, DatasetShard, batch_iterator,
+from .data import (Batch, DataGenConfig, DatasetShard, batch_iterator, draw_tuples,
                    generate_dataset, load_dataset, save_dataset)
 from .mcmc import ChainConfig, ChainResult, log_posterior, mh_step, run_chain
 from .metrics import (EvalReport, benchmark_timing, evaluate_sweep,
@@ -30,11 +31,12 @@ __all__ = [
     "GradientStateError", "NetConfig", "VelocityNet", "init_params",
     "param_count", "timestep_basis", "get_task", "NonlinearTask", "SeirTask",
     "DarcyTask", "seir_solve", "darcy_solve", "kl_basis_build", "kl_expand",
-    "DataGenConfig", "DatasetShard", "Batch", "generate_dataset",
+    "DataGenConfig", "DatasetShard", "Batch", "draw_tuples", "generate_dataset",
     "save_dataset", "load_dataset", "batch_iterator", "TrainConfig",
     "SamplerConfig", "PosteriorEnsemble", "interpolate", "cfm_loss", "train",
-    "sample_posterior", "path_straightness", "ChainConfig", "ChainResult",
-    "log_posterior", "mh_step", "run_chain", "EvalReport", "relative_error_obs",
-    "relative_error_de", "evaluate_sweep", "generation_error",
-    "benchmark_timing", "Checkpoint", "save_checkpoint", "load_checkpoint",
+    "sample_batch", "sample_posterior", "path_straightness", "ChainConfig",
+    "ChainResult", "log_posterior", "mh_step", "run_chain", "EvalReport",
+    "relative_error_obs", "relative_error_de", "evaluate_sweep",
+    "generation_error", "benchmark_timing", "Checkpoint", "save_checkpoint",
+    "load_checkpoint",
 ]

@@ -37,11 +37,14 @@ class TrainConfig:
     accum_window: int = 4       # batches (of differing n_obs) per optimizer step
     seed: int = 0
     checkpoint_every: int = 0   # optimizer steps; 0 disables periodic checkpoints
-    lr_decay: bool = True       # cosine decay of the peak rate to 5% over the run
 
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError("learning rate must be non-negative")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.accum_window < 1:
             raise ValueError("accum_window must be >= 1")
 
@@ -223,10 +226,31 @@ def _integrate_flow(net, x0, d_rep, e_rep, cfg: SamplerConfig, record=False):
     return (x, np.stack(traj)) if record else (x, None)
 
 
-def _replicate_conditioning(d, e, n):
-    d = np.asarray(d, dtype=np.float32).reshape(1, -1)
-    e = np.asarray(e, dtype=np.float32).reshape(1, -1)
-    return np.repeat(d, n, axis=0), np.repeat(e, n, axis=0)
+def _flow_start(task, d, e, seeds, n):
+    """Start points and conditioning rows for ``n`` members per instance.
+
+    d, e: one row per seed (a 1-D row is one instance). Rows [i*n, (i+1)*n)
+    belong to instance i and start from ``_prior_draws(task, n, seeds[i])``.
+    """
+    d = np.atleast_2d(np.asarray(d, dtype=np.float32))
+    e = np.atleast_2d(np.asarray(e, dtype=np.float32))
+    if not d.shape[0] == e.shape[0] == len(seeds):
+        raise ValueError(f"{d.shape[0]} observation rows and {e.shape[0]} design rows "
+                         f"for {len(seeds)} seeds")
+    x0 = np.concatenate([_prior_draws(task, n, s) for s in seeds])
+    return x0, np.repeat(d, n, axis=0), np.repeat(e, n, axis=0)
+
+
+def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarray:
+    """Posterior ensembles for instances that share one observation count.
+
+    Instance i's members start from the counter-derived prior draws of
+    ``seeds[i]`` (``cfg.seed`` is not used), and all n_inst * ensemble paths
+    integrate as one batch. Returns (n_inst, ensemble, dim_m) float64.
+    """
+    x0, d_rep, e_rep = _flow_start(net.task, d, e, seeds, cfg.ensemble)
+    x1, _ = _integrate_flow(net, x0, d_rep, e_rep, cfg)
+    return x1.reshape(len(seeds), cfg.ensemble, -1).astype(np.float64)
 
 
 def sample_posterior(net: VelocityNet, d, e, cfg: SamplerConfig) -> PosteriorEnsemble:
@@ -236,12 +260,9 @@ def sample_posterior(net: VelocityNet, d, e, cfg: SamplerConfig) -> PosteriorEns
     ensemble integrates as one batch, which is equivalent to integrating
     members independently.
     """
-    x0 = _prior_draws(net.task, cfg.ensemble, cfg.seed)
-    d_rep, e_rep = _replicate_conditioning(d, e, cfg.ensemble)
-    x1, _ = _integrate_flow(net, x0, d_rep, e_rep, cfg)
-    return PosteriorEnsemble(samples=x1.astype(np.float64), d=np.asarray(d),
-                             e=np.asarray(e), steps=cfg.steps, method=cfg.method,
-                             seed=cfg.seed)
+    samples = sample_batch(net, d, e, [cfg.seed], cfg)[0]
+    return PosteriorEnsemble(samples=samples, d=np.asarray(d), e=np.asarray(e),
+                             steps=cfg.steps, method=cfg.method, seed=cfg.seed)
 
 
 @dataclass
@@ -262,8 +283,7 @@ def path_straightness(net: VelocityNet, d, e, n_paths=32,
     Degenerate chords (< 1e-9) are skipped and counted.
     """
     cfg = cfg or SamplerConfig()
-    x0 = _prior_draws(net.task, n_paths, cfg.seed)
-    d_rep, e_rep = _replicate_conditioning(d, e, n_paths)
+    x0, d_rep, e_rep = _flow_start(net.task, d, e, [cfg.seed], n_paths)
     _, traj = _integrate_flow(net, x0, d_rep, e_rep, cfg, record=True)
     ts = np.linspace(0.0, 1.0, traj.shape[0])
     devs = []

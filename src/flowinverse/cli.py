@@ -27,7 +27,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .cfm import SamplerConfig, TrainConfig, path_straightness, sample_posterior, train
 from .config import (ConfigError, RunConfig, config_reference, load_config_file,
                      parse_value, resolve, serializable)
-from .data import DataGenConfig, generate_dataset, load_dataset, save_dataset
+from .data import (DataGenConfig, draw_tuples, generate_dataset, load_dataset,
+                   save_dataset)
 from .mcmc import ChainConfig, run_chain
 from .metrics import (benchmark_timing, evaluate_sweep, generation_error,
                       relative_error_de, write_chain_csv, write_sweep_csv)
@@ -105,14 +106,10 @@ def _load_net(cfg: RunConfig):
 
 
 def _draw_instance(cfg: RunConfig, task):
-    n_obs = cfg["instance.n_obs"]
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg["seed"], 0x696e7374, cfg["instance.seed"])))
-    m = task.sample_params(rng, 1)[0]
-    e = task.sample_design(rng, n_obs)
-    clean, scale = task.simulate_batch(m[None, :], e[None, :], n_obs)
-    d = clean[0] + rng.standard_normal(clean.shape[1]) * scale[0]
-    return m, e, d
+    m, e, d, _ = draw_tuples(task, cfg["instance.n_obs"], [rng])
+    return m[0], e[0], d[0]
 
 
 def _write_manifest(cfg: RunConfig, subcommand, inputs, outputs, out_dir, extra=None):
@@ -151,15 +148,15 @@ def _cmd_generate_data(cfg: RunConfig, out_dir):
 
 def _cmd_train(cfg: RunConfig, out_dir):
     data_path = _require(cfg, "paths.dataset", "train")
+    tc = TrainConfig(lr=cfg["train.lr"], epochs=cfg["train.epochs"],
+                     batch_size=cfg["train.batch_size"],
+                     accum_window=cfg["train.accum_window"], seed=cfg["seed"],
+                     checkpoint_every=cfg["train.checkpoint_every"])
     task = _task_from(cfg)
     _, shards = load_dataset(data_path, task=task)
     net_cfg = _net_config(cfg, task)
     net = VelocityNet(task, net_cfg, seed=cfg["net.init_seed"])
     ckpt_path = cfg["paths.checkpoint"] or os.path.join(out_dir, f"{cfg.task_name}.cfmt")
-    tc = TrainConfig(lr=cfg["train.lr"], epochs=cfg["train.epochs"],
-                     batch_size=cfg["train.batch_size"],
-                     accum_window=cfg["train.accum_window"], seed=cfg["seed"],
-                     checkpoint_every=cfg["train.checkpoint_every"])
 
     def save_at(step, epoch, trained):
         save_checkpoint(ckpt_path + f".step{step}", cfg.task_name, net_cfg,

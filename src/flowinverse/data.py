@@ -6,9 +6,10 @@ tuple draws (parameters, design, noise) from its own counter-derived RNG
 stream, so generation is order-independent and parallelizable, and the file
 round-trips bitwise.
 
-File format (little-endian): magic ``CFMD``, u32 version, task id byte,
-u32 shard count; per shard u32 n_obs, u64 tuple count, then float32 arrays
-m, e, d, eta in that order.
+File format (little-endian): magic ``CFMD``, u32 version, u8 task id, u32
+shard count; per shard u32 n_obs, u64 tuple count, u64 shard seed, then the
+arrays m, e, d, eta in that order, each as u32 rows, u32 cols and
+rows * cols row-major float32 values.
 """
 
 from __future__ import annotations
@@ -72,32 +73,40 @@ def make_task(config: DataGenConfig):
     return get_task(config.task, **kwargs)
 
 
-def generate_shard(task, n_obs, count, seed, sim_batch=4096) -> DatasetShard:
-    dim_m = task.dim_m
-    ew = task.e_width(n_obs)
-    dw = task.d_width(n_obs)
-    m = np.empty((count, dim_m))
-    e = np.empty((count, ew))
-    z = np.empty((count, dw))            # unit-variance noise draws
-    for i in range(count):
-        rng = _tuple_rng(seed, n_obs, i)
+def draw_tuples(task, n_obs, rngs):
+    """One (m, e, d, eta) row per generator, as float64 arrays.
+
+    Each generator draws the parameters, then the design, then unit-variance
+    noise z; one ``simulate_batch`` call over all rows then gives the clean
+    observations and per-row noise scales, and eta = z * scale, d = clean + eta.
+    """
+    m = np.empty((len(rngs), task.dim_m))
+    e = np.empty((len(rngs), task.e_width(n_obs)))
+    z = np.empty((len(rngs), task.d_width(n_obs)))
+    for i, rng in enumerate(rngs):
         m[i] = task.sample_params(rng, 1)[0]
         e[i] = task.sample_design(rng, n_obs)
-        z[i] = rng.standard_normal(dw)
-    d = np.empty((count, dw))
-    eta = np.empty((count, dw))
+        z[i] = rng.standard_normal(z.shape[1])
+    clean, scale = task.simulate_batch(m, e, n_obs)
+    eta = z * scale[:, None]
+    return m, e, clean + eta, eta
+
+
+def generate_shard(task, n_obs, count, seed, sim_batch=4096) -> DatasetShard:
+    if count < 1:
+        raise ValueError(f"a shard needs at least one tuple, got count={count}")
+    chunks = []
     for lo in range(0, count, sim_batch):
         hi = min(lo + sim_batch, count)
         try:
-            clean, scale = task.simulate_batch(m[lo:hi], e[lo:hi], n_obs)
+            chunks.append(draw_tuples(task, n_obs,
+                                      [_tuple_rng(seed, n_obs, i) for i in range(lo, hi)]))
         except Exception as err:
             raise RuntimeError(
                 f"forward model failed in shard n_obs={n_obs}, "
                 f"tuples [{lo}, {hi}), seed={seed}: {err}") from err
-        eta[lo:hi] = z[lo:hi] * scale[:, None]
-        d[lo:hi] = clean + eta[lo:hi]
-    return DatasetShard(n_obs=n_obs, m=m.astype(np.float32), e=e.astype(np.float32),
-                        d=d.astype(np.float32), eta=eta.astype(np.float32), seed=seed)
+    m, e, d, eta = (np.concatenate(a).astype(np.float32) for a in zip(*chunks))
+    return DatasetShard(n_obs=n_obs, m=m, e=e, d=d, eta=eta, seed=seed)
 
 
 def generate_dataset(config: DataGenConfig) -> list[DatasetShard]:

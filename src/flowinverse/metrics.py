@@ -8,26 +8,15 @@ true parameters and for the posterior-ensemble mean.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cfm import SamplerConfig, sample_posterior
+from .cfm import SamplerConfig, sample_batch, sample_posterior
+from .data import draw_tuples
 from .mcmc import ChainConfig, run_chain
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
-
-
-def _single_thread():
-    if threadpool_limits is None:  # pragma: no cover
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=1)
 
 
 @dataclass
@@ -68,31 +57,24 @@ def relative_error_de(m_true, ensemble, task, e_row=None):
 # trial generation
 # ---------------------------------------------------------------------------
 
-def _draw_instance(task, n_obs, rng):
-    m = task.sample_params(rng, 1)[0]
-    e = task.sample_design(rng, n_obs)
-    clean, scale = task.simulate_batch(m[None, :], e[None, :], n_obs)
-    eta = rng.standard_normal(clean.shape[1]) * scale[0]
-    return m, e, clean[0] + eta
-
-
 def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig | None = None,
                    seed=0):
     """Per observation count: fresh (m, e, d) instances, posterior ensembles,
-    and the DE relative error aggregated as mean +/- std over trials."""
+    and the DE relative error aggregated as mean +/- std over trials.
+
+    Each trial draws its instance and then its sampler seed from its own
+    stream; the trials of one observation count integrate as one batch.
+    """
     sampler = sampler or SamplerConfig()
     reports = []
     for n_obs in n_obs_list:
-        errs = np.empty(trials)
-        for trial in range(trials):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, 0x6576616c, n_obs, trial)))
-            m_true, e, d = _draw_instance(task, n_obs, rng)
-            cfg = SamplerConfig(steps=sampler.steps, method=sampler.method,
-                                ensemble=sampler.ensemble,
-                                seed=int(rng.integers(2 ** 31)))
-            ens = sample_posterior(net, d, e, cfg)
-            errs[trial] = relative_error_de(m_true, ens, task, e)
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0x6576616c, n_obs, trial)))
+                for trial in range(trials)]
+        m_true, e, d, _ = draw_tuples(task, n_obs, rngs)
+        seeds = [int(rng.integers(2 ** 31)) for rng in rngs]
+        ens = sample_batch(net, d, e, seeds, sampler)
+        errs = np.array([relative_error_de(m_true[i], ens[i], task, e[i])
+                         for i in range(trials)])
         reports.append(EvalReport(task=task.name, n_obs=n_obs,
                                   mean_error=float(errs.mean()),
                                   std_error=float(errs.std()),
@@ -112,8 +94,6 @@ def generation_error(net, task, n_inferences=10_000, n_obs=None, ensemble=10,
     """
     if n_obs is None:
         n_obs = task.default_n_obs_set()[0]
-    from .cfm import _integrate_flow, _prior_draws  # reuse the batched solver
-
     num = 0.0
     den = 0.0
     per_case = np.empty(n_inferences)
@@ -121,20 +101,12 @@ def generation_error(net, task, n_inferences=10_000, n_obs=None, ensemble=10,
     done = 0
     while done < n_inferences:
         b = min(chunk, n_inferences - done)
-        ms = np.empty((b, task.dim_m))
-        es = np.empty((b, task.e_width(n_obs)))
-        ds = np.empty((b, task.d_width(n_obs)))
-        for i in range(b):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, 0x67656e65, done + i)))
-            ms[i], es[i], ds[i] = _draw_instance(task, n_obs, rng)
-        x0 = np.concatenate([
-            _prior_draws(net.task, ensemble, seed=(seed ^ 0x5eed) + done + i)
-            for i in range(b)])
-        d_rep = np.repeat(ds.astype(np.float32), ensemble, axis=0)
-        e_rep = np.repeat(es.astype(np.float32), ensemble, axis=0)
-        x1, _ = _integrate_flow(net, x0, d_rep, e_rep, cfg)
-        m_hat = x1.reshape(b, ensemble, task.dim_m).mean(axis=1)
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0x67656e65, done + i)))
+                for i in range(b)]
+        _, es, ds, _ = draw_tuples(task, n_obs, rngs)
+        seeds = [(seed ^ 0x5eed) + done + i for i in range(b)]
+        # members are averaged in float32, the precision of the flow state
+        m_hat = sample_batch(net, ds, es, seeds, cfg).astype(np.float32).mean(axis=1)
         for i in range(b):
             d_hat = task.forward_observed(m_hat[i].astype(np.float64), es[i])
             r = ds[i] - np.asarray(d_hat).reshape(-1)
@@ -148,18 +120,20 @@ def generation_error(net, task, n_inferences=10_000, n_obs=None, ensemble=10,
 
 def benchmark_timing(net, task, d, e, chain_cfg: ChainConfig,
                      sampler: SamplerConfig | None = None):
-    """Wall-clock of one flow inference versus one MCMC chain, single-threaded.
+    """Wall-clock of one flow inference versus one MCMC chain.
 
-    Returns (cfm_seconds, mcmc_seconds, ratio).
+    Returns (cfm_seconds, mcmc_seconds, ratio). The BLAS thread count is the
+    process's own: for single-threaded timings the caller sets
+    ``OMP_NUM_THREADS``/``OPENBLAS_NUM_THREADS`` to 1 before numpy is
+    imported, as ``perfbench/worker.py`` does.
     """
     sampler = sampler or SamplerConfig()
-    with _single_thread():
-        t0 = time.perf_counter()
-        sample_posterior(net, d, e, sampler)
-        cfm_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        run_chain(task, d, e, chain_cfg)
-        mcmc_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    sample_posterior(net, d, e, sampler)
+    cfm_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    run_chain(task, d, e, chain_cfg)
+    mcmc_seconds = time.perf_counter() - t0
     return cfm_seconds, mcmc_seconds, mcmc_seconds / cfm_seconds
 
 
@@ -190,24 +164,3 @@ def read_table_csv(path):
         rows = list(csv.reader(f))
     header, body = rows[0], rows[1:]
     return header, [[float(v) for v in row] for row in body]
-
-
-def write_field_csv(task, m_true, m_mean, e_row, path):
-    """Darcy field comparison: x, y, logk_true, logk_mean, u_true, u_recon."""
-    from .tasks.darcy import kl_expand, darcy_solve
-
-    basis = task.basis
-    n = task.const.n_grid
-    xs = np.linspace(0.0, 1.0, n)
-    logk_t = kl_expand(np.asarray(m_true, dtype=np.float64), basis)
-    logk_m = kl_expand(np.asarray(m_mean, dtype=np.float64), basis)
-    e1, e2 = float(e_row[0]), float(e_row[1])
-    u_t = darcy_solve(np.exp(logk_t), e1, e2, const=task.const)
-    u_m = darcy_solve(np.exp(logk_m), e1, e2, const=task.const)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x", "y", "logk_true", "logk_mean", "u_true", "u_recon"])
-        for i in range(n):
-            for j in range(n):
-                w.writerow([repr(xs[i]), repr(xs[j]), repr(logk_t[i, j]),
-                            repr(logk_m[i, j]), repr(u_t[i, j]), repr(u_m[i, j])])

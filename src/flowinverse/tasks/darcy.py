@@ -15,7 +15,7 @@ conjugate-gradient solve to relative residual 1e-10.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -211,10 +211,8 @@ def boundary_profiles(e1, e2, const: DarcyConstants = CONST):
     return f, g
 
 
-def darcy_solve(kappa, e1, e2, sigma_w=None, const: DarcyConstants = CONST):
+def darcy_solve(kappa, e1, e2, const: DarcyConstants = CONST):
     """Pressure field for permeability ``kappa`` and boundary designs (e1, e2)."""
-    if sigma_w is not None and sigma_w != const.sigma_w:
-        const = replace(const, sigma_w=sigma_w)
     if not (0.0 <= e1 <= 1.0 and 0.0 <= e2 <= 1.0):
         raise ValueError(f"design parameters must lie in [0, 1], got ({e1}, {e2})")
     f, g = boundary_profiles(e1, e2, const)
@@ -320,9 +318,6 @@ class DarcyTask:
         n_obs = (len(e_row) - 2) // 2
         u = self._solve_row(m, e_row)
         return darcy_observe(u, e_row[2:].reshape(n_obs, 2))
-
-    def in_support(self, m):
-        return bool(np.isfinite(np.asarray(m)).all())
 
     def log_prior(self, m):
         m = np.asarray(m, dtype=np.float64)

@@ -59,9 +59,6 @@ class Tensor:
         """Clear the gradient buffer. Required between backward passes."""
         self.grad = None
 
-    def astensor(self):
-        return self
-
     def item(self):
         return self.data.item()
 

@@ -4,7 +4,7 @@ import pytest
 from flowinverse import tensor as T
 from flowinverse.cfm import (SamplerConfig, TrainConfig, TrainingDivergedError,
                              cfm_loss, interpolate, path_straightness,
-                             sample_posterior, train)
+                             sample_batch, sample_posterior, train)
 from flowinverse.data import Batch, DataGenConfig, DatasetShard, generate_dataset
 from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import get_task
@@ -123,6 +123,11 @@ class TestTrain:
         assert exc.value.step == 0
         assert calls == [0]
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_rejects_nonpositive_counts(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: 0})
+
     def test_loss_decreases(self):
         shards = tiny_dataset(count=512)
         tc = TrainConfig(lr=3e-3, epochs=6, batch_size=64, accum_window=1, seed=1)
@@ -162,9 +167,8 @@ class TestSamplePosterior:
     def test_batched_members_match_individual_integration(self):
         net = tiny_net()
         cfg = SamplerConfig(steps=8, ensemble=4, seed=2)
-        from flowinverse.cfm import _integrate_flow, _prior_draws, _replicate_conditioning
-        x0 = _prior_draws(net.task, 4, 2)
-        d_rep, e_rep = _replicate_conditioning([0.4], [0.6], 4)
+        from flowinverse.cfm import _flow_start, _integrate_flow
+        x0, d_rep, e_rep = _flow_start(net.task, [0.4], [0.6], [2], 4)
         batch, _ = _integrate_flow(net, x0, d_rep, e_rep, cfg)
         singles = [
             _integrate_flow(net, x0[i:i + 1], d_rep[:1], e_rep[:1], cfg)[0][0]
@@ -177,6 +181,35 @@ class TestSamplePosterior:
         net = _ConstantNet([np.nan], 1, task)
         with pytest.raises(FloatingPointError):
             sample_posterior(net, [0.5], [0.5], SamplerConfig(steps=3, ensemble=2))
+
+
+class TestSampleBatch:
+    D = np.array([[0.4], [0.9], [0.1]])
+    E = np.array([[0.6], [0.2], [0.8]])
+    SEEDS = [2, 7, 2]
+
+    def test_single_instance_is_sample_posterior(self):
+        net = tiny_net()
+        cfg = SamplerConfig(steps=8, ensemble=4, seed=5)
+        batch = sample_batch(net, self.D[:1], self.E[:1], [cfg.seed], cfg)
+        ens = sample_posterior(net, self.D[0], self.E[0], cfg)
+        assert batch.shape == (1, 4, 1) and batch.dtype == np.float64
+        np.testing.assert_array_equal(batch[0], ens.samples)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_rows_match_own_sample_posterior(self, method):
+        net = tiny_net()
+        cfg = SamplerConfig(steps=8, method=method, ensemble=4)
+        batch = sample_batch(net, self.D, self.E, self.SEEDS, cfg)
+        assert batch.shape == (3, 4, 1)
+        for i, seed in enumerate(self.SEEDS):
+            own = sample_posterior(net, self.D[i], self.E[i],
+                                   SamplerConfig(steps=8, method=method, ensemble=4, seed=seed))
+            np.testing.assert_allclose(batch[i], own.samples, rtol=0, atol=1e-5)
+
+    def test_rejects_seed_count_mismatch(self):
+        with pytest.raises(ValueError, match="2 seeds"):
+            sample_batch(tiny_net(), self.D, self.E, [1, 2], SamplerConfig(steps=2))
 
 
 class TestPathStraightness:
@@ -234,6 +267,20 @@ class TestPathStraightness:
                                 cfg=SamplerConfig(steps=5, ensemble=1, seed=0))
         assert rep.skipped == 3
         assert rep.mean_deviation == 0.0
+
+    def test_seeded_output_pinned(self):
+        # recorded before sample_batch existed; a change of prior-draw or
+        # conditioning stream moves these by far more than the tolerance
+        rep = path_straightness(tiny_net(), [0.5], [0.5], n_paths=4,
+                                cfg=SamplerConfig(steps=6, seed=2))
+        np.testing.assert_allclose(
+            rep.per_path, [0.01789635296035197, 0.018563589646472412,
+                           0.007387901645652855, 0.015998226161121967], rtol=1e-6)
+        np.testing.assert_allclose(
+            rep.trajectories[-1, :, 0],
+            [0.2135910987854004, 0.2009190171957016, 0.9198766350746155,
+             0.25514477491378784], rtol=1e-6)
+        assert rep.mean_deviation == pytest.approx(0.0149615176033998, rel=1e-6)
 
     def test_csv_emitted(self, tmp_path):
         task = get_task("nonlinear")

@@ -79,6 +79,14 @@ class TestCliBasics:
         assert "checkpoint not found" in capsys.readouterr().err
 
 
+    def test_zero_epochs_rejected_before_training(self, workdir, capsys):
+        rc = run_cli("train", "--set", "paths.dataset=missing.cfmd",
+                     "--set", "train.epochs=0")
+        assert rc == 2
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not list(workdir.rglob("*.cfmt"))
+
+
 class TestPipeline:
     def test_generate_train_sample_evaluate(self, workdir, capsys):
         rc = run_cli("generate-data",

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from flowinverse import cli
+from flowinverse.config import resolve
 from flowinverse.data import (Batch, DataGenConfig, DatasetFormatError,
-                              DatasetShard, batch_iterator, generate_dataset,
-                              load_dataset, save_dataset)
+                              DatasetShard, _tuple_rng, batch_iterator, draw_tuples,
+                              generate_dataset, generate_shard, load_dataset,
+                              save_dataset)
+from flowinverse.tasks import DarcyTask, get_task
 from flowinverse.tasks.nonlinear import nonlinear_forward
 
 
@@ -36,6 +40,12 @@ class TestGeneration:
         assert s.n_obs == 6
         assert s.e.shape == (20, 6)
         assert s.d.shape == (20, 12)
+        # a real Darcy shard, so dataset generation runs the PDE solver
+        (s,) = generate_dataset(small_config(task="darcy", n_obs_set=(4,),
+                                             tuples_per_n_obs=3))
+        assert s.e.shape == (3, 10)
+        assert s.d.shape == (3, 4)
+        assert np.isfinite(s.d).all() and np.abs(s.d - s.eta).max() > 0
 
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
@@ -52,12 +62,53 @@ class TestGeneration:
         assert abs(m.var() - 1 / 12) < 3 * se_var
 
     def test_gaussian_prior_moments(self):
-        shards = generate_dataset(DataGenConfig(task="darcy", tuples_per_n_obs=700,
-                                                n_obs_set=(4,), seed=3))
-        m = shards[0].m.astype(np.float64).ravel()
+        class _UnsolvedDarcy(DarcyTask):     # the moments of m need no PDE solves
+            def simulate_batch(self, m, e, n_obs):
+                return np.zeros((len(m), n_obs)), np.zeros(len(m))
+
+        shard = generate_shard(_UnsolvedDarcy(), 4, 700, 3)
+        m = shard.m.astype(np.float64).ravel()
         n = m.size
         assert abs(m.mean()) < 3 / np.sqrt(n)
         assert abs(m.var() - 1.0) < 3 * np.sqrt(2.0 / n)
+
+
+def _reference_instance(task, n_obs, rng):
+    """One tuple drawn the way single instances were drawn before draw_tuples."""
+    m = task.sample_params(rng, 1)[0]
+    e = task.sample_design(rng, n_obs)
+    clean, scale = task.simulate_batch(m[None, :], e[None, :], n_obs)
+    eta = rng.standard_normal(clean.shape[1]) * scale[0]
+    return m, e, clean[0] + eta, eta
+
+
+class TestDrawTuples:
+    CASES = [("nonlinear", 3, 7), ("seir", 5, 5), ("darcy", 4, 3)]
+
+    @pytest.mark.parametrize("name,n_obs,count", CASES)
+    def test_rows_match_generate_shard_and_single_draws(self, name, n_obs, count):
+        task = get_task(name)
+        batch = draw_tuples(task, n_obs, [_tuple_rng(13, n_obs, i) for i in range(count)])
+        shard = generate_shard(task, n_obs, count, 13, sim_batch=2)
+        for i in range(count):
+            ref = _reference_instance(task, n_obs, _tuple_rng(13, n_obs, i))
+            for arr, stored, want in zip(batch, (shard.m, shard.e, shard.d, shard.eta), ref):
+                np.testing.assert_array_equal(arr[i], want)
+                np.testing.assert_array_equal(stored[i], want.astype(np.float32))
+
+    @pytest.mark.parametrize("name,n_obs,count", CASES)
+    def test_cli_instance_matches_single_draw(self, name, n_obs, count):
+        task = get_task(name)
+        cfg = resolve({"task": name, "instance.n_obs": n_obs, "seed": 4,
+                       "instance.seed": count})
+        rng = np.random.default_rng(np.random.SeedSequence((4, 0x696e7374, count)))
+        ref = _reference_instance(task, n_obs, rng)
+        for got, want in zip(cli._draw_instance(cfg, task), ref):
+            np.testing.assert_array_equal(got, want)
+
+    def test_rejects_empty_shard(self):
+        with pytest.raises(ValueError, match="at least one tuple"):
+            generate_shard(get_task("nonlinear"), 1, 0, 0)
 
 
 class TestPersistence:

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from flowinverse.cfm import SamplerConfig
+from flowinverse.cfm import SamplerConfig, sample_posterior
+from flowinverse.data import draw_tuples
 from flowinverse.mcmc import ChainConfig
 from flowinverse.metrics import (EvalReport, benchmark_timing, evaluate_sweep,
                                  generation_error, read_table_csv,
                                  relative_error_de, relative_error_obs,
                                  write_chain_csv, write_sweep_csv)
+from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import get_task
+
+
+def tiny_net():
+    cfg = NetConfig(n_emb=8, n_head=2, n_layer=1, dim_m=1, obs_token_dim=2)
+    return VelocityNet(get_task("nonlinear"), cfg, seed=0)
 
 
 class TestRelativeErrorObs:
@@ -88,6 +95,26 @@ class TestEvaluateSweep:
         assert rep.std_error == 0.0
 
 
+    def test_batched_sweep_matches_per_trial_reference(self):
+        # Reference: one sample_posterior per trial on that trial's stream.
+        # Batching the trials changes only float32 rounding in the network.
+        task = get_task("nonlinear")
+        net = tiny_net()
+        sampler = SamplerConfig(steps=6, ensemble=3)
+        reports = evaluate_sweep(net, task, [1, 3], trials=4, sampler=sampler, seed=5)
+        for rep in reports:
+            errs = []
+            for trial in range(4):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((5, 0x6576616c, rep.n_obs, trial)))
+                m, e, d, _ = draw_tuples(task, rep.n_obs, [rng])
+                cfg = SamplerConfig(steps=6, ensemble=3, seed=int(rng.integers(2 ** 31)))
+                ens = sample_posterior(net, d[0], e[0], cfg)
+                errs.append(relative_error_de(m[0], ens, task, e[0]))
+            assert rep.mean_error == pytest.approx(np.mean(errs), rel=1e-5)
+            assert rep.std_error == pytest.approx(np.std(errs), rel=1e-4)
+
+
 class TestGenerationError:
     def test_runs_and_pools(self):
         task = get_task("nonlinear")
@@ -97,6 +124,16 @@ class TestGenerationError:
         assert per_case.shape == (30,)
         assert 0.0 <= pooled < 10.0
         assert np.isfinite(pooled)
+
+    def test_seeded_output_pinned(self):
+        # recorded before sample_batch existed; chunk=2 splits the batch
+        pooled, per_case = generation_error(tiny_net(), get_task("nonlinear"),
+                                            n_inferences=5, ensemble=3, steps=4,
+                                            seed=2, chunk=2)
+        np.testing.assert_allclose(
+            per_case, [0.12613457249543328, 0.12313460437550224, 1.4432691177379875,
+                       0.12652943259748978, 0.4175148351049285], rtol=1e-6)
+        assert pooled == pytest.approx(0.2072499954674387, rel=1e-6)
 
 
 class TestBenchmark:
