@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -34,6 +35,7 @@ from .metrics import (benchmark_timing, evaluate_sweep, generation_error,
                       relative_error_de, write_chain_csv, write_sweep_csv)
 from .net import NetConfig, VelocityNet
 from .tasks import get_task
+from .tasks.darcy import CONST as DARCY_CONST
 
 SUBCOMMANDS = ("generate-data", "train", "sample", "evaluate", "mcmc", "benchmark", "paths")
 
@@ -64,17 +66,33 @@ def _build_config(args) -> RunConfig:
     return resolve(explicit)
 
 
+def _make(cls, **kwargs):
+    """Build a config object; a value it rejects is a usage error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
+def _task_kwargs(cfg: RunConfig) -> dict:
+    """Task constructor arguments other than the noise level."""
+    if cfg.task_name == "seir":
+        return {"shifted_ramp": cfg["seir.shifted_ramp"]}
+    if cfg.task_name == "darcy":
+        return {"const": dataclasses.replace(DARCY_CONST, sigma_w=cfg["darcy.sigma_w"])}
+    return {}
+
+
 def _task_from(cfg: RunConfig):
-    kwargs = {}
+    kwargs = _task_kwargs(cfg)
     if cfg["data.sigma"] is not None:
         kwargs["sigma_rel" if cfg.task_name == "darcy" else "sigma"] = cfg["data.sigma"]
-    if cfg.task_name == "seir":
-        kwargs["shifted_ramp"] = cfg["seir.shifted_ramp"]
     return get_task(cfg.task_name, **kwargs)
 
 
 def _net_config(cfg: RunConfig, task) -> NetConfig:
-    return NetConfig(
+    return _make(
+        NetConfig,
         n_emb=cfg["net.n_emb"], n_head=cfg["net.n_head"], n_layer=cfg["net.n_layer"],
         dim_m=task.dim_m, obs_token_dim=task.obs_token_dim,
         design_token_dim=task.design_token_dim, rope_base=cfg["net.rope_base"],
@@ -83,8 +101,8 @@ def _net_config(cfg: RunConfig, task) -> NetConfig:
 
 
 def _sampler_config(cfg: RunConfig) -> SamplerConfig:
-    return SamplerConfig(steps=cfg["sampler.steps"], method=cfg["sampler.method"],
-                         ensemble=cfg["sampler.ensemble"], seed=cfg["seed"])
+    return _make(SamplerConfig, steps=cfg["sampler.steps"], method=cfg["sampler.method"],
+                 ensemble=cfg["sampler.ensemble"], seed=cfg["seed"])
 
 
 def _require(cfg, key, what):
@@ -135,11 +153,9 @@ def _write_manifest(cfg: RunConfig, subcommand, inputs, outputs, out_dir, extra=
 
 def _cmd_generate_data(cfg: RunConfig, out_dir):
     path = cfg["paths.dataset"] or os.path.join(out_dir, f"{cfg.task_name}.cfmd")
-    gen = DataGenConfig(task=cfg.task_name, tuples_per_n_obs=cfg["data.tuples_per_n_obs"],
-                        n_obs_set=cfg["data.n_obs"], seed=cfg["seed"],
-                        sigma=cfg["data.sigma"])
-    if cfg.task_name == "seir":
-        gen.task_kwargs["shifted_ramp"] = cfg["seir.shifted_ramp"]
+    gen = _make(DataGenConfig, task=cfg.task_name,
+                tuples_per_n_obs=cfg["data.tuples_per_n_obs"], n_obs_set=cfg["data.n_obs"],
+                seed=cfg["seed"], sigma=cfg["data.sigma"], task_kwargs=_task_kwargs(cfg))
     shards = generate_dataset(gen)
     save_dataset(shards, cfg.task_name, path)
     print(f"wrote {sum(len(s) for s in shards)} tuples in {len(shards)} shards to {path}")
@@ -148,10 +164,10 @@ def _cmd_generate_data(cfg: RunConfig, out_dir):
 
 def _cmd_train(cfg: RunConfig, out_dir):
     data_path = _require(cfg, "paths.dataset", "train")
-    tc = TrainConfig(lr=cfg["train.lr"], epochs=cfg["train.epochs"],
-                     batch_size=cfg["train.batch_size"],
-                     accum_window=cfg["train.accum_window"], seed=cfg["seed"],
-                     checkpoint_every=cfg["train.checkpoint_every"])
+    tc = _make(TrainConfig, lr=cfg["train.lr"], epochs=cfg["train.epochs"],
+               batch_size=cfg["train.batch_size"],
+               accum_window=cfg["train.accum_window"], seed=cfg["seed"],
+               checkpoint_every=cfg["train.checkpoint_every"])
     task = _task_from(cfg)
     _, shards = load_dataset(data_path, task=task)
     net_cfg = _net_config(cfg, task)
@@ -228,10 +244,10 @@ def _cmd_evaluate(cfg: RunConfig, out_dir):
 
 
 def _chain_config(cfg: RunConfig) -> ChainConfig:
-    return ChainConfig(n_samples=cfg["chain.n_samples"],
-                       proposal_scale=cfg["chain.proposal_scale"],
-                       burn_in=cfg["chain.burn_in"], sigma_obs=cfg["chain.sigma_obs"],
-                       seed=cfg["seed"], tune=cfg["chain.tune"])
+    return _make(ChainConfig, n_samples=cfg["chain.n_samples"],
+                 proposal_scale=cfg["chain.proposal_scale"],
+                 burn_in=cfg["chain.burn_in"], sigma_obs=cfg["chain.sigma_obs"],
+                 seed=cfg["seed"], tune=cfg["chain.tune"])
 
 
 def _cmd_mcmc(cfg: RunConfig, out_dir):

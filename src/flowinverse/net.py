@@ -71,7 +71,7 @@ def timestep_basis(t, dim: int) -> np.ndarray:
 
 
 def _linear(x: Tensor, params: dict, name: str) -> Tensor:
-    return T.add(T.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def timestep_embed(params: dict, t, dim: int) -> Tensor:
@@ -194,8 +194,8 @@ def _attention(x: Tensor, params: dict, prefix: str, config: NetConfig,
     v = heads(_linear(x, params, f"{prefix}.wv"))
     q = T.rope_apply(q, positions, config.rope_base)
     k = T.rope_apply(k, positions, config.rope_base)
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    attn = T.softmax_lastdim(scores)                  # bi-directional, no mask
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    attn = T.softmax_lastdim(scores, 1.0 / np.sqrt(hd))   # bi-directional, no mask
     ctx = T.matmul(attn, v)                           # (B, H, T, hd)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, n_tok, E))
     return _linear(ctx, params, f"{prefix}.wo")
@@ -210,14 +210,10 @@ def transformer_forward(params: dict, config: NetConfig, task,
     """
     toks = build_tokens(task, m_t, d, e)
     dt = params["head.w"].dtype
-    parts = [T.add(T.matmul(Tensor(toks.obs, dtype=dt), params["embed.obs.w"]),
-                   params["embed.obs.b"])]
+    parts = [_linear(Tensor(toks.obs, dtype=dt), params, "embed.obs")]
     if toks.design is not None:
-        parts.append(T.add(T.matmul(Tensor(toks.design, dtype=dt), params["embed.design.w"]),
-                           params["embed.design.b"]))
-    state = T.add(T.matmul(Tensor(m_t[:, None, :], dtype=dt), params["embed.state.w"]),
-                  params["embed.state.b"])
-    parts.append(state)
+        parts.append(_linear(Tensor(toks.design, dtype=dt), params, "embed.design"))
+    parts.append(_linear(Tensor(m_t[:, None, :], dtype=dt), params, "embed.state"))
     x = T.concat(parts, axis=1)                       # (B, n_tokens, E)
 
     temb = timestep_embed(params, np.broadcast_to(np.asarray(t, dtype=np.float32),

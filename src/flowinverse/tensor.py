@@ -12,6 +12,8 @@ reproducible for identical inputs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
@@ -207,29 +209,38 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with optional identical leading (stacked) dimensions.
-
-    Supported shapes: (..., m, k) @ (..., k, n) with equal leading dims, and
-    (..., m, k) @ (k, n) for applying a shared weight matrix.
-    """
+    """(..., m, k) @ (..., k, n) with identical leading dims; see also :func:`linear`."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ValueError(f"matmul requires >=2-d operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ValueError(f"matmul inner dimension mismatch: {ad.shape} @ {bd.shape}")
-    if bd.ndim != 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ValueError(f"matmul leading dimensions differ: {ad.shape} @ {bd.shape}")
+    if (ad.ndim < 2 or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
+        raise ValueError("matmul needs (..., m, k) @ (..., k, n) with equal leading dims, "
+                         f"got {ad.shape} @ {bd.shape}")
     out = Tensor(ad @ bd, dtype=a.dtype)
 
     def bwd(g):
-        ga = g @ bd.swapaxes(-1, -2)
-        if bd.ndim == 2 and ad.ndim > 2:
-            gb = np.tensordot(ad, g, axes=(tuple(range(ad.ndim - 1)), tuple(range(g.ndim - 1))))
-        else:
-            gb = ad.swapaxes(-1, -2) @ g
-        return ga, gb
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return _record(out, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """(..., k) @ (k, n) + (n,) as one 2-D GEMM; ``x`` gets a gradient only
+    if it requires one (raw token features do not)."""
+    k, n = w.shape
+    xd = x.data
+    if xd.shape[-1] != k or b.shape != (n,):
+        raise ValueError(f"linear shapes do not match: x {xd.shape}, w {w.shape}, b {b.shape}")
+    x2 = xd.reshape(-1, k)
+    y = x2 @ w.data
+    y += b.data
+    out = Tensor(y.reshape(xd.shape[:-1] + (n,)), dtype=x.dtype)
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        gx = (g2 @ w.data.T).reshape(xd.shape) if x.requires_grad else None
+        return gx, x2.T @ g2, np.ones(len(g2), dtype=g2.dtype) @ g2
+
+    return _record(out, (x, w, b), bwd)
 
 
 def relu_squared(x: Tensor) -> Tensor:
@@ -246,41 +257,40 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
     """Scale each trailing-axis vector to unit root-mean-square, times gain."""
     if eps <= 0:
         raise ValueError(f"rms_norm eps must be > 0, got {eps}")
+    if gain.shape != x.shape[-1:]:
+        raise ValueError(f"rms_norm gain must have shape {x.shape[-1:]}, got {gain.shape}")
     xd = x.data
     n = xd.shape[-1]
-    ms = np.mean(xd * xd, axis=-1, keepdims=True)
+    ms = np.einsum("...i,...i->...", xd, xd)[..., None] / n
     inv = 1.0 / np.sqrt(ms + xd.dtype.type(eps))
-    out = Tensor(xd * inv * gain.data, dtype=x.dtype)
+    xhat = xd * inv
+    out = Tensor(xhat * gain.data, dtype=x.dtype)
 
     def bwd(g):
         gg = g * gain.data
-        dot = np.sum(gg * xd, axis=-1, keepdims=True)
+        dot = np.einsum("...i,...i->...", gg, xd)[..., None]
         gx = gg * inv - xd * (inv ** 3) * (dot / n)
-        ggain = _unbroadcast(g * xd * inv, gain.shape)
-        return gx, ggain
+        g2 = (g * xhat).reshape(-1, n)
+        return gx, np.ones(len(g2), dtype=g2.dtype) @ g2
 
     return _record(out, (x, gain), bwd)
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    xd = x.data
-    z = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+def softmax_lastdim(x: Tensor, scale: float = 1.0) -> Tensor:
+    """Softmax over the last axis of ``scale * x``."""
+    c = x.data.dtype.type(scale)
+    xd = x.data * c
+    m = xd[..., 0].copy()
+    for i in range(1, xd.shape[-1]):      # exact row max; fast on short rows
+        np.maximum(m, xd[..., i], out=m)
+    y = xd - m[..., None]
+    np.exp(y, out=y)
+    y /= np.einsum("...i->...", y)[..., None]
     out = Tensor(y, dtype=x.dtype)
 
     def bwd(g):
-        dot = np.sum(g * y, axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _record(out, (x,), bwd)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype), dtype=x.dtype)
-
-    def bwd(g):
-        return (np.full(x.shape, g, dtype=x.dtype),)
+        dot = np.einsum("...i,...i->...", g, y)[..., None]
+        return (y * (g - dot) * c,)
 
     return _record(out, (x,), bwd)
 
@@ -341,13 +351,16 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def _rope_angles(positions, head_dim, base, dtype):
+@functools.lru_cache(maxsize=64)
+def _rope_rotation(positions: tuple, head_dim: int, base: float, dtype) -> np.ndarray:
+    """Read-only (n_tokens, head_dim // 2) table of ``cos + i sin`` of the pair angles."""
     if head_dim % 2 != 0:
         raise ValueError(f"rope requires an even head dimension, got {head_dim}")
-    half = head_dim // 2
-    freqs = np.asarray(base, dtype=np.float64) ** (-2.0 * np.arange(half) / head_dim)
+    freqs = np.asarray(base, dtype=np.float64) ** (-2.0 * np.arange(head_dim // 2) / head_dim)
     ang = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    rot = (np.cos(ang) + 1j * np.sin(ang)).astype(np.result_type(dtype, np.complex64))
+    rot.flags.writeable = False
+    return rot
 
 
 def rope_apply(x: Tensor, positions, base: float = 10000.0) -> Tensor:
@@ -355,24 +368,15 @@ def rope_apply(x: Tensor, positions, base: float = 10000.0) -> Tensor:
 
     ``x`` has shape (..., n_tokens, head_dim); pair i is rotated by
     ``pos * base**(-2i/head_dim)``. The rotation preserves pair norms, so
-    attention scores depend only on relative positions.
+    attention scores depend only on relative positions. Each pair is read as
+    one complex number, so the rotation is one complex multiply.
     """
-    head_dim = x.shape[-1]
-    cos, sin = _rope_angles(positions, head_dim, base, x.dtype)
-    x1 = x.data[..., 0::2]
-    x2 = x.data[..., 1::2]
-    y = np.empty_like(x.data)
-    y[..., 0::2] = x1 * cos - x2 * sin
-    y[..., 1::2] = x1 * sin + x2 * cos
-    out = Tensor(y, dtype=x.dtype)
+    rot = _rope_rotation(tuple(np.asarray(positions).tolist()), x.shape[-1], base, x.dtype)
+    y = np.ascontiguousarray(x.data).view(rot.dtype) * rot
+    out = Tensor(y.view(x.dtype), dtype=x.dtype)
 
     def bwd(g):
-        g1 = g[..., 0::2]
-        g2 = g[..., 1::2]
-        gx = np.empty_like(g)
-        gx[..., 0::2] = g1 * cos + g2 * sin
-        gx[..., 1::2] = -g1 * sin + g2 * cos
-        return (gx,)
+        return ((np.ascontiguousarray(g).view(rot.dtype) * rot.conj()).view(g.dtype),)
 
     return _record(out, (x,), bwd)
 

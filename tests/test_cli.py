@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from flowinverse import cli
 from flowinverse.cli import main
 from flowinverse.config import (ConfigError, config_reference, parse_config_text,
                                 resolve)
+from flowinverse.data import DataGenConfig, make_task
+from flowinverse.tasks import DarcyTask
 
 
 class TestConfigParsing:
@@ -82,9 +85,41 @@ class TestCliBasics:
     def test_zero_epochs_rejected_before_training(self, workdir, capsys):
         rc = run_cli("train", "--set", "paths.dataset=missing.cfmd",
                      "--set", "train.epochs=0")
-        assert rc == 2
-        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert rc == 1
+        assert "error: epochs must be >= 1" in capsys.readouterr().err
         assert not list(workdir.rglob("*.cfmt"))
+
+    def test_zero_tuples_is_a_usage_error(self, workdir, capsys):
+        rc = run_cli("generate-data", "--set", "data.tuples_per_n_obs=0")
+        assert rc == 1
+        assert "error: tuples_per_n_obs must be positive" in capsys.readouterr().err
+        assert not list(workdir.rglob("*.cfmd"))
+
+    def test_value_error_during_the_run_is_a_runtime_failure(self, workdir, capsys,
+                                                             monkeypatch):
+        def fail(config):
+            raise ValueError("forward model diverged")
+
+        monkeypatch.setattr(cli, "generate_dataset", fail)
+        assert run_cli("generate-data") == 2
+        assert "runtime failure: ValueError: forward model diverged" in capsys.readouterr().err
+
+
+class TestTaskFromConfig:
+    def test_darcy_sigma_w_reaches_the_forward_model(self, kl_basis):
+        rng = np.random.default_rng(0)
+        plain = DarcyTask()
+        m = plain.sample_params(rng, 1)[0]
+        e_row = plain.sample_design(rng, 4)
+        default = cli._task_from(resolve({"task": "darcy"}))
+        np.testing.assert_array_equal(default.forward_observed(m, e_row),
+                                      plain.forward_observed(m, e_row))
+        wide_cfg = resolve({"task": "darcy", "darcy.sigma_w": 0.2})
+        wide = cli._task_from(wide_cfg)
+        assert not np.allclose(wide.forward_observed(m, e_row), plain.forward_observed(m, e_row))
+        gen = DataGenConfig(task="darcy", tuples_per_n_obs=1,
+                            task_kwargs=cli._task_kwargs(wide_cfg))
+        assert make_task(gen).const.sigma_w == 0.2
 
 
 class TestPipeline:

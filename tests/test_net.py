@@ -1,11 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from flowinverse import cfm
 from flowinverse import tensor as T
+from flowinverse.data import Batch
 from flowinverse.net import (NetConfig, VelocityNet, build_tokens, init_params,
                              mlp_forward, param_count, timestep_basis,
                              timestep_embed, transformer_forward)
-from flowinverse.tasks import get_task
+from flowinverse.tasks import SeirTask, get_task
+
+PARITY_REFERENCE = Path(__file__).parent / "data" / "seir_parity_reference.npz"
 
 
 class TestTimestepEmbed:
@@ -215,6 +221,61 @@ class TestTransformerForward:
 
         worst = T.finite_difference_check(fn, params, max_entries=6)
         assert worst < 1e-4
+
+
+def _seir_paper_config():
+    return NetConfig(n_emb=32, n_head=4, n_layer=6, dim_m=SeirTask.dim_m,
+                     obs_token_dim=SeirTask.obs_token_dim)
+
+
+def _seir_parity_case():
+    """Loss, velocity and parameter gradients of one cfm_loss on frozen,
+    perturbed paper-config SEIR parameters (B=64, n_obs=8)."""
+    task = SeirTask()
+    params = init_params(_seir_paper_config(), seed=5)
+    rng = np.random.default_rng(2024)
+    for name in sorted(params):     # biases and gains move off 0 and 1 too
+        params[name].data += rng.normal(0.0, 0.05, params[name].shape).astype(np.float32)
+    B, n_obs = 64, 8
+    e = np.sort(rng.uniform(1.0, 3.0, (B, n_obs)), axis=1)
+    d = rng.uniform(0.0, 100.0, (B, 2 * n_obs))
+    m1 = rng.normal(size=(B, task.dim_m))
+    m0 = rng.normal(size=(B, task.dim_m))
+    t = rng.uniform(0.0, 1.0, B)
+    net = VelocityNet(task, _seir_paper_config(), params=params)
+    with T.Tape() as tape:
+        loss = cfm.cfm_loss(net, Batch(n_obs=n_obs, m=m1, e=e, d=d, index=np.arange(B)), t, m0)
+    T.backward(loss, tape)
+    m_t = cfm.interpolate(m0.astype(np.float32), m1.astype(np.float32),
+                          t.astype(np.float32)).astype(np.float32)
+    v = net.velocity(m_t, t.astype(np.float32), d, e)
+    return loss.item(), v, {k: p.grad for k, p in params.items()}, len(tape)
+
+
+class TestSeirPaperConfig:
+    def test_matches_reference_engine(self):
+        # The reference was recorded with the engine of commit 239f399 (a
+        # matmul plus an add per layer, strided RoPE, numpy row reductions);
+        # it keeps the loss, the velocity and, per parameter, 48 evenly spaced
+        # gradient entries plus the largest one.
+        with np.load(PARITY_REFERENCE) as z:
+            ref = dict(z)
+        loss, v, grads, _ = _seir_parity_case()
+        assert loss == pytest.approx(float(ref["loss"]), rel=1e-5)
+        np.testing.assert_allclose(v, ref["velocity"], rtol=0,
+                                   atol=1e-5 * np.abs(ref["velocity"]).max())
+        assert sorted(grads) == sorted(ref["names"].tolist())
+        stops = np.cumsum(ref["counts"])
+        for name, stop, count, maxabs in zip(ref["names"], stops, ref["counts"], ref["maxabs"]):
+            idx = ref["index"][stop - count:stop]
+            g = grads[str(name)].reshape(-1)
+            np.testing.assert_allclose(g[idx], ref["value"][stop - count:stop], rtol=0,
+                                       atol=1e-5 * maxabs, err_msg=str(name))
+            assert np.abs(g).max() == pytest.approx(maxabs, rel=1e-5), name
+
+    def test_tape_records_per_loss(self):
+        # one record per linear layer and none for the score scale: 165 here
+        assert _seir_parity_case()[3] <= 171
 
 
 class TestMlpForward:

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ class TestMatmul:
         a = Tensor(np.zeros((2, 3)), requires_grad=True)
         b = Tensor(np.zeros((3, 2)), requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.matmul(a, b))
+            loss = T.mean_all(T.matmul(a, b))
         backward(loss, tape)
         assert np.all(a.grad == 0) and np.all(b.grad == 0)
 
@@ -37,6 +39,10 @@ class TestMatmul:
         b = Tensor(np.zeros((4, 2)))
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
             T.matmul(a, b)
+
+    def test_shared_weight_is_linear_not_matmul(self):
+        with pytest.raises(ValueError, match=r"\(2, 3, 4\).*\(4, 5\)"):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(1)
@@ -47,12 +53,42 @@ class TestMatmul:
             np.testing.assert_allclose(out[i], a[i] @ b[i], rtol=1e-5)
 
 
+class TestLinear:
+    def test_matches_numpy_product_plus_bias(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        w = rng.normal(size=(4, 5)).astype(np.float32)
+        b = rng.normal(size=(5,)).astype(np.float32)
+        out = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.shape == (2, 3, 5)
+        np.testing.assert_allclose(out, x @ w + b, rtol=1e-5, atol=1e-6)
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.mean_all(T.linear(x, w, b))
+        _, _, bwd = tape.records[0]
+        gx, gw, gb = bwd(np.ones((2, 3, 5), dtype=np.float32))
+        assert gx is None
+        assert gw.shape == (4, 5) and gb.shape == (5,)
+        np.testing.assert_allclose(gb, 6.0)
+        backward(loss, tape)
+        assert x.grad is None and w.grad is not None and b.grad is not None
+
+    def test_shape_mismatch_message(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+
+
 class TestReluSquared:
     @pytest.mark.parametrize("x,y,g", [(-2.0, 0.0, 0.0), (3.0, 9.0, 6.0), (0.0, 0.0, 0.0)])
     def test_value_and_gradient(self, x, y, g):
         t = Tensor([x], requires_grad=True)
         with Tape() as tape:
-            out = T.sum_all(T.relu_squared(t))
+            out = T.mean_all(T.relu_squared(t))
         assert out.item() == pytest.approx(y)
         backward(out, tape)
         assert t.grad[0] == pytest.approx(g)
@@ -77,6 +113,10 @@ class TestRmsNorm:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             T.rms_norm(Tensor(np.ones(3)), Tensor(np.ones(3)), eps=0.0)
+
+    def test_rejects_gain_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"\(4,\).*\(1, 4\)"):
+            T.rms_norm(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))))
 
     @given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1), st.floats(1e-2, 1e3))
     @settings(max_examples=30, deadline=None)
@@ -115,7 +155,7 @@ class TestBackward:
     def test_square_at_three(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.mul(x, x))
+            loss = T.mean_all(T.mul(x, x))
         backward(loss, tape)
         assert x.grad[0] == pytest.approx(6.0)
 
@@ -123,7 +163,7 @@ class TestBackward:
         x = Tensor([3.0], requires_grad=True)
         c = Tensor([5.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.add(c, T.sub(x, x)))
+            loss = T.mean_all(T.add(c, T.sub(x, x)))
         backward(loss, tape)
         assert x.grad[0] == pytest.approx(0.0)
 
@@ -138,7 +178,7 @@ class TestBackward:
         x = Tensor([1.0], requires_grad=True)
         for attempt in range(2):
             with Tape() as tape:
-                loss = T.sum_all(T.mul(x, x))
+                loss = T.mean_all(T.mul(x, x))
             if attempt == 0:
                 backward(loss, tape)
             else:
@@ -146,7 +186,7 @@ class TestBackward:
                     backward(loss, tape)
         x.zero_grad()
         with Tape() as tape:
-            loss = T.sum_all(T.mul(x, x))
+            loss = T.mean_all(T.mul(x, x))
         backward(loss, tape)    # fine after explicit zeroing
 
     def test_linearity(self):
@@ -160,8 +200,8 @@ class TestBackward:
             backward(loss, tape)
             return x.grad.astype(np.float64)
 
-        f = lambda x: T.sum_all(T.mul(x, x))
-        g = lambda x: T.sum_all(T.relu_squared(x))
+        f = lambda x: T.mean_all(T.mul(x, x))
+        g = lambda x: T.mean_all(T.relu_squared(x))
         combo = lambda x: T.add(T.scale(f(x), 2.0), T.scale(g(x), -3.0))
         lhs = grad_of(combo)
         rhs = 2.0 * grad_of(f) - 3.0 * grad_of(g)
@@ -239,18 +279,46 @@ class TestAdam:
         assert np.all(state.m["w"] == 0) and np.all(state.v["w"] == 0)
 
 
+# Finite-difference case -> the public tape ops it checks.
+GRADIENT_CASES = {
+    "add": ("add",),
+    "sub": ("sub",),
+    "mul": ("mul",),
+    "scale": ("scale",),
+    "matmul": ("matmul",),
+    "linear": ("linear",),
+    "relu_squared": ("relu_squared",),
+    "rms_norm": ("rms_norm",),
+    "softmax_lastdim": ("softmax_lastdim",),
+    "softmax_scaled": ("softmax_lastdim",),
+    "rope": ("rope_apply",),
+    "rope_transposed": ("rope_apply",),
+    "reshape_transpose": ("reshape", "transpose"),
+    "concat_slice": ("concat", "slice_axis"),
+    "mean_all": ("mean_all",),
+}
+NOT_TAPE_OPS = {"backward", "adam_step", "finite_difference_check"}
+
+
+def test_every_tape_op_has_a_gradient_case():
+    public = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+              if fn.__module__ == T.__name__ and not name.startswith("_")}
+    covered = {op for ops in GRADIENT_CASES.values() for op in ops}
+    assert public - NOT_TAPE_OPS - covered == set()
+
+
 class TestPrimitiveGradients:
     """Finite-difference checks for every primitive, on random small shapes."""
 
-    @pytest.mark.parametrize("op_name", [
-        "add", "sub", "mul", "matmul", "relu_squared", "rms_norm",
-        "softmax_lastdim", "rope", "reshape_transpose", "concat_slice",
-    ])
+    @pytest.mark.parametrize("op_name", list(GRADIENT_CASES))
     def test_op(self, op_name):
         rng = np.random.default_rng(hash(op_name) % 2 ** 32)
         a = rng.normal(size=(3, 4, 6)).astype(np.float32)
         b = rng.normal(size=(3, 4, 6)).astype(np.float32)
         params = {"a": Tensor(a, requires_grad=True), "b": Tensor(b, requires_grad=True)}
+        if op_name == "linear":
+            params["w"] = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+            params["c"] = Tensor(rng.normal(size=(5,)), requires_grad=True)
 
         def fn(p):
             if op_name == "add":
@@ -259,8 +327,12 @@ class TestPrimitiveGradients:
                 out = T.sub(p["a"], p["b"])
             elif op_name == "mul":
                 out = T.mul(p["a"], p["b"])
+            elif op_name == "scale":
+                out = T.scale(p["a"], -1.7)
             elif op_name == "matmul":
                 out = T.matmul(p["a"], T.transpose(p["b"], (0, 2, 1)))
+            elif op_name == "linear":
+                out = T.linear(p["a"], p["w"], p["c"])
             elif op_name == "relu_squared":
                 out = T.relu_squared(p["a"])
             elif op_name == "rms_norm":
@@ -268,12 +340,20 @@ class TestPrimitiveGradients:
                     T.reshape(p["b"], (72,)), 0, 0, 6), (6,)))
             elif op_name == "softmax_lastdim":
                 out = T.softmax_lastdim(p["a"])
+            elif op_name == "softmax_scaled":
+                out = T.softmax_lastdim(p["a"], 2.5)
             elif op_name == "rope":
                 out = T.rope_apply(p["a"], positions=[0, 5, 9, 2], base=100.0)
+            elif op_name == "rope_transposed":
+                # a non-contiguous (3, 4, 6) -> (4, 3, 6) view, in float64
+                out = T.rope_apply(T.transpose(p["a"], (1, 0, 2)), positions=[3, 0, 7],
+                                   base=100.0)
             elif op_name == "reshape_transpose":
                 out = T.transpose(T.reshape(p["a"], (3, 8, 3)), (2, 0, 1))
             elif op_name == "concat_slice":
                 out = T.concat([T.slice_axis(p["a"], 1, 0, 2), p["b"]], axis=1)
+            elif op_name == "mean_all":
+                out = T.mean_all(T.mul(p["a"], p["b"]))
             return T.mean_all(T.mul(out, out))
 
         assert finite_difference_check(fn, params, max_entries=20) < 1e-4
