@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-KL_CACHE_VERSION = 1
+KL_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -87,27 +87,32 @@ def _cache_path(const, cache_dir):
 
 
 def kl_basis_build(const: DarcyConstants = CONST, cache_dir=None) -> KLBasis:
-    """Eigendecompose the covariance operator; results are disk-cached keyed
-    by (grid, sigma_v, ell^2, n_modes) and the cache format version."""
+    """Leading eigenpairs of the covariance operator, disk-cached by (grid,
+    sigma_v, ell^2, n_modes) and the cache format version.
+
+    The kernel separates in x and y, so the h^2-weighted grid matrix is the
+    Kronecker square of the h-weighted 1-D matrix K1, and mode kron(u_a, u_b)
+    has eigenvalue lam_a * lam_b. Ordering modes by (-lam, a, b) and giving
+    each u_a a positive entry at x = 0 pins degenerate pairs such as (a, b)
+    and (b, a), so every build gives the same basis.
+    """
     path = _cache_path(const, cache_dir)
     if os.path.exists(path):
         with np.load(path) as z:
             if int(z["version"]) == KL_CACHE_VERSION:
                 return KLBasis(z["eigenvalues"], z["modes"], const, float(z["trace"]))
-    K = kernel_matrix(const)
-    trace = np.trace(K)
-    n = K.shape[0]
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    try:
-        vals, vecs = spla.eigsh(K, k=const.n_modes, which="LA", v0=v0)
-    except spla.ArpackError as err:  # pragma: no cover
-        raise RuntimeError(f"KL eigendecomposition failed: {err}") from err
-    order = np.argsort(vals)[::-1]
-    vals = np.maximum(vals[order], 0.0)
-    modes = (vecs[:, order].T / const.h).astype(np.float64)   # sum(phi^2) h^2 = 1
-    # fix sign convention so the basis is reproducible across LAPACK builds
-    signs = np.sign(modes[np.arange(const.n_modes), np.argmax(np.abs(modes), axis=1)])
-    modes *= signs[:, None]
+    xs = np.linspace(0.0, 1.0, const.n_grid)
+    k1 = const.sigma_v * const.h * np.exp(-(xs[:, None] - xs[None, :]) ** 2 / (2.0 * const.ell2))
+    lam, u = np.linalg.eigh(k1)
+    lam, u = lam[::-1], u[:, ::-1]
+    u = u * np.where(u[0] < 0.0, -1.0, 1.0)
+    a, b = np.indices(k1.shape).reshape(2, -1)
+    prod = np.outer(lam, lam).ravel()
+    top = np.lexsort((b, a, -prod))[:const.n_modes]
+    a, b = a[top], b[top]
+    vals = np.maximum(prod[top], 0.0)
+    modes = (u[:, a].T[:, :, None] * u[:, b].T[:, None, :]).reshape(const.n_modes, -1) / const.h
+    trace = lam.sum() ** 2
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp.npz"
     np.savez(tmp, version=KL_CACHE_VERSION, eigenvalues=vals, modes=modes, trace=trace)

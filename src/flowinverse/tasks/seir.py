@@ -13,6 +13,12 @@ a tanh ramp. Two ramp conventions are supported:
   it exists for comparison and is not used for data generation.
 
 Observations are (I, R) read at a handful of times in [1, 3].
+
+One fixed-step RK4 kernel, ``_integrate``, serves every path: a single rate
+vector runs it in Python floats (MH, ``de_solution``), a (B, 6) batch on
+columns (data generation), with bitwise equal results. ``_read`` interpolates
+the steps linearly; ``simulate_batch`` and ``forward_observed`` integrate only
+up to their last time, ``seir_solve`` always over [0, t_end].
 """
 
 from __future__ import annotations
@@ -58,75 +64,98 @@ def _ramp_tables(shifted, const=CONST):
     ts = np.arange(N_STEPS + 1) * const.dt
     full = _ramp(ts, const.tau, shifted)
     half = _ramp(ts[:-1] + const.dt / 2.0, const.tau, shifted)
-    return full, half
+    return full.tolist(), half.tolist()
 
 
+# Python floats, so that the single-vector loop stays in plain float arithmetic
 _TABLES = {True: _ramp_tables(True), False: _ramp_tables(False)}
 
 
-def _integrate(m, shifted):
-    """Classical RK4 over [0, t_end] at fixed step; returns (steps+1, B, 4)."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    b1, al, gr, gd1, b2, gd2 = (m[:, i] for i in range(6))
+def _integrate(m, shifted, n_steps=N_STEPS):
+    """Classical RK4 from t = 0 over n_steps fixed steps of length dt.
+
+    A 6-vector m runs in Python floats and returns (n_steps+1, 4); a (B, 6)
+    batch runs on its columns and returns (n_steps+1, 4, B). Both run the
+    same operations in the same order, so each batch row equals the single
+    vector's result bitwise.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    b1, al, gr, gd1, b2, gd2 = m.tolist() if m.ndim == 1 else np.ascontiguousarray(m.T)
     db, dg, g0 = b2 - b1, gd2 - gd1, gr + gd1
-    B = m.shape[0]
-    dt = CONST.dt
+    dt, h2, h6 = CONST.dt, CONST.dt / 2, CONST.dt / 6
     s_full, s_half = _TABLES[bool(shifted)]
-    state = np.empty((N_STEPS + 1, B, 4))
-    S = np.full(B, CONST.s0)
-    E = np.full(B, CONST.e0)
-    I = np.full(B, CONST.i0)
-    R = np.full(B, CONST.r0)
-    state[0, :, 0], state[0, :, 1], state[0, :, 2], state[0, :, 3] = S, E, I, R
-
-    def rhs(S, E, I, s):
-        beta = b1 + s * db
-        gam = g0 + s * dg
-        x = beta * S * I
-        aE = al * E
-        gI = gam * I
-        return -x, x - aE, aE - gI, gI
-
-    for k in range(N_STEPS):
-        s0, sh, s1 = s_full[k], s_half[k], s_full[k + 1]
-        a1, b_1, c1, d1 = rhs(S, E, I, s0)
-        a2, b_2, c2, d2 = rhs(S + dt / 2 * a1, E + dt / 2 * b_1, I + dt / 2 * c1, sh)
-        a3, b_3, c3, d3 = rhs(S + dt / 2 * a2, E + dt / 2 * b_2, I + dt / 2 * c2, sh)
-        a4, b_4, c4, d4 = rhs(S + dt * a3, E + dt * b_3, I + dt * c3, s1)
-        S = S + dt / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        E = E + dt / 6 * (b_1 + 2 * b_2 + 2 * b_3 + b_4)
-        I = I + dt / 6 * (c1 + 2 * c2 + 2 * c3 + c4)
-        R = R + dt / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
-        state[k + 1, :, 0], state[k + 1, :, 1] = S, E
-        state[k + 1, :, 2], state[k + 1, :, 3] = I, R
-    if not np.isfinite(state).all():
-        step_ok = np.isfinite(state).all(axis=(1, 2))
-        k_bad = int(np.argmin(step_ok))
-        b_bad = int(np.argmin(np.isfinite(state[k_bad]).all(axis=1)))
-        raise FloatingPointError(
-            f"SEIR state became non-finite at t={k_bad * dt:.4f} for m={m[b_bad].tolist()}")
+    S, E, I, R = CONST.s0, CONST.e0, CONST.i0, CONST.r0
+    state = np.empty((n_steps + 1, 4) + m.shape[:-1])
+    state[0] = np.reshape((S, E, I, R), (4,) + (1,) * (m.ndim - 1))
+    # Stage j has infection flux x_j = -dS/dt, dE/dt e_j, dI/dt i_j and
+    # dR/dt g_j. "S - h * x" is bitwise "S + h * (-x)": rounding is sign-symmetric.
+    for k in range(n_steps):
+        beta, gam = b1 + s_full[k] * db, g0 + s_full[k] * dg
+        x1, aE, g1 = beta * S * I, al * E, gam * I
+        e1, i1 = x1 - aE, aE - g1
+        beta, gam = b1 + s_half[k] * db, g0 + s_half[k] * dg
+        Sj, Ej, Ij = S - h2 * x1, E + h2 * e1, I + h2 * i1
+        x2, aE, g2 = beta * Sj * Ij, al * Ej, gam * Ij
+        e2, i2 = x2 - aE, aE - g2
+        Sj, Ej, Ij = S - h2 * x2, E + h2 * e2, I + h2 * i2
+        x3, aE, g3 = beta * Sj * Ij, al * Ej, gam * Ij
+        e3, i3 = x3 - aE, aE - g3
+        beta, gam = b1 + s_full[k + 1] * db, g0 + s_full[k + 1] * dg
+        Sj, Ej, Ij = S - dt * x3, E + dt * e3, I + dt * i3
+        x4, aE, g4 = beta * Sj * Ij, al * Ej, gam * Ij
+        e4, i4 = x4 - aE, aE - g4
+        S = S - h6 * (x1 + 2 * x2 + 2 * x3 + x4)
+        E = E + h6 * (e1 + 2 * e2 + 2 * e3 + e4)
+        I = I + h6 * (i1 + 2 * i2 + 2 * i3 + i4)
+        R = R + h6 * (g1 + 2 * g2 + 2 * g3 + g4)
+        state[k + 1] = S, E, I, R
+    bad = ~np.isfinite(state).all(axis=1).reshape(n_steps + 1, -1)
+    if bad.any():
+        k_bad, b_bad = np.argwhere(bad)[0]
+        raise FloatingPointError(f"SEIR state became non-finite at t={k_bad * dt:.4f} "
+                                 f"for m={m.reshape(-1, 6)[b_bad].tolist()}")
     return state
+
+
+def _read(state, times):
+    """States linearly interpolated between RK4 steps.
+
+    times (n_t,) against a single (steps+1, 4) state gives (n_t, 4); times
+    (B, n_t) against a (steps+1, 4, B) batch gives (B, n_t, 4).
+    """
+    times = np.asarray(times, dtype=np.float64)
+    if np.any(times < 0) or np.any(times > CONST.t_end + 1e-12):
+        raise ValueError(f"requested times outside [0, {CONST.t_end}]")
+    pos = times / CONST.dt
+    k = np.minimum(pos.astype(int), len(state) - 2)
+    w = (pos - k)[..., None]
+    if state.ndim == 2:
+        lo, hi = state[k], state[k + 1]
+    else:
+        rows = np.arange(state.shape[2])[:, None]
+        lo, hi = state[k, :, rows], state[k + 1, :, rows]
+    return lo * (1.0 - w) + hi * w
 
 
 def seir_solve(m, t_grid, shifted: bool = True):
     """States (S, E, I, R) at the requested times, linearly interpolated
-    between fixed RK4 steps.
+    between fixed RK4 steps over the full span [0, t_end].
 
     m may be a single 6-vector or a (B, 6) batch; t_grid is a 1-d array of
     times in [0, t_end]. Returns (len(t_grid), 4) or (B, len(t_grid), 4).
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    if np.any(t_grid < 0) or np.any(t_grid > CONST.t_end + 1e-12):
-        raise ValueError(f"requested times outside [0, {CONST.t_end}]")
-    single = np.asarray(m).ndim == 1
-    state = _integrate(m, shifted)                     # (steps+1, B, 4)
-    pos = t_grid / CONST.dt
-    k = np.minimum(pos.astype(int), N_STEPS - 1)
-    w = (pos - k)[None, :, None]
-    lo = state[k].transpose(1, 0, 2)                   # (B, n_t, 4)
-    hi = state[k + 1].transpose(1, 0, 2)
-    out = lo * (1.0 - w) + hi * w
-    return out[0] if single else out
+    state = _integrate(m, shifted)
+    if state.ndim == 3:
+        t_grid = np.broadcast_to(t_grid, (state.shape[2],) + t_grid.shape)
+    return _read(state, t_grid)
+
+
+def _observe(m, times, shifted):
+    """(I, R) at the requested times, integrating only up to the last step
+    that brackets the latest of them; bitwise equal to a full-span read."""
+    n_steps = min(max(int(np.max(times) / CONST.dt), 0), N_STEPS - 1) + 1
+    return _read(_integrate(m, shifted, n_steps), times)[..., 2:4]
 
 
 def seir_observe(m, times, eta=None, shifted: bool = True):
@@ -136,68 +165,6 @@ def seir_observe(m, times, eta=None, shifted: bool = True):
     if eta is not None:
         obs = obs + eta
     return obs
-
-
-def _solve_scalar(m, times, shifted: bool = True):
-    """Plain-float RK4 for one rate vector; fast path for sequential MCMC.
-
-    Returns (I, R) pairs at the requested times (linear interpolation
-    between steps), matching :func:`seir_observe` to rounding.
-    """
-    b1, al, gr, gd1, b2, gd2 = (float(v) for v in m)
-    db, dg, g0 = b2 - b1, gd2 - gd1, gr + gd1
-    dt = CONST.dt
-    s_full, s_half = _TABLES[bool(shifted)]
-    order = sorted(range(len(times)), key=lambda i: times[i])
-    res = [None] * len(times)
-    nxt = 0
-    S, E, I, R = CONST.s0, CONST.e0, CONST.i0, CONST.r0
-    while nxt < len(order) and times[order[nxt]] <= 0.0:
-        res[order[nxt]] = (I, R)
-        nxt += 1
-    for k in range(N_STEPS):
-        s0 = s_full[k]
-        sh = s_half[k]
-        s1 = s_full[k + 1]
-        beta = b1 + s0 * db
-        gam = g0 + s0 * dg
-        x = beta * S * I
-        aE = al * E
-        gI = gam * I
-        a1, b_1, c1, d1 = -x, x - aE, aE - gI, gI
-        beta = b1 + sh * db
-        gam = g0 + sh * dg
-        S2, E2, I2 = S + dt / 2 * a1, E + dt / 2 * b_1, I + dt / 2 * c1
-        x = beta * S2 * I2
-        aE = al * E2
-        gI = gam * I2
-        a2, b_2, c2, d2 = -x, x - aE, aE - gI, gI
-        S3, E3, I3 = S + dt / 2 * a2, E + dt / 2 * b_2, I + dt / 2 * c2
-        x = beta * S3 * I3
-        aE = al * E3
-        gI = gam * I3
-        a3, b_3, c3, d3 = -x, x - aE, aE - gI, gI
-        beta = b1 + s1 * db
-        gam = g0 + s1 * dg
-        S4, E4, I4 = S + dt * a3, E + dt * b_3, I + dt * c3
-        x = beta * S4 * I4
-        aE = al * E4
-        gI = gam * I4
-        a4, b_4, c4, d4 = -x, x - aE, aE - gI, gI
-        Sn = S + dt / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        En = E + dt / 6 * (b_1 + 2 * b_2 + 2 * b_3 + b_4)
-        In = I + dt / 6 * (c1 + 2 * c2 + 2 * c3 + c4)
-        Rn = R + dt / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
-        t1 = (k + 1) * dt
-        while nxt < len(order) and times[order[nxt]] <= t1:
-            w = (times[order[nxt]] - k * dt) / dt
-            res[order[nxt]] = ((1 - w) * I + w * In, (1 - w) * R + w * Rn)
-            nxt += 1
-        S, E, I, R = Sn, En, In, Rn
-    while nxt < len(order):           # times exactly at t_end
-        res[order[nxt]] = (I, R)
-        nxt += 1
-    return res
 
 
 class SeirTask:
@@ -233,17 +200,9 @@ class SeirTask:
         return rng.uniform(1.0, 3.0, n_obs)
 
     def simulate_batch(self, m, e, n_obs):
-        B = m.shape[0]
         # every tuple has its own observation times; integrate once, read all
-        traj = _integrate(m, self.shifted_ramp)        # (steps+1, B, 4)
-        pos = e / CONST.dt
-        k = np.minimum(pos.astype(int), N_STEPS - 1)
-        w = pos - k
-        rows = np.arange(B)[:, None]
-        lo = traj[k, rows]                             # (B, n_obs, 4)
-        hi = traj[k + 1, rows]
-        obs = (lo * (1.0 - w[..., None]) + hi * w[..., None])[..., 2:4]
-        return obs.reshape(B, 2 * n_obs), np.full(B, self.sigma)
+        obs = _observe(m, e, self.shifted_ramp)
+        return obs.reshape(m.shape[0], 2 * n_obs), np.full(m.shape[0], self.sigma)
 
     def token_features(self, d, e):
         B, n = e.shape
@@ -259,8 +218,7 @@ class SeirTask:
         return seir_solve(np.asarray(m, dtype=np.float64), tg, self.shifted_ramp).reshape(-1)
 
     def forward_observed(self, m, e_row):
-        res = _solve_scalar(np.asarray(m, dtype=np.float64), list(e_row), self.shifted_ramp)
-        return np.asarray(res, dtype=np.float64).reshape(-1)
+        return _observe(m, np.asarray(e_row, dtype=np.float64), self.shifted_ramp).reshape(-1)
 
     def in_support(self, m):
         m = np.asarray(m)

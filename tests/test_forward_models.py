@@ -111,6 +111,31 @@ class TestSeirSolve:
         traj = seir_solve(bad, [4.0], shifted=True)
         assert np.isfinite(traj).all()
 
+    def test_single_vector_blowup_raises_and_mh_rejects_it(self):
+        # the draw above diverges at t = 3.9336; one vector fails as loudly
+        # as a batch, and MH turns the failure into a rejection
+        from flowinverse import mcmc
+        bad = np.array([0.072059, 0.841993, 0.055568, 0.280611, 0.33413, 0.172994])
+        task = get_task("seir", shifted_ramp=False)
+        e = np.array([1.0, 2.0, 4.0])
+        with pytest.raises(FloatingPointError, match="non-finite at t=3.9336"):
+            task.forward_observed(bad, e)
+        with pytest.warns(UserWarning, match="forward model failed"):
+            assert mcmc.log_posterior(task, bad, np.zeros(6), e, 0.5) == -np.inf
+        # observations up to t = 3 stop before the blow-up
+        assert np.isfinite(task.forward_observed(bad, [1.0, 3.0])).all()
+
+    def test_early_stop_changes_nothing(self):
+        rng = np.random.default_rng(3)
+        m = rng.uniform(0, 1, (4, 6))
+        task = get_task("seir")
+        for t in (0.0, 1.0, 2.0 + 1.0 / 256.0, 3.0, 4.0):
+            full = seir_solve(m, [t])[:, 0, 2:4]
+            d, _ = task.simulate_batch(m, np.full((4, 1), t), 1)
+            np.testing.assert_array_equal(d, full)
+            for row in range(4):
+                np.testing.assert_array_equal(task.forward_observed(m[row], [t]), full[row])
+
 
 class TestSeirObserve:
     def test_sorted_vs_unsorted_same_rows(self):
@@ -133,14 +158,18 @@ class TestSeirObserve:
             assert np.all(obs >= 0)
 
     def test_scalar_path_matches_batched(self):
-        from flowinverse.tasks.seir import _solve_scalar
+        # one RK4 kernel: a single vector in Python floats and a batch on
+        # columns run the same operations, so they agree bitwise
         rng = np.random.default_rng(2)
-        for _ in range(5):
-            m = rng.uniform(0, 1, 6)
-            times = rng.uniform(1, 3, 5)
-            fast = np.array(_solve_scalar(m, list(times)))
-            ref = seir_observe(m, times)
-            np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-12)
+        task = get_task("seir")
+        m = rng.uniform(0, 1, (5, 6))
+        e = rng.uniform(1, 3, (5, 5))
+        d, _ = task.simulate_batch(m, e, 5)
+        grid = np.linspace(0.0, 4.0, 256)
+        for row in range(5):
+            np.testing.assert_array_equal(task.forward_observed(m[row], e[row]), d[row])
+            np.testing.assert_array_equal(task.de_solution(m[row]),
+                                          seir_solve(m[row:row + 1], grid)[0].reshape(-1))
 
 
 class TestKlBasis:
@@ -172,6 +201,22 @@ class TestKlBasis:
         np.testing.assert_array_equal(b1.eigenvalues, b2.eigenvalues)
         np.testing.assert_array_equal(b1.modes, b2.modes)
         assert len(list(tmp_path.iterdir())) == 1
+
+    def test_fresh_builds_are_bitwise_equal(self, tmp_path):
+        # degenerate eigenpairs must not leave the basis to the eigensolver
+        b1 = dy.kl_basis_build(cache_dir=str(tmp_path / "one"))
+        b2 = dy.kl_basis_build(cache_dir=str(tmp_path / "two"))
+        np.testing.assert_array_equal(b1.eigenvalues, b2.eigenvalues)
+        np.testing.assert_array_equal(b1.modes, b2.modes)
+
+    def test_modes_are_eigenvectors_of_the_dense_kernel(self, tmp_path):
+        const = dy.DarcyConstants(n_grid=9)
+        basis = dy.kl_basis_build(const, cache_dir=str(tmp_path))
+        K = dy.kernel_matrix(const)
+        V = basis.modes.T * const.h
+        np.testing.assert_allclose(V.T @ V, np.eye(const.n_modes), atol=1e-10)
+        np.testing.assert_allclose(K @ V, V * basis.eigenvalues, rtol=0, atol=1e-10)
+        assert basis.trace == pytest.approx(np.trace(K), rel=1e-12)
 
 
 class TestKlExpand:
