@@ -86,7 +86,7 @@ def _task_kwargs(cfg: RunConfig) -> dict:
 def _task_from(cfg: RunConfig):
     kwargs = _task_kwargs(cfg)
     if cfg["data.sigma"] is not None:
-        kwargs["sigma_rel" if cfg.task_name == "darcy" else "sigma"] = cfg["data.sigma"]
+        kwargs["sigma"] = cfg["data.sigma"]
     return get_task(cfg.task_name, **kwargs)
 
 

@@ -68,8 +68,7 @@ def _tuple_rng(seed, n_obs, index):
 def make_task(config: DataGenConfig):
     kwargs = dict(config.task_kwargs)
     if config.sigma is not None:
-        key = "sigma_rel" if config.task == "darcy" else "sigma"
-        kwargs[key] = config.sigma
+        kwargs["sigma"] = config.sigma
     return get_task(config.task, **kwargs)
 
 

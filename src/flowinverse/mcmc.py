@@ -98,7 +98,7 @@ def run_chain(task, d, e, cfg: ChainConfig, csv_path=None) -> ChainResult:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x6d636d63)))
     d = np.asarray(d, dtype=np.float64).reshape(-1)
     e = np.asarray(e, dtype=np.float64).reshape(-1)
-    sigma = cfg.sigma_obs if cfg.sigma_obs is not None else task.sigma_for(e, d)
+    sigma = cfg.sigma_obs if cfg.sigma_obs is not None else task.sigma_for(e)
 
     def logpost(m):
         return log_posterior(task, m, d, e, sigma)

@@ -68,12 +68,9 @@ class NonlinearTask:
         """Noise-free observations at the designs of one tuple."""
         return nonlinear_forward(float(np.asarray(m).reshape(-1)[0]), e_row)
 
-    def in_support(self, m):
-        m = np.asarray(m)
-        return bool(np.all(m >= 0.0) and np.all(m <= 1.0))
-
     def log_prior(self, m):
-        return 0.0 if self.in_support(m) else -np.inf
+        m = np.asarray(m)
+        return 0.0 if np.all(m >= 0.0) and np.all(m <= 1.0) else -np.inf
 
-    def sigma_for(self, e_row, d_row):
+    def sigma_for(self, e_row):
         return self.sigma

@@ -220,12 +220,9 @@ class SeirTask:
     def forward_observed(self, m, e_row):
         return _observe(m, np.asarray(e_row, dtype=np.float64), self.shifted_ramp).reshape(-1)
 
-    def in_support(self, m):
-        m = np.asarray(m)
-        return bool(np.all(m >= 0.0) and np.all(m <= 1.0))
-
     def log_prior(self, m):
-        return 0.0 if self.in_support(m) else -np.inf
+        m = np.asarray(m)
+        return 0.0 if np.all(m >= 0.0) and np.all(m <= 1.0) else -np.inf
 
-    def sigma_for(self, e_row, d_row):
+    def sigma_for(self, e_row):
         return self.sigma

@@ -68,34 +68,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flag})"
 
-    # Convenience operators; all route through the module-level ops so that
-    # recording on the active tape stays in one place.
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, _wrap(other, self.dtype))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other, self.dtype))
-
-
-def _wrap(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype), requires_grad=False, dtype=dtype)
-
 
 class Tape:
     """Ordered record of operations for one forward pass.

@@ -10,6 +10,7 @@ from flowinverse.config import (ConfigError, config_reference, parse_config_text
                                 resolve)
 from flowinverse.data import DataGenConfig, make_task
 from flowinverse.tasks import DarcyTask
+from flowinverse.tasks.darcy import boundary_profiles
 
 
 class TestConfigParsing:
@@ -120,6 +121,23 @@ class TestTaskFromConfig:
         gen = DataGenConfig(task="darcy", tuples_per_n_obs=1,
                             task_kwargs=cli._task_kwargs(wide_cfg))
         assert make_task(gen).const.sigma_w == 0.2
+
+    @pytest.mark.parametrize("name", ["nonlinear", "seir", "darcy"])
+    def test_data_sigma_is_the_noise_keyword_of_every_task(self, name, kl_basis):
+        task = cli._task_from(resolve({"task": name, "data.sigma": 0.03}))
+        assert task.sigma == 0.03
+        assert make_task(DataGenConfig(task=name, tuples_per_n_obs=1, sigma=0.03)).sigma == 0.03
+        rng = np.random.default_rng(1)
+        m = task.sample_params(rng, 2)
+        e = np.stack([task.sample_design(rng, 3) for _ in range(2)])
+        _, scale = task.simulate_batch(m, e, 3)
+        np.testing.assert_array_equal(scale, [task.sigma_for(row) for row in e])
+
+    def test_darcy_sigma_is_relative_to_the_boundary_maximum(self):
+        task = DarcyTask(sigma=0.03)
+        e_row = np.array([0.2, 0.9, 0.5, 0.5])
+        f, g = boundary_profiles(0.2, 0.9)
+        assert task.sigma_for(e_row) == 0.03 * max(np.abs(f).max(), np.abs(g).max())
 
 
 class TestPipeline:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -187,12 +189,20 @@ class TestKlBasis:
         assert kl_basis.captured_fraction >= 0.99
 
     def test_frobenius_reconstruction(self, kl_basis):
-        K = dy.kernel_matrix(kl_basis.const)
-        h2 = kl_basis.const.h ** 2
-        V = kl_basis.modes.T * kl_basis.const.h      # back to unit eigenvectors
-        K16 = (V * kl_basis.eigenvalues) @ V.T
-        rel = np.linalg.norm(K - K16) / np.linalg.norm(K)
-        assert rel < 0.01
+        # the 4225x4225 kernel is formed a block of rows at a time, with the
+        # 2-D distance formula of kernel_matrix as the reference
+        const = kl_basis.const
+        pts = dy._grid_points(const)
+        V = kl_basis.modes.T * const.h      # back to unit eigenvectors
+        k_sq = err_sq = 0.0
+        for lo in range(0, len(pts), 128):
+            rows = slice(lo, lo + 128)
+            d2 = ((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(-1)
+            K = const.sigma_v ** 2 * np.exp(-d2 / (2.0 * const.ell2)) * const.h ** 2
+            K16 = (V[rows] * kl_basis.eigenvalues) @ V.T
+            k_sq += np.sum(K ** 2)
+            err_sq += np.sum((K - K16) ** 2)
+        assert np.sqrt(err_sq / k_sq) < 0.01
 
     def test_cache_roundtrip(self, tmp_path):
         const = dy.DarcyConstants(n_grid=9, n_modes=4)
@@ -264,16 +274,53 @@ class TestDarcySolve:
 
     def test_residual_below_tolerance(self):
         rng = np.random.default_rng(3)
-        kappa = np.exp(rng.normal(0, 0.5, (33, 33)))
-        f = np.linspace(0, 1, 33)
+        n = 33
+        kappa = np.exp(rng.normal(0, 0.5, (n, n)))
+        f = np.linspace(0, 1, n)
         g = -f
         u = dy._solve_dirichlet(kappa, f, g)
-        A, pat = dy._assemble(kappa)
-        free = pat.free
-        uf = u.reshape(-1)
-        b = -(A[free][:, ~free] @ uf[~free])
-        r = A[free][:, free] @ uf[free] - b
-        assert np.linalg.norm(r) / np.linalg.norm(b) <= 1e-9
+        np.testing.assert_array_equal(u[0], f)
+        np.testing.assert_array_equal(u[-1], g)
+
+        def face(a, b, width=1.0):
+            return width * 2.0 * kappa[a] * kappa[b] / (kappa[a] + kappa[b])
+
+        # flux balance node by node: harmonic-mean faces, half-width x-faces
+        # on the y = 0, 1 sides, and no face across a Neumann side; the flux
+        # from a Dirichlet neighbour is the right-hand side
+        residual, rhs = [], []
+        for i in range(1, n - 1):
+            for j in range(n):
+                width = 0.5 if j in (0, n - 1) else 1.0
+                neighbours = [((i - 1, j), width), ((i + 1, j), width)]
+                neighbours += [((i, jj), 1.0) for jj in (j - 1, j + 1) if 0 <= jj < n]
+                r = b = 0.0
+                for nb, w in neighbours:
+                    t = face((i, j), nb, w)
+                    r += t * u[i, j]
+                    if nb[0] in (0, n - 1):
+                        b += t * u[nb]
+                    else:
+                        r -= t * u[nb]
+                residual.append(r - b)
+                rhs.append(b)
+        assert np.linalg.norm(residual) / np.linalg.norm(rhs) <= 1e-9
+
+    def test_solution_pinned_to_reference_digests(self, kl_basis):
+        # sha256 of the pressure field's bytes, recorded with the solver that
+        # assembled the full grid matrix and sliced out the free-node block
+        expected = {
+            11: "786c068c41a255ef0d80fb741fc02755437252a9c23535e72f76dad2a5fffa13",
+            12: "da47d2a9225db63c0645cb42e01b0601550a1673fd67dd3a08761089d410dcad",
+            13: "2b62f39ba6b3c21d307e90501e0f4d14ae2c7422a3edc147aa6917ad7127e82d",
+        }
+        for seed, digest in expected.items():
+            rng = np.random.default_rng(seed)
+            m = rng.standard_normal(16)
+            e1, e2 = rng.uniform(0.0, 1.0, 2)
+            u = dy.darcy_solve(np.exp(dy.kl_expand(m, kl_basis)), e1, e2)
+            assert u.dtype == np.float64 and u.shape == (65, 65)
+            assert hashlib.sha256(u.tobytes()).hexdigest() == digest, seed
 
     def test_rejects_nonpositive_kappa(self):
         kappa = np.ones((65, 65))
@@ -348,6 +395,5 @@ class TestTaskInterfaces:
             m = task.sample_params(rng, 1)
             e = task.sample_design(rng, n_obs)[None, :]
             d, _ = task.simulate_batch(m, e, n_obs)
-            single = task.forward_observed(m[0], e[0])
-            np.testing.assert_allclose(np.asarray(single).reshape(-1), d[0],
-                                       rtol=1e-9, atol=1e-9)
+            single = np.asarray(task.forward_observed(m[0], e[0])).reshape(-1)
+            np.testing.assert_array_equal(single, d[0])

@@ -20,7 +20,7 @@ class _GaussianTargetTask:
     def forward_observed(self, m, e_row):
         return np.asarray(m, dtype=np.float64).reshape(-1)
 
-    def sigma_for(self, e_row, d_row):
+    def sigma_for(self, e_row):
         return 1.0
 
 
