@@ -9,7 +9,6 @@ nearly straight, a modest number of Euler steps suffices.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -66,11 +65,6 @@ class SamplerConfig:
 @dataclass
 class PosteriorEnsemble:
     samples: np.ndarray          # (ensemble, dim_m)
-    d: np.ndarray
-    e: np.ndarray
-    steps: int
-    method: str
-    seed: int
 
     @property
     def mean(self):
@@ -260,9 +254,7 @@ def sample_posterior(net: VelocityNet, d, e, cfg: SamplerConfig) -> PosteriorEns
     ensemble integrates as one batch, which is equivalent to integrating
     members independently.
     """
-    samples = sample_batch(net, d, e, [cfg.seed], cfg)[0]
-    return PosteriorEnsemble(samples=samples, d=np.asarray(d), e=np.asarray(e),
-                             steps=cfg.steps, method=cfg.method, seed=cfg.seed)
+    return PosteriorEnsemble(samples=sample_batch(net, d, e, [cfg.seed], cfg)[0])
 
 
 @dataclass
@@ -274,7 +266,7 @@ class StraightnessReport:
 
 
 def path_straightness(net: VelocityNet, d, e, n_paths=32,
-                      cfg: SamplerConfig | None = None, csv_path=None) -> StraightnessReport:
+                      cfg: SamplerConfig | None = None) -> StraightnessReport:
     """Mean relative deviation of flow trajectories from their chords.
 
     A perfectly straight (optimal-transport) path moves as
@@ -299,15 +291,6 @@ def path_straightness(net: VelocityNet, d, e, n_paths=32,
         dist = np.linalg.norm(traj[:, p].astype(np.float64) - straight, axis=1)
         devs.append(dist.max() / chord)
     devs = np.asarray(devs)
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as f:
-            w = csv.writer(f)
-            dim = traj.shape[-1]
-            w.writerow(["path", "t"] + [f"x{i}" for i in range(dim)])
-            ts = np.linspace(0.0, 1.0, traj.shape[0])
-            for p in range(n_paths):
-                for k, t in enumerate(ts):
-                    w.writerow([p, f"{t:.6f}"] + [f"{v:.8g}" for v in traj[k, p]])
     mean_dev = float(devs.mean()) if devs.size else 0.0
     return StraightnessReport(mean_deviation=mean_dev, per_path=devs,
                               skipped=skipped, trajectories=traj)

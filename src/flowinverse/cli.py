@@ -1,11 +1,22 @@
 """Command-line entry points for the full experiment pipeline.
 
-Subcommands: generate-data, train, sample, evaluate, mcmc, benchmark, paths.
 Each run reads a flat key=value config file (optionally a previous run's
 manifest), applies --set overrides, executes, and writes a manifest with the
 resolved config, master seed, and content hashes of every input file, which
 is sufficient to reproduce the run bit for bit (rerun with
 ``--config <manifest.json>``).
+
+This module is the only one that writes run outputs; the library calls
+return data. Each subcommand writes, into the output directory unless a
+``paths.*`` key names the file, its ``manifest_<subcommand>.json`` and:
+
+  generate-data  <task>.cfmd (dataset)
+  train          <task>.cfmt (checkpoint; .step<k> ones too), loss_history.csv
+  sample         ensemble.csv, instance.json
+  evaluate       sweep_<task>.csv; on nonlinear also generation_error.json
+  mcmc           chain.csv, mcmc_<task>.csv, mcmc_result.json
+  benchmark      timing.json
+  paths          paths.csv, straightness.json
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
@@ -31,8 +42,7 @@ from .config import (ConfigError, RunConfig, config_reference, load_config_file,
 from .data import (DataGenConfig, draw_tuples, generate_dataset, load_dataset,
                    save_dataset)
 from .mcmc import ChainConfig, run_chain
-from .metrics import (benchmark_timing, evaluate_sweep, generation_error,
-                      relative_error_de, write_chain_csv, write_sweep_csv)
+from .metrics import benchmark_timing, evaluate_sweep, generation_error, relative_error_de
 from .net import NetConfig, VelocityNet
 from .tasks import get_task
 from .tasks.darcy import CONST as DARCY_CONST
@@ -75,19 +85,19 @@ def _make(cls, **kwargs):
 
 
 def _task_kwargs(cfg: RunConfig) -> dict:
-    """Task constructor arguments other than the noise level."""
+    """Task constructor arguments; ``sigma`` only when ``data.sigma`` is set."""
+    kwargs = {}
+    if cfg["data.sigma"] is not None:
+        kwargs["sigma"] = cfg["data.sigma"]
     if cfg.task_name == "seir":
-        return {"shifted_ramp": cfg["seir.shifted_ramp"]}
-    if cfg.task_name == "darcy":
-        return {"const": dataclasses.replace(DARCY_CONST, sigma_w=cfg["darcy.sigma_w"])}
-    return {}
+        kwargs["shifted_ramp"] = cfg["seir.shifted_ramp"]
+    elif cfg.task_name == "darcy":
+        kwargs["const"] = dataclasses.replace(DARCY_CONST, sigma_w=cfg["darcy.sigma_w"])
+    return kwargs
 
 
 def _task_from(cfg: RunConfig):
-    kwargs = _task_kwargs(cfg)
-    if cfg["data.sigma"] is not None:
-        kwargs["sigma"] = cfg["data.sigma"]
-    return get_task(cfg.task_name, **kwargs)
+    return get_task(cfg.task_name, **_task_kwargs(cfg))
 
 
 def _net_config(cfg: RunConfig, task) -> NetConfig:
@@ -119,8 +129,7 @@ def _load_net(cfg: RunConfig):
     ck = load_checkpoint(path)
     if ck.task_name != cfg.task_name:
         raise UsageError(f"checkpoint is for task '{ck.task_name}', config says '{cfg.task_name}'")
-    task = _task_from(cfg)
-    return VelocityNet(task, ck.net_config, ck.params), path
+    return VelocityNet(_task_from(cfg), ck.net_config, ck.params), path
 
 
 def _draw_instance(cfg: RunConfig, task):
@@ -130,21 +139,29 @@ def _draw_instance(cfg: RunConfig, task):
     return m[0], e[0], d[0]
 
 
-def _write_manifest(cfg: RunConfig, subcommand, inputs, outputs, out_dir, extra=None):
-    manifest = {
+def _write_csv(path, header, rows):
+    """One header row, then ``rows``; each caller formats its own cells."""
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
+    return path
+
+
+def _write_json(path, obj):
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+    return path
+
+
+def _write_manifest(cfg: RunConfig, subcommand, inputs, outputs, out_dir):
+    path = os.path.join(out_dir, f"manifest_{subcommand.replace('-', '_')}.json")
+    return _write_json(path, {
         "tool": f"flowinverse {__version__}",
         "subcommand": subcommand,
         "seed": cfg["seed"],
         "config": serializable(cfg.values),
         "input_hashes": {p: _sha256(p) for p in inputs if p and os.path.exists(p)},
         "outputs": outputs,
-    }
-    if extra:
-        manifest.update(extra)
-    path = os.path.join(out_dir, f"manifest_{subcommand.replace('-', '_')}.json")
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-    return path
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +172,7 @@ def _cmd_generate_data(cfg: RunConfig, out_dir):
     path = cfg["paths.dataset"] or os.path.join(out_dir, f"{cfg.task_name}.cfmd")
     gen = _make(DataGenConfig, task=cfg.task_name,
                 tuples_per_n_obs=cfg["data.tuples_per_n_obs"], n_obs_set=cfg["data.n_obs"],
-                seed=cfg["seed"], sigma=cfg["data.sigma"], task_kwargs=_task_kwargs(cfg))
+                seed=cfg["seed"], task_kwargs=_task_kwargs(cfg))
     shards = generate_dataset(gen)
     save_dataset(shards, cfg.task_name, path)
     print(f"wrote {sum(len(s) for s in shards)} tuples in {len(shards)} shards to {path}")
@@ -185,12 +202,8 @@ def _cmd_train(cfg: RunConfig, out_dir):
     dur = time.time() - t0
     save_checkpoint(ckpt_path, cfg.task_name, net_cfg, net.params, step=len(history),
                     rng_state={"seed": cfg["seed"], "epoch": tc.epochs})
-    loss_path = os.path.join(out_dir, "loss_history.csv")
-    with open(loss_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "loss"])
-        for i, v in enumerate(history):
-            w.writerow([i, repr(v)])
+    loss_path = _write_csv(os.path.join(out_dir, "loss_history.csv"), ["step", "loss"],
+                           [[i, repr(v)] for i, v in enumerate(history)])
     print(f"trained {net.n_params} parameters, {len(history)} steps in {dur:.1f}s; "
           f"final loss {history[-1]:.6g}; wrote {ckpt_path}")
     return [data_path], [ckpt_path, loss_path]
@@ -201,16 +214,11 @@ def _cmd_sample(cfg: RunConfig, out_dir):
     task = net.task
     m_true, e, d = _draw_instance(cfg, task)
     ens = sample_posterior(net, d, e, _sampler_config(cfg))
-    out = os.path.join(out_dir, "ensemble.csv")
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"m{i}" for i in range(task.dim_m)])
-        for row in ens.samples:
-            w.writerow([repr(v) for v in row])
-    inst = os.path.join(out_dir, "instance.json")
-    with open(inst, "w") as f:
-        json.dump({"m_true": m_true.tolist(), "e": e.tolist(), "d": d.tolist()},
-                  f, indent=2)
+    out = _write_csv(os.path.join(out_dir, "ensemble.csv"),
+                     [f"m{i}" for i in range(task.dim_m)],
+                     [[repr(v) for v in row] for row in ens.samples.tolist()])
+    inst = _write_json(os.path.join(out_dir, "instance.json"),
+                       {"m_true": m_true.tolist(), "e": e.tolist(), "d": d.tolist()})
     err = relative_error_de(m_true, ens, task, e)
     print(f"posterior mean {np.round(ens.mean, 4).tolist()}; "
           f"solution relative error {100 * err:.2f}%")
@@ -222,9 +230,10 @@ def _cmd_evaluate(cfg: RunConfig, out_dir):
     task = net.task
     reports = evaluate_sweep(net, task, cfg["eval.n_obs_list"], cfg["eval.trials"],
                              _sampler_config(cfg), seed=cfg["seed"])
-    out = os.path.join(out_dir, f"sweep_{cfg.task_name}.csv")
-    write_sweep_csv(reports, out)
-    outputs = [out]
+    outputs = [_write_csv(os.path.join(out_dir, f"sweep_{cfg.task_name}.csv"),
+                          ["N", "mean_error_pct", "std_error_pct"],
+                          [[r.n_obs, repr(100.0 * r.mean_error), repr(100.0 * r.std_error)]
+                           for r in reports])]
     for r in reports:
         print(f"N={r.n_obs}: {100 * r.mean_error:.2f}% +/- {100 * r.std_error:.2f}% "
               f"({r.trials} trials)")
@@ -232,12 +241,10 @@ def _cmd_evaluate(cfg: RunConfig, out_dir):
         pooled, per_case = generation_error(net, task, cfg["eval.n_inferences"],
                                             ensemble=cfg["sampler.ensemble"],
                                             steps=cfg["sampler.steps"], seed=cfg["seed"])
-        gen_path = os.path.join(out_dir, "generation_error.json")
-        with open(gen_path, "w") as f:
-            json.dump({"pooled": pooled,
-                       "median_per_case": float(np.median(per_case)),
-                       "n_inferences": cfg["eval.n_inferences"]}, f, indent=2)
-        outputs.append(gen_path)
+        outputs.append(_write_json(os.path.join(out_dir, "generation_error.json"),
+                                   {"pooled": pooled,
+                                    "median_per_case": float(np.median(per_case)),
+                                    "n_inferences": cfg["eval.n_inferences"]}))
         print(f"reconstruction error (pooled over {cfg['eval.n_inferences']} "
               f"inferences): {pooled:.4g}")
     return [ckpt_path], outputs
@@ -247,24 +254,28 @@ def _chain_config(cfg: RunConfig) -> ChainConfig:
     return _make(ChainConfig, n_samples=cfg["chain.n_samples"],
                  proposal_scale=cfg["chain.proposal_scale"],
                  burn_in=cfg["chain.burn_in"], sigma_obs=cfg["chain.sigma_obs"],
-                 seed=cfg["seed"], tune=cfg["chain.tune"])
+                 seed=cfg["seed"])
 
 
 def _cmd_mcmc(cfg: RunConfig, out_dir):
     task = _task_from(cfg)
     m_true, e, d = _draw_instance(cfg, task)
-    chain_csv = os.path.join(out_dir, "chain.csv")
-    res = run_chain(task, d, e, _chain_config(cfg), csv_path=chain_csv)
+    res = run_chain(task, d, e, _chain_config(cfg))
     err = relative_error_de(m_true, res.posterior_mean[None, :], task, e)
-    table = os.path.join(out_dir, f"mcmc_{cfg.task_name}.csv")
-    write_chain_csv([(cfg["instance.n_obs"], cfg["chain.n_samples"], err)], table)
-    result = os.path.join(out_dir, "mcmc_result.json")
-    with open(result, "w") as f:
-        json.dump({"acceptance_rate": res.acceptance_rate,
-                   "posterior_mean": res.posterior_mean.tolist(),
-                   "relative_error": err, "wall_seconds": res.wall_seconds,
-                   "proposal_scale": res.proposal_scale,
-                   "warnings": res.warnings}, f, indent=2)
+    chain_csv = _write_csv(
+        os.path.join(out_dir, "chain.csv"),
+        ["step"] + [f"m{j}" for j in range(task.dim_m)] + ["log_posterior", "accepted"],
+        [[i] + [f"{v:.8g}" for v in state] + [f"{lp:.8g}", int(ok)]
+         for i, (state, lp, ok) in enumerate(zip(res.chain, res.log_posterior, res.accepted))])
+    table = _write_csv(os.path.join(out_dir, f"mcmc_{cfg.task_name}.csv"),
+                       ["N", "n_sample", "error_pct"],
+                       [[cfg["instance.n_obs"], cfg["chain.n_samples"], repr(100.0 * err)]])
+    result = _write_json(os.path.join(out_dir, "mcmc_result.json"),
+                         {"acceptance_rate": res.acceptance_rate,
+                          "posterior_mean": res.posterior_mean.tolist(),
+                          "relative_error": err, "wall_seconds": res.wall_seconds,
+                          "proposal_scale": res.proposal_scale,
+                          "warnings": res.warnings})
     print(f"chain of {cfg['chain.n_samples']}: acceptance {res.acceptance_rate:.2f}, "
           f"solution relative error {100 * err:.2f}% in {res.wall_seconds:.1f}s")
     return [], [chain_csv, table, result]
@@ -276,10 +287,8 @@ def _cmd_benchmark(cfg: RunConfig, out_dir):
     _, e, d = _draw_instance(cfg, task)
     cfm_s, mcmc_s, ratio = benchmark_timing(net, task, d, e, _chain_config(cfg),
                                             _sampler_config(cfg))
-    out = os.path.join(out_dir, "timing.json")
-    with open(out, "w") as f:
-        json.dump({"cfm_seconds": cfm_s, "mcmc_seconds": mcmc_s, "ratio": ratio},
-                  f, indent=2)
+    out = _write_json(os.path.join(out_dir, "timing.json"),
+                      {"cfm_seconds": cfm_s, "mcmc_seconds": mcmc_s, "ratio": ratio})
     print(f"flow inference {cfm_s:.3f}s vs chain {mcmc_s:.1f}s -> {ratio:.0f}x")
     return [ckpt_path], [out]
 
@@ -288,13 +297,16 @@ def _cmd_paths(cfg: RunConfig, out_dir):
     net, ckpt_path = _load_net(cfg)
     task = net.task
     _, e, d = _draw_instance(cfg, task)
-    out = os.path.join(out_dir, "paths.csv")
-    rep = path_straightness(net, d, e, n_paths=cfg["paths.n_paths"],
-                            cfg=_sampler_config(cfg), csv_path=out)
-    summary = os.path.join(out_dir, "straightness.json")
-    with open(summary, "w") as f:
-        json.dump({"mean_deviation": rep.mean_deviation, "skipped": rep.skipped,
-                   "n_paths": cfg["paths.n_paths"]}, f, indent=2)
+    rep = path_straightness(net, d, e, n_paths=cfg["paths.n_paths"], cfg=_sampler_config(cfg))
+    traj = rep.trajectories
+    ts = np.linspace(0.0, 1.0, traj.shape[0])
+    out = _write_csv(os.path.join(out_dir, "paths.csv"),
+                     ["path", "t"] + [f"x{i}" for i in range(task.dim_m)],
+                     [[p, f"{t:.6f}"] + [f"{v:.8g}" for v in traj[k, p]]
+                      for p in range(traj.shape[1]) for k, t in enumerate(ts)])
+    summary = _write_json(os.path.join(out_dir, "straightness.json"),
+                          {"mean_deviation": rep.mean_deviation, "skipped": rep.skipped,
+                           "n_paths": cfg["paths.n_paths"]})
     print(f"mean relative chord deviation {rep.mean_deviation:.4f} "
           f"({rep.skipped} degenerate paths skipped)")
     return [ckpt_path], [out, summary]

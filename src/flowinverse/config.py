@@ -23,10 +23,18 @@ def _bool(v):
     raise ValueError(f"expected a boolean, got '{v}'")
 
 
-def _int_list(v):
-    if isinstance(v, (list, tuple)):
-        return tuple(int(x) for x in v)
-    return tuple(int(x) for x in str(v).replace(",", " ").split())
+def _count(v):
+    n = int(v)
+    if n < 1:
+        raise ValueError(f"expected an integer >= 1, got {n}")
+    return n
+
+
+def _count_list(v):
+    items = v if isinstance(v, (list, tuple)) else str(v).replace(",", " ").split()
+    if not items:
+        raise ValueError("expected at least one integer >= 1")
+    return tuple(_count(x) for x in items)
 
 
 def _opt_float(v):
@@ -36,7 +44,7 @@ def _opt_float(v):
 
 
 def _str(v):
-    return str(v)
+    return None if v is None else str(v)   # a manifest records an unset key as null
 
 
 # key -> (parser, default, help); None default means "task-dependent" or unset
@@ -47,7 +55,7 @@ KEY_SPECS = {
     "paths.dataset": (_str, None, "dataset file to read or write"),
     "paths.checkpoint": (_str, None, "checkpoint file to read or write"),
     "data.tuples_per_n_obs": (int, None, "tuples per observation count (task default)"),
-    "data.n_obs": (_int_list, None, "observation counts, e.g. '4,5,6,7,8' (task default)"),
+    "data.n_obs": (_count_list, None, "observation counts, e.g. '4,5,6,7,8' (task default)"),
     "data.sigma": (_opt_float, None, "noise scale override (task default if unset)"),
     "net.arch": (_str, "transformer", "velocity net: transformer | mlp"),
     "net.n_emb": (int, 32, "embedding width"),
@@ -68,16 +76,15 @@ KEY_SPECS = {
     "chain.n_samples": (int, 10000, "MCMC chain length"),
     "chain.burn_in": (float, 0.5, "burn-in fraction discarded"),
     "chain.sigma_obs": (_opt_float, None, "likelihood noise (task default if unset)"),
-    "chain.proposal_scale": (_opt_float, None, "proposal std (auto-tuned if unset)"),
-    "chain.tune": (_bool, True, "tune proposal scale toward 20-40% acceptance"),
-    "eval.n_obs_list": (_int_list, None, "sweep observation counts (task default)"),
-    "eval.trials": (int, 25, "fresh instances per observation count"),
-    "eval.n_inferences": (int, 10000, "instances for the reconstruction error"),
+    "chain.proposal_scale": (_opt_float, None, "proposal std (tuned if unset)"),
+    "eval.n_obs_list": (_count_list, None, "sweep observation counts (task default)"),
+    "eval.trials": (_count, 25, "fresh instances per observation count"),
+    "eval.n_inferences": (_count, 10000, "instances for the reconstruction error"),
     "seir.shifted_ramp": (_bool, True, "use the monotone (1+tanh)/2 rate ramp"),
     "darcy.sigma_w": (float, 0.05, "boundary bump width parameter"),
-    "instance.n_obs": (int, None, "observation count of the conditioning instance"),
+    "instance.n_obs": (_count, None, "observation count of the conditioning instance"),
     "instance.seed": (int, 1, "stream for drawing the conditioning instance"),
-    "paths.n_paths": (int, 32, "trajectories for the straightness probe"),
+    "paths.n_paths": (_count, 32, "trajectories for the straightness probe"),
 }
 
 # task-dependent defaults, applied when the key is not set explicitly
@@ -157,7 +164,6 @@ def load_config_file(path):
 class RunConfig:
     """Fully resolved configuration: every key has a value."""
     values: dict = field(default_factory=dict)
-    explicit: dict = field(default_factory=dict)
 
     def __getitem__(self, key):
         return self.values[key]
@@ -192,7 +198,7 @@ def resolve(explicit: dict) -> RunConfig:
             values[key] = overrides[key]
         else:
             values[key] = default
-    return RunConfig(values=values, explicit=dict(explicit))
+    return RunConfig(values=values)
 
 
 def config_reference():

@@ -51,8 +51,7 @@ class DataGenConfig:
     tuples_per_n_obs: int
     n_obs_set: tuple = ()
     seed: int = 0
-    sigma: float | None = None          # noise override; None = task default
-    task_kwargs: dict = field(default_factory=dict)
+    task_kwargs: dict = field(default_factory=dict)   # e.g. sigma, the noise level
 
     def __post_init__(self):
         if self.tuples_per_n_obs <= 0:
@@ -66,10 +65,7 @@ def _tuple_rng(seed, n_obs, index):
 
 
 def make_task(config: DataGenConfig):
-    kwargs = dict(config.task_kwargs)
-    if config.sigma is not None:
-        kwargs["sigma"] = config.sigma
-    return get_task(config.task, **kwargs)
+    return get_task(config.task, **config.task_kwargs)
 
 
 def draw_tuples(task, n_obs, rngs):

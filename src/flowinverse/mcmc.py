@@ -9,12 +9,14 @@ rate; the proposal is symmetric so no Hastings correction is needed.
 
 from __future__ import annotations
 
-import csv
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+TUNE_ROUNDS = 30       # pilot rounds at most
+TUNE_STEPS = 60        # proposals per pilot round
 
 
 @dataclass
@@ -24,9 +26,6 @@ class ChainConfig:
     burn_in: float = 0.5
     sigma_obs: float | None = None        # None: task default for the tuple
     seed: int = 0
-    tune: bool = True
-    tune_rounds: int = 30
-    tune_steps: int = 60
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -37,7 +36,10 @@ class ChainConfig:
 
 @dataclass
 class ChainResult:
-    samples: np.ndarray          # retained (post burn-in) states
+    chain: np.ndarray            # (n_samples, dim) every main-chain state
+    log_posterior: np.ndarray    # (n_samples,) log pi at each state
+    accepted: np.ndarray         # (n_samples,) bool, the step's proposal was taken
+    samples: np.ndarray          # chain[burn-in:], the retained states
     acceptance_rate: float
     posterior_mean: np.ndarray
     wall_seconds: float
@@ -69,14 +71,14 @@ def mh_step(m, logp, scale, rng, logpost):
     return m, logp, False
 
 
-def _tune_scale(m, logp, scale, rng, logpost, cfg):
+def _tune_scale(m, logp, scale, rng, logpost):
     """Multiplicative scale adaptation toward acceptance in [0.2, 0.4]."""
-    for _ in range(cfg.tune_rounds):
+    for _ in range(TUNE_ROUNDS):
         acc = 0
-        for _ in range(cfg.tune_steps):
+        for _ in range(TUNE_STEPS):
             m, logp, ok = mh_step(m, logp, scale, rng, logpost)
             acc += ok
-        rate = acc / cfg.tune_steps
+        rate = acc / TUNE_STEPS
         if 0.2 <= rate <= 0.4:
             break
         if rate > 0.4:
@@ -88,12 +90,13 @@ def _tune_scale(m, logp, scale, rng, logpost, cfg):
     return m, logp, scale
 
 
-def run_chain(task, d, e, cfg: ChainConfig, csv_path=None) -> ChainResult:
+def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
     """Run one chain conditioned on a single observation tuple.
 
-    The chain starts from a prior draw; an optional tuning phase (not
-    retained) adapts the proposal scale; the first ``burn_in`` fraction of
-    the main chain is discarded from the returned samples.
+    The chain starts from a prior draw; when ``proposal_scale`` is unset a
+    tuning phase (not retained) adapts it from 0.1. The result holds every
+    main-chain state with its log-posterior and acceptance flag; ``samples``
+    drops the first ``burn_in`` fraction of them.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x6d636d63)))
     d = np.asarray(d, dtype=np.float64).reshape(-1)
@@ -105,26 +108,23 @@ def run_chain(task, d, e, cfg: ChainConfig, csv_path=None) -> ChainResult:
 
     m = task.prior_sample(rng, 1)[0]
     logp = logpost(m)
-    scale = cfg.proposal_scale if cfg.proposal_scale is not None else 0.1
     t0 = time.time()
     warns = []
-    if cfg.tune and cfg.proposal_scale is None:
-        m, logp, scale = _tune_scale(m, logp, scale, rng, logpost, cfg)
+    scale = cfg.proposal_scale
+    if scale is None:
+        m, logp, scale = _tune_scale(m, logp, 0.1, rng, logpost)
 
-    dim = m.shape[0]
-    chain = np.empty((cfg.n_samples, dim))
+    chain = np.empty((cfg.n_samples, m.shape[0]))
     logps = np.empty(cfg.n_samples)
-    accepted_flags = np.empty(cfg.n_samples, dtype=bool)
-    accepted = 0
+    accepted = np.empty(cfg.n_samples, dtype=bool)
     consecutive_rejects = 0
     stall_warned = False
     for i in range(cfg.n_samples):
         m, logp, ok = mh_step(m, logp, scale, rng, logpost)
         chain[i] = m
         logps[i] = logp
-        accepted_flags[i] = ok
+        accepted[i] = ok
         if ok:
-            accepted += 1
             consecutive_rejects = 0
         else:
             consecutive_rejects += 1
@@ -134,13 +134,7 @@ def run_chain(task, d, e, cfg: ChainConfig, csv_path=None) -> ChainResult:
     wall = time.time() - t0
 
     keep = chain[int(cfg.burn_in * cfg.n_samples):]
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step"] + [f"m{j}" for j in range(dim)] + ["log_posterior", "accepted"])
-            for i in range(cfg.n_samples):
-                w.writerow([i] + [f"{v:.8g}" for v in chain[i]]
-                           + [f"{logps[i]:.8g}", int(accepted_flags[i])])
-    return ChainResult(samples=keep, acceptance_rate=accepted / cfg.n_samples,
+    return ChainResult(chain=chain, log_posterior=logps, accepted=accepted,
+                       samples=keep, acceptance_rate=float(accepted.mean()),
                        posterior_mean=keep.mean(axis=0), wall_seconds=wall,
                        proposal_scale=scale, warnings=warns)

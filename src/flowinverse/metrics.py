@@ -1,14 +1,14 @@
-"""Error metrics, evaluation sweeps, timing comparison, and CSV emission.
+"""Error metrics, evaluation sweeps and the flow-versus-MCMC timing.
 
 The headline metric compares full differential-equation solutions: the
 epidemic trajectory on a dense time grid, the pressure field on the solver
 grid, or the closed-form response over a design grid, each computed for the
-true parameters and for the posterior-ensemble mean.
+true parameters and for the posterior-ensemble mean. Everything here returns
+data; ``cli`` writes the tables.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -136,31 +136,3 @@ def benchmark_timing(net, task, d, e, chain_cfg: ChainConfig,
     mcmc_seconds = time.perf_counter() - t0
     return cfm_seconds, mcmc_seconds, mcmc_seconds / cfm_seconds
 
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-def write_sweep_csv(reports, path):
-    """Observation-count sweep: N, mean_error_pct, std_error_pct."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["N", "mean_error_pct", "std_error_pct"])
-        for r in reports:
-            w.writerow([r.n_obs, repr(100.0 * r.mean_error), repr(100.0 * r.std_error)])
-
-
-def write_chain_csv(rows, path):
-    """MCMC comparison rows: N, n_sample, error_pct."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["N", "n_sample", "error_pct"])
-        for n_obs, n_sample, err in rows:
-            w.writerow([n_obs, n_sample, repr(100.0 * err)])
-
-
-def read_table_csv(path):
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    header, body = rows[0], rows[1:]
-    return header, [[float(v) for v in row] for row in body]

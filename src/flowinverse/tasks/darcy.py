@@ -212,7 +212,6 @@ def darcy_observe(u, points, eta=None):
 
 class DarcyTask:
     name = "darcy"
-    task_id = 2
     dim_m = 16
     obs_token_dim = 3          # (d_i, x_i, y_i)
     design_token_dim = 2       # (e1, e2)

@@ -18,7 +18,6 @@ def nonlinear_forward(m, e, eta=0.0):
 
 class NonlinearTask:
     name = "nonlinear"
-    task_id = 0
     dim_m = 1
     obs_token_dim = 2          # (d_i, e_i)
     design_token_dim = 0

@@ -169,7 +169,6 @@ def seir_observe(m, times, eta=None, shifted: bool = True):
 
 class SeirTask:
     name = "seir"
-    task_id = 1
     dim_m = 6
     obs_token_dim = 3          # (e_i, I_i, R_i)
     design_token_dim = 0

@@ -170,16 +170,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = a.data.dtype.type(c)
-    out = Tensor(a.data * c, dtype=a.dtype)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _record(out, (a,), bwd)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., m, k) @ (..., k, n) with identical leading dims; see also :func:`linear`."""
     ad, bd = a.data, b.data

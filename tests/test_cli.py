@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -96,6 +98,22 @@ class TestCliBasics:
         assert "error: tuples_per_n_obs must be positive" in capsys.readouterr().err
         assert not list(workdir.rglob("*.cfmd"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("eval.trials", "0"), ("eval.n_inferences", "0"), ("paths.n_paths", "0"),
+        ("instance.n_obs", "0"), ("data.n_obs", "4,0"), ("data.n_obs", ""),
+        ("eval.n_obs_list", "-1"),
+    ])
+    def test_count_below_one_is_a_usage_error(self, workdir, capsys, key, value):
+        rc = run_cli("mcmc", "--set", f"{key}={value}", "--set", "chain.n_samples=5")
+        assert rc == 1
+        assert f"error: bad value for '{key}': expected " in capsys.readouterr().err
+        assert not list(workdir.iterdir())
+
+    def test_manifest_with_chain_tune_is_rejected(self, workdir, capsys):
+        (workdir / "old.json").write_text(json.dumps({"config": {"chain.tune": True}}))
+        assert run_cli("mcmc", "--config", "old.json") == 1
+        assert "unknown config key 'chain.tune'" in capsys.readouterr().err
+
     def test_value_error_during_the_run_is_a_runtime_failure(self, workdir, capsys,
                                                              monkeypatch):
         def fail(config):
@@ -124,9 +142,12 @@ class TestTaskFromConfig:
 
     @pytest.mark.parametrize("name", ["nonlinear", "seir", "darcy"])
     def test_data_sigma_is_the_noise_keyword_of_every_task(self, name, kl_basis):
-        task = cli._task_from(resolve({"task": name, "data.sigma": 0.03}))
+        cfg = resolve({"task": name, "data.sigma": 0.03})
+        task = cli._task_from(cfg)
         assert task.sigma == 0.03
-        assert make_task(DataGenConfig(task=name, tuples_per_n_obs=1, sigma=0.03)).sigma == 0.03
+        assert cli._task_kwargs(cfg)["sigma"] == 0.03
+        gen = DataGenConfig(task=name, tuples_per_n_obs=1, task_kwargs={"sigma": 0.03})
+        assert make_task(gen).sigma == 0.03
         rng = np.random.default_rng(1)
         m = task.sample_params(rng, 2)
         e = np.stack([task.sample_design(rng, 3) for _ in range(2)])
@@ -168,6 +189,7 @@ class TestPipeline:
         assert rc == 0
         rows = open("ensemble.csv").read().strip().splitlines()
         assert rows[0] == "m0" and len(rows) == 5
+        assert all(repr(float(r)) == r for r in rows[1:])
 
         rc = run_cli("evaluate", "--set", "paths.checkpoint=toy.cfmt",
                      "--set", "eval.trials=2", "--set", "eval.n_inferences=10",
@@ -197,13 +219,30 @@ class TestPipeline:
         assert rc == 0
         assert open("a.cfmd", "rb").read() == first
 
+    def test_rerun_from_manifest_leaves_unset_paths_unset(self, workdir):
+        run_cli("generate-data", "--set", "data.tuples_per_n_obs=8",
+                "--set", "paths.dataset=a.cfmd")
+        first = json.load(open("manifest_generate_data.json"))
+        assert first["config"]["out_dir"] is None
+        assert run_cli("generate-data", "--config", "manifest_generate_data.json") == 0
+        assert json.load(open("manifest_generate_data.json"))["config"] == first["config"]
+        assert not (workdir / "None").exists()
+
     def test_mcmc_subcommand(self, workdir):
         rc = run_cli("mcmc", "--set", "chain.n_samples=40",
                      "--set", "instance.n_obs=2", "--seed", "4")
         assert rc == 0
-        assert os.path.exists("chain.csv")
+        lines = open("chain.csv").read().strip().splitlines()
+        assert lines[0] == "step,m0,log_posterior,accepted"
+        assert len(lines) == 41
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(40))
+        for r in rows:
+            assert r[1] == f"{float(r[1]):.8g}" and r[2] == f"{float(r[2]):.8g}"
+            assert r[3] in ("0", "1")
         result = json.load(open("mcmc_result.json"))
         assert 0.0 <= result["acceptance_rate"] <= 1.0
+        assert result["acceptance_rate"] == sum(r[3] == "1" for r in rows) / 40
 
     def test_paths_subcommand(self, workdir):
         run_cli("generate-data", "--set", "data.tuples_per_n_obs=32",
@@ -215,7 +254,10 @@ class TestPipeline:
         rc = run_cli("paths", "--set", "paths.checkpoint=p.cfmt",
                      "--set", "paths.n_paths=4", "--set", "sampler.steps=8")
         assert rc == 0
-        assert os.path.exists("paths.csv")
+        lines = open("paths.csv").read().strip().splitlines()
+        assert lines[0] == "path,t,x0"
+        assert len(lines) == 4 * (8 + 1) + 1
+        assert lines[1].startswith("0,0.000000,") and lines[9].startswith("0,1.000000,")
         summary = json.load(open("straightness.json"))
         assert "mean_deviation" in summary
 
@@ -227,3 +269,35 @@ class TestPipeline:
                      "--set", "paths.dataset=" + str(sub / "env.cfmd"))
         assert rc == 0
         assert (sub / "manifest_generate_data.json").exists()
+
+
+class TestWriteCsv:
+    def test_repr_cells_round_trip_exactly(self, tmp_path):
+        values = [[4, 100 * 0.0123456789, 100 * 0.001987654321], [8, 4.56, 0.07]]
+        path = cli._write_csv(tmp_path / "sweep.csv", ["N", "mean_error_pct", "std_error_pct"],
+                              [[n, repr(a), repr(b)] for n, a, b in values])
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "N,mean_error_pct,std_error_pct"
+        assert [[int(r[0]), float(r[1]), float(r[2])]
+                for r in (line.split(",") for line in lines[1:])] == values
+
+    def test_chain_table(self, tmp_path):
+        path = cli._write_csv(tmp_path / "mcmc.csv", ["N", "n_sample", "error_pct"],
+                              [[8, 10000, repr(100.0 * 0.0144)]])
+        assert path.read_bytes() == b"N,n_sample,error_pct\r\n8,10000,1.44\r\n"
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        path = cli._write_csv(tmp_path / "empty.csv", ["N", "mean_error_pct", "std_error_pct"], [])
+        assert path.read_text().strip() == "N,mean_error_pct,std_error_pct"
+
+
+def test_only_cli_imports_csv():
+    src = pathlib.Path(cli.__file__).parent
+    importers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in names:
+                importers.add(path.relative_to(src).as_posix())
+    assert importers == {"cli.py"}

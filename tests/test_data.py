@@ -26,7 +26,7 @@ class TestGeneration:
                 np.testing.assert_array_equal(getattr(sa, f), getattr(sb, f))
 
     def test_noise_free_matches_formula(self):
-        shards = generate_dataset(small_config(sigma=0.0))
+        shards = generate_dataset(small_config(task_kwargs={"sigma": 0.0}))
         for s in shards:
             clean = nonlinear_forward(s.m.astype(np.float64)[:, :1],
                                       s.e.astype(np.float64))

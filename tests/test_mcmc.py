@@ -139,16 +139,18 @@ class TestRunChain:
     def test_stall_warning(self):
         task = _GaussianTargetTask()
         # gigantic fixed proposal scale on a tight target: everything rejects
-        cfg = ChainConfig(n_samples=1500, proposal_scale=1e8, tune=False,
-                          seed=5, sigma_obs=1e-4)
+        cfg = ChainConfig(n_samples=1500, proposal_scale=1e8, seed=5, sigma_obs=1e-4)
         res = run_chain(task, [0.0], [0.0], cfg)
         assert any("stalled" in w for w in res.warnings)
 
-    def test_chain_csv(self, tmp_path):
+    def test_result_holds_the_whole_chain(self):
         task = _GaussianTargetTask()
-        out = tmp_path / "chain.csv"
-        run_chain(task, [0.0], [0.0],
-                  ChainConfig(n_samples=50, seed=6, sigma_obs=1.0), csv_path=str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "step,m0,log_posterior,accepted"
-        assert len(lines) == 51
+        cfg = ChainConfig(n_samples=50, burn_in=0.3, seed=6, sigma_obs=1.0)
+        res = run_chain(task, [0.0], [0.0], cfg)
+        assert res.chain.shape == (50, 1)
+        assert res.log_posterior.shape == res.accepted.shape == (50,)
+        np.testing.assert_array_equal(res.samples, res.chain[15:])
+        assert res.accepted.mean() == res.acceptance_rate
+        np.testing.assert_array_equal(res.log_posterior, -0.5 * res.chain[:, 0] ** 2)
+        moved = np.any(res.chain[1:] != res.chain[:-1], axis=1)
+        np.testing.assert_array_equal(moved, res.accepted[1:])

@@ -4,10 +4,8 @@ import pytest
 from flowinverse.cfm import SamplerConfig, sample_posterior
 from flowinverse.data import draw_tuples
 from flowinverse.mcmc import ChainConfig
-from flowinverse.metrics import (EvalReport, benchmark_timing, evaluate_sweep,
-                                 generation_error, read_table_csv,
-                                 relative_error_de, relative_error_obs,
-                                 write_chain_csv, write_sweep_csv)
+from flowinverse.metrics import (benchmark_timing, evaluate_sweep, generation_error,
+                                 relative_error_de, relative_error_obs)
 from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import get_task
 
@@ -145,32 +143,8 @@ class TestBenchmark:
         d = task.forward_observed(np.array([0.5]), e)
         cfm_s, mcmc_s, ratio = benchmark_timing(
             net, task, d, e,
-            ChainConfig(n_samples=1, tune=False, proposal_scale=0.1, burn_in=0.0),
+            ChainConfig(n_samples=1, proposal_scale=0.1, burn_in=0.0),
             SamplerConfig(steps=5, ensemble=3))
         assert cfm_s > 0 and mcmc_s > 0 and ratio == pytest.approx(mcmc_s / cfm_s)
         assert mcmc_s < 0.5            # near-empty chain costs setup only
 
-
-class TestCsvEmission:
-    def test_sweep_roundtrip_exact(self, tmp_path):
-        reports = [EvalReport("seir", 4, 0.0123456789, 0.001987654321, 25, 10),
-                   EvalReport("seir", 8, 0.0456, 0.0007, 25, 10)]
-        p = tmp_path / "sweep.csv"
-        write_sweep_csv(reports, p)
-        header, rows = read_table_csv(str(p))
-        assert header == ["N", "mean_error_pct", "std_error_pct"]
-        assert rows[0][0] == 4
-        assert rows[0][1] == 100 * 0.0123456789
-        assert rows[1][2] == 100 * 0.0007
-
-    def test_chain_table(self, tmp_path):
-        p = tmp_path / "chain.csv"
-        write_chain_csv([(8, 10000, 0.0144)], p)
-        header, rows = read_table_csv(str(p))
-        assert header == ["N", "n_sample", "error_pct"]
-        assert rows == [[8.0, 10000.0, 1.44]]
-
-    def test_empty_report_header_only(self, tmp_path):
-        p = tmp_path / "empty.csv"
-        write_sweep_csv([], p)
-        assert p.read_text().strip() == "N,mean_error_pct,std_error_pct"

@@ -85,8 +85,8 @@ class TestRope:
         def weights(positions):
             rq = T.rope_apply(T.Tensor(q), positions)
             rk = T.rope_apply(T.Tensor(k), positions)
-            scores = T.scale(T.matmul(rq, T.transpose(rk, (0, 1, 3, 2))), 1 / np.sqrt(8))
-            return T.softmax_lastdim(scores).data
+            scores = T.matmul(rq, T.transpose(rk, (0, 1, 3, 2)))
+            return T.softmax_lastdim(scores, 1 / np.sqrt(8)).data
 
         base = weights(np.arange(6))
         shifted = weights(np.arange(6) + 11)

@@ -203,7 +203,8 @@ class TestBackward:
 
         f = lambda x: T.mean_all(T.mul(x, x))
         g = lambda x: T.mean_all(T.relu_squared(x))
-        combo = lambda x: T.add(T.scale(f(x), 2.0), T.scale(g(x), -3.0))
+        two, minus_three = Tensor(np.float32(2.0)), Tensor(np.float32(-3.0))
+        combo = lambda x: T.add(T.mul(f(x), two), T.mul(g(x), minus_three))
         lhs = grad_of(combo)
         rhs = 2.0 * grad_of(f) - 3.0 * grad_of(g)
         np.testing.assert_allclose(lhs, rhs, atol=1e-5)
@@ -285,7 +286,6 @@ GRADIENT_CASES = {
     "add": ("add",),
     "sub": ("sub",),
     "mul": ("mul",),
-    "scale": ("scale",),
     "matmul": ("matmul",),
     "linear": ("linear",),
     "relu_squared": ("relu_squared",),
@@ -328,8 +328,6 @@ class TestPrimitiveGradients:
                 out = T.sub(p["a"], p["b"])
             elif op_name == "mul":
                 out = T.mul(p["a"], p["b"])
-            elif op_name == "scale":
-                out = T.scale(p["a"], -1.7)
             elif op_name == "matmul":
                 out = T.matmul(p["a"], T.transpose(p["b"], (0, 2, 1)))
             elif op_name == "linear":
