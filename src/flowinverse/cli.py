@@ -146,6 +146,24 @@ def _write_csv(path, header, rows):
     return path
 
 
+def _chain_table(res):
+    """Header and rows of chain.csv: every state of a ``ChainResult``."""
+    header = ["step"] + [f"m{j}" for j in range(res.chain.shape[1])]
+    return (header + ["log_posterior", "accepted"],
+            [[i] + [f"{v:.8g}" for v in state] + [f"{lp:.8g}", int(ok)]
+             for i, (state, lp, ok) in enumerate(zip(res.chain, res.log_posterior,
+                                                     res.accepted))])
+
+
+def _paths_table(rep):
+    """Header and rows of paths.csv: each path of a ``StraightnessReport`` over t."""
+    traj = rep.trajectories
+    ts = np.linspace(0.0, 1.0, traj.shape[0])
+    return (["path", "t"] + [f"x{i}" for i in range(traj.shape[2])],
+            [[p, f"{t:.6f}"] + [f"{v:.8g}" for v in traj[k, p]]
+             for p in range(traj.shape[1]) for k, t in enumerate(ts)])
+
+
 def _write_json(path, obj):
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
@@ -262,11 +280,7 @@ def _cmd_mcmc(cfg: RunConfig, out_dir):
     m_true, e, d = _draw_instance(cfg, task)
     res = run_chain(task, d, e, _chain_config(cfg))
     err = relative_error_de(m_true, res.posterior_mean[None, :], task, e)
-    chain_csv = _write_csv(
-        os.path.join(out_dir, "chain.csv"),
-        ["step"] + [f"m{j}" for j in range(task.dim_m)] + ["log_posterior", "accepted"],
-        [[i] + [f"{v:.8g}" for v in state] + [f"{lp:.8g}", int(ok)]
-         for i, (state, lp, ok) in enumerate(zip(res.chain, res.log_posterior, res.accepted))])
+    chain_csv = _write_csv(os.path.join(out_dir, "chain.csv"), *_chain_table(res))
     table = _write_csv(os.path.join(out_dir, f"mcmc_{cfg.task_name}.csv"),
                        ["N", "n_sample", "error_pct"],
                        [[cfg["instance.n_obs"], cfg["chain.n_samples"], repr(100.0 * err)]])
@@ -298,12 +312,7 @@ def _cmd_paths(cfg: RunConfig, out_dir):
     task = net.task
     _, e, d = _draw_instance(cfg, task)
     rep = path_straightness(net, d, e, n_paths=cfg["paths.n_paths"], cfg=_sampler_config(cfg))
-    traj = rep.trajectories
-    ts = np.linspace(0.0, 1.0, traj.shape[0])
-    out = _write_csv(os.path.join(out_dir, "paths.csv"),
-                     ["path", "t"] + [f"x{i}" for i in range(task.dim_m)],
-                     [[p, f"{t:.6f}"] + [f"{v:.8g}" for v in traj[k, p]]
-                      for p in range(traj.shape[1]) for k, t in enumerate(ts)])
+    out = _write_csv(os.path.join(out_dir, "paths.csv"), *_paths_table(rep))
     summary = _write_json(os.path.join(out_dir, "straightness.json"),
                           {"mean_deviation": rep.mean_deviation, "skipped": rep.skipped,
                            "n_paths": cfg["paths.n_paths"]})

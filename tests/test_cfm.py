@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowinverse import cli
 from flowinverse import tensor as T
 from flowinverse.cfm import (SamplerConfig, TrainConfig, TrainingDivergedError,
                              cfm_loss, interpolate, path_straightness,
@@ -281,3 +282,13 @@ class TestPathStraightness:
             [0.2135910987854004, 0.2009190171957016, 0.9198766350746155,
              0.25514477491378784], rtol=1e-6)
         assert rep.mean_deviation == pytest.approx(0.0149615176033998, rel=1e-6)
+
+    def test_csv_emitted(self, tmp_path):
+        task = get_task("nonlinear")
+        net = _ConstantNet([0.3], 1, task)
+        rep = path_straightness(net, [0.5], [0.5], n_paths=2,
+                                cfg=SamplerConfig(steps=4, ensemble=1, seed=0))
+        out = cli._write_csv(tmp_path / "paths.csv", *cli._paths_table(rep))
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "path,t,x0"
+        assert len(lines) == 1 + 2 * 5

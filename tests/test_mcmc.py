@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowinverse import cli
 from flowinverse.mcmc import ChainConfig, log_posterior, mh_step, run_chain
 from flowinverse.tasks import get_task
 
@@ -142,6 +143,14 @@ class TestRunChain:
         cfg = ChainConfig(n_samples=1500, proposal_scale=1e8, seed=5, sigma_obs=1e-4)
         res = run_chain(task, [0.0], [0.0], cfg)
         assert any("stalled" in w for w in res.warnings)
+
+    def test_chain_csv(self, tmp_path):
+        task = _GaussianTargetTask()
+        res = run_chain(task, [0.0], [0.0], ChainConfig(n_samples=50, seed=6, sigma_obs=1.0))
+        out = cli._write_csv(tmp_path / "chain.csv", *cli._chain_table(res))
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "step,m0,log_posterior,accepted"
+        assert len(lines) == 51
 
     def test_result_holds_the_whole_chain(self):
         task = _GaussianTargetTask()
