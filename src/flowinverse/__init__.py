@@ -20,7 +20,7 @@ from .data import (Batch, DataGenConfig, DatasetShard, batch_iterator, draw_tupl
                    generate_dataset, load_dataset, save_dataset)
 from .mcmc import ChainConfig, ChainResult, log_posterior, mh_step, run_chain
 from .metrics import (EvalReport, benchmark_timing, evaluate_sweep,
-                      generation_error, relative_error_de, relative_error_obs)
+                      generation_error, relative_error_de)
 from .net import NetConfig, VelocityNet, init_params, param_count, timestep_basis
 from .tasks import (DarcyTask, NonlinearTask, SeirTask, darcy_solve, get_task,
                     kl_basis_build, kl_expand, seir_solve)
@@ -36,7 +36,7 @@ __all__ = [
     "SamplerConfig", "PosteriorEnsemble", "interpolate", "cfm_loss", "train",
     "sample_batch", "sample_posterior", "path_straightness", "ChainConfig",
     "ChainResult", "log_posterior", "mh_step", "run_chain", "EvalReport",
-    "relative_error_obs", "relative_error_de", "evaluate_sweep",
+    "relative_error_de", "evaluate_sweep",
     "generation_error", "benchmark_timing", "Checkpoint", "save_checkpoint",
     "load_checkpoint",
 ]

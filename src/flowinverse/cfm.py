@@ -116,9 +116,10 @@ def train(net: VelocityNet, shards, config: TrainConfig, checkpoint_fn=None):
     (net, history) where history is the per-step mean loss. ``checkpoint_fn``
     is called as checkpoint_fn(step, epoch, net) every ``checkpoint_every``
     steps and once more after a non-finite loss with the last finite
-    parameters; together with the counter-derived per-epoch noise streams,
-    (seed, epoch) in a checkpoint is enough to resume deterministically from
-    an epoch boundary.
+    parameters. A checkpoint then holds the parameters, the step and
+    (seed, epoch), which is enough to sample from the net as it was at that
+    step. It holds no Adam moments and nothing resumes from it, so training
+    cannot continue from a checkpoint as if it had never stopped.
     """
     params = net.params
     state = T.AdamState(params, lr=config.lr)

@@ -1,29 +1,25 @@
-"""Binary checkpoint format for velocity-network parameters.
+"""Checkpoints of velocity-network parameters.
 
-Layout (little-endian): magic ``CFMT``, u32 format version, task id byte,
-u32-length JSON net-config blob (includes the parameter count), u32 array
-count, named float32 arrays (u16 name length, name bytes, u8 rank, u32 dims,
-raw data), u64 training step, u32-length JSON RNG-state blob. Loading a
+A checkpoint is an :mod:`artifact` with magic ``CFMT``. Its header holds the
+task name, the net config, ``param_count``, the training ``step`` and the
+``rng_state``; its arrays are the parameters, by name and in order. Loading a
 saved checkpoint reproduces every parameter bitwise.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import artifact
 from .net import NetConfig, param_count
-from .tasks import TASK_IDS, TASK_NAMES
+from .tasks import TASKS
 from .tensor import Tensor
 
 MAGIC = b"CFMT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-class CheckpointFormatError(ValueError):
+class CheckpointFormatError(artifact.FormatError):
     pass
 
 
@@ -38,77 +34,26 @@ class Checkpoint:
 
 def save_checkpoint(path, task_name, net_config: NetConfig, params: dict,
                     step: int = 0, rng_state: dict | None = None):
-    header = dict(net_config.to_dict())
-    header["param_count"] = param_count(params)
-    cfg_blob = json.dumps(header, sort_keys=True).encode()
-    rng_blob = json.dumps(rng_state or {}, sort_keys=True).encode()
-    names = list(params.keys())
-    if len(set(names)) != len(names):
-        raise CheckpointFormatError("duplicate parameter names")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IB", FORMAT_VERSION, TASK_IDS[task_name]))
-        f.write(struct.pack("<I", len(cfg_blob)))
-        f.write(cfg_blob)
-        f.write(struct.pack("<I", len(names)))
-        for name in names:
-            data = np.ascontiguousarray(params[name].data, dtype="<f4")
-            nb = name.encode()
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(data.tobytes())
-        f.write(struct.pack("<Q", step))
-        f.write(struct.pack("<I", len(rng_blob)))
-        f.write(rng_blob)
-
-
-def _read(f, n, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointFormatError(f"truncated checkpoint while reading {what}")
-    return buf
+    header = {"task": task_name, "net": net_config.to_dict(),
+              "param_count": param_count(params), "step": step,
+              "rng_state": rng_state or {}}
+    artifact.write(path, MAGIC, FORMAT_VERSION, header,
+                   {name: p.data for name, p in params.items()})
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise CheckpointFormatError(f"bad magic {magic!r}; not a checkpoint file")
-        version, task_id = struct.unpack("<IB", _read(f, 5, "header"))
-        if version != FORMAT_VERSION:
-            raise CheckpointFormatError(
-                f"checkpoint version mismatch: file has {version}, "
-                f"reader supports {FORMAT_VERSION}")
-        if task_id not in TASK_NAMES:
-            raise CheckpointFormatError(f"unknown task id {task_id}")
-        (cfg_len,) = struct.unpack("<I", _read(f, 4, "config length"))
-        header = json.loads(_read(f, cfg_len, "config blob"))
-        stored_count = header.pop("param_count", None)
-        net_config = NetConfig.from_dict(header)
-        (n_arrays,) = struct.unpack("<I", _read(f, 4, "array count"))
-        params = {}
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<H", _read(f, 2, "name length"))
-            name = _read(f, name_len, "name").decode()
-            if name in params:
-                raise CheckpointFormatError(f"duplicate parameter name '{name}'")
-            (rank,) = struct.unpack("<B", _read(f, 1, "rank"))
-            dims = struct.unpack(f"<{rank}I", _read(f, 4 * rank, "dims"))
-            count = int(np.prod(dims)) if rank else 1
-            raw = _read(f, 4 * count, f"data of '{name}'")
-            params[name] = Tensor(np.frombuffer(raw, dtype="<f4").reshape(dims).copy(),
-                                  requires_grad=True)
-        (step,) = struct.unpack("<Q", _read(f, 8, "training step"))
-        (rng_len,) = struct.unpack("<I", _read(f, 4, "rng length"))
-        rng_state = json.loads(_read(f, rng_len, "rng state"))
-        extra = f.read(1)
-        if extra:
-            raise CheckpointFormatError("trailing bytes after checkpoint")
-    if stored_count is not None and stored_count != param_count(params):
+    header, arrays = artifact.read(path, MAGIC, FORMAT_VERSION, CheckpointFormatError,
+                                   keys=("task", "net", "param_count", "step", "rng_state"))
+    if header["task"] not in TASKS:
+        raise CheckpointFormatError(f"{path}: unknown task {header['task']!r}")
+    params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    if header["param_count"] != param_count(params):
         raise CheckpointFormatError(
-            f"parameter count mismatch: header says {stored_count}, "
+            f"{path}: parameter count mismatch: header says {header['param_count']}, "
             f"arrays hold {param_count(params)}")
-    return Checkpoint(task_name=TASK_NAMES[task_id], net_config=net_config,
-                      params=params, step=step, rng_state=rng_state)
+    try:
+        net_config = NetConfig.from_dict(header["net"])
+    except (TypeError, ValueError) as err:
+        raise CheckpointFormatError(f"{path}: bad net config: {err}") from err
+    return Checkpoint(task_name=header["task"], net_config=net_config, params=params,
+                      step=header["step"], rng_state=header["rng_state"])

@@ -257,8 +257,7 @@ def _cmd_evaluate(cfg: RunConfig, out_dir):
               f"({r.trials} trials)")
     if cfg.task_name == "nonlinear":
         pooled, per_case = generation_error(net, task, cfg["eval.n_inferences"],
-                                            ensemble=cfg["sampler.ensemble"],
-                                            steps=cfg["sampler.steps"], seed=cfg["seed"])
+                                            sampler=_sampler_config(cfg), seed=cfg["seed"])
         outputs.append(_write_json(os.path.join(out_dir, "generation_error.json"),
                                    {"pooled": pooled,
                                     "median_per_case": float(np.median(per_case)),

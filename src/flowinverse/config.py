@@ -23,8 +23,14 @@ def _bool(v):
     raise ValueError(f"expected a boolean, got '{v}'")
 
 
+def _int(v):
+    if isinstance(v, float) and not v.is_integer():     # a float from a JSON manifest
+        raise ValueError(f"expected an integer, got {v}")
+    return int(v)
+
+
 def _count(v):
-    n = int(v)
+    n = _int(v)
     if n < 1:
         raise ValueError(f"expected an integer >= 1, got {n}")
     return n
@@ -50,30 +56,30 @@ def _str(v):
 # key -> (parser, default, help); None default means "task-dependent" or unset
 KEY_SPECS = {
     "task": (_str, "nonlinear", "one of nonlinear | seir | darcy"),
-    "seed": (int, 0, "master seed; all randomness derives from it"),
+    "seed": (_int, 0, "master seed; all randomness derives from it"),
     "out_dir": (_str, None, "output directory (fallback: $CFM_OUT_DIR, then '.')"),
     "paths.dataset": (_str, None, "dataset file to read or write"),
     "paths.checkpoint": (_str, None, "checkpoint file to read or write"),
-    "data.tuples_per_n_obs": (int, None, "tuples per observation count (task default)"),
+    "data.tuples_per_n_obs": (_int, None, "tuples per observation count (task default)"),
     "data.n_obs": (_count_list, None, "observation counts, e.g. '4,5,6,7,8' (task default)"),
     "data.sigma": (_opt_float, None, "noise scale override (task default if unset)"),
     "net.arch": (_str, "transformer", "velocity net: transformer | mlp"),
-    "net.n_emb": (int, 32, "embedding width"),
-    "net.n_head": (int, 4, "attention heads"),
-    "net.n_layer": (int, None, "transformer blocks (task default: 4/6/4)"),
+    "net.n_emb": (_int, 32, "embedding width"),
+    "net.n_head": (_int, 4, "attention heads"),
+    "net.n_layer": (_int, None, "transformer blocks (task default: 4/6/4)"),
     "net.rope_base": (float, 10000.0, "rotary embedding base"),
-    "net.mlp_hidden": (int, 256, "hidden width of the mlp variant"),
-    "net.mlp_n_obs": (int, 4, "fixed observation count of the mlp variant"),
-    "net.init_seed": (int, 0, "parameter init stream"),
+    "net.mlp_hidden": (_int, 256, "hidden width of the mlp variant"),
+    "net.mlp_n_obs": (_int, 4, "fixed observation count of the mlp variant"),
+    "net.init_seed": (_int, 0, "parameter init stream"),
     "train.lr": (float, None, "Adam learning rate (task default: 8e-4/8e-4/3e-4)"),
-    "train.epochs": (int, None, "training epochs (task default)"),
-    "train.batch_size": (int, 256, "tuples per batch"),
-    "train.accum_window": (int, 4, "batches accumulated per optimizer step"),
-    "train.checkpoint_every": (int, 0, "optimizer steps between checkpoints (0: off)"),
-    "sampler.steps": (int, 50, "ODE integration steps"),
+    "train.epochs": (_int, None, "training epochs (task default)"),
+    "train.batch_size": (_int, 256, "tuples per batch"),
+    "train.accum_window": (_int, 4, "batches accumulated per optimizer step"),
+    "train.checkpoint_every": (_int, 0, "optimizer steps between checkpoints (0: off)"),
+    "sampler.steps": (_int, 50, "ODE integration steps"),
     "sampler.method": (_str, "euler", "euler | midpoint | rk4"),
-    "sampler.ensemble": (int, 10, "posterior draws per inference"),
-    "chain.n_samples": (int, 10000, "MCMC chain length"),
+    "sampler.ensemble": (_int, 10, "posterior draws per inference"),
+    "chain.n_samples": (_int, 10000, "MCMC chain length"),
     "chain.burn_in": (float, 0.5, "burn-in fraction discarded"),
     "chain.sigma_obs": (_opt_float, None, "likelihood noise (task default if unset)"),
     "chain.proposal_scale": (_opt_float, None, "proposal std (tuned if unset)"),
@@ -83,7 +89,7 @@ KEY_SPECS = {
     "seir.shifted_ramp": (_bool, True, "use the monotone (1+tanh)/2 rate ramp"),
     "darcy.sigma_w": (float, 0.05, "boundary bump width parameter"),
     "instance.n_obs": (_count, None, "observation count of the conditioning instance"),
-    "instance.seed": (int, 1, "stream for drawing the conditioning instance"),
+    "instance.seed": (_int, 1, "stream for drawing the conditioning instance"),
     "paths.n_paths": (_count, 32, "trajectories for the straightness probe"),
 }
 

@@ -6,29 +6,29 @@ tuple draws (parameters, design, noise) from its own counter-derived RNG
 stream, so generation is order-independent and parallelizable, and the file
 round-trips bitwise.
 
-File format (little-endian): magic ``CFMD``, u32 version, u8 task id, u32
-shard count; per shard u32 n_obs, u64 tuple count, u64 shard seed, then the
-arrays m, e, d, eta in that order, each as u32 rows, u32 cols and
-rows * cols row-major float32 values.
+A dataset file is an :mod:`artifact` with magic ``CFMD``. Its header holds
+the task name and ``[n_obs, seed]`` per shard; shard i stores its arrays
+m, e, d and eta as ``i.m``, ``i.e``, ``i.d`` and ``i.eta``.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tasks import TASK_IDS, TASK_NAMES, get_task
+from . import artifact
+from .tasks import TASKS, get_task
 
 MAGIC = b"CFMD"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_ARRAYS = ("m", "e", "d", "eta")      # the arrays of a shard, in file order
 
 _STREAM_TUPLE = 0x64617461          # tag for per-tuple draws
 _STREAM_SHUFFLE = 0x73687566        # tag for per-epoch shard shuffles
 
 
-class DatasetFormatError(ValueError):
+class DatasetFormatError(artifact.FormatError):
     pass
 
 
@@ -117,24 +117,9 @@ def generate_dataset(config: DataGenConfig) -> list[DatasetShard]:
 # ---------------------------------------------------------------------------
 
 def save_dataset(shards, task_name, path):
-    task_id = TASK_IDS[task_name]
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IBI", FORMAT_VERSION, task_id, len(shards)))
-        for s in shards:
-            f.write(struct.pack("<IQ", s.n_obs, len(s)))
-            f.write(struct.pack("<Q", s.seed))
-            for arr in (s.m, s.e, s.d, s.eta):
-                a = np.ascontiguousarray(arr, dtype="<f4")
-                f.write(struct.pack("<II", a.shape[0], a.shape[1]))
-                f.write(a.tobytes())
-
-
-def _read_exact(f, nbytes, what):
-    buf = f.read(nbytes)
-    if len(buf) != nbytes:
-        raise DatasetFormatError(f"truncated dataset file while reading {what}")
-    return buf
+    header = {"task": task_name, "shards": [[int(s.n_obs), int(s.seed)] for s in shards]}
+    artifact.write(path, MAGIC, FORMAT_VERSION, header,
+                   {f"{i}.{k}": getattr(s, k) for i, s in enumerate(shards) for k in _ARRAYS})
 
 
 def load_dataset(path, verify_fraction=0.01, task=None):
@@ -145,31 +130,19 @@ def load_dataset(path, verify_fraction=0.01, task=None):
     relative to the observation scale. Pass ``task`` when the dataset was
     generated with non-default task constants; set verify_fraction=0 to skip.
     """
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise DatasetFormatError(f"bad magic {magic!r}; not a dataset file")
-        version, task_id, n_shards = struct.unpack("<IBI", _read_exact(f, 9, "header"))
-        if version != FORMAT_VERSION:
-            raise DatasetFormatError(
-                f"dataset version mismatch: file has {version}, reader supports {FORMAT_VERSION}")
-        if task_id not in TASK_NAMES:
-            raise DatasetFormatError(f"unknown task id {task_id}")
-        task_name = TASK_NAMES[task_id]
-        shards = []
-        for _ in range(n_shards):
-            n_obs, count = struct.unpack("<IQ", _read_exact(f, 12, "shard header"))
-            (seed,) = struct.unpack("<Q", _read_exact(f, 8, "shard seed"))
-            arrs = []
-            for name in ("m", "e", "d", "eta"):
-                rows, cols = struct.unpack("<II", _read_exact(f, 8, f"{name} shape"))
-                raw = _read_exact(f, rows * cols * 4, f"{name} data")
-                arrs.append(np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy())
-            shards.append(DatasetShard(n_obs=n_obs, m=arrs[0], e=arrs[1],
-                                       d=arrs[2], eta=arrs[3], seed=seed))
-        extra = f.read(1)
-        if extra:
-            raise DatasetFormatError("trailing bytes after final shard")
+    header, arrays = artifact.read(path, MAGIC, FORMAT_VERSION, DatasetFormatError,
+                                   keys=("task", "shards"))
+    task_name = header["task"]
+    if task_name not in TASKS:
+        raise DatasetFormatError(f"{path}: unknown task {task_name!r}")
+    try:
+        shards = [DatasetShard(n_obs=n_obs, seed=seed,
+                               **{k: arrays[f"{i}.{k}"] for k in _ARRAYS})
+                  for i, (n_obs, seed) in enumerate(header["shards"])]
+    except (KeyError, TypeError, ValueError) as err:
+        raise DatasetFormatError(f"{path}: shards do not match the arrays: {err!r}") from err
+    if len(arrays) != len(_ARRAYS) * len(shards):
+        raise DatasetFormatError(f"{path}: {len(arrays)} arrays for {len(shards)} shards")
     if verify_fraction > 0:
         _verify_sample(task if task is not None else get_task(task_name),
                        shards, verify_fraction)

@@ -21,24 +21,10 @@ from .mcmc import ChainConfig, run_chain
 
 @dataclass
 class EvalReport:
-    task: str
     n_obs: int
     mean_error: float
     std_error: float
     trials: int
-    ensemble: int
-
-
-def relative_error_obs(d, d_hat):
-    """||d - d_hat|| / ||d|| over flattened observations."""
-    d = np.asarray(d, dtype=np.float64).reshape(-1)
-    d_hat = np.asarray(d_hat, dtype=np.float64).reshape(-1)
-    if d.shape != d_hat.shape:
-        raise ValueError(f"observation shapes differ: {d.shape} vs {d_hat.shape}")
-    denom = np.linalg.norm(d)
-    if denom == 0.0:
-        raise ZeroDivisionError("relative error undefined for zero observations")
-    return float(np.linalg.norm(d - d_hat) / denom)
 
 
 def relative_error_de(m_true, ensemble, task, e_row=None):
@@ -75,29 +61,28 @@ def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig | None 
         ens = sample_batch(net, d, e, seeds, sampler)
         errs = np.array([relative_error_de(m_true[i], ens[i], task, e[i])
                          for i in range(trials)])
-        reports.append(EvalReport(task=task.name, n_obs=n_obs,
-                                  mean_error=float(errs.mean()),
-                                  std_error=float(errs.std()),
-                                  trials=trials, ensemble=sampler.ensemble))
+        reports.append(EvalReport(n_obs=n_obs, mean_error=float(errs.mean()),
+                                  std_error=float(errs.std()), trials=trials))
     return reports
 
 
-def generation_error(net, task, n_inferences=10_000, n_obs=None, ensemble=10,
-                     steps=50, seed=0, chunk=256):
+def generation_error(net, task, n_inferences=10_000, n_obs=None,
+                     sampler: SamplerConfig | None = None, seed=0, chunk=256):
     """Observation-reconstruction error of the trained sampler.
 
     Draws fresh (m, e, d) instances, reconstructs observations from the
     posterior-ensemble mean at the same designs, and pools everything into
     one relative error ||D - D_hat|| / ||D|| (per-instance errors are also
     returned for inspection). Pooling keeps near-zero single observations
-    from dominating the aggregate.
+    from dominating the aggregate. Sampler seeds derive from ``seed``;
+    ``sampler.seed`` is not used.
     """
     if n_obs is None:
         n_obs = task.default_n_obs_set()[0]
+    sampler = sampler or SamplerConfig()
     num = 0.0
     den = 0.0
     per_case = np.empty(n_inferences)
-    cfg = SamplerConfig(steps=steps, method="euler", ensemble=ensemble, seed=seed)
     done = 0
     while done < n_inferences:
         b = min(chunk, n_inferences - done)
@@ -106,7 +91,7 @@ def generation_error(net, task, n_inferences=10_000, n_obs=None, ensemble=10,
         _, es, ds, _ = draw_tuples(task, n_obs, rngs)
         seeds = [(seed ^ 0x5eed) + done + i for i in range(b)]
         # members are averaged in float32, the precision of the flow state
-        m_hat = sample_batch(net, ds, es, seeds, cfg).astype(np.float32).mean(axis=1)
+        m_hat = sample_batch(net, ds, es, seeds, sampler).astype(np.float32).mean(axis=1)
         for i in range(b):
             d_hat = task.forward_observed(m_hat[i].astype(np.float64), es[i])
             r = ds[i] - np.asarray(d_hat).reshape(-1)

@@ -1,7 +1,7 @@
 """Forward models and priors for the three inverse-problem tasks."""
 
 from .nonlinear import NonlinearTask
-from .seir import SeirTask, SeirConstants, seir_rates, seir_solve
+from .seir import SeirTask, SeirConstants, seir_solve
 from .darcy import (
     DarcyTask,
     DarcyConstants,
@@ -11,23 +11,18 @@ from .darcy import (
     darcy_observe,
 )
 
-TASK_IDS = {"nonlinear": 0, "seir": 1, "darcy": 2}
-TASK_NAMES = {v: k for k, v in TASK_IDS.items()}
+TASKS = {"nonlinear": NonlinearTask, "seir": SeirTask, "darcy": DarcyTask}
 
 
 def get_task(name: str, **kwargs):
     """Construct a task by name ('nonlinear', 'seir', 'darcy')."""
-    if name == "nonlinear":
-        return NonlinearTask(**kwargs)
-    if name == "seir":
-        return SeirTask(**kwargs)
-    if name == "darcy":
-        return DarcyTask(**kwargs)
-    raise ValueError(f"unknown task '{name}'; expected one of {sorted(TASK_IDS)}")
+    if name not in TASKS:
+        raise ValueError(f"unknown task '{name}'; expected one of {sorted(TASKS)}")
+    return TASKS[name](**kwargs)
 
 
 __all__ = [
     "NonlinearTask", "SeirTask", "SeirConstants", "DarcyTask", "DarcyConstants",
-    "seir_rates", "seir_solve", "kl_basis_build", "kl_expand", "darcy_solve",
-    "darcy_observe", "get_task", "TASK_IDS", "TASK_NAMES",
+    "seir_solve", "kl_basis_build", "kl_expand", "darcy_solve",
+    "darcy_observe", "get_task", "TASKS",
 ]

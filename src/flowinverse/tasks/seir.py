@@ -50,16 +50,6 @@ def _ramp(t, tau, shifted):
     return (1.0 + th) / 2.0 if shifted else th / 2.0
 
 
-def seir_rates(t, m, shifted: bool = True, const: SeirConstants = CONST):
-    """Rates (beta, gamma, gamma_d) at time(s) t for rate vector m."""
-    m = np.asarray(m, dtype=np.float64)
-    b1, _, gr, gd1, b2, gd2 = m
-    s = _ramp(t, const.tau, shifted)
-    beta = b1 + s * (b2 - b1)
-    gamma_d = gd1 + s * (gd2 - gd1)
-    return beta, gr + gamma_d, gamma_d
-
-
 def _ramp_tables(shifted, const=CONST):
     ts = np.arange(N_STEPS + 1) * const.dt
     full = _ramp(ts, const.tau, shifted)
@@ -156,15 +146,6 @@ def _observe(m, times, shifted):
     that brackets the latest of them; bitwise equal to a full-span read."""
     n_steps = min(max(int(np.max(times) / CONST.dt), 0), N_STEPS - 1) + 1
     return _read(_integrate(m, shifted, n_steps), times)[..., 2:4]
-
-
-def seir_observe(m, times, eta=None, shifted: bool = True):
-    """(I, R) at the requested times plus optional noise; shape (..., n, 2)."""
-    traj = seir_solve(m, np.asarray(times, dtype=np.float64).reshape(-1), shifted)
-    obs = traj[..., 2:4]
-    if eta is not None:
-        obs = obs + eta
-    return obs
 
 
 class SeirTask:

@@ -1,9 +1,11 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
-from flowinverse.checkpoint import (Checkpoint, CheckpointFormatError,
+from flowinverse import artifact
+from flowinverse.checkpoint import (FORMAT_VERSION, MAGIC, CheckpointFormatError,
                                     load_checkpoint, save_checkpoint)
 from flowinverse.net import NetConfig, VelocityNet, init_params, param_count
 from flowinverse.tasks import get_task
@@ -55,13 +57,12 @@ class TestRoundTrip:
         np.testing.assert_array_equal(before, after)
 
     def test_param_count_in_header(self, tmp_path):
-        import json
         cfg, params = make_params()
         p = tmp_path / "m.cfmt"
         save_checkpoint(p, "seir", cfg, params)
         raw = p.read_bytes()
-        (cfg_len,) = struct.unpack_from("<I", raw, 9)
-        header = json.loads(raw[13:13 + cfg_len])
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12:12 + header_len])
         assert header["param_count"] == param_count(params)
 
 
@@ -79,7 +80,7 @@ class TestFormatErrors:
         raw = bytearray(p.read_bytes())
         raw[4] = 77
         p.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointFormatError, match="77.*1"):
+        with pytest.raises(CheckpointFormatError, match="77.*2"):
             load_checkpoint(p)
 
     def test_truncation(self, tmp_path):
@@ -92,15 +93,13 @@ class TestFormatErrors:
 
     def test_duplicate_name_detected(self, tmp_path):
         # hand-build a file whose array table lists the same name twice
-        import json
         cfg = NetConfig(n_emb=8, n_head=2, dim_m=1)
-        blob = json.dumps({**cfg.to_dict(), "param_count": 2}).encode()
-        body = b"CFMT" + struct.pack("<IB", 1, 0) + struct.pack("<I", len(blob)) + blob
-        body += struct.pack("<I", 2)
+        blob = json.dumps({"task": "nonlinear", "net": cfg.to_dict(), "param_count": 2,
+                           "step": 0, "rng_state": {}}).encode()
+        body = b"CFMT" + struct.pack("<II", 2, len(blob)) + blob + struct.pack("<I", 2)
         arr = np.ones(1, dtype="<f4")
         entry = struct.pack("<H", 1) + b"w" + struct.pack("<B", 1) + struct.pack("<I", 1) + arr.tobytes()
         body += entry + entry
-        body += struct.pack("<Q", 0) + struct.pack("<I", 2) + b"{}"
         p = tmp_path / "dup.cfmt"
         p.write_bytes(body)
         with pytest.raises(CheckpointFormatError, match="duplicate"):
@@ -112,4 +111,33 @@ class TestFormatErrors:
         save_checkpoint(p, "seir", cfg, params)
         p.write_bytes(p.read_bytes() + b"\0")
         with pytest.raises(CheckpointFormatError, match="trailing"):
+            load_checkpoint(p)
+
+    def test_unknown_task(self, tmp_path):
+        cfg, params = make_params()
+        p = tmp_path / "m.cfmt"
+        save_checkpoint(p, "epidemic", cfg, params)
+        with pytest.raises(CheckpointFormatError, match="unknown task 'epidemic'"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("key", ["task", "net", "param_count", "step", "rng_state"])
+    def test_header_lacking_a_key(self, tmp_path, key):
+        cfg, params = make_params()
+        header = {"task": "seir", "net": cfg.to_dict(), "param_count": param_count(params),
+                  "step": 0, "rng_state": {}}
+        del header[key]
+        p = tmp_path / "m.cfmt"
+        artifact.write(p, MAGIC, FORMAT_VERSION, header,
+                       {k: v.data for k, v in params.items()})
+        with pytest.raises(CheckpointFormatError, match="header"):
+            load_checkpoint(p)
+
+    def test_bad_net_config(self, tmp_path):
+        cfg, params = make_params()
+        header = {"task": "seir", "net": {"n_emb": 8, "width": 3},
+                  "param_count": param_count(params), "step": 0, "rng_state": {}}
+        p = tmp_path / "m.cfmt"
+        artifact.write(p, MAGIC, FORMAT_VERSION, header,
+                       {k: v.data for k, v in params.items()})
+        with pytest.raises(CheckpointFormatError, match="net config"):
             load_checkpoint(p)

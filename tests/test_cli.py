@@ -8,9 +8,13 @@ import pytest
 
 from flowinverse import cli
 from flowinverse.cli import main
+from flowinverse.cfm import SamplerConfig
+from flowinverse.checkpoint import save_checkpoint
 from flowinverse.config import (ConfigError, config_reference, parse_config_text,
                                 resolve)
 from flowinverse.data import DataGenConfig, make_task
+from flowinverse.metrics import generation_error
+from flowinverse.net import VelocityNet
 from flowinverse.tasks import DarcyTask
 from flowinverse.tasks.darcy import boundary_profiles
 
@@ -50,6 +54,18 @@ class TestConfigParsing:
     def test_int_list_parsing(self):
         cfg = resolve({"task": "seir", "data.n_obs": "4,6,8"})
         assert cfg["data.n_obs"] == (4, 6, 8)
+
+    @pytest.mark.parametrize("key, value", [("eval.trials", 2.7), ("chain.n_samples", 99.9),
+                                            ("seed", 1.5)])
+    def test_fractional_integer_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}': expected an integer"):
+            resolve({key: value})
+        assert resolve({key: float(round(value))})[key] == round(value)
+
+    def test_fractional_integer_in_manifest_is_a_usage_error(self, workdir, capsys):
+        (workdir / "run.json").write_text(json.dumps({"config": {"eval.trials": 2.7}}))
+        assert run_cli("mcmc", "--config", "run.json") == 1
+        assert "bad value for 'eval.trials'" in capsys.readouterr().err
 
     def test_reference_covers_all_keys(self):
         ref = config_reference()
@@ -198,6 +214,21 @@ class TestPipeline:
         assert os.path.exists("sweep_nonlinear.csv")
         assert os.path.exists("generation_error.json")
 
+    def test_evaluate_generation_error_uses_the_configured_sampler(self, workdir):
+        cfg = resolve({"net.n_emb": 8, "net.n_head": 2, "net.n_layer": 1})
+        task = cli._task_from(cfg)
+        net = VelocityNet(task, cli._net_config(cfg, task), seed=0)
+        save_checkpoint("n.cfmt", "nonlinear", net.config, net.params)
+        rc = run_cli("evaluate", "--set", "paths.checkpoint=n.cfmt", "--set", "eval.trials=1",
+                     "--set", "eval.n_inferences=4", "--set", "sampler.steps=2",
+                     "--set", "sampler.ensemble=3", "--set", "sampler.method=midpoint")
+        assert rc == 0
+        pooled = json.load(open("generation_error.json"))["pooled"]
+        sampler = SamplerConfig(steps=2, method="midpoint", ensemble=3)
+        assert pooled == generation_error(net, task, 4, sampler=sampler)[0]
+        euler = SamplerConfig(steps=2, method="euler", ensemble=3)
+        assert pooled != generation_error(net, task, 4, sampler=euler)[0]
+
     def test_train_lr_override_recorded(self, workdir):
         run_cli("generate-data", "--set", "data.tuples_per_n_obs=32",
                 "--set", "paths.dataset=t.cfmd")
@@ -291,13 +322,22 @@ class TestWriteCsv:
         assert path.read_text().strip() == "N,mean_error_pct,std_error_pct"
 
 
-def test_only_cli_imports_csv():
+def _modules_importing(name):
     src = pathlib.Path(cli.__file__).parent
     importers = set()
     for path in src.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
-            if "csv" in names:
+            if name in names:
                 importers.add(path.relative_to(src).as_posix())
-    assert importers == {"cli.py"}
+    return importers
+
+
+def test_only_cli_imports_csv():
+    assert _modules_importing("csv") == {"cli.py"}
+
+
+def test_only_artifact_imports_struct():
+    # one binary layout: datasets and checkpoints both go through artifact
+    assert _modules_importing("struct") == {"artifact.py"}

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from flowinverse import cli
+from flowinverse import artifact, cli
 from flowinverse.config import resolve
-from flowinverse.data import (Batch, DataGenConfig, DatasetFormatError,
+from flowinverse.data import (FORMAT_VERSION, MAGIC, Batch, DataGenConfig, DatasetFormatError,
                               DatasetShard, _tuple_rng, batch_iterator, draw_tuples,
                               generate_dataset, generate_shard, load_dataset,
                               save_dataset)
@@ -161,6 +161,32 @@ class TestPersistence:
             load_dataset(str(p))
         _, ok = load_dataset(str(p), verify_fraction=0)
         assert len(ok[0]) == 5
+
+    def test_unknown_task(self, tmp_path):
+        p = tmp_path / "u.cfmd"
+        save_dataset(generate_dataset(small_config(n_obs_set=(1,), tuples_per_n_obs=2)),
+                     "epidemic", p)
+        with pytest.raises(DatasetFormatError, match="unknown task 'epidemic'"):
+            load_dataset(str(p))
+
+    @pytest.mark.parametrize("header", [{"task": "nonlinear"}, {"shards": []}, ["nonlinear"]])
+    def test_header_lacking_a_key(self, tmp_path, header):
+        p = tmp_path / "h.cfmd"
+        artifact.write(p, MAGIC, FORMAT_VERSION, header, {})
+        with pytest.raises(DatasetFormatError, match="header"):
+            load_dataset(str(p))
+
+    @pytest.mark.parametrize("shards, names", [
+        ([[1, 0]], ["0.m", "0.e", "0.d"]),                 # an array is missing
+        ([[1, 0]], ["0.m", "0.e", "0.d", "0.eta", "1.m"]),  # an array of no shard
+        ([[1]], ["0.m", "0.e", "0.d", "0.eta"]),            # a shard without its seed
+    ])
+    def test_shards_must_match_arrays(self, tmp_path, shards, names):
+        p = tmp_path / "s.cfmd"
+        artifact.write(p, MAGIC, FORMAT_VERSION, {"task": "nonlinear", "shards": shards},
+                       {name: np.zeros((2, 1)) for name in names})
+        with pytest.raises(DatasetFormatError, match="shard"):
+            load_dataset(str(p), verify_fraction=0)
 
 
 def make_shards(sizes, seed=0):

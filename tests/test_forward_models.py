@@ -5,7 +5,7 @@ import pytest
 
 from flowinverse.tasks import get_task
 from flowinverse.tasks.nonlinear import nonlinear_forward
-from flowinverse.tasks.seir import TRUE_RATES, seir_observe, seir_rates, seir_solve
+from flowinverse.tasks.seir import CONST, TRUE_RATES, _ramp, seir_solve
 from flowinverse.tasks import darcy as dy
 
 
@@ -26,34 +26,35 @@ class TestNonlinear:
 
 
 class TestSeirRates:
+    # beta(t) = beta1 + w(t) (beta2 - beta1), likewise gamma_d; w is the ramp
     def test_at_tau_printed(self):
-        m = [0.4, 0.3, 0.3, 0.1, 0.15, 0.6]
-        beta, gamma, gamma_d = seir_rates(2.1, m, shifted=False)
-        assert beta == pytest.approx(0.4)
-        assert gamma_d == pytest.approx(0.1)
+        assert _ramp(CONST.tau, CONST.tau, shifted=False) == 0.0    # beta(tau) = beta1
 
     def test_late_time_printed_formula(self):
         # tanh/2 convention saturates at the midpoint of initial/final rates
-        m = [0.4, 0.3, 0.3, 0.1, 0.15, 0.6]
-        beta, _, _ = seir_rates(1e6, m, shifted=False)
-        assert beta == pytest.approx(0.4 + (0.15 - 0.4) / 2)
+        assert _ramp(1e6, CONST.tau, shifted=False) == pytest.approx(0.5)
 
     def test_late_time_shifted_reaches_final(self):
-        m = [0.4, 0.3, 0.3, 0.1, 0.15, 0.6]
-        beta, _, gamma_d = seir_rates(1e6, m, shifted=True)
-        assert beta == pytest.approx(0.15)
-        assert gamma_d == pytest.approx(0.6)
+        assert _ramp(1e6, CONST.tau, shifted=True) == pytest.approx(1.0)
+        assert _ramp(0.0, CONST.tau, shifted=True) == pytest.approx(0.0, abs=1e-12)
 
     def test_gamma_decomposition(self):
-        m = np.array([0.2, 0.5, 0.31, 0.07, 0.9, 0.44])
-        for t in (0.0, 1.7, 2.1, 3.9):
-            for shifted in (True, False):
-                _, gamma, gamma_d = seir_rates(t, m, shifted=shifted)
-                assert gamma - gamma_d == pytest.approx(0.31)
+        # the removal rate is gamma_r + gamma_d(t): moving a constant from
+        # gamma_r into both death rates leaves every trajectory unchanged
+        e = np.linspace(1.0, 3.0, 6)
+        for shifted in (True, False):
+            task = get_task("seir", shifted_ramp=shifted)
+            m = np.array([0.2, 0.5, 0.31, 0.07, 0.9, 0.44])
+            moved = m + np.array([0.0, 0.0, -0.2, 0.2, 0.0, 0.2])
+            np.testing.assert_allclose(task.forward_observed(moved, e),
+                                       task.forward_observed(m, e), rtol=1e-12)
+            assert np.abs(task.forward_observed(m + [0, 0, 0.2, 0, 0, 0], e)
+                          - task.forward_observed(m, e)).max() > 1e-3
 
     def test_printed_formula_admits_negative_rates(self):
-        beta, _, _ = seir_rates(0.0, [0.1, 0.5, 0.5, 0.5, 0.9, 0.5], shifted=False)
-        assert beta < 0.0    # why data generation defaults to the shifted ramp
+        b1, b2 = 0.1, 0.9
+        assert b1 + _ramp(0.0, CONST.tau, shifted=False) * (b2 - b1) < 0.0
+        # why data generation defaults to the shifted ramp
 
 
 class TestSeirSolve:
@@ -141,23 +142,23 @@ class TestSeirSolve:
 
 class TestSeirObserve:
     def test_sorted_vs_unsorted_same_rows(self):
-        m = TRUE_RATES
+        task = get_task("seir")
         t_sorted = np.array([1.2, 1.8, 2.4, 2.9])
         t_shuffled = np.array([2.4, 1.2, 2.9, 1.8])
-        a = seir_observe(m, t_sorted)
-        b = seir_observe(m, t_shuffled)
-        assert {tuple(np.round(r, 10)) for r in a} == {tuple(np.round(r, 10)) for r in b}
+        a = task.forward_observed(TRUE_RATES, t_sorted).reshape(-1, 2)
+        b = task.forward_observed(TRUE_RATES, t_shuffled).reshape(-1, 2)
+        np.testing.assert_array_equal(a[[2, 0, 3, 1]], b)
 
     def test_duplicate_times_duplicate_rows(self):
-        obs = seir_observe(TRUE_RATES, [2.0, 2.0])
+        obs = get_task("seir").forward_observed(TRUE_RATES, [2.0, 2.0]).reshape(-1, 2)
         np.testing.assert_array_equal(obs[0], obs[1])
 
     def test_nonnegative_without_noise(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            m = rng.uniform(0, 1, 6)
-            obs = seir_observe(m, rng.uniform(1, 3, 4))
-            assert np.all(obs >= 0)
+        task = get_task("seir")
+        m = task.sample_params(rng, 20)
+        d, _ = task.simulate_batch(m, rng.uniform(1, 3, (20, 4)), 4)
+        assert np.all(d >= 0)
 
     def test_scalar_path_matches_batched(self):
         # one RK4 kernel: a single vector in Python floats and a batch on
