@@ -9,6 +9,7 @@ an array, so each kind only maps its objects to a header and named arrays.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -20,28 +21,34 @@ class FormatError(ValueError):
     """A file that is not a well-formed artifact of the expected kind."""
 
 
-def write(path, magic: bytes, version: int, header: dict, arrays: dict):
-    """Write ``header`` and the ``arrays`` as float32, in their order, to ``path``.
-
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``; a write that fails leaves an earlier file untouched.
-    """
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open a temporary file in ``path``'s directory that replaces ``path``
+    when the ``with`` block ends; if the block raises, the temporary file is
+    removed and an earlier ``path`` is left untouched."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
-    blob = json.dumps(header, sort_keys=True).encode()
     try:
-        with open(tmp, "wb") as f:
-            f.write(magic + struct.pack("<II", version, len(blob)) + blob)
-            f.write(struct.pack("<I", len(arrays)))
-            for name, arr in arrays.items():
-                a = np.ascontiguousarray(arr, dtype="<f4")
-                nb = name.encode()
-                f.write(struct.pack(f"<H{len(nb)}sB{a.ndim}I", len(nb), nb, a.ndim, *a.shape))
-                f.write(a.tobytes())
+        with open(tmp, mode, **kwargs) as f:
+            yield f
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write(path, magic: bytes, version: int, header: dict, arrays: dict):
+    """Write ``header`` and the ``arrays`` as float32, in their order, to
+    ``path``, atomically (see :func:`atomic_open`)."""
+    blob = json.dumps(header, sort_keys=True).encode()
+    with atomic_open(path) as f:
+        f.write(magic + struct.pack("<II", version, len(blob)) + blob)
+        f.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            a = np.ascontiguousarray(arr, dtype="<f4")
+            nb = name.encode()
+            f.write(struct.pack(f"<H{len(nb)}sB{a.ndim}I", len(nb), nb, a.ndim, *a.shape))
+            f.write(a.tobytes())
 
 
 def read(path, magic: bytes, version: int, error=FormatError, keys=()):

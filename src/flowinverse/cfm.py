@@ -46,6 +46,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.accum_window < 1:
             raise ValueError("accum_window must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
 
 
 @dataclass

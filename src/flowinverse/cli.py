@@ -35,6 +35,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .artifact import atomic_open
 from .checkpoint import load_checkpoint, save_checkpoint
 from .cfm import SamplerConfig, TrainConfig, path_straightness, sample_posterior, train
 from .config import (ConfigError, RunConfig, config_reference, load_config_file,
@@ -105,9 +106,7 @@ def _net_config(cfg: RunConfig, task) -> NetConfig:
         NetConfig,
         n_emb=cfg["net.n_emb"], n_head=cfg["net.n_head"], n_layer=cfg["net.n_layer"],
         dim_m=task.dim_m, obs_token_dim=task.obs_token_dim,
-        design_token_dim=task.design_token_dim, rope_base=cfg["net.rope_base"],
-        arch=cfg["net.arch"], mlp_hidden=cfg["net.mlp_hidden"],
-        mlp_n_obs=cfg["net.mlp_n_obs"])
+        design_token_dim=task.design_token_dim, rope_base=cfg["net.rope_base"])
 
 
 def _sampler_config(cfg: RunConfig) -> SamplerConfig:
@@ -141,8 +140,10 @@ def _draw_instance(cfg: RunConfig, task):
 
 def _write_csv(path, header, rows):
     """One header row, then ``rows``; each caller formats its own cells."""
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerows([header, *rows])
+    with atomic_open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
     return path
 
 
@@ -165,7 +166,7 @@ def _paths_table(rep):
 
 
 def _write_json(path, obj):
-    with open(path, "w") as f:
+    with atomic_open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
     return path
 

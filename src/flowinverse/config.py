@@ -63,13 +63,10 @@ KEY_SPECS = {
     "data.tuples_per_n_obs": (_int, None, "tuples per observation count (task default)"),
     "data.n_obs": (_count_list, None, "observation counts, e.g. '4,5,6,7,8' (task default)"),
     "data.sigma": (_opt_float, None, "noise scale override (task default if unset)"),
-    "net.arch": (_str, "transformer", "velocity net: transformer | mlp"),
     "net.n_emb": (_int, 32, "embedding width"),
     "net.n_head": (_int, 4, "attention heads"),
     "net.n_layer": (_int, None, "transformer blocks (task default: 4/6/4)"),
     "net.rope_base": (float, 10000.0, "rotary embedding base"),
-    "net.mlp_hidden": (_int, 256, "hidden width of the mlp variant"),
-    "net.mlp_n_obs": (_int, 4, "fixed observation count of the mlp variant"),
     "net.init_seed": (_int, 0, "parameter init stream"),
     "train.lr": (float, None, "Adam learning rate (task default: 8e-4/8e-4/3e-4)"),
     "train.epochs": (_int, None, "training epochs (task default)"),

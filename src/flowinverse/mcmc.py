@@ -32,6 +32,10 @@ class ChainConfig:
             raise ValueError("n_samples must be >= 1")
         if not 0.0 <= self.burn_in < 1.0:
             raise ValueError("burn_in fraction must lie in [0, 1)")
+        for name in ("proposal_scale", "sigma_obs"):
+            v = getattr(self, name)
+            if v is not None and not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass
@@ -108,7 +112,7 @@ def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
 
     m = task.prior_sample(rng, 1)[0]
     logp = logpost(m)
-    t0 = time.time()
+    t0 = time.perf_counter()
     warns = []
     scale = cfg.proposal_scale
     if scale is None:
@@ -131,7 +135,7 @@ def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
             if consecutive_rejects >= 1000 and not stall_warned:
                 warns.append(f"chain stalled: 1000 consecutive rejections at step {i}")
                 stall_warned = True
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
 
     keep = chain[int(cfg.burn_in * cfg.n_samples):]
     return ChainResult(chain=chain, log_posterior=logps, accepted=accepted,

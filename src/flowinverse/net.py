@@ -1,4 +1,4 @@
-"""Velocity-field networks: a sequence transformer and a fixed-input MLP.
+"""The velocity-field network: a sequence transformer.
 
 The transformer turns the conditioning observations into a token sequence,
 adds a sinusoidal-plus-MLP embedding of the flow time to every token, and
@@ -7,9 +7,6 @@ state token (placed last) is read out through a linear head to produce a
 velocity of the parameter dimension. Because positions enter only through
 relative rotations, the same weights accept any number of observation
 tokens, including more than were ever seen in training.
-
-The MLP variant flattens everything into one vector and therefore only
-works for a fixed observation count.
 """
 
 from __future__ import annotations
@@ -31,13 +28,8 @@ class NetConfig:
     obs_token_dim: int = 2
     design_token_dim: int = 0     # 0: no design token in the sequence
     rope_base: float = 10000.0
-    arch: str = "transformer"     # "transformer" | "mlp"
-    mlp_hidden: int = 256
-    mlp_n_obs: int = 4            # fixed observation count for arch="mlp"
 
     def __post_init__(self):
-        if self.arch not in ("transformer", "mlp"):
-            raise ValueError(f"unknown arch '{self.arch}'")
         if self.n_emb % self.n_head != 0:
             raise ValueError(f"n_emb={self.n_emb} not divisible by n_head={self.n_head}")
         if (self.n_emb // self.n_head) % 2 != 0:
@@ -130,17 +122,6 @@ def init_params(config: NetConfig, seed: int = 0) -> dict:
         params[name] = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
 
     E = config.n_emb
-    if config.arch == "mlp":
-        d_in = _mlp_input_dim(config)
-        w("temb.fc1.w", (E, E), 0.02); b("temb.fc1.b", E)
-        w("temb.fc2.w", (E, E), 0.02); b("temb.fc2.b", E)
-        h = config.mlp_hidden
-        w("mlp.l1.w", (d_in, h), (2.0 / d_in) ** 0.5); b("mlp.l1.b", h)
-        w("mlp.l2.w", (h, h), (2.0 / h) ** 0.5); b("mlp.l2.b", h)
-        w("mlp.l3.w", (h, h), (2.0 / h) ** 0.5); b("mlp.l3.b", h)
-        w("head.w", (h, config.dim_m), 0.02); b("head.b", config.dim_m)
-        return params
-
     w("embed.obs.w", (config.obs_token_dim, E), 0.02); b("embed.obs.b", E)
     if config.design_token_dim > 0:
         w("embed.design.w", (config.design_token_dim, E), 0.02); b("embed.design.b", E)
@@ -161,15 +142,6 @@ def init_params(config: NetConfig, seed: int = 0) -> dict:
     g("ln_f.g", E)
     w("head.w", (E, config.dim_m), 0.02); b("head.b", config.dim_m)
     return params
-
-
-def _mlp_input_dim(config: NetConfig) -> int:
-    # m_t + timestep embedding + flattened observation values + flattened
-    # design values (for the epidemic task: d is (n_obs, 2) and e is (n_obs,)).
-    n = config.mlp_n_obs
-    d_width = n * (config.obs_token_dim - 1)
-    e_width = n + config.design_token_dim
-    return config.dim_m + config.n_emb + d_width + e_width
 
 
 def param_count(params: dict) -> int:
@@ -234,27 +206,6 @@ def transformer_forward(params: dict, config: NetConfig, task,
     return _linear(state_tok, params, "head")
 
 
-def mlp_forward(params: dict, config: NetConfig, task,
-                m_t: np.ndarray, t, d: np.ndarray, e: np.ndarray) -> Tensor:
-    """Fixed-observation-count variant: flatten everything into one vector."""
-    B = m_t.shape[0]
-    d = np.asarray(d, dtype=np.float32).reshape(B, -1)
-    e = np.asarray(e, dtype=np.float32).reshape(B, -1)
-    expect = _mlp_input_dim(config) - config.dim_m - config.n_emb
-    if d.shape[1] + e.shape[1] != expect:
-        raise ValueError(
-            f"mlp variant expects {config.mlp_n_obs} observations "
-            f"({expect} flattened values), got {d.shape[1] + e.shape[1]}")
-    d, e = task.flat_features(d, e)
-    temb = timestep_embed(params, np.broadcast_to(np.asarray(t, dtype=np.float32), (B,)),
-                          config.n_emb)
-    dt = params["head.w"].dtype
-    x = T.concat([Tensor(m_t, dtype=dt), temb, Tensor(d, dtype=dt), Tensor(e, dtype=dt)], axis=1)
-    for name in ("mlp.l1", "mlp.l2", "mlp.l3"):
-        x = T.relu_squared(_linear(x, params, name))
-    return _linear(x, params, "head")
-
-
 class VelocityNet:
     """Bundles a task, a config, and parameters behind one forward call."""
 
@@ -269,8 +220,6 @@ class VelocityNet:
 
     def forward(self, m_t, t, d, e) -> Tensor:
         m_t = np.asarray(m_t, dtype=np.float32)
-        if self.config.arch == "mlp":
-            return mlp_forward(self.params, self.config, self.task, m_t, t, d, e)
         return transformer_forward(self.params, self.config, self.task, m_t, t, d, e)
 
     def velocity(self, m_t, t, d, e) -> np.ndarray:

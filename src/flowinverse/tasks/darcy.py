@@ -273,9 +273,6 @@ class DarcyTask:
         design = e[:, None, :2].astype(np.float32)
         return obs, design
 
-    def flat_features(self, d, e):
-        return d.astype(np.float32), e.astype(np.float32)
-
     def de_solution(self, m, e_row=None):
         if e_row is None:
             raise ValueError("darcy solution evaluation requires the design row (e1, e2, ...)")

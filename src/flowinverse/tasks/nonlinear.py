@@ -54,9 +54,6 @@ class NonlinearTask:
         obs = np.stack([d, e], axis=-1).astype(np.float32)
         return obs, None
 
-    def flat_features(self, d, e):
-        return d.astype(np.float32), e.astype(np.float32)
-
     # --- evaluation / inference ---------------------------------------------
     def de_solution(self, m, e_row=None, grid=101):
         """Forward map evaluated over a fixed design grid (noise-free)."""

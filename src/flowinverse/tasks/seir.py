@@ -190,9 +190,6 @@ class SeirTask:
         et = e[..., None] / self.TIME_SCALE
         return np.concatenate([et, ir], axis=-1).astype(np.float32), None
 
-    def flat_features(self, d, e):
-        return (d / self.POP_SCALE).astype(np.float32), (e / self.TIME_SCALE).astype(np.float32)
-
     def de_solution(self, m, e_row=None, grid=256):
         tg = np.linspace(0.0, CONST.t_end, grid)
         return seir_solve(np.asarray(m, dtype=np.float64), tg, self.shifted_ramp).reshape(-1)

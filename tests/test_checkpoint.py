@@ -80,7 +80,19 @@ class TestFormatErrors:
         raw = bytearray(p.read_bytes())
         raw[4] = 77
         p.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointFormatError, match="77.*2"):
+        with pytest.raises(CheckpointFormatError, match="77.*3"):
+            load_checkpoint(p)
+
+    def test_version_2_file_rejected(self, tmp_path):
+        # version 2 headers still held the fixed-size MLP keys of the net config
+        cfg, params = make_params()
+        net = {**cfg.to_dict(), "arch": "transformer", "mlp_hidden": 256, "mlp_n_obs": 4}
+        p = tmp_path / "old.cfmt"
+        artifact.write(p, MAGIC, 2, {"task": "seir", "net": net,
+                                     "param_count": param_count(params), "step": 0,
+                                     "rng_state": {}},
+                       {name: t.data for name, t in params.items()})
+        with pytest.raises(CheckpointFormatError, match="file has 2, reader supports 3"):
             load_checkpoint(p)
 
     def test_truncation(self, tmp_path):
@@ -96,7 +108,8 @@ class TestFormatErrors:
         cfg = NetConfig(n_emb=8, n_head=2, dim_m=1)
         blob = json.dumps({"task": "nonlinear", "net": cfg.to_dict(), "param_count": 2,
                            "step": 0, "rng_state": {}}).encode()
-        body = b"CFMT" + struct.pack("<II", 2, len(blob)) + blob + struct.pack("<I", 2)
+        body = (b"CFMT" + struct.pack("<II", FORMAT_VERSION, len(blob)) + blob
+                + struct.pack("<I", 2))
         arr = np.ones(1, dtype="<f4")
         entry = struct.pack("<H", 1) + b"w" + struct.pack("<B", 1) + struct.pack("<I", 1) + arr.tobytes()
         body += entry + entry

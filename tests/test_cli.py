@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import os
 import pathlib
@@ -10,8 +11,8 @@ from flowinverse import cli
 from flowinverse.cli import main
 from flowinverse.cfm import SamplerConfig
 from flowinverse.checkpoint import save_checkpoint
-from flowinverse.config import (ConfigError, config_reference, parse_config_text,
-                                resolve)
+from flowinverse.config import (KEY_SPECS, ConfigError, RunConfig, config_reference,
+                                parse_config_text, resolve)
 from flowinverse.data import DataGenConfig, make_task
 from flowinverse.metrics import generation_error
 from flowinverse.net import VelocityNet
@@ -108,6 +109,24 @@ class TestCliBasics:
         assert "error: epochs must be >= 1" in capsys.readouterr().err
         assert not list(workdir.rglob("*.cfmt"))
 
+    def test_negative_checkpoint_every_rejected_before_training(self, workdir, capsys):
+        rc = run_cli("train", "--set", "paths.dataset=missing.cfmd",
+                     "--set", "train.checkpoint_every=-1")
+        assert rc == 1
+        assert "error: checkpoint_every must be >= 0, got -1" in capsys.readouterr().err
+        assert not list(workdir.rglob("*.cfmt*"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("chain.proposal_scale", "0"), ("chain.proposal_scale", "nan"),
+        ("chain.sigma_obs", "0"),
+    ])
+    def test_chain_scale_that_is_not_positive_is_a_usage_error(self, workdir, capsys,
+                                                                key, value):
+        rc = run_cli("mcmc", "--set", f"{key}={value}", "--set", "chain.n_samples=5")
+        assert rc == 1
+        assert f"error: {key.split('.')[1]} must be finite and > 0" in capsys.readouterr().err
+        assert not (workdir / "chain.csv").exists()
+
     def test_zero_tuples_is_a_usage_error(self, workdir, capsys):
         rc = run_cli("generate-data", "--set", "data.tuples_per_n_obs=0")
         assert rc == 1
@@ -129,6 +148,14 @@ class TestCliBasics:
         (workdir / "old.json").write_text(json.dumps({"config": {"chain.tune": True}}))
         assert run_cli("mcmc", "--config", "old.json") == 1
         assert "unknown config key 'chain.tune'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("net.arch", "transformer"),
+                                            ("net.mlp_hidden", 256), ("net.mlp_n_obs", 4)])
+    def test_manifest_with_mlp_net_key_is_rejected(self, workdir, capsys, key, value):
+        # the fixed-size MLP velocity net and its keys are gone
+        (workdir / "old.json").write_text(json.dumps({"config": {key: value}}))
+        assert run_cli("mcmc", "--config", "old.json") == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
 
     def test_value_error_during_the_run_is_a_runtime_failure(self, workdir, capsys,
                                                              monkeypatch):
@@ -320,6 +347,29 @@ class TestWriteCsv:
     def test_empty_table_is_header_only(self, tmp_path):
         path = cli._write_csv(tmp_path / "empty.csv", ["N", "mean_error_pct", "std_error_pct"], [])
         assert path.read_text().strip() == "N,mean_error_pct,std_error_pct"
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        def rows():
+            yield [1, "0.5"]
+            raise RuntimeError("cell formatting failed")
+
+        path = cli._write_csv(tmp_path / "sweep.csv", ["N", "err"], [[4, "0.25"]])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="cell formatting failed"):
+            cli._write_csv(path, ["N", "err"], rows())
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_every_config_key_is_read():
+    # a key nothing reads is dead surface; RunConfig itself reads task and out_dir
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    literals = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    run_config = inspect.getsource(RunConfig)
+    by_run_config = {"task", "out_dir"}
+    assert all(f'"{key}"' in run_config for key in by_run_config)
+    assert sorted(set(KEY_SPECS) - by_run_config - literals) == []
 
 
 def _modules_importing(name):

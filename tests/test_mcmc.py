@@ -100,6 +100,17 @@ class TestMhStep:
         assert xs.var() == pytest.approx(1.0, rel=0.10)
 
 
+class TestChainConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("proposal_scale", 0.0), ("proposal_scale", -0.1), ("proposal_scale", np.nan),
+        ("proposal_scale", np.inf), ("sigma_obs", 0.0), ("sigma_obs", -1.0),
+        ("sigma_obs", np.nan), ("sigma_obs", np.inf),
+    ])
+    def test_rejects_value_that_is_not_finite_and_positive(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
+            ChainConfig(**{key: value})
+
+
 class TestRunChain:
     def test_same_seed_identical(self):
         task = _GaussianTargetTask()

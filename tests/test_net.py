@@ -7,8 +7,8 @@ from flowinverse import cfm
 from flowinverse import tensor as T
 from flowinverse.data import Batch
 from flowinverse.net import (NetConfig, VelocityNet, build_tokens, init_params,
-                             mlp_forward, param_count, timestep_basis,
-                             timestep_embed, transformer_forward)
+                             param_count, timestep_basis, timestep_embed,
+                             transformer_forward)
 from flowinverse.tasks import SeirTask, get_task
 
 PARITY_REFERENCE = Path(__file__).parent / "data" / "seir_parity_reference.npz"
@@ -278,52 +278,6 @@ class TestSeirPaperConfig:
         assert _seir_parity_case()[3] <= 171
 
 
-class TestMlpForward:
-    def test_output_shape(self):
-        task = get_task("seir")
-        cfg = NetConfig(n_emb=32, n_head=4, dim_m=6, obs_token_dim=3, arch="mlp")
-        net = VelocityNet(task, cfg, seed=0)
-        rng = np.random.default_rng(0)
-        out = net.velocity(rng.uniform(0, 1, (5, 6)), 0.2,
-                           rng.uniform(0, 60, (5, 8)), rng.uniform(1, 3, (5, 4)))
-        assert out.shape == (5, 6)
-
-    def test_zero_weights_zero_velocity(self):
-        task = get_task("seir")
-        cfg = NetConfig(n_emb=32, n_head=4, dim_m=6, obs_token_dim=3, arch="mlp")
-        params = init_params(cfg, seed=0)
-        for p in params.values():
-            p.data[...] = 0.0
-        out = mlp_forward(params, cfg, task, np.zeros((2, 6), dtype=np.float32), 0.7,
-                          np.zeros((2, 8)), np.ones((2, 4)))
-        np.testing.assert_array_equal(out.data, 0.0)
-
-    def test_wrong_observation_count(self):
-        task = get_task("seir")
-        cfg = NetConfig(n_emb=32, n_head=4, dim_m=6, obs_token_dim=3, arch="mlp")
-        net = VelocityNet(task, cfg, seed=0)
-        with pytest.raises(ValueError, match="observations"):
-            net.velocity(np.zeros((1, 6)), 0.2, np.zeros((1, 10)), np.ones((1, 5)))
-
-    def test_gradient_matches_finite_differences(self):
-        task = get_task("seir")
-        cfg = NetConfig(n_emb=8, n_head=2, dim_m=6, obs_token_dim=3,
-                        arch="mlp", mlp_hidden=16)
-        params = init_params(cfg, seed=4)
-        rng = np.random.default_rng(1)
-        m_t = rng.uniform(0, 1, (2, 6)).astype(np.float32)
-        d = rng.uniform(0, 60, (2, 8))
-        e = rng.uniform(1, 3, (2, 4))
-        target = rng.normal(size=(2, 6))
-
-        def fn(p):
-            v = mlp_forward(p, cfg, task, m_t, 0.3, d, e)
-            diff = T.sub(v, T.Tensor(target, dtype=v.dtype))
-            return T.mean_all(T.mul(diff, diff))
-
-        assert T.finite_difference_check(fn, params, max_entries=8) < 1e-4
-
-
 class TestConfigValidation:
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValueError):
@@ -332,7 +286,3 @@ class TestConfigValidation:
     def test_rejects_odd_head_dim(self):
         with pytest.raises(ValueError):
             NetConfig(n_emb=6, n_head=2)     # head_dim 3
-
-    def test_rejects_unknown_arch(self):
-        with pytest.raises(ValueError):
-            NetConfig(arch="rnn")
