@@ -38,8 +38,8 @@ class TrainConfig:
     checkpoint_every: int = 0   # optimizer steps; 0 disables periodic checkpoints
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -101,7 +101,7 @@ def cfm_loss(net: VelocityNet, batch, t, m0):
     return T.mean_all(T.mul(diff, diff))
 
 
-def _epoch_noise(seed, epoch, n_obs, count, dim_m, prior_sample):
+def _epoch_noise(seed, epoch, n_obs, count, prior_sample):
     """Flow times and prior draws for one shard-epoch, drawn in one stream so
     slices are independent of the batch partition."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_NOISE, epoch, n_obs)))
@@ -128,13 +128,21 @@ def train(net: VelocityNet, shards, config: TrainConfig, checkpoint_fn=None):
     accum = {k: np.zeros_like(p.data) for k, p in params.items()}
     history = []
     window_losses = []
-    in_window = 0
     step = 0
+
+    def close_window():
+        """Average the window's gradients into one Adam step."""
+        inv = 1.0 / len(window_losses)
+        T.adam_step(params, {k: a * inv for k, a in accum.items()}, state)
+        for a in accum.values():
+            a.fill(0.0)
+        history.append(float(np.mean(window_losses)))
+        window_losses.clear()
 
     for epoch in range(config.epochs):
         noise = {
             s.n_obs: _epoch_noise(config.seed, epoch, s.n_obs, len(s),
-                                  net.task.dim_m, net.task.prior_sample)
+                                  net.task.prior_sample)
             for s in shards
         }
         for batch in batch_iterator(shards, config.batch_size,
@@ -158,25 +166,14 @@ def train(net: VelocityNet, shards, config: TrainConfig, checkpoint_fn=None):
                     accum[k] += p.grad
             net.zero_grad()
             window_losses.append(loss_val)
-            in_window += 1
-            if in_window == config.accum_window:
-                inv = 1.0 / config.accum_window
-                grads = {k: a * inv for k, a in accum.items()}
-                T.adam_step(params, grads, state)
-                for a in accum.values():
-                    a.fill(0.0)
-                history.append(float(np.mean(window_losses)))
-                window_losses.clear()
-                in_window = 0
+            if len(window_losses) == config.accum_window:
+                close_window()
                 step += 1
                 if config.checkpoint_every and checkpoint_fn is not None \
                         and step % config.checkpoint_every == 0:
                     checkpoint_fn(step, epoch, net)
-    if in_window:          # trailing partial window
-        inv = 1.0 / in_window
-        grads = {k: a * inv for k, a in accum.items()}
-        T.adam_step(params, grads, state)
-        history.append(float(np.mean(window_losses)))
+    if window_losses:      # trailing partial window
+        close_window()
     return net, history
 
 

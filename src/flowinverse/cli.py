@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -46,7 +45,6 @@ from .mcmc import ChainConfig, run_chain
 from .metrics import benchmark_timing, evaluate_sweep, generation_error, relative_error_de
 from .net import NetConfig, VelocityNet
 from .tasks import get_task
-from .tasks.darcy import CONST as DARCY_CONST
 
 SUBCOMMANDS = ("generate-data", "train", "sample", "evaluate", "mcmc", "benchmark", "paths")
 
@@ -87,14 +85,7 @@ def _make(cls, **kwargs):
 
 def _task_kwargs(cfg: RunConfig) -> dict:
     """Task constructor arguments; ``sigma`` only when ``data.sigma`` is set."""
-    kwargs = {}
-    if cfg["data.sigma"] is not None:
-        kwargs["sigma"] = cfg["data.sigma"]
-    if cfg.task_name == "seir":
-        kwargs["shifted_ramp"] = cfg["seir.shifted_ramp"]
-    elif cfg.task_name == "darcy":
-        kwargs["const"] = dataclasses.replace(DARCY_CONST, sigma_w=cfg["darcy.sigma_w"])
-    return kwargs
+    return {} if cfg["data.sigma"] is None else {"sigma": cfg["data.sigma"]}
 
 
 def _task_from(cfg: RunConfig):

@@ -14,19 +14,17 @@ import os
 from dataclasses import dataclass, field
 
 
-def _bool(v):
-    s = str(v).strip().lower()
-    if s in ("1", "true", "yes", "on"):
-        return True
-    if s in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got '{v}'")
-
-
 def _int(v):
     if isinstance(v, float) and not v.is_integer():     # a float from a JSON manifest
         raise ValueError(f"expected an integer, got {v}")
     return int(v)
+
+
+def _seed(v):
+    n = _int(v)
+    if n < 0:
+        raise ValueError(f"expected an integer >= 0, got {n}")
+    return n
 
 
 def _count(v):
@@ -49,6 +47,13 @@ def _opt_float(v):
     return float(v)
 
 
+def _opt_scale(v):
+    x = _opt_float(v)
+    if x is not None and not 0.0 < x < float("inf"):
+        raise ValueError(f"expected a finite value > 0, got {x}")
+    return x
+
+
 def _str(v):
     return None if v is None else str(v)   # a manifest records an unset key as null
 
@@ -56,18 +61,18 @@ def _str(v):
 # key -> (parser, default, help); None default means "task-dependent" or unset
 KEY_SPECS = {
     "task": (_str, "nonlinear", "one of nonlinear | seir | darcy"),
-    "seed": (_int, 0, "master seed; all randomness derives from it"),
+    "seed": (_seed, 0, "master seed; all randomness derives from it"),
     "out_dir": (_str, None, "output directory (fallback: $CFM_OUT_DIR, then '.')"),
     "paths.dataset": (_str, None, "dataset file to read or write"),
     "paths.checkpoint": (_str, None, "checkpoint file to read or write"),
     "data.tuples_per_n_obs": (_int, None, "tuples per observation count (task default)"),
     "data.n_obs": (_count_list, None, "observation counts, e.g. '4,5,6,7,8' (task default)"),
-    "data.sigma": (_opt_float, None, "noise scale override (task default if unset)"),
+    "data.sigma": (_opt_scale, None, "noise scale override (task default if unset)"),
     "net.n_emb": (_int, 32, "embedding width"),
     "net.n_head": (_int, 4, "attention heads"),
     "net.n_layer": (_int, None, "transformer blocks (task default: 4/6/4)"),
     "net.rope_base": (float, 10000.0, "rotary embedding base"),
-    "net.init_seed": (_int, 0, "parameter init stream"),
+    "net.init_seed": (_seed, 0, "parameter init stream"),
     "train.lr": (float, None, "Adam learning rate (task default: 8e-4/8e-4/3e-4)"),
     "train.epochs": (_int, None, "training epochs (task default)"),
     "train.batch_size": (_int, 256, "tuples per batch"),
@@ -83,10 +88,8 @@ KEY_SPECS = {
     "eval.n_obs_list": (_count_list, None, "sweep observation counts (task default)"),
     "eval.trials": (_count, 25, "fresh instances per observation count"),
     "eval.n_inferences": (_count, 10000, "instances for the reconstruction error"),
-    "seir.shifted_ramp": (_bool, True, "use the monotone (1+tanh)/2 rate ramp"),
-    "darcy.sigma_w": (float, 0.05, "boundary bump width parameter"),
     "instance.n_obs": (_count, None, "observation count of the conditioning instance"),
-    "instance.seed": (_int, 1, "stream for drawing the conditioning instance"),
+    "instance.seed": (_seed, 1, "stream for drawing the conditioning instance"),
     "paths.n_paths": (_count, 32, "trajectories for the straightness probe"),
 }
 

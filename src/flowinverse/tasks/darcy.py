@@ -216,19 +216,16 @@ class DarcyTask:
     obs_token_dim = 3          # (d_i, x_i, y_i)
     design_token_dim = 2       # (e1, e2)
 
-    def __init__(self, sigma: float = 0.01, const: DarcyConstants = CONST,
-                 cache_dir=None):
+    def __init__(self, sigma: float = 0.01):
         """``sigma`` is the noise level relative to the largest boundary
         magnitude of each design (see ``sigma_for``)."""
         self.sigma = float(sigma)
-        self.const = const
         self._basis = None
-        self._cache_dir = cache_dir
 
     @property
     def basis(self) -> KLBasis:
         if self._basis is None:
-            self._basis = kl_basis_build(self.const, self._cache_dir)
+            self._basis = kl_basis_build()
         return self._basis
 
     def e_width(self, n_obs):
@@ -246,14 +243,14 @@ class DarcyTask:
     prior_sample = sample_params
 
     def sample_design(self, rng, n_obs):
-        h = self.const.h
+        h = CONST.h
         e12 = rng.uniform(0.0, 1.0, 2)
         pts = rng.uniform(h, 1.0 - h, (n_obs, 2))
         return np.concatenate([e12, pts.ravel()])
 
     def _solve_row(self, m, e_row):
         kappa = np.exp(kl_expand(np.asarray(m, dtype=np.float64), self.basis))
-        return darcy_solve(kappa, float(e_row[0]), float(e_row[1]), const=self.const)
+        return darcy_solve(kappa, float(e_row[0]), float(e_row[1]))
 
     def simulate_batch(self, m, e, n_obs):
         B = m.shape[0]
@@ -293,5 +290,5 @@ class DarcyTask:
         By the discrete maximum principle max|u| equals the largest boundary
         magnitude, which depends only on the design, not on the field.
         """
-        f, g = boundary_profiles(float(e_row[0]), float(e_row[1]), self.const)
+        f, g = boundary_profiles(float(e_row[0]), float(e_row[1]))
         return self.sigma * max(np.abs(f).max(), np.abs(g).max())

@@ -1,16 +1,11 @@
 """SEIR epidemic dynamics with time-dependent transmission and removal rates.
 
 The six inferred rates are [beta1, alpha, gamma_r, gamma_d1, beta2, gamma_d2],
-each uniform on [0, 1]. Transmission and death rates switch around t = tau via
-a tanh ramp. Two ramp conventions are supported:
-
-* ``shifted`` (default): weight (1 + tanh(7(t - tau))) / 2, which moves the
-  rates monotonically from their initial to their final values and keeps all
-  rates non-negative on the whole prior box.
-* ``printed``: weight tanh(7(t - tau)) / 2. This version admits negative
-  rates (for example beta(t) < 0 whenever beta2 > 3 * beta1 at early times),
-  which destabilizes the quadratic dynamics for a few percent of prior draws;
-  it exists for comparison and is not used for data generation.
+each uniform on [0, 1]. Transmission and death rates switch around t = tau
+with weight (1 + tanh(7(t - tau))) / 2, which moves them monotonically from
+their initial to their final values and keeps them non-negative on the whole
+prior box; the paper's printed weight tanh(7(t - tau)) / 2 admits negative
+rates, which make the quadratic dynamics diverge for some prior draws.
 
 Observations are (I, R) read at a handful of times in [1, 3].
 
@@ -45,23 +40,22 @@ N_STEPS = int(round(CONST.t_end / CONST.dt))
 TRUE_RATES = np.array([0.4, 0.3, 0.3, 0.1, 0.15, 0.6])
 
 
-def _ramp(t, tau, shifted):
-    th = np.tanh(7.0 * (np.asarray(t, dtype=np.float64) - tau))
-    return (1.0 + th) / 2.0 if shifted else th / 2.0
+def _ramp(t, tau):
+    return (1.0 + np.tanh(7.0 * (np.asarray(t, dtype=np.float64) - tau))) / 2.0
 
 
-def _ramp_tables(shifted, const=CONST):
-    ts = np.arange(N_STEPS + 1) * const.dt
-    full = _ramp(ts, const.tau, shifted)
-    half = _ramp(ts[:-1] + const.dt / 2.0, const.tau, shifted)
+def _ramp_tables():
+    ts = np.arange(N_STEPS + 1) * CONST.dt
+    full = _ramp(ts, CONST.tau)
+    half = _ramp(ts[:-1] + CONST.dt / 2.0, CONST.tau)
     return full.tolist(), half.tolist()
 
 
 # Python floats, so that the single-vector loop stays in plain float arithmetic
-_TABLES = {True: _ramp_tables(True), False: _ramp_tables(False)}
+_RAMP = _ramp_tables()
 
 
-def _integrate(m, shifted, n_steps=N_STEPS):
+def _integrate(m, n_steps=N_STEPS):
     """Classical RK4 from t = 0 over n_steps fixed steps of length dt.
 
     A 6-vector m runs in Python floats and returns (n_steps+1, 4); a (B, 6)
@@ -73,7 +67,7 @@ def _integrate(m, shifted, n_steps=N_STEPS):
     b1, al, gr, gd1, b2, gd2 = m.tolist() if m.ndim == 1 else np.ascontiguousarray(m.T)
     db, dg, g0 = b2 - b1, gd2 - gd1, gr + gd1
     dt, h2, h6 = CONST.dt, CONST.dt / 2, CONST.dt / 6
-    s_full, s_half = _TABLES[bool(shifted)]
+    s_full, s_half = _RAMP
     S, E, I, R = CONST.s0, CONST.e0, CONST.i0, CONST.r0
     state = np.empty((n_steps + 1, 4) + m.shape[:-1])
     state[0] = np.reshape((S, E, I, R), (4,) + (1,) * (m.ndim - 1))
@@ -127,7 +121,7 @@ def _read(state, times):
     return lo * (1.0 - w) + hi * w
 
 
-def seir_solve(m, t_grid, shifted: bool = True):
+def seir_solve(m, t_grid):
     """States (S, E, I, R) at the requested times, linearly interpolated
     between fixed RK4 steps over the full span [0, t_end].
 
@@ -135,17 +129,17 @@ def seir_solve(m, t_grid, shifted: bool = True):
     times in [0, t_end]. Returns (len(t_grid), 4) or (B, len(t_grid), 4).
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    state = _integrate(m, shifted)
+    state = _integrate(m)
     if state.ndim == 3:
         t_grid = np.broadcast_to(t_grid, (state.shape[2],) + t_grid.shape)
     return _read(state, t_grid)
 
 
-def _observe(m, times, shifted):
+def _observe(m, times):
     """(I, R) at the requested times, integrating only up to the last step
     that brackets the latest of them; bitwise equal to a full-span read."""
     n_steps = min(max(int(np.max(times) / CONST.dt), 0), N_STEPS - 1) + 1
-    return _read(_integrate(m, shifted, n_steps), times)[..., 2:4]
+    return _read(_integrate(m, n_steps), times)[..., 2:4]
 
 
 class SeirTask:
@@ -158,9 +152,8 @@ class SeirTask:
     POP_SCALE = 100.0
     TIME_SCALE = 4.0
 
-    def __init__(self, sigma: float = 0.5, shifted_ramp: bool = True):
+    def __init__(self, sigma: float = 0.5):
         self.sigma = float(sigma)
-        self.shifted_ramp = bool(shifted_ramp)
 
     def e_width(self, n_obs):
         return n_obs
@@ -181,7 +174,7 @@ class SeirTask:
 
     def simulate_batch(self, m, e, n_obs):
         # every tuple has its own observation times; integrate once, read all
-        obs = _observe(m, e, self.shifted_ramp)
+        obs = _observe(m, e)
         return obs.reshape(m.shape[0], 2 * n_obs), np.full(m.shape[0], self.sigma)
 
     def token_features(self, d, e):
@@ -192,10 +185,10 @@ class SeirTask:
 
     def de_solution(self, m, e_row=None, grid=256):
         tg = np.linspace(0.0, CONST.t_end, grid)
-        return seir_solve(np.asarray(m, dtype=np.float64), tg, self.shifted_ramp).reshape(-1)
+        return seir_solve(np.asarray(m, dtype=np.float64), tg).reshape(-1)
 
     def forward_observed(self, m, e_row):
-        return _observe(m, np.asarray(e_row, dtype=np.float64), self.shifted_ramp).reshape(-1)
+        return _observe(m, np.asarray(e_row, dtype=np.float64)).reshape(-1)
 
     def log_prior(self, m):
         m = np.asarray(m)

@@ -7,12 +7,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from flowinverse import cli
+from flowinverse import cli, tasks
 from flowinverse.cli import main
 from flowinverse.cfm import SamplerConfig
 from flowinverse.checkpoint import save_checkpoint
-from flowinverse.config import (KEY_SPECS, ConfigError, RunConfig, config_reference,
-                                parse_config_text, resolve)
+from flowinverse.config import (KEY_SPECS, TASK_DEFAULTS, ConfigError, RunConfig,
+                                config_reference, parse_config_text, resolve)
 from flowinverse.data import DataGenConfig, make_task
 from flowinverse.metrics import generation_error
 from flowinverse.net import VelocityNet
@@ -127,6 +127,31 @@ class TestCliBasics:
         assert f"error: {key.split('.')[1]} must be finite and > 0" in capsys.readouterr().err
         assert not (workdir / "chain.csv").exists()
 
+    @pytest.mark.parametrize("subcommand, argv, key, expected", [
+        ("generate-data", ["--set", "data.sigma=nan"], "data.sigma", "a finite value > 0"),
+        ("generate-data", ["--set", "data.sigma=-1"], "data.sigma", "a finite value > 0"),
+        ("generate-data", ["--set", "data.sigma=inf"], "data.sigma", "a finite value > 0"),
+        ("mcmc", ["--set", "data.sigma=0"], "data.sigma", "a finite value > 0"),
+        ("generate-data", ["--seed", "-1"], "seed", "an integer >= 0"),
+        ("mcmc", ["--set", "instance.seed=-3"], "instance.seed", "an integer >= 0"),
+        ("mcmc", ["--set", "net.init_seed=-1"], "net.init_seed", "an integer >= 0"),
+    ])
+    def test_value_out_of_range_is_a_usage_error(self, workdir, capsys, subcommand, argv,
+                                                 key, expected):
+        rc = run_cli(subcommand, *argv, "--set", "chain.n_samples=5")
+        assert rc == 1
+        assert f"error: bad value for '{key}': expected {expected}" in capsys.readouterr().err
+        assert not list(workdir.iterdir())
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_learning_rate_that_is_not_finite_is_rejected(self, workdir, capsys, lr):
+        assert run_cli("generate-data", "--set", "data.tuples_per_n_obs=32",
+                       "--set", "paths.dataset=toy.cfmd") == 0
+        rc = run_cli("train", "--set", "paths.dataset=toy.cfmd", "--set", f"train.lr={lr}")
+        assert rc == 1
+        assert "error: learning rate must be finite and >= 0" in capsys.readouterr().err
+        assert not list(workdir.rglob("*.cfmt*"))
+
     def test_zero_tuples_is_a_usage_error(self, workdir, capsys):
         rc = run_cli("generate-data", "--set", "data.tuples_per_n_obs=0")
         assert rc == 1
@@ -150,9 +175,12 @@ class TestCliBasics:
         assert "unknown config key 'chain.tune'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("net.arch", "transformer"),
-                                            ("net.mlp_hidden", 256), ("net.mlp_n_obs", 4)])
+                                            ("net.mlp_hidden", 256), ("net.mlp_n_obs", 4),
+                                            ("seir.shifted_ramp", False),
+                                            ("darcy.sigma_w", 0.2)])
     def test_manifest_with_mlp_net_key_is_rejected(self, workdir, capsys, key, value):
-        # the fixed-size MLP velocity net and its keys are gone
+        # the keys of deleted variants are gone: the fixed-size MLP velocity
+        # net, the printed SEIR ramp and the Darcy bump width
         (workdir / "old.json").write_text(json.dumps({"config": {key: value}}))
         assert run_cli("mcmc", "--config", "old.json") == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -168,21 +196,6 @@ class TestCliBasics:
 
 
 class TestTaskFromConfig:
-    def test_darcy_sigma_w_reaches_the_forward_model(self, kl_basis):
-        rng = np.random.default_rng(0)
-        plain = DarcyTask()
-        m = plain.sample_params(rng, 1)[0]
-        e_row = plain.sample_design(rng, 4)
-        default = cli._task_from(resolve({"task": "darcy"}))
-        np.testing.assert_array_equal(default.forward_observed(m, e_row),
-                                      plain.forward_observed(m, e_row))
-        wide_cfg = resolve({"task": "darcy", "darcy.sigma_w": 0.2})
-        wide = cli._task_from(wide_cfg)
-        assert not np.allclose(wide.forward_observed(m, e_row), plain.forward_observed(m, e_row))
-        gen = DataGenConfig(task="darcy", tuples_per_n_obs=1,
-                            task_kwargs=cli._task_kwargs(wide_cfg))
-        assert make_task(gen).const.sigma_w == 0.2
-
     @pytest.mark.parametrize("name", ["nonlinear", "seir", "darcy"])
     def test_data_sigma_is_the_noise_keyword_of_every_task(self, name, kl_basis):
         cfg = resolve({"task": name, "data.sigma": 0.03})
@@ -382,6 +395,13 @@ def _modules_importing(name):
             if name in names:
                 importers.add(path.relative_to(src).as_posix())
     return importers
+
+
+def test_every_task_takes_only_sigma():
+    # a task is its name and one noise level; anything else is a fixed constant
+    for cls in tasks.TASKS.values():
+        assert list(inspect.signature(cls).parameters) == ["sigma"], cls
+    assert set(TASK_DEFAULTS) == set(tasks.TASKS)
 
 
 def test_only_cli_imports_csv():

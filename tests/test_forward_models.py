@@ -27,34 +27,22 @@ class TestNonlinear:
 
 class TestSeirRates:
     # beta(t) = beta1 + w(t) (beta2 - beta1), likewise gamma_d; w is the ramp
-    def test_at_tau_printed(self):
-        assert _ramp(CONST.tau, CONST.tau, shifted=False) == 0.0    # beta(tau) = beta1
-
-    def test_late_time_printed_formula(self):
-        # tanh/2 convention saturates at the midpoint of initial/final rates
-        assert _ramp(1e6, CONST.tau, shifted=False) == pytest.approx(0.5)
-
     def test_late_time_shifted_reaches_final(self):
-        assert _ramp(1e6, CONST.tau, shifted=True) == pytest.approx(1.0)
-        assert _ramp(0.0, CONST.tau, shifted=True) == pytest.approx(0.0, abs=1e-12)
+        assert _ramp(1e6, CONST.tau) == pytest.approx(1.0)
+        assert _ramp(0.0, CONST.tau) == pytest.approx(0.0, abs=1e-12)
+        assert _ramp(CONST.tau, CONST.tau) == 0.5
 
     def test_gamma_decomposition(self):
         # the removal rate is gamma_r + gamma_d(t): moving a constant from
         # gamma_r into both death rates leaves every trajectory unchanged
         e = np.linspace(1.0, 3.0, 6)
-        for shifted in (True, False):
-            task = get_task("seir", shifted_ramp=shifted)
-            m = np.array([0.2, 0.5, 0.31, 0.07, 0.9, 0.44])
-            moved = m + np.array([0.0, 0.0, -0.2, 0.2, 0.0, 0.2])
-            np.testing.assert_allclose(task.forward_observed(moved, e),
-                                       task.forward_observed(m, e), rtol=1e-12)
-            assert np.abs(task.forward_observed(m + [0, 0, 0.2, 0, 0, 0], e)
-                          - task.forward_observed(m, e)).max() > 1e-3
-
-    def test_printed_formula_admits_negative_rates(self):
-        b1, b2 = 0.1, 0.9
-        assert b1 + _ramp(0.0, CONST.tau, shifted=False) * (b2 - b1) < 0.0
-        # why data generation defaults to the shifted ramp
+        task = get_task("seir")
+        m = np.array([0.2, 0.5, 0.31, 0.07, 0.9, 0.44])
+        moved = m + np.array([0.0, 0.0, -0.2, 0.2, 0.0, 0.2])
+        np.testing.assert_allclose(task.forward_observed(moved, e),
+                                   task.forward_observed(m, e), rtol=1e-12)
+        assert np.abs(task.forward_observed(m + [0, 0, 0.2, 0, 0, 0], e)
+                      - task.forward_observed(m, e)).max() > 1e-3
 
 
 class TestSeirSolve:
@@ -100,28 +88,33 @@ class TestSeirSolve:
         with pytest.raises(ValueError):
             seir_solve(TRUE_RATES, [5.0])
 
+    # rates outside the prior box (negative removal rates) make the quadratic
+    # dynamics diverge at t = 3.9688; up to t = 3 they stay finite
+    OUT_OF_BOX = np.array([0.559, 0.28, -0.878, -0.418, 1.835, -0.512])
+
     def test_printed_ramp_blowup_is_reported(self):
-        # a prior draw whose early-time rates go negative under the printed
-        # tanh/2 convention; the quadratic dynamics then diverge
-        bad = np.array([0.072059, 0.841993, 0.055568, 0.280611, 0.33413, 0.172994])
         old = np.seterr(all="ignore")
         try:
-            with pytest.raises(FloatingPointError, match="non-finite"):
-                seir_solve(bad, [4.0], shifted=False)
+            for m in (self.OUT_OF_BOX, self.OUT_OF_BOX[None, :]):
+                with pytest.raises(FloatingPointError, match="non-finite at t=3.9688"):
+                    seir_solve(m, [4.0])
         finally:
             np.seterr(**old)
-        # the same draw integrates cleanly under the monotone ramp
-        traj = seir_solve(bad, [4.0], shifted=True)
-        assert np.isfinite(traj).all()
 
     def test_single_vector_blowup_raises_and_mh_rejects_it(self):
-        # the draw above diverges at t = 3.9336; one vector fails as loudly
-        # as a batch, and MH turns the failure into a rejection
+        # one vector fails as loudly as a batch, and MH turns the failure
+        # into a rejection once the prior admits the vector
         from flowinverse import mcmc
-        bad = np.array([0.072059, 0.841993, 0.055568, 0.280611, 0.33413, 0.172994])
-        task = get_task("seir", shifted_ramp=False)
+        from flowinverse.tasks import SeirTask
+
+        class UnboundedSeirTask(SeirTask):
+            def log_prior(self, m):
+                return 0.0
+
+        task = UnboundedSeirTask()
+        bad = self.OUT_OF_BOX
         e = np.array([1.0, 2.0, 4.0])
-        with pytest.raises(FloatingPointError, match="non-finite at t=3.9336"):
+        with pytest.raises(FloatingPointError, match="non-finite at t=3.9688"):
             task.forward_observed(bad, e)
         with pytest.warns(UserWarning, match="forward model failed"):
             assert mcmc.log_posterior(task, bad, np.zeros(6), e, 0.5) == -np.inf
