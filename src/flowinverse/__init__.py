@@ -24,13 +24,13 @@ from .metrics import (EvalReport, benchmark_timing, evaluate_sweep,
 from .net import NetConfig, VelocityNet, init_params, param_count, timestep_basis
 from .tasks import (DarcyTask, NonlinearTask, SeirTask, darcy_solve, get_task,
                     kl_basis_build, kl_expand, seir_solve)
-from .tensor import AdamState, GradientStateError, Tape, Tensor, adam_step, backward
+from .tensor import AdamState, Tape, Tensor, adam_step, backward
 
 __all__ = [
     "tensor", "Tensor", "Tape", "backward", "adam_step", "AdamState",
-    "GradientStateError", "NetConfig", "VelocityNet", "init_params",
-    "param_count", "timestep_basis", "get_task", "NonlinearTask", "SeirTask",
-    "DarcyTask", "seir_solve", "darcy_solve", "kl_basis_build", "kl_expand",
+    "NetConfig", "VelocityNet", "init_params", "param_count", "timestep_basis",
+    "get_task", "NonlinearTask", "SeirTask", "DarcyTask", "seir_solve",
+    "darcy_solve", "kl_basis_build", "kl_expand",
     "DataGenConfig", "DatasetShard", "Batch", "draw_tuples", "generate_dataset",
     "save_dataset", "load_dataset", "batch_iterator", "TrainConfig",
     "SamplerConfig", "PosteriorEnsemble", "interpolate", "cfm_loss", "train",

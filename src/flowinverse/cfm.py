@@ -113,8 +113,10 @@ def _epoch_noise(seed, epoch, n_obs, count, prior_sample):
 def train(net: VelocityNet, shards, config: TrainConfig, checkpoint_fn=None):
     """Optimize the velocity network over the sharded dataset.
 
-    Gradients are averaged over ``accum_window`` consecutive batches (which
-    round-robin across observation counts) before each Adam step. Returns
+    Each batch's backward pass adds into the parameters' ``grad``; every
+    ``accum_window`` consecutive batches (which round-robin across
+    observation counts) the summed gradients are averaged into one Adam step
+    and cleared. Any gradients ``net`` holds on entry are cleared first. Returns
     (net, history) where history is the per-step mean loss. ``checkpoint_fn``
     is called as checkpoint_fn(step, epoch, net) every ``checkpoint_every``
     steps and once more after a non-finite loss with the last finite
@@ -125,7 +127,7 @@ def train(net: VelocityNet, shards, config: TrainConfig, checkpoint_fn=None):
     """
     params = net.params
     state = T.AdamState(params, lr=config.lr)
-    accum = {k: np.zeros_like(p.data) for k, p in params.items()}
+    net.zero_grad()
     history = []
     window_losses = []
     step = 0
@@ -133,9 +135,8 @@ def train(net: VelocityNet, shards, config: TrainConfig, checkpoint_fn=None):
     def close_window():
         """Average the window's gradients into one Adam step."""
         inv = 1.0 / len(window_losses)
-        T.adam_step(params, {k: a * inv for k, a in accum.items()}, state)
-        for a in accum.values():
-            a.fill(0.0)
+        T.adam_step(params, {k: p.grad * inv for k, p in params.items()}, state)
+        net.zero_grad()
         history.append(float(np.mean(window_losses)))
         window_losses.clear()
 
@@ -159,12 +160,7 @@ def train(net: VelocityNet, shards, config: TrainConfig, checkpoint_fn=None):
                 raise TrainingDivergedError(
                     step, f"non-finite loss at optimizer step {step} "
                           f"(epoch {epoch}, n_obs {batch.n_obs})")
-            net.zero_grad()
             T.backward(loss, tape)
-            for k, p in params.items():
-                if p.grad is not None:
-                    accum[k] += p.grad
-            net.zero_grad()
             window_losses.append(loss_val)
             if len(window_losses) == config.accum_window:
                 close_window()

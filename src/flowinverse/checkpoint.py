@@ -8,7 +8,7 @@ saved checkpoint reproduces every parameter bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import artifact
 from .net import NetConfig, param_count
@@ -16,7 +16,7 @@ from .tasks import TASKS
 from .tensor import Tensor
 
 MAGIC = b"CFMT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointFormatError(artifact.FormatError):
@@ -34,7 +34,7 @@ class Checkpoint:
 
 def save_checkpoint(path, task_name, net_config: NetConfig, params: dict,
                     step: int = 0, rng_state: dict | None = None):
-    header = {"task": task_name, "net": net_config.to_dict(),
+    header = {"task": task_name, "net": asdict(net_config),
               "param_count": param_count(params), "step": step,
               "rng_state": rng_state or {}}
     artifact.write(path, MAGIC, FORMAT_VERSION, header,
@@ -52,7 +52,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: parameter count mismatch: header says {header['param_count']}, "
             f"arrays hold {param_count(params)}")
     try:
-        net_config = NetConfig.from_dict(header["net"])
+        net_config = NetConfig(**header["net"])
     except (TypeError, ValueError) as err:
         raise CheckpointFormatError(f"{path}: bad net config: {err}") from err
     return Checkpoint(task_name=header["task"], net_config=net_config, params=params,

@@ -97,7 +97,7 @@ def _net_config(cfg: RunConfig, task) -> NetConfig:
         NetConfig,
         n_emb=cfg["net.n_emb"], n_head=cfg["net.n_head"], n_layer=cfg["net.n_layer"],
         dim_m=task.dim_m, obs_token_dim=task.obs_token_dim,
-        design_token_dim=task.design_token_dim, rope_base=cfg["net.rope_base"])
+        design_token_dim=task.design_token_dim)
 
 
 def _sampler_config(cfg: RunConfig) -> SamplerConfig:
@@ -229,7 +229,7 @@ def _cmd_sample(cfg: RunConfig, out_dir):
                      [[repr(v) for v in row] for row in ens.samples.tolist()])
     inst = _write_json(os.path.join(out_dir, "instance.json"),
                        {"m_true": m_true.tolist(), "e": e.tolist(), "d": d.tolist()})
-    err = relative_error_de(m_true, ens, task, e)
+    err = relative_error_de(m_true, ens.mean, task, e)
     print(f"posterior mean {np.round(ens.mean, 4).tolist()}; "
           f"solution relative error {100 * err:.2f}%")
     return [ckpt_path], [out, inst]
@@ -270,7 +270,7 @@ def _cmd_mcmc(cfg: RunConfig, out_dir):
     task = _task_from(cfg)
     m_true, e, d = _draw_instance(cfg, task)
     res = run_chain(task, d, e, _chain_config(cfg))
-    err = relative_error_de(m_true, res.posterior_mean[None, :], task, e)
+    err = relative_error_de(m_true, res.posterior_mean, task, e)
     chain_csv = _write_csv(os.path.join(out_dir, "chain.csv"), *_chain_table(res))
     table = _write_csv(os.path.join(out_dir, f"mcmc_{cfg.task_name}.csv"),
                        ["N", "n_sample", "error_pct"],

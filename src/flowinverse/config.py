@@ -71,7 +71,6 @@ KEY_SPECS = {
     "net.n_emb": (_int, 32, "embedding width"),
     "net.n_head": (_int, 4, "attention heads"),
     "net.n_layer": (_int, None, "transformer blocks (task default: 4/6/4)"),
-    "net.rope_base": (float, 10000.0, "rotary embedding base"),
     "net.init_seed": (_seed, 0, "parameter init stream"),
     "train.lr": (float, None, "Adam learning rate (task default: 8e-4/8e-4/3e-4)"),
     "train.epochs": (_int, None, "training epochs (task default)"),

@@ -127,8 +127,10 @@ def load_dataset(path, verify_fraction=0.01, task=None):
 
     A deterministic sample of tuples is re-verified against the forward
     model: d minus the stored noise must match F(m, e) to within 1e-6
-    relative to the observation scale. Pass ``task`` when the dataset was
-    generated with non-default task constants; set verify_fraction=0 to skip.
+    relative to the observation scale. That forward model is noise-free, so
+    ``sigma`` does not change it and any task of the stored name verifies;
+    passing ``task`` only saves building one (for Darcy, its KL basis). Set
+    verify_fraction=0 to skip.
     """
     header, arrays = artifact.read(path, MAGIC, FORMAT_VERSION, DatasetFormatError,
                                    keys=("task", "shards"))

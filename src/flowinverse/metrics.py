@@ -27,15 +27,11 @@ class EvalReport:
     trials: int
 
 
-def relative_error_de(m_true, ensemble, task, e_row=None):
-    """Relative error between DE solutions at the true parameters and at the
-    ensemble mean (the paper-style point estimate)."""
-    samples = np.asarray(ensemble.samples if hasattr(ensemble, "samples") else ensemble)
-    if samples.size == 0:
-        raise ValueError("empty posterior ensemble")
-    m_tilde = samples.mean(axis=0) if samples.ndim == 2 else samples
+def relative_error_de(m_true, m_est, task, e_row=None):
+    """Relative error between DE solutions at the true parameters and at a
+    point estimate, such as the posterior-ensemble mean the paper uses."""
     ref = task.de_solution(np.asarray(m_true, dtype=np.float64), e_row)
-    rec = task.de_solution(np.asarray(m_tilde, dtype=np.float64), e_row)
+    rec = task.de_solution(np.asarray(m_est, dtype=np.float64), e_row)
     return float(np.linalg.norm(ref - rec) / np.linalg.norm(ref))
 
 
@@ -59,7 +55,7 @@ def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig | None 
         m_true, e, d, _ = draw_tuples(task, n_obs, rngs)
         seeds = [int(rng.integers(2 ** 31)) for rng in rngs]
         ens = sample_batch(net, d, e, seeds, sampler)
-        errs = np.array([relative_error_de(m_true[i], ens[i], task, e[i])
+        errs = np.array([relative_error_de(m_true[i], ens[i].mean(axis=0), task, e[i])
                          for i in range(trials)])
         reports.append(EvalReport(n_obs=n_obs, mean_error=float(errs.mean()),
                                   std_error=float(errs.std()), trials=trials))

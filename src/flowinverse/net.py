@@ -11,12 +11,14 @@ tokens, including more than were ever seen in training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+
+ROPE_BASE = 10000.0     # RoFormer's rotary base (arXiv 2104.09864)
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,11 @@ class NetConfig:
     dim_m: int = 1
     obs_token_dim: int = 2
     design_token_dim: int = 0     # 0: no design token in the sequence
-    rope_base: float = 10000.0
 
     def __post_init__(self):
+        if min(self.n_emb, self.n_head, self.n_layer) < 1:
+            raise ValueError("n_emb, n_head and n_layer must be >= 1, got "
+                             f"{self.n_emb}, {self.n_head}, {self.n_layer}")
         if self.n_emb % self.n_head != 0:
             raise ValueError(f"n_emb={self.n_emb} not divisible by n_head={self.n_head}")
         if (self.n_emb // self.n_head) % 2 != 0:
@@ -40,13 +44,6 @@ class NetConfig:
     @property
     def head_dim(self):
         return self.n_emb // self.n_head
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def timestep_basis(t, dim: int) -> np.ndarray:
@@ -71,36 +68,6 @@ def timestep_embed(params: dict, t, dim: int) -> Tensor:
     basis = Tensor(timestep_basis(t, dim), dtype=params["temb.fc1.w"].dtype)
     h = T.relu_squared(_linear(basis, params, "temb.fc1"))
     return _linear(h, params, "temb.fc2")
-
-
-# ---------------------------------------------------------------------------
-# tokenization
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TokenSequence:
-    """Raw token features before projection into the embedding space."""
-    obs: np.ndarray              # (batch, n_obs, obs_token_dim)
-    design: np.ndarray | None    # (batch, 1, design_token_dim) or None
-    positions: np.ndarray        # (n_tokens,) 0-based, state token last
-
-    @property
-    def n_tokens(self):
-        return self.obs.shape[1] + (0 if self.design is None else 1) + 1
-
-
-def build_tokens(task, m_t: np.ndarray, d: np.ndarray, e: np.ndarray) -> TokenSequence:
-    """Assemble the per-task observation/design token features.
-
-    ``task`` provides ``token_features(d, e) -> (obs, design)``; the state
-    token is always a projection of ``m_t`` and sits at the last position so
-    appending observations never renumbers existing tokens.
-    """
-    obs, design = task.token_features(d, e)
-    if obs.shape[1] == 0:
-        raise ValueError("cannot tokenize an empty observation list")
-    n = obs.shape[1] + (0 if design is None else 1) + 1
-    return TokenSequence(obs=obs, design=design, positions=np.arange(n))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +131,8 @@ def _attention(x: Tensor, params: dict, prefix: str, config: NetConfig,
     q = heads(_linear(x, params, f"{prefix}.wq"))
     k = heads(_linear(x, params, f"{prefix}.wk"))
     v = heads(_linear(x, params, f"{prefix}.wv"))
-    q = T.rope_apply(q, positions, config.rope_base)
-    k = T.rope_apply(k, positions, config.rope_base)
+    q = T.rope_apply(q, positions, ROPE_BASE)
+    k = T.rope_apply(k, positions, ROPE_BASE)
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
     attn = T.softmax_lastdim(scores, 1.0 / np.sqrt(hd))   # bi-directional, no mask
     ctx = T.matmul(attn, v)                           # (B, H, T, hd)
@@ -178,15 +145,20 @@ def transformer_forward(params: dict, config: NetConfig, task,
     """Velocity prediction for a batch sharing one observation count.
 
     m_t: (batch, dim_m); t: scalar or (batch,); d, e: task-shaped arrays.
-    Returns a (batch, dim_m) tensor.
+    Returns a (batch, dim_m) tensor. The tokens are the task's observation
+    features, its design token if it has one, and last the state ``m_t``, so
+    appending observations never renumbers existing tokens.
     """
-    toks = build_tokens(task, m_t, d, e)
+    obs, design = task.token_features(d, e)
+    if obs.shape[1] == 0:
+        raise ValueError("cannot tokenize an empty observation list")
     dt = params["head.w"].dtype
-    parts = [_linear(Tensor(toks.obs, dtype=dt), params, "embed.obs")]
-    if toks.design is not None:
-        parts.append(_linear(Tensor(toks.design, dtype=dt), params, "embed.design"))
+    parts = [_linear(Tensor(obs, dtype=dt), params, "embed.obs")]
+    if design is not None:
+        parts.append(_linear(Tensor(design, dtype=dt), params, "embed.design"))
     parts.append(_linear(Tensor(m_t[:, None, :], dtype=dt), params, "embed.state"))
     x = T.concat(parts, axis=1)                       # (B, n_tokens, E)
+    positions = np.arange(x.shape[1])
 
     temb = timestep_embed(params, np.broadcast_to(np.asarray(t, dtype=np.float32),
                                                   (m_t.shape[0],)), config.n_emb)
@@ -195,7 +167,7 @@ def transformer_forward(params: dict, config: NetConfig, task,
     for i in range(config.n_layer):
         p = f"block{i}"
         h = T.rms_norm(x, params[f"{p}.ln1.g"])
-        x = T.add(x, _attention(h, params, f"{p}.attn", config, toks.positions))
+        x = T.add(x, _attention(h, params, f"{p}.attn", config, positions))
         h = T.rms_norm(x, params[f"{p}.ln2.g"])
         h = T.relu_squared(_linear(h, params, f"{p}.mlp.fc"))
         x = T.add(x, _linear(h, params, f"{p}.mlp.proj"))

@@ -10,10 +10,11 @@ rates, which make the quadratic dynamics diverge for some prior draws.
 Observations are (I, R) read at a handful of times in [1, 3].
 
 One fixed-step RK4 kernel, ``_integrate``, serves every path: a single rate
-vector runs it in Python floats (MH, ``de_solution``), a (B, 6) batch on
-columns (data generation), with bitwise equal results. ``_read`` interpolates
-the steps linearly; ``simulate_batch`` and ``forward_observed`` integrate only
-up to their last time, ``seir_solve`` always over [0, t_end].
+vector runs it in Python floats (MH, ``de_solution``, each row of a small
+batch), a larger (B, 6) batch on columns (data generation), with bitwise
+equal results. ``_read`` interpolates the steps linearly; ``simulate_batch``
+and ``forward_observed`` integrate only up to their last time, ``seir_solve``
+always over [0, t_end].
 """
 
 from __future__ import annotations
@@ -135,9 +136,19 @@ def seir_solve(m, t_grid):
     return _read(state, t_grid)
 
 
+# Below this many rows a batch runs row by row in Python floats: the column
+# kernel pays about 90 numpy calls per step whatever B is. simulate_batch at
+# n_obs 5, one BLAS thread on a 2-CPU guest, median of 5, rows vs columns:
+# B=1 1.6 vs 40 ms, B=16 37 vs 68 ms, B=31 61 vs 64 ms, B=32 60 vs 53 ms.
+ROW_LOOP_BELOW = 32
+
+
 def _observe(m, times):
     """(I, R) at the requested times, integrating only up to the last step
-    that brackets the latest of them; bitwise equal to a full-span read."""
+    that brackets the latest of them; bitwise equal to a full-span read.
+    A batch smaller than ``ROW_LOOP_BELOW`` runs one row at a time."""
+    if np.ndim(m) == 2 and len(m) < ROW_LOOP_BELOW:
+        return np.stack([_observe(row, t) for row, t in zip(m, times)])
     n_steps = min(max(int(np.max(times) / CONST.dt), 0), N_STEPS - 1) + 1
     return _read(_integrate(m, n_steps), times)[..., 2:4]
 

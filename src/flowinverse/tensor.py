@@ -19,15 +19,11 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 
 
-class GradientStateError(RuntimeError):
-    """Raised when backward() would overwrite existing gradients."""
-
-
 class Tensor:
     """A dense n-dimensional array that can participate in autodiff.
 
     ``requires_grad`` marks leaf tensors (parameters) whose ``grad`` buffer
-    is populated by :func:`backward`. Tensors produced by operations carry
+    :func:`backward` adds to. Tensors produced by operations carry
     ``requires_grad=True`` transitively but never receive a ``grad`` buffer
     themselves.
     """
@@ -58,7 +54,7 @@ class Tensor:
         return self.data.dtype
 
     def zero_grad(self):
-        """Clear the gradient buffer. Required between backward passes."""
+        """Clear the gradient buffer; the next backward pass starts from zero."""
         self.grad = None
 
     def item(self):
@@ -78,7 +74,9 @@ class Tape:
 
         with Tape() as tape:
             loss = ...
-        grads = backward(loss, tape)
+        backward(loss, tape)      # adds into each leaf's ``grad``
+
+    Tapes nest; the innermost open one records, and they must exit in order.
     """
 
     __slots__ = ("records",)
@@ -87,11 +85,12 @@ class Tape:
         self.records = []
 
     def __enter__(self):
-        _push_tape(self)
+        _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _pop_tape(self)
+        if _TAPE_STACK.pop() is not self:
+            raise RuntimeError("tape stack corrupted: exited tapes out of order")
         return False
 
     def __len__(self):
@@ -101,28 +100,11 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def _push_tape(tape):
-    _TAPE_STACK.append(tape)
-
-
-def _pop_tape(tape):
-    popped = _TAPE_STACK.pop()
-    if popped is not tape:
-        raise RuntimeError("tape stack corrupted: exited tapes out of order")
-
-
-def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _record(out, inputs, backward_fn):
-    tape = _active_tape()
-    if tape is None:
-        return out
-    if any(t.requires_grad for t in inputs):
+    if _TAPE_STACK and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.is_leaf = False
-        tape.records.append((out, inputs, backward_fn))
+        _TAPE_STACK[-1].records.append((out, inputs, backward_fn))
     return out
 
 
@@ -348,13 +330,12 @@ def rope_apply(x: Tensor, positions, base: float = 10000.0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor, tape: Tape):
-    """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf.
+    """Add d(loss)/d(leaf) to ``grad`` of every requires_grad leaf the sweep
+    reaches.
 
-    The loss must be scalar, and every leaf reached by the sweep must have a
-    cleared gradient buffer; call :meth:`Tensor.zero_grad` between passes.
-    Gradient accumulation across batches is the caller's responsibility.
-
-    Returns the dict of leaf tensors to their freshly written gradients.
+    The loss must be scalar. A leaf with no ``grad`` gets the gradient
+    itself, so repeated passes sum their gradients until
+    :meth:`Tensor.zero_grad` clears them.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -377,41 +358,37 @@ def backward(loss: Tensor, tape: Tape):
                 grads[key] = gi
             if t.is_leaf:
                 leaves[key] = t
-    dirty = [t for t in leaves.values() if t.grad is not None]
-    if dirty:
-        raise GradientStateError(
-            "backward would overwrite existing gradients on "
-            f"{len(dirty)} tensor(s); call zero_grad() first"
-        )
     for key, t in leaves.items():
-        t.grad = np.asarray(grads[key], dtype=t.dtype)
-    return list(leaves.values())
+        g = np.asarray(grads[key], dtype=t.dtype)
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """First/second-moment buffers and step counter for Adam."""
 
-    __slots__ = ("m", "v", "step", "lr", "beta1", "beta2", "eps")
+    __slots__ = ("m", "v", "step", "lr")
 
-    def __init__(self, params: dict, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict, lr: float):
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.step = 0
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
 def adam_step(params: dict, grads: dict, state: AdamState):
-    """One bias-corrected Adam update, in place; returns (params, state)."""
+    """One bias-corrected Adam update of ``params`` and ``state``, in place."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for k, p in params.items():
@@ -426,8 +403,7 @@ def adam_step(params: dict, grads: dict, state: AdamState):
         v += (1.0 - b2) * (g * g)
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.dtype)
-    return params, state
+        p.data -= (state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,20 @@ class TestTrain:
             np.testing.assert_allclose(net_a.params[k].data, net_b.params[k].data,
                                        rtol=2e-5, atol=2e-6)
 
+    def test_gradients_left_on_the_net_are_cleared(self):
+        # backward adds into grad, so train must not start from a caller's
+        # leftover gradients
+        shards = tiny_dataset()
+        tc = TrainConfig(lr=1e-3, epochs=1, batch_size=32, accum_window=2, seed=5)
+        stale = tiny_net()
+        for p in stale.params.values():
+            p.grad = np.ones_like(p.data)
+        net_a, h_a = train(tiny_net(), shards, tc)
+        net_b, h_b = train(stale, shards, tc)
+        assert h_a == h_b
+        for k in net_a.params:
+            np.testing.assert_array_equal(net_a.params[k].data, net_b.params[k].data)
+
     def test_divergence_aborts_with_checkpoint(self):
         shards = tiny_dataset()
         net = tiny_net()

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -80,19 +81,31 @@ class TestFormatErrors:
         raw = bytearray(p.read_bytes())
         raw[4] = 77
         p.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointFormatError, match="77.*3"):
+        with pytest.raises(CheckpointFormatError, match="77.*4"):
             load_checkpoint(p)
 
     def test_version_2_file_rejected(self, tmp_path):
         # version 2 headers still held the fixed-size MLP keys of the net config
         cfg, params = make_params()
-        net = {**cfg.to_dict(), "arch": "transformer", "mlp_hidden": 256, "mlp_n_obs": 4}
+        net = {**asdict(cfg), "arch": "transformer", "mlp_hidden": 256, "mlp_n_obs": 4}
         p = tmp_path / "old.cfmt"
         artifact.write(p, MAGIC, 2, {"task": "seir", "net": net,
                                      "param_count": param_count(params), "step": 0,
                                      "rng_state": {}},
                        {name: t.data for name, t in params.items()})
-        with pytest.raises(CheckpointFormatError, match="file has 2, reader supports 3"):
+        with pytest.raises(CheckpointFormatError, match="file has 2, reader supports 4"):
+            load_checkpoint(p)
+
+    def test_version_3_file_rejected(self, tmp_path):
+        # version 3 headers still held the net config's rope_base
+        cfg, params = make_params()
+        net = {**asdict(cfg), "rope_base": 10000.0}
+        p = tmp_path / "old.cfmt"
+        artifact.write(p, MAGIC, 3, {"task": "seir", "net": net,
+                                     "param_count": param_count(params), "step": 0,
+                                     "rng_state": {}},
+                       {name: t.data for name, t in params.items()})
+        with pytest.raises(CheckpointFormatError, match="file has 3, reader supports 4"):
             load_checkpoint(p)
 
     def test_truncation(self, tmp_path):
@@ -106,7 +119,7 @@ class TestFormatErrors:
     def test_duplicate_name_detected(self, tmp_path):
         # hand-build a file whose array table lists the same name twice
         cfg = NetConfig(n_emb=8, n_head=2, dim_m=1)
-        blob = json.dumps({"task": "nonlinear", "net": cfg.to_dict(), "param_count": 2,
+        blob = json.dumps({"task": "nonlinear", "net": asdict(cfg), "param_count": 2,
                            "step": 0, "rng_state": {}}).encode()
         body = (b"CFMT" + struct.pack("<II", FORMAT_VERSION, len(blob)) + blob
                 + struct.pack("<I", 2))
@@ -136,7 +149,7 @@ class TestFormatErrors:
     @pytest.mark.parametrize("key", ["task", "net", "param_count", "step", "rng_state"])
     def test_header_lacking_a_key(self, tmp_path, key):
         cfg, params = make_params()
-        header = {"task": "seir", "net": cfg.to_dict(), "param_count": param_count(params),
+        header = {"task": "seir", "net": asdict(cfg), "param_count": param_count(params),
                   "step": 0, "rng_state": {}}
         del header[key]
         p = tmp_path / "m.cfmt"

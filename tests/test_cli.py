@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -152,6 +153,14 @@ class TestCliBasics:
         assert "error: learning rate must be finite and >= 0" in capsys.readouterr().err
         assert not list(workdir.rglob("*.cfmt*"))
 
+    def test_net_without_blocks_is_rejected_before_training(self, workdir, capsys):
+        assert run_cli("generate-data", "--set", "data.tuples_per_n_obs=32",
+                       "--set", "paths.dataset=toy.cfmd") == 0
+        rc = run_cli("train", "--set", "paths.dataset=toy.cfmd", "--set", "net.n_layer=0")
+        assert rc == 1
+        assert "error: n_emb, n_head and n_layer must be >= 1" in capsys.readouterr().err
+        assert not list(workdir.rglob("*.cfmt*"))
+
     def test_zero_tuples_is_a_usage_error(self, workdir, capsys):
         rc = run_cli("generate-data", "--set", "data.tuples_per_n_obs=0")
         assert rc == 1
@@ -177,10 +186,12 @@ class TestCliBasics:
     @pytest.mark.parametrize("key, value", [("net.arch", "transformer"),
                                             ("net.mlp_hidden", 256), ("net.mlp_n_obs", 4),
                                             ("seir.shifted_ramp", False),
-                                            ("darcy.sigma_w", 0.2)])
+                                            ("darcy.sigma_w", 0.2),
+                                            ("net.rope_base", 10000.0)])
     def test_manifest_with_mlp_net_key_is_rejected(self, workdir, capsys, key, value):
-        # the keys of deleted variants are gone: the fixed-size MLP velocity
-        # net, the printed SEIR ramp and the Darcy bump width
+        # the keys of deleted variants and fixed constants are gone: the
+        # fixed-size MLP velocity net, the printed SEIR ramp, the Darcy bump
+        # width and the rotary base
         (workdir / "old.json").write_text(json.dumps({"config": {key: value}}))
         assert run_cli("mcmc", "--config", "old.json") == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -406,6 +417,35 @@ def test_every_task_takes_only_sigma():
 
 def test_only_cli_imports_csv():
     assert _modules_importing("csv") == {"cli.py"}
+
+
+# The spans the benchmark's per-layer metrics and scopes read. Its tracer
+# wraps the functions it finds in the vars() of a module or of a class
+# defined there, so a span that is renamed, inlined or re-exported from
+# another module would silently read 0.
+BENCHMARK_SPANS = (
+    "net.VelocityNet.forward", "net.VelocityNet.velocity",
+    "cfm.cfm_loss", "cfm.sample_posterior",
+    "tensor.backward", "tensor.adam_step",
+    "data.batch_iterator", "data.generate_shard", "data.save_dataset", "data.load_dataset",
+    "tasks.seir.SeirTask.prior_sample", "tasks.seir.SeirTask.simulate_batch",
+    "tasks.seir.SeirTask.de_solution", "tasks.seir.SeirTask.forward_observed",
+    "tasks.darcy.darcy_solve", "tasks.darcy.kl_expand", "tasks.darcy.DarcyTask.forward_observed",
+    "mcmc.log_posterior", "mcmc.run_chain", "metrics.relative_error_de",
+)
+
+
+def test_every_span_the_benchmark_reads_is_traceable():
+    untraceable = []
+    for span in BENCHMARK_SPANS:
+        *path, name = span.split(".")
+        cls = path.pop() if path[-1][0].isupper() else None
+        module = importlib.import_module(".".join(["flowinverse", *path]))
+        owner = module if cls is None else vars(module).get(cls)
+        fn = getattr(owner, "__dict__", {}).get(name)
+        if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+            untraceable.append(span)
+    assert untraceable == []
 
 
 def test_only_artifact_imports_struct():

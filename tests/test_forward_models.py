@@ -158,14 +158,27 @@ class TestSeirObserve:
         # columns run the same operations, so they agree bitwise
         rng = np.random.default_rng(2)
         task = get_task("seir")
-        m = rng.uniform(0, 1, (5, 6))
-        e = rng.uniform(1, 3, (5, 5))
+        m = rng.uniform(0, 1, (40, 6))      # enough rows to run on columns
+        e = rng.uniform(1, 3, (40, 5))
         d, _ = task.simulate_batch(m, e, 5)
         grid = np.linspace(0.0, 4.0, 256)
-        for row in range(5):
+        for row in range(40):
             np.testing.assert_array_equal(task.forward_observed(m[row], e[row]), d[row])
             np.testing.assert_array_equal(task.de_solution(m[row]),
                                           seir_solve(m[row:row + 1], grid)[0].reshape(-1))
+
+    @pytest.mark.parametrize("rows", [1, 2, 31, 32, 33])
+    def test_small_and_large_batches_match_single_vectors(self, rows):
+        # below ROW_LOOP_BELOW a batch runs row by row, above it on columns;
+        # either way each row is the single vector's result bitwise
+        rng = np.random.default_rng(rows)
+        task = get_task("seir")
+        m = rng.uniform(0, 1, (rows, 6))
+        e = rng.uniform(1, 3, (rows, 4))
+        d, scale = task.simulate_batch(m, e, 4)
+        assert d.shape == (rows, 8) and scale.shape == (rows,)
+        np.testing.assert_array_equal(
+            d, np.stack([task.forward_observed(m[i], e[i]) for i in range(rows)]))
 
 
 class TestKlBasis:

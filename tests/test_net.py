@@ -6,9 +6,8 @@ import pytest
 from flowinverse import cfm
 from flowinverse import tensor as T
 from flowinverse.data import Batch
-from flowinverse.net import (NetConfig, VelocityNet, build_tokens, init_params,
-                             param_count, timestep_basis, timestep_embed,
-                             transformer_forward)
+from flowinverse.net import (NetConfig, VelocityNet, init_params, param_count,
+                             timestep_basis, timestep_embed, transformer_forward)
 from flowinverse.tasks import SeirTask, get_task
 
 PARITY_REFERENCE = Path(__file__).parent / "data" / "seir_parity_reference.npz"
@@ -93,30 +92,37 @@ class TestRope:
         assert np.abs(base - shifted).max() < 1e-4
 
 
+def n_tokens(task, d, e):
+    """Tokens the net sees: the observations, a design token if the task
+    has one, and the state."""
+    obs, design = task.token_features(d, e)
+    assert obs.shape[:1] == (1,) and obs.shape[2] == task.obs_token_dim
+    if design is not None:
+        assert design.shape == (1, 1, task.design_token_dim)
+    return obs.shape[1] + (design is not None) + 1
+
+
 class TestTokenize:
     def test_seir_counts(self):
         task = get_task("seir")
         d = np.zeros((1, 8))
         e = np.full((1, 4), 2.0)
-        toks = build_tokens(task, np.zeros((1, 6)), d, e)
-        assert toks.n_tokens == 5
-        assert list(toks.positions) == [0, 1, 2, 3, 4]
+        assert n_tokens(task, d, e) == 5
 
     def test_darcy_counts(self):
         task = get_task("darcy")
         e = np.concatenate([[0.3, 0.7], np.random.default_rng(0).uniform(0.1, 0.9, 16)])
-        toks = build_tokens(task, np.zeros((1, 16)), np.zeros((1, 8)), e[None, :])
-        assert toks.n_tokens == 10     # 8 observations + design + state
+        assert n_tokens(task, np.zeros((1, 8)), e[None, :]) == 10   # 8 obs + design + state
 
     def test_nonlinear_counts(self):
         task = get_task("nonlinear")
-        toks = build_tokens(task, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-        assert toks.n_tokens == 2
+        assert n_tokens(task, np.zeros((1, 1)), np.zeros((1, 1))) == 2
 
     def test_empty_observations_rejected(self):
-        task = get_task("nonlinear")
+        cfg = NetConfig(n_emb=8, n_head=2, n_layer=1, dim_m=1, obs_token_dim=2)
+        net = VelocityNet(get_task("nonlinear"), cfg, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            build_tokens(task, np.zeros((1, 1)), np.zeros((1, 0)), np.zeros((1, 0)))
+            net.forward(np.zeros((1, 1)), 0.5, np.zeros((1, 0)), np.zeros((1, 0)))
 
 
 def micro_oracle(params, m_t, t, d, e):
@@ -286,3 +292,12 @@ class TestConfigValidation:
     def test_rejects_odd_head_dim(self):
         with pytest.raises(ValueError):
             NetConfig(n_emb=6, n_head=2)     # head_dim 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_emb", 0), ("n_emb", -8), ("n_head", 0), ("n_head", -2),
+        ("n_layer", 0), ("n_layer", -1),
+    ])
+    def test_rejects_sizes_below_one(self, field, value):
+        # checked before the divisibility test, so n_head=0 is no ZeroDivisionError
+        with pytest.raises(ValueError, match="must be >= 1"):
+            NetConfig(**{"n_emb": 8, "n_head": 2, "n_layer": 1, field: value})

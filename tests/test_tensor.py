@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowinverse import tensor as T
-from flowinverse.tensor import (AdamState, GradientStateError, Tape, Tensor,
-                                adam_step, backward, finite_difference_check)
+from flowinverse.tensor import (AdamState, Tape, Tensor, adam_step, backward,
+                                finite_difference_check)
 
 
 def scalar_loss(x):
@@ -175,20 +175,19 @@ class TestBackward:
         with pytest.raises(ValueError, match="scalar"):
             backward(y, tape)
 
-    def test_second_backward_without_zeroing_errors(self):
+    def test_second_backward_adds_to_the_gradient(self):
         x = Tensor([1.0], requires_grad=True)
-        for attempt in range(2):
+
+        def grad_after_pass():
             with Tape() as tape:
                 loss = T.mean_all(T.mul(x, x))
-            if attempt == 0:
-                backward(loss, tape)
-            else:
-                with pytest.raises(GradientStateError):
-                    backward(loss, tape)
+            backward(loss, tape)
+            return x.grad[0]
+
+        assert grad_after_pass() == 2.0
+        assert grad_after_pass() == 4.0     # d(x^2)/dx = 2, summed over two passes
         x.zero_grad()
-        with Tape() as tape:
-            loss = T.mean_all(T.mul(x, x))
-        backward(loss, tape)    # fine after explicit zeroing
+        assert grad_after_pass() == 2.0
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
