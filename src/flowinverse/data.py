@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifact
+from .config import TASK_DEFAULTS
 from .tasks import TASKS, get_task
 
 MAGIC = b"CFMD"
@@ -107,7 +108,7 @@ def generate_shard(task, n_obs, count, seed, sim_batch=4096) -> DatasetShard:
 def generate_dataset(config: DataGenConfig) -> list[DatasetShard]:
     """Sample (m, e, eta) per tuple and push through the forward model."""
     task = make_task(config)
-    n_obs_set = config.n_obs_set or task.default_n_obs_set()
+    n_obs_set = config.n_obs_set or TASK_DEFAULTS[task.name]["data.n_obs"]
     return [generate_shard(task, n, config.tuples_per_n_obs, config.seed)
             for n in n_obs_set]
 

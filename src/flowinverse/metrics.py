@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfm import SamplerConfig, sample_batch, sample_posterior
+from .config import TASK_DEFAULTS
 from .data import draw_tuples
 from .mcmc import ChainConfig, run_chain
 
@@ -74,7 +75,7 @@ def generation_error(net, task, n_inferences=10_000, n_obs=None,
     ``sampler.seed`` is not used.
     """
     if n_obs is None:
-        n_obs = task.default_n_obs_set()[0]
+        n_obs = TASK_DEFAULTS[task.name]["data.n_obs"][0]
     sampler = sampler or SamplerConfig()
     num = 0.0
     den = 0.0

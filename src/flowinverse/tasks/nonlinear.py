@@ -32,9 +32,6 @@ class NonlinearTask:
     def d_width(self, n_obs):
         return n_obs
 
-    def default_n_obs_set(self):
-        return (1,)
-
     # --- sampling -----------------------------------------------------------
     def sample_params(self, rng, size):
         return rng.uniform(0.0, 1.0, (size, 1))

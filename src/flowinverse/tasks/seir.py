@@ -172,9 +172,6 @@ class SeirTask:
     def d_width(self, n_obs):
         return 2 * n_obs
 
-    def default_n_obs_set(self):
-        return (4, 5, 6, 7, 8)
-
     def sample_params(self, rng, size):
         return rng.uniform(0.0, 1.0, (size, 6))
 

@@ -333,8 +333,8 @@ def backward(loss: Tensor, tape: Tape):
     """Add d(loss)/d(leaf) to ``grad`` of every requires_grad leaf the sweep
     reaches.
 
-    The loss must be scalar. A leaf with no ``grad`` gets the gradient
-    itself, so repeated passes sum their gradients until
+    The loss must be scalar. A leaf with no ``grad`` gets its own writable
+    copy of the gradient, so repeated passes sum their gradients until
     :meth:`Tensor.zero_grad` clears them.
     """
     if loss.size != 1:
@@ -360,7 +360,8 @@ def backward(loss: Tensor, tape: Tape):
                 leaves[key] = t
     for key, t in leaves.items():
         g = np.asarray(grads[key], dtype=t.dtype)
-        t.grad = g if t.grad is None else t.grad + g
+        # a copy: an op may hand one array, or a read-only view, to two inputs
+        t.grad = np.array(g) if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------

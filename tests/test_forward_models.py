@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,27 +314,57 @@ class TestDarcySolve:
                 rhs.append(b)
         assert np.linalg.norm(residual) / np.linalg.norm(rhs) <= 1e-9
 
-    def test_solution_pinned_to_reference_digests(self, kl_basis):
-        # sha256 of the pressure field's bytes, recorded with the solver that
-        # assembled the full grid matrix and sliced out the free-node block
-        expected = {
-            11: "786c068c41a255ef0d80fb741fc02755437252a9c23535e72f76dad2a5fffa13",
-            12: "da47d2a9225db63c0645cb42e01b0601550a1673fd67dd3a08761089d410dcad",
-            13: "2b62f39ba6b3c21d307e90501e0f4d14ae2c7422a3edc147aa6917ad7127e82d",
-        }
-        for seed, digest in expected.items():
+    @staticmethod
+    def _reference_cases(kl_basis):
+        for seed in (11, 12, 13):
             rng = np.random.default_rng(seed)
             m = rng.standard_normal(16)
             e1, e2 = rng.uniform(0.0, 1.0, 2)
-            u = dy.darcy_solve(np.exp(dy.kl_expand(m, kl_basis)), e1, e2)
+            yield seed, dy.darcy_solve(np.exp(dy.kl_expand(m, kl_basis)), e1, e2)
+
+    def test_solution_pinned_to_reference_digests(self, kl_basis):
+        # sha256 of the pressure field's bytes from the banded Cholesky solve
+        expected = {
+            11: "bdc640fff725f9ec8ff0fdd931962ff39cda7975686ae530fc92d50234ddeb64",
+            12: "5cb95f94cdef507a92873051726767d944b7a31d2e26aea0fd142b580551c46a",
+            13: "b68948fa4e3250cb7fef83c4fa582b77a87ba43c57f35f73dc8698539fa8c08e",
+        }
+        for seed, u in self._reference_cases(kl_basis):
             assert u.dtype == np.float64 and u.shape == (65, 65)
-            assert hashlib.sha256(u.tobytes()).hexdigest() == digest, seed
+            assert hashlib.sha256(u.tobytes()).hexdigest() == expected[seed], seed
+
+    def test_matches_conjugate_gradient_reference(self, kl_basis):
+        # the same fields from Jacobi-preconditioned CG at relative residual
+        # 1e-10, the solver that earlier datasets were generated with
+        with np.load(Path(__file__).parent / "data" / "darcy_cg_reference.npz") as ref:
+            for seed, u in self._reference_cases(kl_basis):
+                u_cg = ref[f"seed_{seed}"]
+                assert np.abs(u - u_cg).max() <= 1e-8 * np.abs(u_cg).max(), seed
 
     def test_rejects_nonpositive_kappa(self):
         kappa = np.ones((65, 65))
         kappa[3, 3] = 0.0
         with pytest.raises(dy.SolverError):
             dy.darcy_solve(kappa, 0.5, 0.5)
+
+    @pytest.mark.parametrize("level", [1e300, 1e308, 1e-310])
+    def test_faces_out_of_range_fail_before_factorisation(self, level, monkeypatch):
+        # the harmonic-mean faces overflow to inf at 1e300, turn nan (inf / inf)
+        # at 1e308 and underflow to 0 at 1e-310
+        def factorise(*args, **kwargs):
+            raise AssertionError("factorised a system with out-of-range faces")
+
+        monkeypatch.setattr(dy, "solveh_banded", factorise)
+        with pytest.raises(dy.SolverError, match="overflow or underflow"):
+            dy.darcy_solve(np.full((65, 65), level), 0.5, 0.5)
+
+    def test_factorisation_failure_is_a_solver_error(self, monkeypatch):
+        def factorise(*args, **kwargs):
+            raise np.linalg.LinAlgError("3-th leading minor not positive definite")
+
+        monkeypatch.setattr(dy, "solveh_banded", factorise)
+        with pytest.raises(dy.SolverError, match="leading minor"):
+            dy.darcy_solve(np.ones((65, 65)), 0.5, 0.5)
 
     def test_grid_convergence_second_order(self):
         def kfun(X, Y):

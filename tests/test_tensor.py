@@ -189,6 +189,21 @@ class TestBackward:
         x.zero_grad()
         assert grad_after_pass() == 2.0
 
+    def test_leaves_get_their_own_writable_gradients(self):
+        # add passes its incoming gradient to both inputs unchanged, and
+        # mean_all's is a read-only broadcast view
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = T.mean_all(T.add(a, b))
+        backward(loss, tape)
+        assert a.grad is not b.grad
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+        third = b.grad.copy()
+        a.grad *= 2.0
+        np.testing.assert_array_equal(a.grad, 2.0 * third)
+        np.testing.assert_array_equal(b.grad, third)
+
     def test_linearity(self):
         rng = np.random.default_rng(3)
         xv = rng.normal(size=(4,)).astype(np.float32)
