@@ -3,8 +3,10 @@
 Training regresses the network output onto the straight-line displacement
 between a fresh prior draw and the dataset parameter, conditioned on that
 tuple's observations. Sampling integrates dx/dt = v(x, t, d, e) from a prior
-draw at t=0 to t=1 with a fixed-step solver; because the learned paths are
-nearly straight, a modest number of Euler steps suffices.
+draw at t=0 to t=1 with a fixed-step solver. Too few steps shrink the
+posterior spread while the error of its mean stays flat: for a trained
+nonlinear flow, the central 90% interval covered the true parameter in 0.85
+of instances with 50 Euler steps, but in 0.33 to 0.66 with 5 to 20.
 """
 
 from __future__ import annotations

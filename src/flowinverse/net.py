@@ -1,12 +1,17 @@
-"""The velocity-field network: a sequence transformer.
+"""The velocity-field network: a transformer over a set of observations.
 
-The transformer turns the conditioning observations into a token sequence,
-adds a sinusoidal-plus-MLP embedding of the flow time to every token, and
-runs bi-directional self-attention with rotary position embeddings. The
-state token (placed last) is read out through a linear head to produce a
-velocity of the parameter dimension. Because positions enter only through
-relative rotations, the same weights accept any number of observation
-tokens, including more than were ever seen in training.
+Each observation is one token that carries its own design, e.g. (d_i, e_i);
+a task whose design is shared adds one design token, and the state ``m_t``
+comes last. A sinusoidal-plus-MLP embedding of the flow time is added to
+every token, and bi-directional self-attention without position embeddings
+mixes them; a linear head reads the velocity off the state token. So the
+same weights accept any number of observations, and the velocity does not
+depend on their order beyond float rounding.
+
+Accepting a count is not generalising to it. A nonlinear-task net trained on
+1 to 4 observations gives posteriors whose median standard deviation is
+about 3 times the exact one at 8 observations and about 4 times at 16: past
+the trained counts the posterior does not contract.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-
-ROPE_BASE = 10000.0     # RoFormer's rotary base (arXiv 2104.09864)
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,9 @@ class NetConfig:
                              f"{self.n_emb}, {self.n_head}, {self.n_layer}")
         if self.n_emb % self.n_head != 0:
             raise ValueError(f"n_emb={self.n_emb} not divisible by n_head={self.n_head}")
-        if (self.n_emb // self.n_head) % 2 != 0:
-            raise ValueError("head dimension must be even (rotary embeddings pair dims)")
+        if self.n_emb % 2 != 0:
+            raise ValueError(f"n_emb={self.n_emb} must be even (half sine, half cosine "
+                             "flow-time features)")
         if self.dim_m < 1 or self.obs_token_dim < 1:
             raise ValueError("dim_m and obs_token_dim must be >= 1")
 
@@ -119,8 +123,7 @@ def param_count(params: dict) -> int:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _attention(x: Tensor, params: dict, prefix: str, config: NetConfig,
-               positions: np.ndarray) -> Tensor:
+def _attention(x: Tensor, params: dict, prefix: str, config: NetConfig) -> Tensor:
     B, n_tok, E = x.shape
     H, hd = config.n_head, config.head_dim
 
@@ -131,8 +134,6 @@ def _attention(x: Tensor, params: dict, prefix: str, config: NetConfig,
     q = heads(_linear(x, params, f"{prefix}.wq"))
     k = heads(_linear(x, params, f"{prefix}.wk"))
     v = heads(_linear(x, params, f"{prefix}.wv"))
-    q = T.rope_apply(q, positions, ROPE_BASE)
-    k = T.rope_apply(k, positions, ROPE_BASE)
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
     attn = T.softmax_lastdim(scores, 1.0 / np.sqrt(hd))   # bi-directional, no mask
     ctx = T.matmul(attn, v)                           # (B, H, T, hd)
@@ -146,8 +147,8 @@ def transformer_forward(params: dict, config: NetConfig, task,
 
     m_t: (batch, dim_m); t: scalar or (batch,); d, e: task-shaped arrays.
     Returns a (batch, dim_m) tensor. The tokens are the task's observation
-    features, its design token if it has one, and last the state ``m_t``, so
-    appending observations never renumbers existing tokens.
+    features, its design token if it has one, and last the state ``m_t``,
+    whose output the head reads.
     """
     obs, design = task.token_features(d, e)
     if obs.shape[1] == 0:
@@ -158,7 +159,6 @@ def transformer_forward(params: dict, config: NetConfig, task,
         parts.append(_linear(Tensor(design, dtype=dt), params, "embed.design"))
     parts.append(_linear(Tensor(m_t[:, None, :], dtype=dt), params, "embed.state"))
     x = T.concat(parts, axis=1)                       # (B, n_tokens, E)
-    positions = np.arange(x.shape[1])
 
     temb = timestep_embed(params, np.broadcast_to(np.asarray(t, dtype=np.float32),
                                                   (m_t.shape[0],)), config.n_emb)
@@ -167,7 +167,7 @@ def transformer_forward(params: dict, config: NetConfig, task,
     for i in range(config.n_layer):
         p = f"block{i}"
         h = T.rms_norm(x, params[f"{p}.ln1.g"])
-        x = T.add(x, _attention(h, params, f"{p}.attn", config, positions))
+        x = T.add(x, _attention(h, params, f"{p}.attn", config))
         h = T.rms_norm(x, params[f"{p}.ln2.g"])
         h = T.relu_squared(_linear(h, params, f"{p}.mlp.fc"))
         x = T.add(x, _linear(h, params, f"{p}.mlp.proj"))

@@ -12,8 +12,6 @@ reproducible for identical inputs.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
@@ -291,36 +289,6 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         gx = np.zeros(x.shape, dtype=x.dtype)
         gx[sl] = g
         return (gx,)
-
-    return _record(out, (x,), bwd)
-
-
-@functools.lru_cache(maxsize=64)
-def _rope_rotation(positions: tuple, head_dim: int, base: float, dtype) -> np.ndarray:
-    """Read-only (n_tokens, head_dim // 2) table of ``cos + i sin`` of the pair angles."""
-    if head_dim % 2 != 0:
-        raise ValueError(f"rope requires an even head dimension, got {head_dim}")
-    freqs = np.asarray(base, dtype=np.float64) ** (-2.0 * np.arange(head_dim // 2) / head_dim)
-    ang = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
-    rot = (np.cos(ang) + 1j * np.sin(ang)).astype(np.result_type(dtype, np.complex64))
-    rot.flags.writeable = False
-    return rot
-
-
-def rope_apply(x: Tensor, positions, base: float = 10000.0) -> Tensor:
-    """Rotate consecutive dimension pairs of each token by position-scaled angles.
-
-    ``x`` has shape (..., n_tokens, head_dim); pair i is rotated by
-    ``pos * base**(-2i/head_dim)``. The rotation preserves pair norms, so
-    attention scores depend only on relative positions. Each pair is read as
-    one complex number, so the rotation is one complex multiply.
-    """
-    rot = _rope_rotation(tuple(np.asarray(positions).tolist()), x.shape[-1], base, x.dtype)
-    y = np.ascontiguousarray(x.data).view(rot.dtype) * rot
-    out = Tensor(y.view(x.dtype), dtype=x.dtype)
-
-    def bwd(g):
-        return ((np.ascontiguousarray(g).view(rot.dtype) * rot.conj()).view(g.dtype),)
 
     return _record(out, (x,), bwd)
 

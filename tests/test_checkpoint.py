@@ -81,7 +81,7 @@ class TestFormatErrors:
         raw = bytearray(p.read_bytes())
         raw[4] = 77
         p.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointFormatError, match="77.*4"):
+        with pytest.raises(CheckpointFormatError, match="77.*5"):
             load_checkpoint(p)
 
     def test_version_2_file_rejected(self, tmp_path):
@@ -93,19 +93,22 @@ class TestFormatErrors:
                                      "param_count": param_count(params), "step": 0,
                                      "rng_state": {}},
                        {name: t.data for name, t in params.items()})
-        with pytest.raises(CheckpointFormatError, match="file has 2, reader supports 4"):
+        with pytest.raises(CheckpointFormatError, match="file has 2, reader supports 5"):
             load_checkpoint(p)
 
-    def test_version_3_file_rejected(self, tmp_path):
-        # version 3 headers still held the net config's rope_base
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_version_3_or_4_file_rejected(self, tmp_path, version):
+        # versions 3 and 4 hold weights trained with rotary position
+        # embeddings, and version 3 headers still held the net config's rope_base
         cfg, params = make_params()
-        net = {**asdict(cfg), "rope_base": 10000.0}
+        net = {**asdict(cfg), "rope_base": 10000.0} if version == 3 else asdict(cfg)
         p = tmp_path / "old.cfmt"
-        artifact.write(p, MAGIC, 3, {"task": "seir", "net": net,
-                                     "param_count": param_count(params), "step": 0,
-                                     "rng_state": {}},
+        artifact.write(p, MAGIC, version, {"task": "seir", "net": net,
+                                           "param_count": param_count(params), "step": 0,
+                                           "rng_state": {}},
                        {name: t.data for name, t in params.items()})
-        with pytest.raises(CheckpointFormatError, match="file has 3, reader supports 4"):
+        with pytest.raises(CheckpointFormatError,
+                           match=f"file has {version}, reader supports 5"):
             load_checkpoint(p)
 
     def test_truncation(self, tmp_path):

@@ -306,8 +306,6 @@ GRADIENT_CASES = {
     "rms_norm": ("rms_norm",),
     "softmax_lastdim": ("softmax_lastdim",),
     "softmax_scaled": ("softmax_lastdim",),
-    "rope": ("rope_apply",),
-    "rope_transposed": ("rope_apply",),
     "reshape_transpose": ("reshape", "transpose"),
     "concat_slice": ("concat", "slice_axis"),
     "mean_all": ("mean_all",),
@@ -355,12 +353,6 @@ class TestPrimitiveGradients:
                 out = T.softmax_lastdim(p["a"])
             elif op_name == "softmax_scaled":
                 out = T.softmax_lastdim(p["a"], 2.5)
-            elif op_name == "rope":
-                out = T.rope_apply(p["a"], positions=[0, 5, 9, 2], base=100.0)
-            elif op_name == "rope_transposed":
-                # a non-contiguous (3, 4, 6) -> (4, 3, 6) view, in float64
-                out = T.rope_apply(T.transpose(p["a"], (1, 0, 2)), positions=[3, 0, 7],
-                                   base=100.0)
             elif op_name == "reshape_transpose":
                 out = T.transpose(T.reshape(p["a"], (3, 8, 3)), (2, 0, 1))
             elif op_name == "concat_slice":
