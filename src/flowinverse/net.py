@@ -4,9 +4,14 @@ Each observation is one token that carries its own design, e.g. (d_i, e_i);
 a task whose design is shared adds one design token, and the state ``m_t``
 comes last. A sinusoidal-plus-MLP embedding of the flow time is added to
 every token, and bi-directional self-attention without position embeddings
-mixes them; a linear head reads the velocity off the state token. So the
-same weights accept any number of observations, and the velocity does not
-depend on their order beyond float rounding.
+mixes them; a final RMS norm and a linear head read the velocity off the
+state token alone. So the same weights accept any number of observations,
+and the velocity does not depend on their order beyond float rounding.
+
+Each block's attention is three tape records: one linear with a packed
+(E, 3E) q|k|v weight ``attn.wqkv``, the fused :func:`tensor.attention` op
+(head split, scaled scores, softmax, context and head merge) and the output
+linear ``attn.wo``.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is
@@ -83,8 +88,11 @@ def init_params(config: NetConfig, seed: int = 0) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x706172)))
     params: dict[str, Tensor] = {}
 
-    def w(name, shape, std):
-        params[name] = Tensor(rng.normal(0.0, std, shape).astype(np.float32), requires_grad=True)
+    def w(name, shape, std, n_cat=1):
+        # n_cat draws side by side: the values n_cat separate weights would get
+        draws = [rng.normal(0.0, std, shape) for _ in range(n_cat)]
+        params[name] = Tensor(np.concatenate(draws, axis=-1).astype(np.float32),
+                              requires_grad=True)
 
     def b(name, dim):
         params[name] = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
@@ -103,9 +111,7 @@ def init_params(config: NetConfig, seed: int = 0) -> dict:
     for i in range(config.n_layer):
         p = f"block{i}"
         g(f"{p}.ln1.g", E)
-        w(f"{p}.attn.wq.w", (E, E), 0.02); b(f"{p}.attn.wq.b", E)
-        w(f"{p}.attn.wk.w", (E, E), 0.02); b(f"{p}.attn.wk.b", E)
-        w(f"{p}.attn.wv.w", (E, E), 0.02); b(f"{p}.attn.wv.b", E)
+        w(f"{p}.attn.wqkv.w", (E, E), 0.02, n_cat=3); b(f"{p}.attn.wqkv.b", 3 * E)
         w(f"{p}.attn.wo.w", (E, E), resid_std); b(f"{p}.attn.wo.b", E)
         g(f"{p}.ln2.g", E)
         w(f"{p}.mlp.fc.w", (E, 4 * E), 0.02); b(f"{p}.mlp.fc.b", 4 * E)
@@ -124,21 +130,8 @@ def param_count(params: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _attention(x: Tensor, params: dict, prefix: str, config: NetConfig) -> Tensor:
-    B, n_tok, E = x.shape
-    H, hd = config.n_head, config.head_dim
-
-    def heads(t):
-        t = T.reshape(t, (B, n_tok, H, hd))
-        return T.transpose(t, (0, 2, 1, 3))          # (B, H, T, hd)
-
-    q = heads(_linear(x, params, f"{prefix}.wq"))
-    k = heads(_linear(x, params, f"{prefix}.wk"))
-    v = heads(_linear(x, params, f"{prefix}.wv"))
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-    attn = T.softmax_lastdim(scores, 1.0 / np.sqrt(hd))   # bi-directional, no mask
-    ctx = T.matmul(attn, v)                           # (B, H, T, hd)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, n_tok, E))
-    return _linear(ctx, params, f"{prefix}.wo")
+    qkv = _linear(x, params, f"{prefix}.wqkv")       # (B, T, 3E): q | k | v
+    return _linear(T.attention(qkv, config.n_head), params, f"{prefix}.wo")
 
 
 def transformer_forward(params: dict, config: NetConfig, task,
@@ -172,10 +165,9 @@ def transformer_forward(params: dict, config: NetConfig, task,
         h = T.relu_squared(_linear(h, params, f"{p}.mlp.fc"))
         x = T.add(x, _linear(h, params, f"{p}.mlp.proj"))
 
-    x = T.rms_norm(x, params["ln_f.g"])
-    state_tok = T.reshape(T.slice_axis(x, 1, x.shape[1] - 1, x.shape[1]),
-                          (m_t.shape[0], config.n_emb))
-    return _linear(state_tok, params, "head")
+    state_tok = T.slice_axis(x, 1, x.shape[1] - 1, x.shape[1])     # (B, 1, E)
+    v = _linear(T.rms_norm(state_tok, params["ln_f.g"]), params, "head")
+    return T.reshape(v, (m_t.shape[0], config.dim_m))
 
 
 class VelocityNet:

@@ -150,21 +150,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., m, k) @ (..., k, n) with identical leading dims; see also :func:`linear`."""
-    ad, bd = a.data, b.data
-    if (ad.ndim < 2 or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]
-            or ad.shape[-1] != bd.shape[-2]):
-        raise ValueError("matmul needs (..., m, k) @ (..., k, n) with equal leading dims, "
-                         f"got {ad.shape} @ {bd.shape}")
-    out = Tensor(ad @ bd, dtype=a.dtype)
-
-    def bwd(g):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
-
-    return _record(out, (a, b), bwd)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """(..., k) @ (k, n) + (n,) as one 2-D GEMM; ``x`` gets a gradient only
     if it requires one (raw token features do not)."""
@@ -218,23 +203,49 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
     return _record(out, (x, gain), bwd)
 
 
-def softmax_lastdim(x: Tensor, scale: float = 1.0) -> Tensor:
-    """Softmax over the last axis of ``scale * x``."""
-    c = x.data.dtype.type(scale)
-    xd = x.data * c
-    m = xd[..., 0].copy()
-    for i in range(1, xd.shape[-1]):      # exact row max; fast on short rows
-        np.maximum(m, xd[..., i], out=m)
-    y = xd - m[..., None]
-    np.exp(y, out=y)
-    y /= np.einsum("...i->...", y)[..., None]
-    out = Tensor(y, dtype=x.dtype)
+def attention(qkv: Tensor, n_head: int) -> Tensor:
+    """Bi-directional multi-head self-attention of a packed (B, T, 3E) q|k|v:
+    each head's softmax(q kᵀ / √hd) v, merged back to (B, T, E).
+
+    The head split, both products, the softmax and the head merge are one
+    tape record; the backward reuses the stored probabilities.
+    """
+    B, n_tok, E3 = qkv.shape
+    if n_head < 1 or E3 % (3 * n_head):
+        raise ValueError(f"attention needs a last axis of 3 * n_head * head_dim, "
+                         f"got {qkv.shape} with n_head={n_head}")
+    E = E3 // 3
+    hd = E // n_head
+    # stacked matmul is ~3x slower on swapaxes views than on contiguous operands
+    parts = qkv.data.reshape(B, n_tok, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
+    q = np.ascontiguousarray(parts[0])                       # (B, H, T, hd)
+    kt = np.ascontiguousarray(parts[1].swapaxes(-1, -2))     # (B, H, hd, T)
+    v = np.ascontiguousarray(parts[2])
+    c = qkv.dtype.type(1.0 / np.sqrt(hd))
+    s = q @ kt
+    s *= c
+    m = s[..., 0].copy()
+    for i in range(1, n_tok):             # exact row max; fast on short rows
+        np.maximum(m, s[..., i], out=m)
+    s -= m[..., None]
+    np.exp(s, out=s)
+    s /= np.einsum("...i->...", s)[..., None]
+    ctx = s @ v
+    out = Tensor(ctx.transpose(0, 2, 1, 3).reshape(B, n_tok, E), dtype=qkv.dtype)
 
     def bwd(g):
-        dot = np.einsum("...i,...i->...", g, y)[..., None]
-        return (y * (g - dot) * c,)
+        g = np.ascontiguousarray(g.reshape(B, n_tok, n_head, hd).transpose(0, 2, 1, 3))
+        ds = g @ np.ascontiguousarray(v.swapaxes(-1, -2))
+        ds -= np.einsum("...i,...i->...", ds, s)[..., None]
+        ds *= s
+        ds *= c
+        d = np.empty((3, B, n_head, n_tok, hd), dtype=g.dtype)
+        np.matmul(ds, np.ascontiguousarray(kt.swapaxes(-1, -2)), out=d[0])
+        np.matmul(np.ascontiguousarray(ds.swapaxes(-1, -2)), q, out=d[1])
+        np.matmul(np.ascontiguousarray(s.swapaxes(-1, -2)), g, out=d[2])
+        return (d.transpose(1, 3, 0, 2, 4).reshape(B, n_tok, E3),)
 
-    return _record(out, (x,), bwd)
+    return _record(out, (qkv,), bwd)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -252,17 +263,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
     def bwd(g):
         return (g.reshape(x.shape),)
-
-    return _record(out, (x,), bwd)
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = Tensor(x.data.transpose(axes), dtype=x.dtype)
-
-    def bwd(g):
-        return (g.transpose(inv),)
 
     return _record(out, (x,), bwd)
 

@@ -81,7 +81,7 @@ class TestFormatErrors:
         raw = bytearray(p.read_bytes())
         raw[4] = 77
         p.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointFormatError, match="77.*5"):
+        with pytest.raises(CheckpointFormatError, match=f"77.*{FORMAT_VERSION}"):
             load_checkpoint(p)
 
     def test_version_2_file_rejected(self, tmp_path):
@@ -93,7 +93,7 @@ class TestFormatErrors:
                                      "param_count": param_count(params), "step": 0,
                                      "rng_state": {}},
                        {name: t.data for name, t in params.items()})
-        with pytest.raises(CheckpointFormatError, match="file has 2, reader supports 5"):
+        with pytest.raises(CheckpointFormatError, match="file has 2, reader supports 6"):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("version", [3, 4])
@@ -108,7 +108,25 @@ class TestFormatErrors:
                                            "rng_state": {}},
                        {name: t.data for name, t in params.items()})
         with pytest.raises(CheckpointFormatError,
-                           match=f"file has {version}, reader supports 5"):
+                           match=f"file has {version}, reader supports 6"):
+            load_checkpoint(p)
+
+    def test_version_5_file_rejected(self, tmp_path):
+        # version 5 holds separate q, k and v weights per block, not one
+        # packed attn.wqkv
+        cfg, params = make_params()
+        arrays = {}
+        for name, t in params.items():
+            if ".attn.wqkv." in name:
+                for part, piece in zip(("wq", "wk", "wv"), np.split(t.data, 3, axis=-1)):
+                    arrays[name.replace("wqkv", part)] = piece
+            else:
+                arrays[name] = t.data
+        p = tmp_path / "old.cfmt"
+        artifact.write(p, MAGIC, 5, {"task": "seir", "net": asdict(cfg),
+                                     "param_count": param_count(params), "step": 0,
+                                     "rng_state": {}}, arrays)
+        with pytest.raises(CheckpointFormatError, match="file has 5, reader supports 6"):
             load_checkpoint(p)
 
     def test_truncation(self, tmp_path):

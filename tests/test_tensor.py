@@ -15,45 +15,6 @@ def scalar_loss(x):
     return T.mean_all(T.mul(x, x))
 
 
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        a = Tensor(rng.normal(size=(3, 4)))
-        eye = Tensor(np.eye(4, dtype=np.float32))
-        np.testing.assert_allclose(T.matmul(a, eye).data, a.data, rtol=1e-6)
-
-    def test_hand_product(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[1.0], [1.0]])
-        np.testing.assert_array_equal(T.matmul(a, b).data, [[3.0], [7.0]])
-
-    def test_zero_input_zero_gradient(self):
-        a = Tensor(np.zeros((2, 3)), requires_grad=True)
-        b = Tensor(np.zeros((3, 2)), requires_grad=True)
-        with Tape() as tape:
-            loss = T.mean_all(T.matmul(a, b))
-        backward(loss, tape)
-        assert np.all(a.grad == 0) and np.all(b.grad == 0)
-
-    def test_shape_mismatch_message(self):
-        a = Tensor(np.zeros((2, 3)))
-        b = Tensor(np.zeros((4, 2)))
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
-            T.matmul(a, b)
-
-    def test_shared_weight_is_linear_not_matmul(self):
-        with pytest.raises(ValueError, match=r"\(2, 3, 4\).*\(4, 5\)"):
-            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
-
-    def test_batched_matches_loop(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(5, 3, 4)).astype(np.float32)
-        b = rng.normal(size=(5, 4, 2)).astype(np.float32)
-        out = T.matmul(Tensor(a), Tensor(b)).data
-        for i in range(5):
-            np.testing.assert_allclose(out[i], a[i] @ b[i], rtol=1e-5)
-
-
 class TestLinear:
     def test_matches_numpy_product_plus_bias(self):
         rng = np.random.default_rng(6)
@@ -128,26 +89,106 @@ class TestRmsNorm:
         assert np.sqrt(np.mean(out * out)) == pytest.approx(1.0, abs=1e-3)
 
 
+def attention_oracle(qkv, n_head):
+    """Per-instance, per-head float64 loop over the documented formula."""
+    B, n_tok, E3 = qkv.shape
+    E = E3 // 3
+    hd = E // n_head
+    out = np.empty((B, n_tok, E))
+    for b in range(B):
+        for h in range(n_head):
+            q, k, v = (qkv[b, :, i * E + h * hd:i * E + (h + 1) * hd].astype(np.float64)
+                       for i in range(3))
+            scores = q @ k.T / np.sqrt(hd)
+            w = np.exp(scores - scores.max(-1, keepdims=True))
+            out[b, :, h * hd:(h + 1) * hd] = (w / w.sum(-1, keepdims=True)) @ v
+    return out
+
+
+class TestAttention:
+    @pytest.mark.parametrize("B,n_tok,n_head,hd", [(5, 3, 2, 4), (2, 9, 4, 8), (3, 1, 2, 3)])
+    def test_batched_matches_loop(self, B, n_tok, n_head, hd):
+        qkv = np.random.default_rng(1).normal(size=(B, n_tok, 3 * n_head * hd)).astype(np.float32)
+        out = T.attention(Tensor(qkv), n_head).data
+        assert out.shape == (B, n_tok, n_head * hd)
+        np.testing.assert_allclose(out, attention_oracle(qkv, n_head), rtol=1e-5, atol=1e-6)
+
+    def test_single_token_returns_its_value(self):
+        qkv = np.random.default_rng(2).normal(size=(4, 1, 18)).astype(np.float32)
+        np.testing.assert_allclose(T.attention(Tensor(qkv), 2).data, qkv[..., 12:], rtol=1e-6)
+
+    def test_permuting_tokens_permutes_the_output(self):
+        qkv = np.random.default_rng(3).normal(size=(2, 6, 12))
+        perm = np.array([4, 0, 5, 2, 1, 3])
+        out = T.attention(Tensor(qkv, dtype=np.float64), 2).data
+        permuted = T.attention(Tensor(qkv[:, perm], dtype=np.float64), 2).data
+        np.testing.assert_allclose(permuted, out[:, perm], rtol=1e-12, atol=1e-14)
+
+    def test_heads_do_not_mix(self):
+        rng = np.random.default_rng(4)
+        qkv = rng.normal(size=(2, 5, 24)).astype(np.float32)
+        other = qkv.copy()
+        other[..., 4:8] += 1.0          # q, k and v of head 1 only
+        other[..., 12:16] -= 2.0
+        other[..., 20:24] *= 3.0
+        a = T.attention(Tensor(qkv), 2).data
+        b = T.attention(Tensor(other), 2).data
+        np.testing.assert_array_equal(a[..., :4], b[..., :4])
+        assert np.abs(a[..., 4:] - b[..., 4:]).min() > 0
+
+    def test_equal_values_give_queries_and_keys_no_gradient(self):
+        # when every token has the same value, the weights do not matter
+        qkv = np.random.default_rng(5).normal(size=(2, 4, 6))
+        qkv[..., 4:] = [0.5, -1.5]
+        t = Tensor(qkv, requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            loss = scalar_loss(T.attention(t, 1))
+        backward(loss, tape)
+        np.testing.assert_allclose(t.grad[..., :4], 0.0, atol=1e-15)
+        assert np.abs(t.grad[..., 4:]).min() > 0
+
+    def test_shape_mismatch_message(self):
+        with pytest.raises(ValueError, match=r"\(2, 3, 8\).*n_head=1"):
+            T.attention(Tensor(np.zeros((2, 3, 8))), 1)
+        with pytest.raises(ValueError, match=r"\(2, 3, 12\).*n_head=3"):
+            T.attention(Tensor(np.zeros((2, 3, 12))), 3)
+
+
 class TestSoftmax:
+    """The attention weights: with one-hot values (v_j = e_j) the context
+    row of token i is its probability row."""
+
+    @staticmethod
+    def weights(q, k):
+        n_tok, hd = q.shape
+        v = np.eye(n_tok, hd)
+        qkv = np.concatenate([q, k, v], axis=-1)[None]       # one head
+        return T.attention(Tensor(qkv), 1).data[0, :, :n_tok]
+
     def test_uniform_input(self):
-        out = T.softmax_lastdim(Tensor(np.full((2, 5), 3.0))).data
-        np.testing.assert_allclose(out, 0.2, atol=1e-7)
+        # equal keys give equal scores, whatever the queries
+        q = np.random.default_rng(0).normal(size=(5, 5))
+        np.testing.assert_allclose(self.weights(q, np.full((5, 5), 3.0)), 0.2, atol=1e-7)
 
     def test_log3(self):
-        out = T.softmax_lastdim(Tensor([[0.0, np.log(3.0)]])).data
-        np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-6)
+        # scores q.k / sqrt(2) = (0, log 3) for both queries
+        k = np.array([[0.0, 0.0], [np.log(3.0) * np.sqrt(2.0), 0.0]])
+        out = self.weights(np.array([[1.0, 0.0], [1.0, 5.0]]), k)
+        np.testing.assert_allclose(out, [[0.25, 0.75]] * 2, atol=1e-6)
 
     def test_shift_invariance(self):
-        x = np.random.default_rng(2).normal(size=(3, 6)).astype(np.float32)
-        a = T.softmax_lastdim(Tensor(x)).data
-        b = T.softmax_lastdim(Tensor(x + 7.5)).data
-        np.testing.assert_allclose(a, b, atol=1e-6)
+        # one vector added to every key adds q.c to each score row; so the
+        # key bias gets no gradient
+        rng = np.random.default_rng(2)
+        q, k = rng.normal(size=(2, 6, 6)).astype(np.float32)
+        shifted = k + rng.normal(scale=2.0, size=(1, 6)).astype(np.float32)
+        np.testing.assert_allclose(self.weights(q, k), self.weights(q, shifted), atol=1e-6)
 
-    @given(st.integers(1, 6), st.integers(2, 9), st.integers(0, 2 ** 31 - 1))
+    @given(st.integers(1, 9), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_rows_sum_to_one(self, rows, cols, seed):
-        x = np.random.default_rng(seed).normal(scale=10, size=(rows, cols))
-        out = T.softmax_lastdim(Tensor(x)).data
+    def test_rows_sum_to_one(self, n_tok, seed):
+        q, k = np.random.default_rng(seed).normal(scale=10, size=(2, n_tok, 9))
+        out = self.weights(q, k)
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(-1), 1.0, atol=1e-6)
 
@@ -226,28 +267,27 @@ class TestBackward:
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         params = {
-            "w": Tensor(rng.normal(size=(5, 4)).astype(np.float32), requires_grad=True),
-            "b": Tensor(rng.normal(size=(4,)).astype(np.float32), requires_grad=True),
+            "w": Tensor(rng.normal(size=(5, 12)).astype(np.float32), requires_grad=True),
+            "b": Tensor(rng.normal(size=(12,)).astype(np.float32), requires_grad=True),
             "g": Tensor(rng.uniform(0.5, 1.5, 4).astype(np.float32), requires_grad=True),
         }
-        x = rng.normal(size=(3, 5))
+        x = rng.normal(size=(2, 3, 5))
 
         def fn(p):
-            h = T.add(T.matmul(Tensor(x, dtype=p["w"].dtype), p["w"]), p["b"])
-            h = T.rms_norm(h, p["g"])
-            h = T.softmax_lastdim(T.relu_squared(h))
+            h = T.linear(Tensor(x, dtype=p["w"].dtype), p["w"], p["b"])
+            h = T.rms_norm(T.attention(T.relu_squared(h), 2), p["g"])
             return T.mean_all(T.mul(h, h))
 
         assert finite_difference_check(fn, params) < 1e-4
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(6, 6)).astype(np.float32)
+        x = rng.normal(size=(4, 6, 12)).astype(np.float32)
 
         def run():
             t = Tensor(x, requires_grad=True)
             with Tape() as tape:
-                loss = T.mean_all(T.softmax_lastdim(T.matmul(t, t)))
+                loss = T.mean_all(T.relu_squared(T.attention(t, 2)))
             backward(loss, tape)
             return loss.item(), t.grad.copy()
 
@@ -300,14 +340,12 @@ GRADIENT_CASES = {
     "add": ("add",),
     "sub": ("sub",),
     "mul": ("mul",),
-    "matmul": ("matmul",),
     "linear": ("linear",),
     "relu_squared": ("relu_squared",),
     "rms_norm": ("rms_norm",),
-    "softmax_lastdim": ("softmax_lastdim",),
-    "softmax_scaled": ("softmax_lastdim",),
-    "reshape_transpose": ("reshape", "transpose"),
+    "attention": ("attention",),
     "concat_slice": ("concat", "slice_axis"),
+    "reshape": ("reshape",),
     "mean_all": ("mean_all",),
 }
 NOT_TAPE_OPS = {"backward", "adam_step", "finite_difference_check"}
@@ -332,6 +370,8 @@ class TestPrimitiveGradients:
         if op_name == "linear":
             params["w"] = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
             params["c"] = Tensor(rng.normal(size=(5,)), requires_grad=True)
+        if op_name == "attention":     # head_dim 3
+            params["qkv"] = Tensor(rng.normal(size=(3, 4, 18)), requires_grad=True)
 
         def fn(p):
             if op_name == "add":
@@ -340,8 +380,6 @@ class TestPrimitiveGradients:
                 out = T.sub(p["a"], p["b"])
             elif op_name == "mul":
                 out = T.mul(p["a"], p["b"])
-            elif op_name == "matmul":
-                out = T.matmul(p["a"], T.transpose(p["b"], (0, 2, 1)))
             elif op_name == "linear":
                 out = T.linear(p["a"], p["w"], p["c"])
             elif op_name == "relu_squared":
@@ -349,16 +387,17 @@ class TestPrimitiveGradients:
             elif op_name == "rms_norm":
                 out = T.rms_norm(p["a"], T.reshape(T.slice_axis(
                     T.reshape(p["b"], (72,)), 0, 0, 6), (6,)))
-            elif op_name == "softmax_lastdim":
-                out = T.softmax_lastdim(p["a"])
-            elif op_name == "softmax_scaled":
-                out = T.softmax_lastdim(p["a"], 2.5)
-            elif op_name == "reshape_transpose":
-                out = T.transpose(T.reshape(p["a"], (3, 8, 3)), (2, 0, 1))
+            elif op_name == "attention":     # 4 tokens, and a single one
+                out = T.concat([T.attention(p["qkv"], 2),
+                                T.attention(T.slice_axis(p["qkv"], 1, 0, 1), 2)], axis=1)
+            elif op_name == "reshape":
+                out = T.mul(T.reshape(p["a"], (3, 8, 3)), T.reshape(p["b"], (3, 8, 3)))
             elif op_name == "concat_slice":
                 out = T.concat([T.slice_axis(p["a"], 1, 0, 2), p["b"]], axis=1)
             elif op_name == "mean_all":
                 out = T.mean_all(T.mul(p["a"], p["b"]))
             return T.mean_all(T.mul(out, out))
 
-        assert finite_difference_check(fn, params, max_entries=20) < 1e-4
+        # every entry of the attention op's input, 20 of each other one
+        max_entries = None if op_name == "attention" else 20
+        assert finite_difference_check(fn, params, max_entries=max_entries) < 1e-4
