@@ -82,17 +82,17 @@ def kernel_matrix(const: DarcyConstants = CONST) -> np.ndarray:
 
 
 def _cache_path(const, cache_dir):
-    if cache_dir is None:
-        cache_dir = os.environ.get(
-            "FLOWINVERSE_CACHE",
-            os.path.join(os.path.expanduser("~"), ".cache", "flowinverse"))
+    cache_dir = cache_dir or os.environ.get("FLOWINVERSE_CACHE")
+    if not cache_dir:
+        return None
     tag = f"kl_n{const.n_grid}_sv{const.sigma_v:g}_l2{const.ell2:g}_m{const.n_modes}_v{KL_CACHE_VERSION}"
     return os.path.join(cache_dir, tag + ".npz")
 
 
 def kl_basis_build(const: DarcyConstants = CONST, cache_dir=None) -> KLBasis:
-    """Leading eigenpairs of the covariance operator, disk-cached by (grid,
-    sigma_v, ell^2, n_modes) and the cache format version.
+    """Leading eigenpairs of the covariance operator. With a ``cache_dir``, or
+    else ``$FLOWINVERSE_CACHE``, they are disk-cached by (grid, sigma_v, ell^2,
+    n_modes) and the cache format version; with neither, built in memory.
 
     The kernel separates in x and y, so the h^2-weighted grid matrix is the
     Kronecker square of the h-weighted 1-D matrix K1, and mode kron(u_a, u_b)
@@ -101,7 +101,7 @@ def kl_basis_build(const: DarcyConstants = CONST, cache_dir=None) -> KLBasis:
     and (b, a), so every build gives the same basis.
     """
     path = _cache_path(const, cache_dir)
-    if os.path.exists(path):
+    if path is not None and os.path.exists(path):
         with np.load(path) as z:
             if int(z["version"]) == KL_CACHE_VERSION:
                 return KLBasis(z["eigenvalues"], z["modes"], const, float(z["trace"]))
@@ -117,10 +117,11 @@ def kl_basis_build(const: DarcyConstants = CONST, cache_dir=None) -> KLBasis:
     vals = np.maximum(prod[top], 0.0)
     modes = (u[:, a].T[:, :, None] * u[:, b].T[:, None, :]).reshape(const.n_modes, -1) / const.h
     trace = lam.sum() ** 2
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp.npz"
-    np.savez(tmp, version=KL_CACHE_VERSION, eigenvalues=vals, modes=modes, trace=trace)
-    os.replace(tmp, path)
+    if path is not None:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = path + ".tmp.npz"
+        np.savez(tmp, version=KL_CACHE_VERSION, eigenvalues=vals, modes=modes, trace=trace)
+        os.replace(tmp, path)
     return KLBasis(vals, modes, const, trace)
 
 

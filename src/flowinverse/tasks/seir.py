@@ -11,9 +11,11 @@ Observations are (I, R) read at a handful of times in [1, 3].
 
 One fixed-step RK4 kernel, ``_integrate``, serves every path: a single rate
 vector runs it in Python floats (MH, ``de_solution``, each row of a small
-batch), a larger (B, 6) batch on columns (data generation), with bitwise
-equal results. ``_read`` interpolates the steps linearly; ``simulate_batch``
-and ``forward_observed`` integrate only up to their last time, ``seir_solve``
+batch), appending each step's state to one flat list that becomes an array
+once at the end; a larger (B, 6) batch runs on columns (data generation) and
+writes each step into a preallocated array. Both give bitwise equal results.
+``_read`` interpolates the steps linearly; ``simulate_batch`` and
+``forward_observed`` integrate only up to their last time, ``seir_solve``
 always over [0, t_end].
 """
 
@@ -65,35 +67,44 @@ def _integrate(m, n_steps=N_STEPS):
     vector's result bitwise.
     """
     m = np.asarray(m, dtype=np.float64)
-    b1, al, gr, gd1, b2, gd2 = m.tolist() if m.ndim == 1 else np.ascontiguousarray(m.T)
+    single = m.ndim == 1
+    b1, al, gr, gd1, b2, gd2 = m.tolist() if single else np.ascontiguousarray(m.T)
     db, dg, g0 = b2 - b1, gd2 - gd1, gr + gd1
     dt, h2, h6 = CONST.dt, CONST.dt / 2, CONST.dt / 6
     s_full, s_half = _RAMP
     S, E, I, R = CONST.s0, CONST.e0, CONST.i0, CONST.r0
-    state = np.empty((n_steps + 1, 4) + m.shape[:-1])
-    state[0] = np.reshape((S, E, I, R), (4,) + (1,) * (m.ndim - 1))
-    # Stage j has infection flux x_j = -dS/dt, dE/dt e_j, dI/dt i_j and
-    # dR/dt g_j. "S - h * x" is bitwise "S + h * (-x)": rounding is sign-symmetric.
-    for k in range(n_steps):
-        beta, gam = b1 + s_full[k] * db, g0 + s_full[k] * dg
-        x1, aE, g1 = beta * S * I, al * E, gam * I
+    flat = [S, E, I, R]
+    if not single:
+        state = np.empty((n_steps + 1, 4) + m.shape[:-1])
+        state[0] = np.reshape(flat, (4, 1))
+    # Stage j has infection flux x_j = -dS/dt, dE/dt e_j, dI/dt i_j and dR/dt
+    # g_j; the end-of-step rates (bf, gf) start the next step. "S - h * x" is
+    # bitwise "S + h * (-x)": rounding is sign-symmetric.
+    bf, gf = b1 + s_full[0] * db, g0 + s_full[0] * dg
+    for k, sh, sf in zip(range(1, n_steps + 1), s_half, s_full[1:]):
+        x1, aE, g1 = bf * S * I, al * E, gf * I
         e1, i1 = x1 - aE, aE - g1
-        beta, gam = b1 + s_half[k] * db, g0 + s_half[k] * dg
+        beta, gam = b1 + sh * db, g0 + sh * dg
         Sj, Ej, Ij = S - h2 * x1, E + h2 * e1, I + h2 * i1
         x2, aE, g2 = beta * Sj * Ij, al * Ej, gam * Ij
         e2, i2 = x2 - aE, aE - g2
         Sj, Ej, Ij = S - h2 * x2, E + h2 * e2, I + h2 * i2
         x3, aE, g3 = beta * Sj * Ij, al * Ej, gam * Ij
         e3, i3 = x3 - aE, aE - g3
-        beta, gam = b1 + s_full[k + 1] * db, g0 + s_full[k + 1] * dg
+        bf, gf = b1 + sf * db, g0 + sf * dg
         Sj, Ej, Ij = S - dt * x3, E + dt * e3, I + dt * i3
-        x4, aE, g4 = beta * Sj * Ij, al * Ej, gam * Ij
+        x4, aE, g4 = bf * Sj * Ij, al * Ej, gf * Ij
         e4, i4 = x4 - aE, aE - g4
-        S = S - h6 * (x1 + 2 * x2 + 2 * x3 + x4)
-        E = E + h6 * (e1 + 2 * e2 + 2 * e3 + e4)
-        I = I + h6 * (i1 + 2 * i2 + 2 * i3 + i4)
-        R = R + h6 * (g1 + 2 * g2 + 2 * g3 + g4)
-        state[k + 1] = S, E, I, R
+        S = S - h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+        E = E + h6 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        I = I + h6 * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
+        R = R + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        if single:
+            flat.extend((S, E, I, R))
+        else:
+            state[k] = S, E, I, R
+    if single:
+        state = np.array(flat).reshape(-1, 4)
     bad = ~np.isfinite(state).all(axis=1).reshape(n_steps + 1, -1)
     if bad.any():
         k_bad, b_bad = np.argwhere(bad)[0]
@@ -138,9 +149,10 @@ def seir_solve(m, t_grid):
 
 # Below this many rows a batch runs row by row in Python floats: the column
 # kernel pays about 90 numpy calls per step whatever B is. simulate_batch at
-# n_obs 5, one BLAS thread on a 2-CPU guest, median of 5, rows vs columns:
-# B=1 1.6 vs 40 ms, B=16 37 vs 68 ms, B=31 61 vs 64 ms, B=32 60 vs 53 ms.
-ROW_LOOP_BELOW = 32
+# n_obs 5, one BLAS thread on a 2-CPU AMD EPYC guest, median of 9, rows vs
+# columns: B=1 0.5 vs 10.6 ms, B=16 7.3 vs 15.6, B=32 13.2 vs 15.5, B=36 14.1
+# vs 15.8, B=40 16.3 vs 15.9, B=48 19.9 vs 15.8, B=64 26.9 vs 16.1.
+ROW_LOOP_BELOW = 40
 
 
 def _observe(m, times):

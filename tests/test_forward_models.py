@@ -6,7 +6,7 @@ import pytest
 
 from flowinverse.tasks import get_task
 from flowinverse.tasks.nonlinear import nonlinear_forward
-from flowinverse.tasks.seir import CONST, TRUE_RATES, _ramp, seir_solve
+from flowinverse.tasks.seir import CONST, ROW_LOOP_BELOW, TRUE_RATES, _ramp, seir_solve
 from flowinverse.tasks import darcy as dy
 
 
@@ -77,6 +77,29 @@ class TestSeirSolve:
             [0.05639267, 48.74744337, 18.55073885, 32.64542510],
         ])
         np.testing.assert_allclose(traj, expected, rtol=1e-7, atol=1e-7)
+
+    def test_scalar_path_pinned_to_reference_digests(self):
+        # sha256 of the single-vector RK4 outputs: 16 seeded prior draws
+        # observed at 8 times, the dense true-rate solution, and a seeded
+        # 200-sample MH chain; any change in the float operations shows here
+        from flowinverse.mcmc import ChainConfig, run_chain
+
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+        task = get_task("seir")
+        rng = np.random.default_rng(14)
+        m = task.sample_params(rng, 16)
+        e = task.sample_design(rng, 8)
+        observed = np.stack([task.forward_observed(row, e) for row in m])
+        d = task.forward_observed(TRUE_RATES, e)
+        chain = run_chain(task, d, e, ChainConfig(n_samples=200, seed=3))
+        assert digest(observed) == "4609b9fa127a059a44ca896895fcef340c781d08c2a5d35085378ee61608371d"
+        assert digest(task.de_solution(TRUE_RATES)) == (
+            "080f7fc5b06fc6a9baee87065780842de03d03bc5fbef5aa8e79968b8cc29bec")
+        assert digest(chain.chain) == "1fff41d0fc5ee5d54c49887de21343410f53ac135c9a10ad4c19a257d4f8058e"
+        assert digest(chain.log_posterior) == (
+            "1140a9a32480caed99328949a5da238247cb81ae66b3fb6d7f548600b9f4977f")
 
     def test_states_bounded_over_prior(self):
         rng = np.random.default_rng(7)
@@ -159,16 +182,17 @@ class TestSeirObserve:
         # columns run the same operations, so they agree bitwise
         rng = np.random.default_rng(2)
         task = get_task("seir")
-        m = rng.uniform(0, 1, (40, 6))      # enough rows to run on columns
-        e = rng.uniform(1, 3, (40, 5))
+        rows = ROW_LOOP_BELOW + 8           # enough rows to run on columns
+        m = rng.uniform(0, 1, (rows, 6))
+        e = rng.uniform(1, 3, (rows, 5))
         d, _ = task.simulate_batch(m, e, 5)
         grid = np.linspace(0.0, 4.0, 256)
-        for row in range(40):
+        for row in range(rows):
             np.testing.assert_array_equal(task.forward_observed(m[row], e[row]), d[row])
             np.testing.assert_array_equal(task.de_solution(m[row]),
                                           seir_solve(m[row:row + 1], grid)[0].reshape(-1))
 
-    @pytest.mark.parametrize("rows", [1, 2, 31, 32, 33])
+    @pytest.mark.parametrize("rows", [1, 2, ROW_LOOP_BELOW - 1, ROW_LOOP_BELOW, ROW_LOOP_BELOW + 1])
     def test_small_and_large_batches_match_single_vectors(self, rows):
         # below ROW_LOOP_BELOW a batch runs row by row, above it on columns;
         # either way each row is the single vector's result bitwise
@@ -219,6 +243,14 @@ class TestKlBasis:
         np.testing.assert_array_equal(b1.eigenvalues, b2.eigenvalues)
         np.testing.assert_array_equal(b1.modes, b2.modes)
         assert len(list(tmp_path.iterdir())) == 1
+
+    def test_no_cache_directory_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("FLOWINVERSE_CACHE", raising=False)
+        monkeypatch.chdir(tmp_path)
+        basis = get_task("darcy").basis
+        assert basis.modes.shape == (16, 65 * 65)
+        assert list(tmp_path.iterdir()) == []
 
     def test_fresh_builds_are_bitwise_equal(self, tmp_path):
         # degenerate eigenpairs must not leave the basis to the eigensolver
