@@ -8,10 +8,11 @@ mixes them; a final RMS norm and a linear head read the velocity off the
 state token alone. So the same weights accept any number of observations,
 and the velocity does not depend on their order beyond float rounding.
 
-Each block's attention is three tape records: one linear with a packed
-(E, 3E) q|k|v weight ``attn.wqkv``, the fused :func:`tensor.attention` op
-(head split, scaled scores, softmax, context and head merge) and the output
-linear ``attn.wo``.
+Each block is two tape records, the fused pre-norm sub-blocks
+:func:`tensor.attention_block` (q|k|v packed in one (E, 3E) weight
+``attn.wqkv``) and :func:`tensor.mlp_block`. Since the head reads only the
+state token, the last block computes its query, output projection, residual
+and MLP for that token alone; keys and values still come from every token.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is
@@ -66,6 +67,11 @@ def timestep_basis(t, dim: int) -> np.ndarray:
     freqs = (10000.0 ** (np.arange(half) / max(half - 1, 1))).astype(np.float32)
     ang = t[..., None] * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+
+
+# One block's parameters in the argument order of its two fused sub-blocks.
+_BLOCK_PARAMS = ("ln1.g", "attn.wqkv.w", "attn.wqkv.b", "attn.wo.w", "attn.wo.b",
+                "ln2.g", "mlp.fc.w", "mlp.fc.b", "mlp.proj.w", "mlp.proj.b")
 
 
 def _linear(x: Tensor, params: dict, name: str) -> Tensor:
@@ -129,11 +135,6 @@ def param_count(params: dict) -> int:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _attention(x: Tensor, params: dict, prefix: str, config: NetConfig) -> Tensor:
-    qkv = _linear(x, params, f"{prefix}.wqkv")       # (B, T, 3E): q | k | v
-    return _linear(T.attention(qkv, config.n_head), params, f"{prefix}.wo")
-
-
 def transformer_forward(params: dict, config: NetConfig, task,
                         m_t: np.ndarray, t, d: np.ndarray, e: np.ndarray) -> Tensor:
     """Velocity prediction for a batch sharing one observation count.
@@ -158,15 +159,11 @@ def transformer_forward(params: dict, config: NetConfig, task,
     x = T.add(x, T.reshape(temb, (m_t.shape[0], 1, config.n_emb)))
 
     for i in range(config.n_layer):
-        p = f"block{i}"
-        h = T.rms_norm(x, params[f"{p}.ln1.g"])
-        x = T.add(x, _attention(h, params, f"{p}.attn", config))
-        h = T.rms_norm(x, params[f"{p}.ln2.g"])
-        h = T.relu_squared(_linear(h, params, f"{p}.mlp.fc"))
-        x = T.add(x, _linear(h, params, f"{p}.mlp.proj"))
-
-    state_tok = T.slice_axis(x, 1, x.shape[1] - 1, x.shape[1])     # (B, 1, E)
-    v = _linear(T.rms_norm(state_tok, params["ln_f.g"]), params, "head")
+        p = [params[f"block{i}.{name}"] for name in _BLOCK_PARAMS]
+        x = T.attention_block(x, *p[:5], config.n_head, state_only=i == config.n_layer - 1)
+        x = T.mlp_block(x, *p[5:])
+    # x is the state token alone now: (B, 1, E)
+    v = _linear(T.rms_norm(x, params["ln_f.g"]), params, "head")
     return T.reshape(v, (m_t.shape[0], config.dim_m))
 
 

@@ -6,6 +6,13 @@ float64 mode exists for finite-difference gradient checking. The graph is
 recorded on an explicit :class:`Tape` that is rebuilt for every forward pass,
 so batches with different sequence lengths pose no problem.
 
+Besides primitives (linear, rms_norm, relu_squared and elementwise, shape
+and reduction ops), the transformer's two pre-norm sub-blocks are one op
+each, :func:`attention_block` and :func:`mlp_block`, with a hand-written
+backward. Their intermediates are private, so they reuse buffers in place,
+and their backward recomputes the cheap ones instead of keeping them on the
+tape.
+
 Reductions use numpy's fixed evaluation order, so results are bitwise
 reproducible for identical inputs.
 """
@@ -120,6 +127,128 @@ def _unbroadcast(grad, shape):
 
 
 # ---------------------------------------------------------------------------
+# shared formulas
+# ---------------------------------------------------------------------------
+# Each forward and backward formula is written once, on arrays; the
+# primitives and the fused blocks below call the same helpers.
+
+RMS_EPS = 1e-8
+
+
+def _sum_rows(g2):
+    """Column sums of a 2-D array, as one GEMV."""
+    return np.ones(len(g2), dtype=g2.dtype) @ g2
+
+
+def _check_linear(x_shape, w, b, n_out=None):
+    k, n = w.shape
+    if x_shape[-1] != k or b.shape != (n,) or n_out not in (None, n):
+        raise ValueError(f"linear shapes do not match: x {x_shape}, w {w.shape}, b {b.shape}")
+
+
+def _linear_fwd(x2, w, b):
+    """(rows, k) @ (k, n) + (n,) as one 2-D GEMM, the bias added in place."""
+    y = x2 @ w
+    y += b
+    return y
+
+
+def _linear_bwd(g2, x2, w, need_x=True):
+    """Gradients of x2, w and b from a (rows, n) output gradient."""
+    return (g2 @ w.T if need_x else None), x2.T @ g2, _sum_rows(g2)
+
+
+def _check_rms(x_shape, gain, eps):
+    if eps <= 0:
+        raise ValueError(f"rms_norm eps must be > 0, got {eps}")
+    if gain.shape != x_shape[-1:]:
+        raise ValueError(f"rms_norm gain must have shape {x_shape[-1:]}, got {gain.shape}")
+
+
+def _rms_inv(xd, eps):
+    """1 / rms(x) over the trailing axis, as (..., 1)."""
+    ms = np.einsum("...i,...i->...", xd, xd)[..., None] / xd.shape[-1]
+    return 1.0 / np.sqrt(ms + xd.dtype.type(eps))
+
+
+def _rms_scale(xd, gain, inv):
+    """(x / rms(x) · gain, x / rms(x))."""
+    xhat = xd * inv
+    return xhat * gain, xhat
+
+
+def _rms_bwd(g, xd, gain, inv, xhat):
+    """Gradients of x and gain; ``xhat`` is overwritten."""
+    n = xd.shape[-1]
+    gg = g * gain
+    dot = np.einsum("...i,...i->...", gg, xd)[..., None]
+    xhat *= g
+    dgain = _sum_rows(xhat.reshape(-1, n))
+    gx = xd * (inv ** 3)
+    gx *= dot / n
+    gg *= inv
+    gg -= gx                              # gg · inv - x · inv³ · dot / n
+    return gg, dgain
+
+
+def _relu_squared(f, out=None):
+    """(relu(f)², relu(f))."""
+    r = np.maximum(f, 0, out=out)
+    return r * r, r
+
+
+def _relu_squared_bwd(g, r, out=None):
+    """g · 2 relu(f), formed in ``out`` if given (an array of r's shape)."""
+    two_r = np.multiply(r, 2, out=out)
+    return np.multiply(g, two_r, out=two_r)
+
+
+def _attention_fwd(qkv, n_head, state_only=False):
+    """Each head's softmax(q kᵀ / √hd) v of a packed (B, T, 3E) q|k|v,
+    merged to (B, Tq, E), and what the backward needs. Tq is T, or 1 with
+    ``state_only``: only the last token's query is used."""
+    B, n_tok, E3 = qkv.shape
+    hd = E3 // (3 * n_head)
+    parts = qkv.reshape(B, n_tok, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
+    # Contiguous copies. On strided views the stacked products cost about the
+    # same (B=256, T=9: 0.53 ms either way, copies included), but the
+    # backward's products then round differently from the unfused engine's.
+    q = np.ascontiguousarray(parts[0, :, :, n_tok - 1:] if state_only else parts[0])
+    kt = np.ascontiguousarray(parts[1].swapaxes(-1, -2))     # (B, H, hd, T)
+    v = np.ascontiguousarray(parts[2])                       # (B, H, T, hd)
+    c = qkv.dtype.type(1.0 / np.sqrt(hd))
+    s = q @ kt
+    s *= c
+    m = s[..., 0].copy()
+    for i in range(1, n_tok):             # exact row max; fast on short rows
+        np.maximum(m, s[..., i], out=m)
+    s -= m[..., None]
+    np.exp(s, out=s)
+    s /= np.einsum("...i->...", s)[..., None]
+    ctx = (s @ v).transpose(0, 2, 1, 3).reshape(B, q.shape[2], E3 // 3)
+    return ctx, (q, kt, v, s, c)
+
+
+def _attention_bwd(g, cache):
+    """The (B, T, 3E) q|k|v gradient from the (B, Tq, E) context gradient."""
+    q, kt, v, s, c = cache
+    B, n_head, n_q, hd = q.shape
+    n_tok = v.shape[2]
+    g = np.ascontiguousarray(g.reshape(B, n_q, n_head, hd).transpose(0, 2, 1, 3))
+    ds = g @ np.ascontiguousarray(v.swapaxes(-1, -2))
+    ds -= np.einsum("...i,...i->...", ds, s)[..., None]
+    ds *= s
+    ds *= c
+    dqkv = np.empty((B, n_tok, 3 * n_head * hd), dtype=g.dtype)
+    d = dqkv.reshape(B, n_tok, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
+    d[0, :, :, :n_tok - n_q] = 0          # queries that were not used
+    np.matmul(ds, np.ascontiguousarray(kt.swapaxes(-1, -2)), out=d[0, :, :, n_tok - n_q:])
+    np.matmul(np.ascontiguousarray(ds.swapaxes(-1, -2)), q, out=d[1])
+    np.matmul(np.ascontiguousarray(s.swapaxes(-1, -2)), g, out=d[2])
+    return dqkv
+
+
+# ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
 
@@ -153,100 +282,121 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """(..., k) @ (k, n) + (n,) as one 2-D GEMM; ``x`` gets a gradient only
     if it requires one (raw token features do not)."""
+    _check_linear(x.shape, w, b)
     k, n = w.shape
     xd = x.data
-    if xd.shape[-1] != k or b.shape != (n,):
-        raise ValueError(f"linear shapes do not match: x {xd.shape}, w {w.shape}, b {b.shape}")
     x2 = xd.reshape(-1, k)
-    y = x2 @ w.data
-    y += b.data
-    out = Tensor(y.reshape(xd.shape[:-1] + (n,)), dtype=x.dtype)
+    out = Tensor(_linear_fwd(x2, w.data, b.data).reshape(xd.shape[:-1] + (n,)), dtype=x.dtype)
 
     def bwd(g):
-        g2 = g.reshape(-1, n)
-        gx = (g2 @ w.data.T).reshape(xd.shape) if x.requires_grad else None
-        return gx, x2.T @ g2, np.ones(len(g2), dtype=g2.dtype) @ g2
+        gx, gw, gb = _linear_bwd(g.reshape(-1, n), x2, w.data, x.requires_grad)
+        return (None if gx is None else gx.reshape(xd.shape)), gw, gb
 
     return _record(out, (x, w, b), bwd)
 
 
 def relu_squared(x: Tensor) -> Tensor:
-    r = np.maximum(x.data, 0)
-    out = Tensor(r * r, dtype=x.dtype)
+    sq, r = _relu_squared(x.data)
 
     def bwd(g):
-        return (g * (2 * r),)
+        return (_relu_squared_bwd(g, r),)
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor(sq, dtype=x.dtype), (x,), bwd)
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor, eps: float = RMS_EPS) -> Tensor:
     """Scale each trailing-axis vector to unit root-mean-square, times gain."""
-    if eps <= 0:
-        raise ValueError(f"rms_norm eps must be > 0, got {eps}")
-    if gain.shape != x.shape[-1:]:
-        raise ValueError(f"rms_norm gain must have shape {x.shape[-1:]}, got {gain.shape}")
-    xd = x.data
-    n = xd.shape[-1]
-    ms = np.einsum("...i,...i->...", xd, xd)[..., None] / n
-    inv = 1.0 / np.sqrt(ms + xd.dtype.type(eps))
-    xhat = xd * inv
-    out = Tensor(xhat * gain.data, dtype=x.dtype)
+    _check_rms(x.shape, gain, eps)
+    inv = _rms_inv(x.data, eps)
+    y, _ = _rms_scale(x.data, gain.data, inv)
 
     def bwd(g):
-        gg = g * gain.data
-        dot = np.einsum("...i,...i->...", gg, xd)[..., None]
-        gx = gg * inv - xd * (inv ** 3) * (dot / n)
-        g2 = (g * xhat).reshape(-1, n)
-        return gx, np.ones(len(g2), dtype=g2.dtype) @ g2
+        _, xhat = _rms_scale(x.data, gain.data, inv)
+        return _rms_bwd(g, x.data, gain.data, inv, xhat)
 
-    return _record(out, (x, gain), bwd)
+    return _record(Tensor(y, dtype=x.dtype), (x, gain), bwd)
 
 
-def attention(qkv: Tensor, n_head: int) -> Tensor:
-    """Bi-directional multi-head self-attention of a packed (B, T, 3E) q|k|v:
-    each head's softmax(q kᵀ / √hd) v, merged back to (B, T, E).
+# ---------------------------------------------------------------------------
+# fused transformer sub-blocks
+# ---------------------------------------------------------------------------
+# One tape record each, with a hand-written backward. Each runs the float
+# operations of rms_norm, linear, attention or relu² and a residual add, in
+# that composition's order, so (without ``state_only``) its output and
+# gradients are bitwise the composition's; tests/test_tensor.py checks this
+# against a plain-numpy composition. The tape keeps 1 / rms(x), the
+# attention's q, kᵀ, v and weights, its context and relu(f); the backward
+# recomputes the normalised input and relu².
 
-    The head split, both products, the softmax and the head merge are one
-    tape record; the backward reuses the stored probabilities.
+def attention_block(x: Tensor, gain: Tensor, wqkv: Tensor, bqkv: Tensor,
+                    wo: Tensor, bo: Tensor, n_head: int, state_only: bool = False) -> Tensor:
+    """Pre-norm bi-directional self-attention of a (B, T, E) sequence,
+    x + wo(attention(wqkv(rms_norm(x, gain)))), with q|k|v packed in one
+    (E, 3E) weight.
+
+    With ``state_only`` the query, the output projection and the residual
+    are computed for the last token alone and the result is (B, 1, E); keys
+    and values still come from every token.
     """
-    B, n_tok, E3 = qkv.shape
-    if n_head < 1 or E3 % (3 * n_head):
-        raise ValueError(f"attention needs a last axis of 3 * n_head * head_dim, "
-                         f"got {qkv.shape} with n_head={n_head}")
-    E = E3 // 3
-    hd = E // n_head
-    # stacked matmul is ~3x slower on swapaxes views than on contiguous operands
-    parts = qkv.data.reshape(B, n_tok, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
-    q = np.ascontiguousarray(parts[0])                       # (B, H, T, hd)
-    kt = np.ascontiguousarray(parts[1].swapaxes(-1, -2))     # (B, H, hd, T)
-    v = np.ascontiguousarray(parts[2])
-    c = qkv.dtype.type(1.0 / np.sqrt(hd))
-    s = q @ kt
-    s *= c
-    m = s[..., 0].copy()
-    for i in range(1, n_tok):             # exact row max; fast on short rows
-        np.maximum(m, s[..., i], out=m)
-    s -= m[..., None]
-    np.exp(s, out=s)
-    s /= np.einsum("...i->...", s)[..., None]
-    ctx = s @ v
-    out = Tensor(ctx.transpose(0, 2, 1, 3).reshape(B, n_tok, E), dtype=qkv.dtype)
+    B, n_tok, E = x.shape
+    _check_rms(x.shape, gain, RMS_EPS)
+    _check_linear(x.shape, wqkv, bqkv, 3 * E)
+    _check_linear(x.shape, wo, bo, E)
+    if n_head < 1 or E % n_head:
+        raise ValueError(f"attention needs n_emb divisible by n_head, "
+                         f"got n_emb={E} with n_head={n_head}")
+    xd = x.data
+    inv = _rms_inv(xd, RMS_EPS)
+    h, _ = _rms_scale(xd, gain.data, inv)
+    qkv = _linear_fwd(h.reshape(-1, E), wqkv.data, bqkv.data).reshape(B, n_tok, 3 * E)
+    ctx, cache = _attention_fwd(qkv, n_head, state_only)
+    n_q = ctx.shape[1]
+    c2 = ctx.reshape(-1, E)
+    y = _linear_fwd(c2, wo.data, bo.data).reshape(ctx.shape)
+    y += xd[:, n_tok - n_q:]
 
     def bwd(g):
-        g = np.ascontiguousarray(g.reshape(B, n_tok, n_head, hd).transpose(0, 2, 1, 3))
-        ds = g @ np.ascontiguousarray(v.swapaxes(-1, -2))
-        ds -= np.einsum("...i,...i->...", ds, s)[..., None]
-        ds *= s
-        ds *= c
-        d = np.empty((3, B, n_head, n_tok, hd), dtype=g.dtype)
-        np.matmul(ds, np.ascontiguousarray(kt.swapaxes(-1, -2)), out=d[0])
-        np.matmul(np.ascontiguousarray(ds.swapaxes(-1, -2)), q, out=d[1])
-        np.matmul(np.ascontiguousarray(s.swapaxes(-1, -2)), g, out=d[2])
-        return (d.transpose(1, 3, 0, 2, 4).reshape(B, n_tok, E3),)
+        dc, dwo, dbo = _linear_bwd(g.reshape(-1, E), c2, wo.data)
+        dqkv = _attention_bwd(dc, cache).reshape(-1, 3 * E)
+        h, xhat = _rms_scale(xd, gain.data, inv)
+        dh, dwqkv, dbqkv = _linear_bwd(dqkv, h.reshape(-1, E), wqkv.data)
+        dx, dgain = _rms_bwd(dh.reshape(xd.shape), xd, gain.data, inv, xhat)
+        dx[:, n_tok - n_q:] += g
+        return dx, dgain, dwqkv, dbqkv, dwo, dbo
 
-    return _record(out, (qkv,), bwd)
+    return _record(Tensor(y, dtype=x.dtype), (x, gain, wqkv, bqkv, wo, bo), bwd)
 
+
+def mlp_block(x: Tensor, gain: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Pre-norm squared-ReLU MLP, x + w2(relu²(w1(rms_norm(x, gain))))."""
+    E = x.shape[-1]
+    _check_rms(x.shape, gain, RMS_EPS)
+    _check_linear(x.shape, w1, b1)
+    _check_linear(w1.shape, w2, b2, E)
+    xd = x.data
+    inv = _rms_inv(xd, RMS_EPS)
+    h, _ = _rms_scale(xd, gain.data, inv)
+    f = _linear_fwd(h.reshape(-1, E), w1.data, b1.data)
+    sq, r = _relu_squared(f, out=f)
+    y = _linear_fwd(sq, w2.data, b2.data).reshape(xd.shape)
+    y += xd
+
+    def bwd(g):
+        sq = r * r                        # the tape keeps relu(f) alone
+        dsq, dw2, db2 = _linear_bwd(g.reshape(-1, E), sq, w2.data)
+        df = _relu_squared_bwd(dsq, r, out=sq)
+        h, xhat = _rms_scale(xd, gain.data, inv)
+        dh, dw1, db1 = _linear_bwd(df, h.reshape(-1, E), w1.data)
+        dx, dgain = _rms_bwd(dh.reshape(xd.shape), xd, gain.data, inv, xhat)
+        dx += g
+        return dx, dgain, dw1, db1, dw2, db2
+
+    return _record(Tensor(y, dtype=x.dtype), (x, gain, w1, b1, w2, b2), bwd)
+
+
+# ---------------------------------------------------------------------------
+# shape and reduction ops
+# ---------------------------------------------------------------------------
 
 def mean_all(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(x.data.mean(), dtype=x.dtype), dtype=x.dtype)
@@ -277,20 +427,6 @@ def concat(tensors, axis: int) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _record(out, tuple(tensors), bwd)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
-    out = Tensor(x.data[sl], dtype=x.dtype)
-
-    def bwd(g):
-        gx = np.zeros(x.shape, dtype=x.dtype)
-        gx[sl] = g
-        return (gx,)
-
-    return _record(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,6 @@ from flowinverse.tensor import (AdamState, Tape, Tensor, adam_step, backward,
                                 finite_difference_check)
 
 
-def scalar_loss(x):
-    return T.mean_all(T.mul(x, x))
-
-
 class TestLinear:
     def test_matches_numpy_product_plus_bias(self):
         rng = np.random.default_rng(6)
@@ -43,6 +39,10 @@ class TestLinear:
     def test_shape_mismatch_message(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
             T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+
+    def test_rejects_bias_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"\(3, 5\).*\(1, 5\)"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros((1, 5))))
 
 
 class TestReluSquared:
@@ -89,6 +89,20 @@ class TestRmsNorm:
         assert np.sqrt(np.mean(out * out)) == pytest.approx(1.0, abs=1e-3)
 
 
+def attend(qkv, n_head, dtype=np.float32):
+    """The attention core of :func:`tensor.attention_block` on a packed
+    q|k|v, without the norm and the projections around it."""
+    return T._attention_fwd(np.asarray(qkv, dtype=dtype), n_head)[0]
+
+
+def block_inputs(kind, rng, B, n_tok, E, dtype):
+    """Random x and parameters of one fused sub-block, in argument order:
+    x, gain, then the weight and bias of its two linear layers."""
+    n = 3 * E if kind == "attention" else 4 * E
+    shapes = [(B, n_tok, E), (E,), (E, n), (n,), (E, E) if kind == "attention" else (n, E), (E,)]
+    return [rng.normal(size=shape).astype(dtype) for shape in shapes]
+
+
 def attention_oracle(qkv, n_head):
     """Per-instance, per-head float64 loop over the documented formula."""
     B, n_tok, E3 = qkv.shape
@@ -109,19 +123,19 @@ class TestAttention:
     @pytest.mark.parametrize("B,n_tok,n_head,hd", [(5, 3, 2, 4), (2, 9, 4, 8), (3, 1, 2, 3)])
     def test_batched_matches_loop(self, B, n_tok, n_head, hd):
         qkv = np.random.default_rng(1).normal(size=(B, n_tok, 3 * n_head * hd)).astype(np.float32)
-        out = T.attention(Tensor(qkv), n_head).data
+        out = attend(qkv, n_head)
         assert out.shape == (B, n_tok, n_head * hd)
         np.testing.assert_allclose(out, attention_oracle(qkv, n_head), rtol=1e-5, atol=1e-6)
 
     def test_single_token_returns_its_value(self):
         qkv = np.random.default_rng(2).normal(size=(4, 1, 18)).astype(np.float32)
-        np.testing.assert_allclose(T.attention(Tensor(qkv), 2).data, qkv[..., 12:], rtol=1e-6)
+        np.testing.assert_allclose(attend(qkv, 2), qkv[..., 12:], rtol=1e-6)
 
     def test_permuting_tokens_permutes_the_output(self):
         qkv = np.random.default_rng(3).normal(size=(2, 6, 12))
         perm = np.array([4, 0, 5, 2, 1, 3])
-        out = T.attention(Tensor(qkv, dtype=np.float64), 2).data
-        permuted = T.attention(Tensor(qkv[:, perm], dtype=np.float64), 2).data
+        out = attend(qkv, 2, np.float64)
+        permuted = attend(qkv[:, perm], 2, np.float64)
         np.testing.assert_allclose(permuted, out[:, perm], rtol=1e-12, atol=1e-14)
 
     def test_heads_do_not_mix(self):
@@ -131,8 +145,8 @@ class TestAttention:
         other[..., 4:8] += 1.0          # q, k and v of head 1 only
         other[..., 12:16] -= 2.0
         other[..., 20:24] *= 3.0
-        a = T.attention(Tensor(qkv), 2).data
-        b = T.attention(Tensor(other), 2).data
+        a = attend(qkv, 2)
+        b = attend(other, 2)
         np.testing.assert_array_equal(a[..., :4], b[..., :4])
         assert np.abs(a[..., 4:] - b[..., 4:]).min() > 0
 
@@ -140,18 +154,17 @@ class TestAttention:
         # when every token has the same value, the weights do not matter
         qkv = np.random.default_rng(5).normal(size=(2, 4, 6))
         qkv[..., 4:] = [0.5, -1.5]
-        t = Tensor(qkv, requires_grad=True, dtype=np.float64)
-        with Tape() as tape:
-            loss = scalar_loss(T.attention(t, 1))
-        backward(loss, tape)
-        np.testing.assert_allclose(t.grad[..., :4], 0.0, atol=1e-15)
-        assert np.abs(t.grad[..., 4:]).min() > 0
+        _, cache = T._attention_fwd(qkv, 1)
+        grad = T._attention_bwd(np.random.default_rng(6).normal(size=(2, 4, 2)), cache)
+        np.testing.assert_allclose(grad[..., :4], 0.0, atol=1e-15)
+        assert np.abs(grad[..., 4:]).min() > 0
 
     def test_shape_mismatch_message(self):
-        with pytest.raises(ValueError, match=r"\(2, 3, 8\).*n_head=1"):
-            T.attention(Tensor(np.zeros((2, 3, 8))), 1)
-        with pytest.raises(ValueError, match=r"\(2, 3, 12\).*n_head=3"):
-            T.attention(Tensor(np.zeros((2, 3, 12))), 3)
+        inputs = [Tensor(a) for a in block_inputs("attention", np.random.default_rng(0),
+                                                  2, 3, 4, np.float32)]
+        for n_head in (3, 0):
+            with pytest.raises(ValueError, match=rf"n_emb=4 with n_head={n_head}"):
+                T.attention_block(*inputs, n_head)
 
 
 class TestSoftmax:
@@ -163,7 +176,7 @@ class TestSoftmax:
         n_tok, hd = q.shape
         v = np.eye(n_tok, hd)
         qkv = np.concatenate([q, k, v], axis=-1)[None]       # one head
-        return T.attention(Tensor(qkv), 1).data[0, :, :n_tok]
+        return attend(qkv, 1)[0, :, :n_tok]
 
     def test_uniform_input(self):
         # equal keys give equal scores, whatever the queries
@@ -191,6 +204,150 @@ class TestSoftmax:
         out = self.weights(q, k)
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(-1), 1.0, atol=1e-6)
+
+
+# The unfused engine as plain numpy: its rms_norm, linear, attention and
+# relu_squared formulas, each a forward value and a backward closure,
+# composed with residual adds the way the net composed them before its
+# sub-blocks became one op each.
+
+def composed_rms_norm(x, gain, eps=1e-8):
+    n = x.shape[-1]
+    ms = np.einsum("...i,...i->...", x, x)[..., None] / n
+    inv = 1.0 / np.sqrt(ms + x.dtype.type(eps))
+    xhat = x * inv
+
+    def bwd(g):
+        gg = g * gain
+        dot = np.einsum("...i,...i->...", gg, x)[..., None]
+        g2 = (g * xhat).reshape(-1, n)
+        return gg * inv - x * (inv ** 3) * (dot / n), np.ones(len(g2), dtype=g2.dtype) @ g2
+
+    return xhat * gain, bwd
+
+
+def composed_linear(x, w, b):
+    k, n = w.shape
+    x2 = x.reshape(-1, k)
+    y = x2 @ w
+    y += b
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        return (g2 @ w.T).reshape(x.shape), x2.T @ g2, np.ones(len(g2), dtype=g2.dtype) @ g2
+
+    return y.reshape(x.shape[:-1] + (n,)), bwd
+
+
+def composed_attention(qkv, n_head):
+    B, n_tok, E3 = qkv.shape
+    hd = E3 // (3 * n_head)
+    parts = qkv.reshape(B, n_tok, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
+    q = np.ascontiguousarray(parts[0])
+    kt = np.ascontiguousarray(parts[1].swapaxes(-1, -2))
+    v = np.ascontiguousarray(parts[2])
+    c = qkv.dtype.type(1.0 / np.sqrt(hd))
+    s = q @ kt
+    s *= c
+    s -= s.max(-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= np.einsum("...i->...", s)[..., None]
+
+    def bwd(g):
+        g = np.ascontiguousarray(g.reshape(B, n_tok, n_head, hd).transpose(0, 2, 1, 3))
+        ds = g @ np.ascontiguousarray(v.swapaxes(-1, -2))
+        ds -= np.einsum("...i,...i->...", ds, s)[..., None]
+        ds *= s
+        ds *= c
+        d = np.empty((3, B, n_head, n_tok, hd), dtype=g.dtype)
+        np.matmul(ds, np.ascontiguousarray(kt.swapaxes(-1, -2)), out=d[0])
+        np.matmul(np.ascontiguousarray(ds.swapaxes(-1, -2)), q, out=d[1])
+        np.matmul(np.ascontiguousarray(s.swapaxes(-1, -2)), g, out=d[2])
+        return d.transpose(1, 3, 0, 2, 4).reshape(B, n_tok, E3)
+
+    return (s @ v).transpose(0, 2, 1, 3).reshape(B, n_tok, E3 // 3), bwd
+
+
+def composed_attention_block(x, gain, wqkv, bqkv, wo, bo, g, n_head):
+    """Output and the six gradients, for output gradient ``g``."""
+    h, norm_bwd = composed_rms_norm(x, gain)
+    qkv, qkv_bwd = composed_linear(h, wqkv, bqkv)
+    ctx, attn_bwd = composed_attention(qkv, n_head)
+    a, wo_bwd = composed_linear(ctx, wo, bo)
+    dctx, dwo, dbo = wo_bwd(g)
+    dh, dwqkv, dbqkv = qkv_bwd(attn_bwd(dctx))
+    dx, dgain = norm_bwd(dh)
+    return x + a, (g + dx, dgain, dwqkv, dbqkv, dwo, dbo)
+
+
+def composed_mlp_block(x, gain, w1, b1, w2, b2, g):
+    h, norm_bwd = composed_rms_norm(x, gain)
+    f, fc_bwd = composed_linear(h, w1, b1)
+    r = np.maximum(f, 0)
+    p, proj_bwd = composed_linear(r * r, w2, b2)
+    dsq, dw2, db2 = proj_bwd(g)
+    dh, dw1, db1 = fc_bwd(dsq * (2 * r))
+    dx, dgain = norm_bwd(dh)
+    return x + p, (g + dx, dgain, dw1, db1, dw2, db2)
+
+
+def run_block(kind, arrays, g, **kw):
+    """The fused sub-block's output and the six gradients of its record."""
+    inputs = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in arrays]
+    with Tape() as tape:
+        out = (T.attention_block(*inputs, 2, **kw) if kind == "attention"
+               else T.mlp_block(*inputs))
+    assert len(tape) == 1
+    return out.data, tape.records[0][2](g)
+
+
+class TestFusedBlocks:
+    @pytest.mark.parametrize("kind", ["attention", "mlp"])
+    def test_match_the_composition_bitwise(self, kind):
+        rng = np.random.default_rng(zlib.crc32(kind.encode()))
+        arrays = block_inputs(kind, rng, 5, 4, 8, np.float32)
+        g = rng.normal(size=(5, 4, 8)).astype(np.float32)
+        out, grads = run_block(kind, arrays, g)
+        if kind == "attention":
+            want, want_grads = composed_attention_block(*arrays, g, n_head=2)
+        else:
+            want, want_grads = composed_mlp_block(*arrays, g)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, want)
+        assert len(grads) == 6
+        for got, expected in zip(grads, want_grads):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, expected)
+
+    def test_state_only_is_the_last_row(self):
+        rng = np.random.default_rng(8)
+        arrays = block_inputs("attention", rng, 5, 4, 8, np.float64)
+        g = np.zeros((5, 4, 8))
+        g[:, -1] = rng.normal(size=(5, 8))
+        full, full_grads = run_block("attention", arrays, g)
+        last, last_grads = run_block("attention", arrays, g[:, -1:], state_only=True)
+        assert last.shape == (5, 1, 8)
+        np.testing.assert_allclose(last, full[:, -1:], rtol=0, atol=1e-12)
+        for got, want in zip(last_grads, full_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["attention", "mlp"])
+    def test_reject_mismatched_shapes(self, kind):
+        rng = np.random.default_rng(9)
+        x, gain, w1, b1, w2, b2 = (Tensor(a) for a in block_inputs(kind, rng, 2, 3, 4, np.float32))
+        block = (lambda *a: T.attention_block(*a, 2)) if kind == "attention" else T.mlp_block
+        wide = Tensor(np.zeros((4, 5)))
+        with pytest.raises(ValueError, match=r"gain must have shape \(4,\)"):
+            block(x, Tensor(np.ones(5)), w1, b1, w2, b2)
+        with pytest.raises(ValueError, match="linear shapes"):       # first weight
+            block(x, gain, Tensor(np.zeros((5,) + w1.shape[1:])), b1, w2, b2)
+        with pytest.raises(ValueError, match="linear shapes"):       # first bias
+            block(x, gain, w1, Tensor(np.zeros(1)), w2, b2)
+        with pytest.raises(ValueError, match="linear shapes"):       # output width
+            block(x, gain, w1, b1, Tensor(np.zeros(w2.shape[:1] + (5,))), Tensor(np.zeros(5)))
+        if kind == "attention":                                      # q|k|v width
+            with pytest.raises(ValueError, match="linear shapes"):
+                block(x, gain, wide, Tensor(np.zeros(5)), w2, b2)
 
 
 class TestBackward:
@@ -267,27 +424,30 @@ class TestBackward:
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         params = {
-            "w": Tensor(rng.normal(size=(5, 12)).astype(np.float32), requires_grad=True),
-            "b": Tensor(rng.normal(size=(12,)).astype(np.float32), requires_grad=True),
+            "w": Tensor(rng.normal(size=(5, 4)).astype(np.float32), requires_grad=True),
+            "b": Tensor(rng.normal(size=(4,)).astype(np.float32), requires_grad=True),
             "g": Tensor(rng.uniform(0.5, 1.5, 4).astype(np.float32), requires_grad=True),
         }
+        for kind in ("attention", "mlp"):
+            for i, a in enumerate(block_inputs(kind, rng, 1, 1, 4, np.float32)[1:]):
+                params[f"{kind}{i}"] = Tensor(a, requires_grad=True)
         x = rng.normal(size=(2, 3, 5))
 
         def fn(p):
             h = T.linear(Tensor(x, dtype=p["w"].dtype), p["w"], p["b"])
-            h = T.rms_norm(T.attention(T.relu_squared(h), 2), p["g"])
+            h = T.attention_block(T.relu_squared(h), *(p[f"attention{i}"] for i in range(5)), 2)
+            h = T.rms_norm(T.mlp_block(h, *(p[f"mlp{i}"] for i in range(5))), p["g"])
             return T.mean_all(T.mul(h, h))
 
         assert finite_difference_check(fn, params) < 1e-4
 
     def test_determinism(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(4, 6, 12)).astype(np.float32)
+        x, *weights = block_inputs("attention", np.random.default_rng(5), 4, 6, 12, np.float32)
 
         def run():
             t = Tensor(x, requires_grad=True)
             with Tape() as tape:
-                loss = T.mean_all(T.relu_squared(T.attention(t, 2)))
+                loss = T.mean_all(T.relu_squared(T.attention_block(t, *map(Tensor, weights), 2)))
             backward(loss, tape)
             return loss.item(), t.grad.copy()
 
@@ -343,8 +503,9 @@ GRADIENT_CASES = {
     "linear": ("linear",),
     "relu_squared": ("relu_squared",),
     "rms_norm": ("rms_norm",),
-    "attention": ("attention",),
-    "concat_slice": ("concat", "slice_axis"),
+    "attention_block": ("attention_block",),
+    "mlp_block": ("mlp_block",),
+    "concat": ("concat",),
     "reshape": ("reshape",),
     "mean_all": ("mean_all",),
 }
@@ -370,8 +531,18 @@ class TestPrimitiveGradients:
         if op_name == "linear":
             params["w"] = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
             params["c"] = Tensor(rng.normal(size=(5,)), requires_grad=True)
-        if op_name == "attention":     # head_dim 3
-            params["qkv"] = Tensor(rng.normal(size=(3, 4, 18)), requires_grad=True)
+        if op_name == "rms_norm":
+            params["g"] = Tensor(rng.normal(size=(6,)), requires_grad=True)
+        if op_name.endswith("_block"):     # E 6; attention: 2 heads of 3
+            kind = op_name.removesuffix("_block")
+            for i, w in enumerate(block_inputs(kind, rng, 3, 1, 6, np.float64)):
+                params[f"w{i}"] = Tensor(w, requires_grad=True)
+            if kind == "attention":
+                # the key bias is held fixed: softmax is shift-invariant, so its
+                # gradient is 0 and its finite differences are rounding noise
+                bq, key_bias, bv = np.split(params.pop("w3").data, 3)
+                params["bq"] = Tensor(bq, requires_grad=True)
+                params["bv"] = Tensor(bv, requires_grad=True)
 
         def fn(p):
             if op_name == "add":
@@ -385,19 +556,23 @@ class TestPrimitiveGradients:
             elif op_name == "relu_squared":
                 out = T.relu_squared(p["a"])
             elif op_name == "rms_norm":
-                out = T.rms_norm(p["a"], T.reshape(T.slice_axis(
-                    T.reshape(p["b"], (72,)), 0, 0, 6), (6,)))
-            elif op_name == "attention":     # 4 tokens, and a single one
-                out = T.concat([T.attention(p["qkv"], 2),
-                                T.attention(T.slice_axis(p["qkv"], 1, 0, 1), 2)], axis=1)
+                out = T.rms_norm(p["a"], p["g"])
+            elif op_name == "attention_block":     # 4 tokens, the last one's query, 1 token
+                bqkv = T.concat([p["bq"], Tensor(key_bias, dtype=p["bq"].dtype), p["bv"]], axis=0)
+                w = [p["w1"], p["w2"], bqkv, p["w4"], p["w5"]]
+                out = T.concat([T.attention_block(p["a"], *w, 2),
+                                T.attention_block(p["a"], *w, 2, state_only=True),
+                                T.attention_block(p["w0"], *w, 2)], axis=1)
+            elif op_name == "mlp_block":
+                out = T.mlp_block(p["a"], *(p[f"w{i}"] for i in range(1, 6)))
             elif op_name == "reshape":
                 out = T.mul(T.reshape(p["a"], (3, 8, 3)), T.reshape(p["b"], (3, 8, 3)))
-            elif op_name == "concat_slice":
-                out = T.concat([T.slice_axis(p["a"], 1, 0, 2), p["b"]], axis=1)
+            elif op_name == "concat":
+                out = T.concat([p["a"], p["b"]], axis=1)
             elif op_name == "mean_all":
                 out = T.mean_all(T.mul(p["a"], p["b"]))
             return T.mean_all(T.mul(out, out))
 
-        # every entry of the attention op's input, 20 of each other one
-        max_entries = None if op_name == "attention" else 20
+        # every entry of a fused block's inputs, 20 of each other op's
+        max_entries = None if op_name.endswith("_block") else 20
         assert finite_difference_check(fn, params, max_entries=max_entries) < 1e-4
