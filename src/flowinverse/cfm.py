@@ -97,10 +97,7 @@ def cfm_loss(net: VelocityNet, batch, t, m0):
     m0 = m0.astype(np.float32)
     t = t.astype(np.float32)
     m_t = interpolate(m0, m1, t).astype(np.float32)
-    v = net.forward(m_t, t, batch.d, batch.e)
-    target = T.Tensor(m1 - m0, dtype=v.dtype)
-    diff = T.sub(v, target)
-    return T.mean_all(T.mul(diff, diff))
+    return T.mse(net.forward(m_t, t, batch.d, batch.e), m1 - m0)
 
 
 def _epoch_noise(seed, epoch, n_obs, count, prior_sample):

@@ -262,8 +262,7 @@ def _cmd_evaluate(cfg: RunConfig, out_dir):
 def _chain_config(cfg: RunConfig) -> ChainConfig:
     return _make(ChainConfig, n_samples=cfg["chain.n_samples"],
                  proposal_scale=cfg["chain.proposal_scale"],
-                 burn_in=cfg["chain.burn_in"], sigma_obs=cfg["chain.sigma_obs"],
-                 seed=cfg["seed"])
+                 burn_in=cfg["chain.burn_in"], seed=cfg["seed"])
 
 
 def _cmd_mcmc(cfg: RunConfig, out_dir):

@@ -82,7 +82,6 @@ KEY_SPECS = {
     "sampler.ensemble": (_int, 10, "posterior draws per inference"),
     "chain.n_samples": (_int, 10000, "MCMC chain length"),
     "chain.burn_in": (float, 0.5, "burn-in fraction discarded"),
-    "chain.sigma_obs": (_opt_float, None, "likelihood noise (task default if unset)"),
     "chain.proposal_scale": (_opt_float, None, "proposal std (tuned if unset)"),
     "eval.n_obs_list": (_count_list, None, "sweep observation counts (task default)"),
     "eval.trials": (_count, 25, "fresh instances per observation count"),

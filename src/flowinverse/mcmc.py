@@ -24,7 +24,6 @@ class ChainConfig:
     n_samples: int = 10_000
     proposal_scale: float | None = None   # None: auto-tune
     burn_in: float = 0.5
-    sigma_obs: float | None = None        # None: task default for the tuple
     seed: int = 0
 
     def __post_init__(self):
@@ -32,10 +31,9 @@ class ChainConfig:
             raise ValueError("n_samples must be >= 1")
         if not 0.0 <= self.burn_in < 1.0:
             raise ValueError("burn_in fraction must lie in [0, 1)")
-        for name in ("proposal_scale", "sigma_obs"):
-            v = getattr(self, name)
-            if v is not None and not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        v = self.proposal_scale
+        if v is not None and not (np.isfinite(v) and v > 0):
+            raise ValueError(f"proposal_scale must be finite and > 0, got {v}")
 
 
 @dataclass
@@ -105,7 +103,7 @@ def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x6d636d63)))
     d = np.asarray(d, dtype=np.float64).reshape(-1)
     e = np.asarray(e, dtype=np.float64).reshape(-1)
-    sigma = cfg.sigma_obs if cfg.sigma_obs is not None else task.sigma_for(e)
+    sigma = task.sigma_for(e)
 
     def logpost(m):
         return log_posterior(task, m, d, e, sigma)

@@ -12,7 +12,9 @@ Each block is two tape records, the fused pre-norm sub-blocks
 :func:`tensor.attention_block` (q|k|v packed in one (E, 3E) weight
 ``attn.wqkv``) and :func:`tensor.mlp_block`. Since the head reads only the
 state token, the last block computes its query, output projection, residual
-and MLP for that token alone; keys and values still come from every token.
+and MLP for that token alone, as a (batch, n_emb) row each; keys and values
+still come from every token. So the final norm and the head act on those
+rows and give the velocity directly, with no reshape on the tape.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is
@@ -79,7 +81,8 @@ def _linear(x: Tensor, params: dict, name: str) -> Tensor:
 
 
 def timestep_embed(params: dict, t, dim: int) -> Tensor:
-    """Sinusoidal basis followed by a 2-layer MLP with squared-ReLU."""
+    """Sinusoidal basis followed by a 2-layer MLP with squared-ReLU; flow
+    times of shape ``s`` give an embedding of shape ``s + (dim,)``."""
     basis = Tensor(timestep_basis(t, dim), dtype=params["temb.fc1.w"].dtype)
     h = T.relu_squared(_linear(basis, params, "temb.fc1"))
     return _linear(h, params, "temb.fc2")
@@ -154,17 +157,15 @@ def transformer_forward(params: dict, config: NetConfig, task,
     parts.append(_linear(Tensor(m_t[:, None, :], dtype=dt), params, "embed.state"))
     x = T.concat(parts, axis=1)                       # (B, n_tokens, E)
 
-    temb = timestep_embed(params, np.broadcast_to(np.asarray(t, dtype=np.float32),
-                                                  (m_t.shape[0],)), config.n_emb)
-    x = T.add(x, T.reshape(temb, (m_t.shape[0], 1, config.n_emb)))
+    t = np.broadcast_to(np.asarray(t, dtype=np.float32).reshape(-1, 1), (m_t.shape[0], 1))
+    x = T.add(x, timestep_embed(params, t, config.n_emb))     # (B, 1, E) to every token
 
     for i in range(config.n_layer):
         p = [params[f"block{i}.{name}"] for name in _BLOCK_PARAMS]
         x = T.attention_block(x, *p[:5], config.n_head, state_only=i == config.n_layer - 1)
         x = T.mlp_block(x, *p[5:])
-    # x is the state token alone now: (B, 1, E)
-    v = _linear(T.rms_norm(x, params["ln_f.g"]), params, "head")
-    return T.reshape(v, (m_t.shape[0], config.dim_m))
+    # x is the state token alone now: (B, E)
+    return _linear(T.rms_norm(x, params["ln_f.g"]), params, "head")
 
 
 class VelocityNet:

@@ -1,17 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A minimal define-by-run engine on top of numpy, just large enough to train
-the velocity networks in this package. Arrays are float32 by default; a
-float64 mode exists for finite-difference gradient checking. The graph is
-recorded on an explicit :class:`Tape` that is rebuilt for every forward pass,
-so batches with different sequence lengths pose no problem.
+the velocity networks in this package. Arrays are float32 by default; float64
+works too, for finite-difference gradient checks. The graph is recorded on an
+explicit :class:`Tape` that is rebuilt for every forward pass, so batches
+with different sequence lengths pose no problem.
 
-Besides primitives (linear, rms_norm, relu_squared and elementwise, shape
-and reduction ops), the transformer's two pre-norm sub-blocks are one op
-each, :func:`attention_block` and :func:`mlp_block`, with a hand-written
-backward. Their intermediates are private, so they reuse buffers in place,
-and their backward recomputes the cheap ones instead of keeping them on the
-tape.
+The tape ops are the ones the velocity net and its loss record: the
+primitives :func:`add`, :func:`concat`, :func:`linear`, :func:`relu_squared`
+and :func:`rms_norm`, the loss :func:`mse`, and the transformer's two
+pre-norm sub-blocks, :func:`attention_block` and :func:`mlp_block`. The
+sub-blocks are one op each with a hand-written backward; their intermediates
+are private, so they reuse buffers in place, and their backward recomputes
+the cheap ones instead of keeping them on the tape.
 
 Reductions use numpy's fixed evaluation order, so results are bitwise
 reproducible for identical inputs.
@@ -45,10 +46,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     @property
     def size(self):
@@ -261,22 +258,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, dtype=a.dtype)
+def concat(tensors, axis: int) -> Tensor:
+    tensors = list(tensors)
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), dtype=tensors[0].dtype)
+    sizes = [t.shape[axis] for t in tensors]
+    splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return tuple(np.split(g, splits, axis=axis))
 
-    return _record(out, (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, dtype=a.dtype)
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _record(out, (a, b), bwd)
+    return _record(out, tuple(tensors), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -335,8 +326,8 @@ def attention_block(x: Tensor, gain: Tensor, wqkv: Tensor, bqkv: Tensor,
     (E, 3E) weight.
 
     With ``state_only`` the query, the output projection and the residual
-    are computed for the last token alone and the result is (B, 1, E); keys
-    and values still come from every token.
+    are computed for the last token alone and the result is that token's
+    (B, E); keys and values still come from every token.
     """
     B, n_tok, E = x.shape
     _check_rms(x.shape, gain, RMS_EPS)
@@ -350,10 +341,10 @@ def attention_block(x: Tensor, gain: Tensor, wqkv: Tensor, bqkv: Tensor,
     h, _ = _rms_scale(xd, gain.data, inv)
     qkv = _linear_fwd(h.reshape(-1, E), wqkv.data, bqkv.data).reshape(B, n_tok, 3 * E)
     ctx, cache = _attention_fwd(qkv, n_head, state_only)
-    n_q = ctx.shape[1]
+    sel = -1 if state_only else slice(None)
     c2 = ctx.reshape(-1, E)
-    y = _linear_fwd(c2, wo.data, bo.data).reshape(ctx.shape)
-    y += xd[:, n_tok - n_q:]
+    y = _linear_fwd(c2, wo.data, bo.data).reshape(xd[:, sel].shape)
+    y += xd[:, sel]
 
     def bwd(g):
         dc, dwo, dbo = _linear_bwd(g.reshape(-1, E), c2, wo.data)
@@ -361,7 +352,7 @@ def attention_block(x: Tensor, gain: Tensor, wqkv: Tensor, bqkv: Tensor,
         h, xhat = _rms_scale(xd, gain.data, inv)
         dh, dwqkv, dbqkv = _linear_bwd(dqkv, h.reshape(-1, E), wqkv.data)
         dx, dgain = _rms_bwd(dh.reshape(xd.shape), xd, gain.data, inv, xhat)
-        dx[:, n_tok - n_q:] += g
+        dx[:, sel] += g
         return dx, dgain, dwqkv, dbqkv, dwo, dbo
 
     return _record(Tensor(y, dtype=x.dtype), (x, gain, wqkv, bqkv, wo, bo), bwd)
@@ -395,38 +386,24 @@ def mlp_block(x: Tensor, gain: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: T
 
 
 # ---------------------------------------------------------------------------
-# shape and reduction ops
+# loss
 # ---------------------------------------------------------------------------
 
-def mean_all(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.mean(), dtype=x.dtype), dtype=x.dtype)
-    inv = 1.0 / x.size
+def mse(v: Tensor, target) -> Tensor:
+    """mean((v - target)²) over every entry, as one record; ``target`` is a
+    constant array of v's shape."""
+    target = np.asarray(target, dtype=v.dtype)
+    if target.shape != v.shape:
+        raise ValueError(f"mse target must have shape {v.shape}, got {target.shape}")
+    diff = v.data - target
+    out = Tensor(np.asarray((diff * diff).mean(), dtype=v.dtype), dtype=v.dtype)
+    inv = v.dtype.type(1.0 / diff.size)
 
     def bwd(g):
-        return (np.full(x.shape, g * x.dtype.type(inv), dtype=x.dtype),)
+        t = (g * inv) * diff
+        return (t + t,)
 
-    return _record(out, (x,), bwd)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape), dtype=x.dtype)
-
-    def bwd(g):
-        return (g.reshape(x.shape),)
-
-    return _record(out, (x,), bwd)
-
-
-def concat(tensors, axis: int) -> Tensor:
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), dtype=tensors[0].dtype)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(out, tuple(tensors), bwd)
+    return _record(out, (v,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +416,20 @@ def backward(loss: Tensor, tape: Tape):
 
     The loss must be scalar. A leaf with no ``grad`` gets its own writable
     copy of the gradient, so repeated passes sum their gradients until
-    :meth:`Tensor.zero_grad` clears them.
+    :meth:`Tensor.zero_grad` clears them. The sweep pops the records off
+    ``tape``, so each record's saved arrays are freed as soon as its backward
+    has run, and the tape is empty afterwards.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
+    grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=loss.dtype)}
     leaves: dict[int, Tensor] = {}
-    for out, inputs, bwd in reversed(tape.records):
+    records = tape.records
+    while records:
+        out, inputs, bwd = records.pop()
         g = grads.pop(id(out), None)
         if g is None:
             continue
-        if g.shape != out.shape:
-            g = np.broadcast_to(g, out.shape)
         input_grads = bwd(g)
         for t, gi in zip(inputs, input_grads):
             if gi is None or not t.requires_grad:
@@ -509,45 +488,3 @@ def adam_step(params: dict, grads: dict, state: AdamState):
         mhat = m / bc1
         vhat = v / bc2
         p.data -= (state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.dtype)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def finite_difference_check(fn, params: dict, h: float = 1e-4, max_entries: int | None = None,
-                            rng: np.random.Generator | None = None):
-    """Compare analytic gradients of ``fn(params) -> scalar Tensor`` with
-    central finite differences evaluated in float64.
-
-    Returns the worst relative error over all checked parameter entries.
-    ``max_entries`` limits the number of randomly chosen entries per tensor
-    (None checks every entry).
-    """
-    shadow = {k: Tensor(p.data.astype(np.float64), requires_grad=True, dtype=np.float64)
-              for k, p in params.items()}
-    with Tape() as tape:
-        loss = fn(shadow)
-    backward(loss, tape)
-
-    worst = 0.0
-    for k, p in shadow.items():
-        flat = p.data.reshape(-1)
-        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-        gflat = grad.reshape(-1)
-        idxs = np.arange(flat.size)
-        if max_entries is not None and flat.size > max_entries:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            idxs = rng.choice(flat.size, size=max_entries, replace=False)
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = fn(shadow).item()
-            flat[i] = orig - h
-            fm = fn(shadow).item()
-            flat[i] = orig
-            fd = (fp - fm) / (2 * h)
-            ref = max(abs(fd), abs(gflat[i]), 1e-8)
-            worst = max(worst, abs(fd - gflat[i]) / ref)
-    return worst

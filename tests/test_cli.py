@@ -119,7 +119,6 @@ class TestCliBasics:
 
     @pytest.mark.parametrize("key, value", [
         ("chain.proposal_scale", "0"), ("chain.proposal_scale", "nan"),
-        ("chain.sigma_obs", "0"),
     ])
     def test_chain_scale_that_is_not_positive_is_a_usage_error(self, workdir, capsys,
                                                                 key, value):
@@ -187,11 +186,13 @@ class TestCliBasics:
                                             ("net.mlp_hidden", 256), ("net.mlp_n_obs", 4),
                                             ("seir.shifted_ramp", False),
                                             ("darcy.sigma_w", 0.2),
-                                            ("net.rope_base", 10000.0)])
+                                            ("net.rope_base", 10000.0),
+                                            ("chain.sigma_obs", 1.0)])
     def test_manifest_with_mlp_net_key_is_rejected(self, workdir, capsys, key, value):
         # the keys of deleted variants and fixed constants are gone: the
         # fixed-size MLP velocity net, the printed SEIR ramp, the Darcy bump
-        # width and the rotary base
+        # width, the rotary base and the MH likelihood noise (always the
+        # task's, which data.sigma sets)
         (workdir / "old.json").write_text(json.dumps({"config": {key: value}}))
         assert run_cli("mcmc", "--config", "old.json") == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from flowinverse.data import Batch
 from flowinverse.net import (NetConfig, VelocityNet, init_params, param_count,
                              timestep_basis, timestep_embed, transformer_forward)
 from flowinverse.tasks import SeirTask, get_task
+from gradcheck import finite_difference_check
 
 PARITY_REFERENCE = Path(__file__).parent / "data" / "seir_parity_reference.npz"
 
@@ -168,11 +169,10 @@ class TestTransformerForward:
         target = rng.normal(size=(2, 1)).astype(np.float64)
 
         def fn(p):
-            v = transformer_forward(p, cfg, task, m_t.astype(np.float32), 0.5, d, e)
-            diff = T.sub(v, T.Tensor(target, dtype=v.dtype))
-            return T.mean_all(T.mul(diff, diff))
+            return T.mse(transformer_forward(p, cfg, task, m_t.astype(np.float32), 0.5, d, e),
+                         target)
 
-        worst = T.finite_difference_check(fn, params, max_entries=6)
+        worst = finite_difference_check(fn, params, max_entries=6)
         assert worst < 1e-4
 
 
@@ -250,8 +250,9 @@ def _packed_group(name: str) -> list:
 
 def _seir_parity_case():
     """Loss, velocity and parameter gradients of one cfm_loss on frozen,
-    perturbed paper-config SEIR parameters (B=64, n_obs=8). Gradients come
-    under the unpacked q/k/v names."""
+    perturbed paper-config SEIR parameters (B=64, n_obs=8), and the number of
+    tape records (read before the backward sweep empties the tape).
+    Gradients come under the unpacked q/k/v names."""
     task = SeirTask()
     params = init_params(_seir_paper_config(), seed=5)
     rng = np.random.default_rng(2024)
@@ -267,11 +268,12 @@ def _seir_parity_case():
     net = VelocityNet(task, _seir_paper_config(), params=params)
     with T.Tape() as tape:
         loss = cfm.cfm_loss(net, Batch(n_obs=n_obs, m=m1, e=e, d=d, index=np.arange(B)), t, m0)
+    n_records = len(tape)
     T.backward(loss, tape)
     m_t = cfm.interpolate(m0.astype(np.float32), m1.astype(np.float32),
                           t.astype(np.float32)).astype(np.float32)
     v = net.velocity(m_t, t.astype(np.float32), d, e)
-    return loss.item(), v, _split_qkv({k: p.grad for k, p in params.items()}), len(tape)
+    return loss.item(), v, _split_qkv({k: p.grad for k, p in params.items()}), n_records
 
 
 class TestSeirPaperConfig:
@@ -308,9 +310,10 @@ class TestSeirPaperConfig:
                 assert np.abs(g).max() < 1e-6 * scale, name
 
     def test_tape_records_per_loss(self):
-        # two records per block (fused attention and MLP sub-blocks); 14 for
-        # the embeddings, flow-time MLP, final norm, head and loss
-        assert _seir_parity_case()[3] <= 26
+        # two records per block (fused attention and MLP sub-blocks) and 10
+        # more: 2 embeddings and their concat, 3 for the flow-time MLP, its
+        # add, the final norm, the head and the loss
+        assert _seir_parity_case()[3] == 22
 
 
 class TestConfigValidation:

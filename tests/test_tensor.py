@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowinverse import cfm
 from flowinverse import tensor as T
-from flowinverse.tensor import (AdamState, Tape, Tensor, adam_step, backward,
-                                finite_difference_check)
+from flowinverse.data import Batch
+from flowinverse.net import NetConfig, VelocityNet
+from flowinverse.tasks import get_task
+from flowinverse.tensor import AdamState, Tape, Tensor, adam_step, backward
+from gradcheck import finite_difference_check
 
 
 class TestLinear:
@@ -27,7 +31,7 @@ class TestLinear:
         w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=(5,)), requires_grad=True)
         with Tape() as tape:
-            loss = T.mean_all(T.linear(x, w, b))
+            loss = T.mse(T.linear(x, w, b), np.zeros((2, 3, 5)))
         _, _, bwd = tape.records[0]
         gx, gw, gb = bwd(np.ones((2, 3, 5), dtype=np.float32))
         assert gx is None
@@ -50,10 +54,17 @@ class TestReluSquared:
     def test_value_and_gradient(self, x, y, g):
         t = Tensor([x], requires_grad=True)
         with Tape() as tape:
-            out = T.mean_all(T.relu_squared(t))
+            out = T.relu_squared(t)
         assert out.item() == pytest.approx(y)
-        backward(out, tape)
-        assert t.grad[0] == pytest.approx(g)
+        (gx,) = tape.records[0][2](np.ones(1, dtype=np.float32))
+        assert gx[0] == pytest.approx(g)
+
+
+class TestMse:
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 2), (6,), ()])
+    def test_rejects_target_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=r"mse target must have shape \(3, 2\)"):
+            T.mse(Tensor(np.zeros((3, 2))), np.zeros(shape))
 
 
 class TestRmsNorm:
@@ -291,6 +302,14 @@ def composed_mlp_block(x, gain, w1, b1, w2, b2, g):
     return x + p, (g + dx, dgain, dw1, db1, dw2, db2)
 
 
+def composed_mse(v, target, g):
+    """mean((v - target)²) as sub, mul and mean_all, and v's gradient: the
+    mean's gradient reaches both factors of diff · diff, which add up."""
+    diff = v - target
+    gsq = np.full(v.shape, g * v.dtype.type(1.0 / v.size), dtype=v.dtype)
+    return np.asarray((diff * diff).mean(), dtype=v.dtype), gsq * diff + gsq * diff
+
+
 def run_block(kind, arrays, g, **kw):
     """The fused sub-block's output and the six gradients of its record."""
     inputs = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in arrays]
@@ -319,15 +338,27 @@ class TestFusedBlocks:
             assert got.dtype == np.float32
             np.testing.assert_array_equal(got, expected)
 
+    def test_mse_matches_the_composition_bitwise(self):
+        rng = np.random.default_rng(10)
+        v, target = rng.normal(size=(2, 64, 6)).astype(np.float32)
+        g = np.asarray(rng.normal(), dtype=np.float32)
+        with Tape() as tape:
+            out = T.mse(Tensor(v, requires_grad=True), target)
+        (grad,) = tape.records[0][2](g)
+        want, want_grad = composed_mse(v, target, g)
+        assert out.data.dtype == grad.dtype == np.float32
+        np.testing.assert_array_equal(out.data, want)
+        np.testing.assert_array_equal(grad, want_grad)
+
     def test_state_only_is_the_last_row(self):
         rng = np.random.default_rng(8)
         arrays = block_inputs("attention", rng, 5, 4, 8, np.float64)
         g = np.zeros((5, 4, 8))
         g[:, -1] = rng.normal(size=(5, 8))
         full, full_grads = run_block("attention", arrays, g)
-        last, last_grads = run_block("attention", arrays, g[:, -1:], state_only=True)
-        assert last.shape == (5, 1, 8)
-        np.testing.assert_allclose(last, full[:, -1:], rtol=0, atol=1e-12)
+        last, last_grads = run_block("attention", arrays, g[:, -1], state_only=True)
+        assert last.shape == (5, 8)
+        np.testing.assert_allclose(last, full[:, -1], rtol=0, atol=1e-12)
         for got, want in zip(last_grads, full_grads):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -354,31 +385,43 @@ class TestBackward:
     def test_square_at_three(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.mean_all(T.mul(x, x))
+            loss = T.mse(x, np.zeros(1))
         backward(loss, tape)
         assert x.grad[0] == pytest.approx(6.0)
 
     def test_constant_has_zero_gradient(self):
+        # x is on the tape, but the loss does not depend on it
         x = Tensor([3.0], requires_grad=True)
         c = Tensor([5.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.mean_all(T.add(c, T.sub(x, x)))
+            T.add(x, x)
+            loss = T.mse(c, np.zeros(1))
         backward(loss, tape)
-        assert x.grad[0] == pytest.approx(0.0)
+        assert x.grad is None
+        assert c.grad[0] == pytest.approx(10.0)
 
     def test_requires_scalar_loss(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            y = T.mul(x, x)
+            y = T.add(x, x)
         with pytest.raises(ValueError, match="scalar"):
             backward(y, tape)
+
+    def test_sweep_empties_the_tape(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.mse(T.relu_squared(T.add(x, x)), np.zeros((2, 3)))
+        assert len(tape) == 3
+        backward(loss, tape)
+        assert len(tape) == 0
+        assert x.grad is not None
 
     def test_second_backward_adds_to_the_gradient(self):
         x = Tensor([1.0], requires_grad=True)
 
         def grad_after_pass():
             with Tape() as tape:
-                loss = T.mean_all(T.mul(x, x))
+                loss = T.mse(x, np.zeros(1))
             backward(loss, tape)
             return x.grad[0]
 
@@ -388,12 +431,11 @@ class TestBackward:
         assert grad_after_pass() == 2.0
 
     def test_leaves_get_their_own_writable_gradients(self):
-        # add passes its incoming gradient to both inputs unchanged, and
-        # mean_all's is a read-only broadcast view
+        # add passes its incoming gradient to both inputs as one array
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            loss = T.mean_all(T.add(a, b))
+            loss = T.mse(T.add(a, b), np.zeros(3))
         backward(loss, tape)
         assert a.grad is not b.grad
         assert a.grad.flags.writeable and b.grad.flags.writeable
@@ -404,7 +446,7 @@ class TestBackward:
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
-        xv = rng.normal(size=(4,)).astype(np.float32)
+        xv, a, b = rng.normal(size=(3, 4)).astype(np.float32)
 
         def grad_of(fn):
             x = Tensor(xv, requires_grad=True)
@@ -413,13 +455,10 @@ class TestBackward:
             backward(loss, tape)
             return x.grad.astype(np.float64)
 
-        f = lambda x: T.mean_all(T.mul(x, x))
-        g = lambda x: T.mean_all(T.relu_squared(x))
-        two, minus_three = Tensor(np.float32(2.0)), Tensor(np.float32(-3.0))
-        combo = lambda x: T.add(T.mul(f(x), two), T.mul(g(x), minus_three))
-        lhs = grad_of(combo)
-        rhs = 2.0 * grad_of(f) - 3.0 * grad_of(g)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-5)
+        f = lambda x: T.mse(x, a)
+        g = lambda x: T.mse(T.relu_squared(x), b)
+        combo = lambda x: T.add(f(x), g(x))
+        np.testing.assert_allclose(grad_of(combo), grad_of(f) + grad_of(g), atol=1e-6)
 
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -437,7 +476,7 @@ class TestBackward:
             h = T.linear(Tensor(x, dtype=p["w"].dtype), p["w"], p["b"])
             h = T.attention_block(T.relu_squared(h), *(p[f"attention{i}"] for i in range(5)), 2)
             h = T.rms_norm(T.mlp_block(h, *(p[f"mlp{i}"] for i in range(5))), p["g"])
-            return T.mean_all(T.mul(h, h))
+            return T.mse(h, np.zeros(h.shape))
 
         assert finite_difference_check(fn, params) < 1e-4
 
@@ -447,7 +486,8 @@ class TestBackward:
         def run():
             t = Tensor(x, requires_grad=True)
             with Tape() as tape:
-                loss = T.mean_all(T.relu_squared(T.attention_block(t, *map(Tensor, weights), 2)))
+                loss = T.mse(T.relu_squared(T.attention_block(t, *map(Tensor, weights), 2)),
+                             np.zeros(x.shape))
             backward(loss, tape)
             return loss.item(), t.grad.copy()
 
@@ -498,29 +538,54 @@ class TestAdam:
 # Finite-difference case -> the public tape ops it checks.
 GRADIENT_CASES = {
     "add": ("add",),
-    "sub": ("sub",),
-    "mul": ("mul",),
     "linear": ("linear",),
     "relu_squared": ("relu_squared",),
     "rms_norm": ("rms_norm",),
     "attention_block": ("attention_block",),
     "mlp_block": ("mlp_block",),
     "concat": ("concat",),
-    "reshape": ("reshape",),
-    "mean_all": ("mean_all",),
+    "mse": ("mse",),
 }
-NOT_TAPE_OPS = {"backward", "adam_step", "finite_difference_check"}
+NOT_TAPE_OPS = {"backward", "adam_step"}
+
+
+def tape_ops():
+    """The public functions of ``tensor`` that record on a tape."""
+    public = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+              if fn.__module__ == T.__name__ and not name.startswith("_")}
+    return public - NOT_TAPE_OPS
 
 
 def test_every_tape_op_has_a_gradient_case():
-    public = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
-              if fn.__module__ == T.__name__ and not name.startswith("_")}
-    covered = {op for ops in GRADIENT_CASES.values() for op in ops}
-    assert public - NOT_TAPE_OPS - covered == set()
+    assert tape_ops() - {op for ops in GRADIENT_CASES.values() for op in ops} == set()
+
+
+def test_the_net_and_its_loss_record_every_tape_op():
+    # an op that nothing in the velocity net or its loss records has no
+    # caller left, and should go
+    recorded = set()
+    for name in ("seir", "darcy"):
+        task = get_task(name)
+        cfg = NetConfig(n_emb=8, n_head=2, n_layer=2, dim_m=task.dim_m,
+                        obs_token_dim=task.obs_token_dim,
+                        design_token_dim=task.design_token_dim)
+        rng = np.random.default_rng(12)
+        B, n_obs = 3, 4
+        if name == "seir":
+            d, e = rng.uniform(0, 100, (B, 2 * n_obs)), np.sort(rng.uniform(1, 3, (B, n_obs)))
+        else:
+            d, e = rng.normal(size=(B, n_obs)), rng.uniform(0, 1, (B, 2 + 2 * n_obs))
+        batch = Batch(n_obs=n_obs, m=rng.normal(size=(B, task.dim_m)), e=e, d=d,
+                      index=np.arange(B))
+        with Tape() as tape:
+            cfm.cfm_loss(VelocityNet(task, cfg, seed=0), batch, rng.uniform(0, 1, B),
+                         rng.normal(size=(B, task.dim_m)))
+        recorded |= {bwd.__qualname__.split(".", 1)[0] for _, _, bwd in tape.records}
+    assert recorded == tape_ops()
 
 
 class TestPrimitiveGradients:
-    """Finite-difference checks for every primitive, on random small shapes."""
+    """Finite-difference checks for every tape op, on random small shapes."""
 
     @pytest.mark.parametrize("op_name", list(GRADIENT_CASES))
     def test_op(self, op_name):
@@ -544,13 +609,12 @@ class TestPrimitiveGradients:
                 params["bq"] = Tensor(bq, requires_grad=True)
                 params["bv"] = Tensor(bv, requires_grad=True)
 
+        def sq(out):
+            return T.mse(out, np.zeros(out.shape))
+
         def fn(p):
             if op_name == "add":
                 out = T.add(p["a"], p["b"])
-            elif op_name == "sub":
-                out = T.sub(p["a"], p["b"])
-            elif op_name == "mul":
-                out = T.mul(p["a"], p["b"])
             elif op_name == "linear":
                 out = T.linear(p["a"], p["w"], p["c"])
             elif op_name == "relu_squared":
@@ -560,18 +624,16 @@ class TestPrimitiveGradients:
             elif op_name == "attention_block":     # 4 tokens, the last one's query, 1 token
                 bqkv = T.concat([p["bq"], Tensor(key_bias, dtype=p["bq"].dtype), p["bv"]], axis=0)
                 w = [p["w1"], p["w2"], bqkv, p["w4"], p["w5"]]
-                out = T.concat([T.attention_block(p["a"], *w, 2),
-                                T.attention_block(p["a"], *w, 2, state_only=True),
-                                T.attention_block(p["w0"], *w, 2)], axis=1)
+                return T.add(T.add(sq(T.attention_block(p["a"], *w, 2)),
+                                   sq(T.attention_block(p["a"], *w, 2, state_only=True))),
+                             sq(T.attention_block(p["w0"], *w, 2)))
             elif op_name == "mlp_block":
                 out = T.mlp_block(p["a"], *(p[f"w{i}"] for i in range(1, 6)))
-            elif op_name == "reshape":
-                out = T.mul(T.reshape(p["a"], (3, 8, 3)), T.reshape(p["b"], (3, 8, 3)))
             elif op_name == "concat":
                 out = T.concat([p["a"], p["b"]], axis=1)
-            elif op_name == "mean_all":
-                out = T.mean_all(T.mul(p["a"], p["b"]))
-            return T.mean_all(T.mul(out, out))
+            elif op_name == "mse":                 # a gradient of the loss other than 1
+                out = T.mse(p["a"], b)
+            return sq(out)
 
         # every entry of a fused block's inputs, 20 of each other op's
         max_entries = None if op_name.endswith("_block") else 20
