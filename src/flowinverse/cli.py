@@ -6,9 +6,11 @@ resolved config, master seed, and content hashes of every input file, which
 is sufficient to reproduce the run bit for bit (rerun with
 ``--config <manifest.json>``).
 
-This module is the only one that writes run outputs; the library calls
-return data. Each subcommand writes, into the output directory unless a
-``paths.*`` key names the file, its ``manifest_<subcommand>.json`` and:
+This module is the only one that reads the config and the only one that
+writes run outputs; the library calls take plain values and return data.
+Each subcommand writes, into the output directory (the ``out_dir`` key, else
+``$CFM_OUT_DIR``, else ``.``) unless a ``paths.*`` key names the file, its
+``manifest_<subcommand>.json`` and:
 
   generate-data  <task>.cfmd (dataset)
   train          <task>.cfmt (checkpoint; .step<k> ones too), loss_history.csv
@@ -37,8 +39,7 @@ from . import __version__
 from .artifact import atomic_open
 from .checkpoint import load_checkpoint, save_checkpoint
 from .cfm import SamplerConfig, TrainConfig, path_straightness, sample_posterior, train
-from .config import (ConfigError, RunConfig, config_reference, load_config_file,
-                     parse_value, resolve, serializable)
+from .config import ConfigError, config_reference, load_config_file, parse_value, resolve
 from .data import (DataGenConfig, draw_tuples, generate_dataset, load_dataset,
                    save_dataset)
 from .mcmc import ChainConfig, run_chain
@@ -49,10 +50,6 @@ from .tasks import get_task
 SUBCOMMANDS = ("generate-data", "train", "sample", "evaluate", "mcmc", "benchmark", "paths")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -61,13 +58,13 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _build_config(args) -> RunConfig:
+def _build_config(args) -> dict:
     explicit = {}
     if args.config:
         explicit.update(load_config_file(args.config))
     for item in args.set or []:
         if "=" not in item:
-            raise UsageError(f"--set expects key=value, got '{item}'")
+            raise ConfigError(f"--set expects key=value, got '{item}'")
         key, _, raw = item.partition("=")
         explicit[key.strip()] = parse_value(key.strip(), raw.strip())
     if args.seed is not None:
@@ -83,16 +80,16 @@ def _make(cls, **kwargs):
         raise ConfigError(str(err)) from err
 
 
-def _task_kwargs(cfg: RunConfig) -> dict:
+def _task_kwargs(cfg: dict) -> dict:
     """Task constructor arguments; ``sigma`` only when ``data.sigma`` is set."""
     return {} if cfg["data.sigma"] is None else {"sigma": cfg["data.sigma"]}
 
 
-def _task_from(cfg: RunConfig):
-    return get_task(cfg.task_name, **_task_kwargs(cfg))
+def _task_from(cfg: dict):
+    return get_task(cfg["task"], **_task_kwargs(cfg))
 
 
-def _net_config(cfg: RunConfig, task) -> NetConfig:
+def _net_config(cfg: dict, task) -> NetConfig:
     return _make(
         NetConfig,
         n_emb=cfg["net.n_emb"], n_head=cfg["net.n_head"], n_layer=cfg["net.n_layer"],
@@ -100,7 +97,7 @@ def _net_config(cfg: RunConfig, task) -> NetConfig:
         design_token_dim=task.design_token_dim)
 
 
-def _sampler_config(cfg: RunConfig) -> SamplerConfig:
+def _sampler_config(cfg: dict) -> SamplerConfig:
     return _make(SamplerConfig, steps=cfg["sampler.steps"], method=cfg["sampler.method"],
                  ensemble=cfg["sampler.ensemble"], seed=cfg["seed"])
 
@@ -108,21 +105,21 @@ def _sampler_config(cfg: RunConfig) -> SamplerConfig:
 def _require(cfg, key, what):
     v = cfg[key]
     if v is None:
-        raise UsageError(f"{what} requires '{key}' (see --set {key}=...)")
+        raise ConfigError(f"{what} requires '{key}' (see --set {key}=...)")
     return v
 
 
-def _load_net(cfg: RunConfig):
+def _load_net(cfg: dict):
     path = _require(cfg, "paths.checkpoint", "this subcommand")
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     ck = load_checkpoint(path)
-    if ck.task_name != cfg.task_name:
-        raise UsageError(f"checkpoint is for task '{ck.task_name}', config says '{cfg.task_name}'")
+    if ck.task_name != cfg["task"]:
+        raise ConfigError(f"checkpoint is for task '{ck.task_name}', config says '{cfg['task']}'")
     return VelocityNet(_task_from(cfg), ck.net_config, ck.params), path
 
 
-def _draw_instance(cfg: RunConfig, task):
+def _draw_instance(cfg: dict, task):
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg["seed"], 0x696e7374, cfg["instance.seed"])))
     m, e, d, _ = draw_tuples(task, cfg["instance.n_obs"], [rng])
@@ -162,13 +159,13 @@ def _write_json(path, obj):
     return path
 
 
-def _write_manifest(cfg: RunConfig, subcommand, inputs, outputs, out_dir):
+def _write_manifest(cfg: dict, subcommand, inputs, outputs, out_dir):
     path = os.path.join(out_dir, f"manifest_{subcommand.replace('-', '_')}.json")
     return _write_json(path, {
         "tool": f"flowinverse {__version__}",
         "subcommand": subcommand,
         "seed": cfg["seed"],
-        "config": serializable(cfg.values),
+        "config": cfg,
         "input_hashes": {p: _sha256(p) for p in inputs if p and os.path.exists(p)},
         "outputs": outputs,
     })
@@ -178,18 +175,18 @@ def _write_manifest(cfg: RunConfig, subcommand, inputs, outputs, out_dir):
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_generate_data(cfg: RunConfig, out_dir):
-    path = cfg["paths.dataset"] or os.path.join(out_dir, f"{cfg.task_name}.cfmd")
-    gen = _make(DataGenConfig, task=cfg.task_name,
+def _cmd_generate_data(cfg: dict, out_dir):
+    path = cfg["paths.dataset"] or os.path.join(out_dir, f"{cfg['task']}.cfmd")
+    gen = _make(DataGenConfig, task=cfg["task"],
                 tuples_per_n_obs=cfg["data.tuples_per_n_obs"], n_obs_set=cfg["data.n_obs"],
                 seed=cfg["seed"], task_kwargs=_task_kwargs(cfg))
     shards = generate_dataset(gen)
-    save_dataset(shards, cfg.task_name, path)
+    save_dataset(shards, cfg["task"], path)
     print(f"wrote {sum(len(s) for s in shards)} tuples in {len(shards)} shards to {path}")
     return [], [path]
 
 
-def _cmd_train(cfg: RunConfig, out_dir):
+def _cmd_train(cfg: dict, out_dir):
     data_path = _require(cfg, "paths.dataset", "train")
     tc = _make(TrainConfig, lr=cfg["train.lr"], epochs=cfg["train.epochs"],
                batch_size=cfg["train.batch_size"],
@@ -198,11 +195,11 @@ def _cmd_train(cfg: RunConfig, out_dir):
     task = _task_from(cfg)
     _, shards = load_dataset(data_path, task=task)
     net_cfg = _net_config(cfg, task)
-    net = VelocityNet(task, net_cfg, seed=cfg["net.init_seed"])
-    ckpt_path = cfg["paths.checkpoint"] or os.path.join(out_dir, f"{cfg.task_name}.cfmt")
+    net = VelocityNet(task, net_cfg, seed=cfg["seed"])
+    ckpt_path = cfg["paths.checkpoint"] or os.path.join(out_dir, f"{cfg['task']}.cfmt")
 
     def save_at(step, epoch, trained):
-        save_checkpoint(ckpt_path + f".step{step}", cfg.task_name, net_cfg,
+        save_checkpoint(ckpt_path + f".step{step}", cfg["task"], net_cfg,
                         trained.params, step=step,
                         rng_state={"seed": cfg["seed"], "epoch": epoch})
 
@@ -210,7 +207,7 @@ def _cmd_train(cfg: RunConfig, out_dir):
     net, history = train(net, shards, tc,
                          checkpoint_fn=save_at if tc.checkpoint_every else None)
     dur = time.time() - t0
-    save_checkpoint(ckpt_path, cfg.task_name, net_cfg, net.params, step=len(history),
+    save_checkpoint(ckpt_path, cfg["task"], net_cfg, net.params, step=len(history),
                     rng_state={"seed": cfg["seed"], "epoch": tc.epochs})
     loss_path = _write_csv(os.path.join(out_dir, "loss_history.csv"), ["step", "loss"],
                            [[i, repr(v)] for i, v in enumerate(history)])
@@ -219,7 +216,7 @@ def _cmd_train(cfg: RunConfig, out_dir):
     return [data_path], [ckpt_path, loss_path]
 
 
-def _cmd_sample(cfg: RunConfig, out_dir):
+def _cmd_sample(cfg: dict, out_dir):
     net, ckpt_path = _load_net(cfg)
     task = net.task
     m_true, e, d = _draw_instance(cfg, task)
@@ -235,20 +232,21 @@ def _cmd_sample(cfg: RunConfig, out_dir):
     return [ckpt_path], [out, inst]
 
 
-def _cmd_evaluate(cfg: RunConfig, out_dir):
+def _cmd_evaluate(cfg: dict, out_dir):
     net, ckpt_path = _load_net(cfg)
     task = net.task
     reports = evaluate_sweep(net, task, cfg["eval.n_obs_list"], cfg["eval.trials"],
                              _sampler_config(cfg), seed=cfg["seed"])
-    outputs = [_write_csv(os.path.join(out_dir, f"sweep_{cfg.task_name}.csv"),
+    outputs = [_write_csv(os.path.join(out_dir, f"sweep_{cfg['task']}.csv"),
                           ["N", "mean_error_pct", "std_error_pct"],
                           [[r.n_obs, repr(100.0 * r.mean_error), repr(100.0 * r.std_error)]
                            for r in reports])]
     for r in reports:
         print(f"N={r.n_obs}: {100 * r.mean_error:.2f}% +/- {100 * r.std_error:.2f}% "
               f"({r.trials} trials)")
-    if cfg.task_name == "nonlinear":
+    if cfg["task"] == "nonlinear":
         pooled, per_case = generation_error(net, task, cfg["eval.n_inferences"],
+                                            cfg["data.n_obs"][0],
                                             sampler=_sampler_config(cfg), seed=cfg["seed"])
         outputs.append(_write_json(os.path.join(out_dir, "generation_error.json"),
                                    {"pooled": pooled,
@@ -259,19 +257,19 @@ def _cmd_evaluate(cfg: RunConfig, out_dir):
     return [ckpt_path], outputs
 
 
-def _chain_config(cfg: RunConfig) -> ChainConfig:
+def _chain_config(cfg: dict) -> ChainConfig:
     return _make(ChainConfig, n_samples=cfg["chain.n_samples"],
                  proposal_scale=cfg["chain.proposal_scale"],
                  burn_in=cfg["chain.burn_in"], seed=cfg["seed"])
 
 
-def _cmd_mcmc(cfg: RunConfig, out_dir):
+def _cmd_mcmc(cfg: dict, out_dir):
     task = _task_from(cfg)
     m_true, e, d = _draw_instance(cfg, task)
     res = run_chain(task, d, e, _chain_config(cfg))
     err = relative_error_de(m_true, res.posterior_mean, task, e)
     chain_csv = _write_csv(os.path.join(out_dir, "chain.csv"), *_chain_table(res))
-    table = _write_csv(os.path.join(out_dir, f"mcmc_{cfg.task_name}.csv"),
+    table = _write_csv(os.path.join(out_dir, f"mcmc_{cfg['task']}.csv"),
                        ["N", "n_sample", "error_pct"],
                        [[cfg["instance.n_obs"], cfg["chain.n_samples"], repr(100.0 * err)]])
     result = _write_json(os.path.join(out_dir, "mcmc_result.json"),
@@ -285,7 +283,7 @@ def _cmd_mcmc(cfg: RunConfig, out_dir):
     return [], [chain_csv, table, result]
 
 
-def _cmd_benchmark(cfg: RunConfig, out_dir):
+def _cmd_benchmark(cfg: dict, out_dir):
     net, ckpt_path = _load_net(cfg)
     task = net.task
     _, e, d = _draw_instance(cfg, task)
@@ -297,7 +295,7 @@ def _cmd_benchmark(cfg: RunConfig, out_dir):
     return [ckpt_path], [out]
 
 
-def _cmd_paths(cfg: RunConfig, out_dir):
+def _cmd_paths(cfg: dict, out_dir):
     net, ckpt_path = _load_net(cfg)
     task = net.task
     _, e, d = _draw_instance(cfg, task)
@@ -335,7 +333,6 @@ def _parser():
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key")
         sp.add_argument("--seed", type=int, help="override the master seed")
-        sp.add_argument("--out-dir", help="override the output directory")
     return p
 
 
@@ -354,9 +351,9 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = _build_config(args)
-        out_dir = args.out_dir or cfg.out_dir()
+        out_dir = cfg["out_dir"] or os.environ.get("CFM_OUT_DIR") or "."
         os.makedirs(out_dir, exist_ok=True)
-    except (ConfigError, UsageError) as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
@@ -366,7 +363,7 @@ def main(argv=None) -> int:
         manifest = _write_manifest(cfg, args.subcommand, inputs, outputs, out_dir)
         print(f"manifest: {manifest}")
         return 0
-    except (ConfigError, UsageError) as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except FileNotFoundError as err:

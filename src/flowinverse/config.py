@@ -5,13 +5,14 @@ blank lines ignored); keys are dotted per module, e.g. ``train.lr``.
 Command-line ``--set key=value`` overrides file values; ``--seed`` overrides
 the master seed. Every key has a documented default below; some defaults
 depend on the task (the published hyperparameters differ between tasks).
+
+Only ``cli`` reads this module: it resolves a run's config into a plain dict
+and passes plain values on to the library, which never sees a config key.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
 
 
 def _int(v):
@@ -65,15 +66,14 @@ KEY_SPECS = {
     "out_dir": (_str, None, "output directory (fallback: $CFM_OUT_DIR, then '.')"),
     "paths.dataset": (_str, None, "dataset file to read or write"),
     "paths.checkpoint": (_str, None, "checkpoint file to read or write"),
-    "data.tuples_per_n_obs": (_int, None, "tuples per observation count (task default)"),
-    "data.n_obs": (_count_list, None, "observation counts, e.g. '4,5,6,7,8' (task default)"),
+    "data.tuples_per_n_obs": (_int, None, "tuples per observation count"),
+    "data.n_obs": (_count_list, None, "observation counts, e.g. '4,5,6,7,8'"),
     "data.sigma": (_opt_scale, None, "noise scale override (task default if unset)"),
     "net.n_emb": (_int, 32, "embedding width"),
     "net.n_head": (_int, 4, "attention heads"),
-    "net.n_layer": (_int, None, "transformer blocks (task default: 4/6/4)"),
-    "net.init_seed": (_seed, 0, "parameter init stream"),
-    "train.lr": (float, None, "Adam learning rate (task default: 8e-4/8e-4/3e-4)"),
-    "train.epochs": (_int, None, "training epochs (task default)"),
+    "net.n_layer": (_int, None, "transformer blocks"),
+    "train.lr": (float, None, "Adam learning rate"),
+    "train.epochs": (_int, None, "training epochs"),
     "train.batch_size": (_int, 256, "tuples per batch"),
     "train.accum_window": (_int, 4, "batches accumulated per optimizer step"),
     "train.checkpoint_every": (_int, 0, "optimizer steps between checkpoints (0: off)"),
@@ -83,7 +83,7 @@ KEY_SPECS = {
     "chain.n_samples": (_int, 10000, "MCMC chain length"),
     "chain.burn_in": (float, 0.5, "burn-in fraction discarded"),
     "chain.proposal_scale": (_opt_float, None, "proposal std (tuned if unset)"),
-    "eval.n_obs_list": (_count_list, None, "sweep observation counts (task default)"),
+    "eval.n_obs_list": (_count_list, None, "sweep observation counts"),
     "eval.trials": (_count, 25, "fresh instances per observation count"),
     "eval.n_inferences": (_count, 10000, "instances for the reconstruction error"),
     "instance.n_obs": (_count, None, "observation count of the conditioning instance"),
@@ -164,62 +164,27 @@ def load_config_file(path):
     return parse_config_text(text)
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved configuration: every key has a value."""
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @property
-    def task_name(self):
-        return self.values["task"]
-
-    def out_dir(self):
-        d = self.values["out_dir"]
-        if d is None:
-            d = os.environ.get("CFM_OUT_DIR", ".")
-        return d
-
-
-def resolve(explicit: dict) -> RunConfig:
-    """Fill in defaults (task-dependent where applicable)."""
-    unknown = set(explicit) - set(KEY_SPECS)
-    if unknown:
-        known = "\n  ".join(sorted(KEY_SPECS))
-        raise ConfigError(f"unknown config key(s) {sorted(unknown)}; valid keys:\n  {known}")
+def resolve(explicit: dict) -> dict:
+    """Every key's value: explicit, else the task's default, else the key's."""
     explicit = {k: parse_value(k, v) for k, v in explicit.items()}
     task = explicit.get("task", KEY_SPECS["task"][1])
     if task not in TASK_DEFAULTS:
         raise ConfigError(f"unknown task '{task}'; expected one of {sorted(TASK_DEFAULTS)}")
-    values = {}
-    overrides = TASK_DEFAULTS[task]
-    for key, (_, default, _h) in KEY_SPECS.items():
-        if key in explicit:
-            values[key] = explicit[key]
-        elif key in overrides:
-            values[key] = overrides[key]
-        else:
-            values[key] = default
-    return RunConfig(values=values)
+    values = {key: default for key, (_, default, _h) in KEY_SPECS.items()}
+    return {**values, **TASK_DEFAULTS[task], **explicit}
+
+
+def _show(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def config_reference():
-    """Human-readable key reference (key, default, help)."""
+    """Human-readable key reference: key, default, help. A task-dependent
+    key shows each task's default instead, e.g. ``nonlinear=16 seir=30 darcy=40``."""
     lines = []
     for key, (_, default, help_) in sorted(KEY_SPECS.items()):
-        d = "task-dependent" if any(key in o for o in TASK_DEFAULTS.values()) else repr(default)
-        lines.append(f"{key:26s} default={d:16s} {help_}")
+        per_task = [f"{task}={_show(values[key])}" for task, values in TASK_DEFAULTS.items()
+                    if key in values]
+        d = " ".join(per_task) if per_task else f"default={default!r}"
+        lines.append(f"{key:26s} {d:24s} {help_}")
     return "\n".join(lines)
-
-
-def serializable(values: dict) -> dict:
-    """JSON-safe copy of a (possibly tuple-valued) config dict."""
-    out = {}
-    for k, v in values.items():
-        if isinstance(v, tuple):
-            out[k] = ",".join(str(x) for x in v)
-        else:
-            out[k] = v
-    return out

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifact
-from .config import TASK_DEFAULTS
 from .tasks import TASKS, get_task
 
 MAGIC = b"CFMD"
@@ -50,7 +49,7 @@ class DatasetShard:
 class DataGenConfig:
     task: str
     tuples_per_n_obs: int
-    n_obs_set: tuple = ()
+    n_obs_set: tuple          # observation counts, one shard each
     seed: int = 0
     task_kwargs: dict = field(default_factory=dict)   # e.g. sigma, the noise level
 
@@ -58,6 +57,8 @@ class DataGenConfig:
         if self.tuples_per_n_obs <= 0:
             raise ValueError("tuples_per_n_obs must be positive")
         self.n_obs_set = tuple(self.n_obs_set)
+        if not self.n_obs_set:
+            raise ValueError("n_obs_set must name at least one observation count")
 
 
 def _tuple_rng(seed, n_obs, index):
@@ -108,9 +109,8 @@ def generate_shard(task, n_obs, count, seed, sim_batch=4096) -> DatasetShard:
 def generate_dataset(config: DataGenConfig) -> list[DatasetShard]:
     """Sample (m, e, eta) per tuple and push through the forward model."""
     task = make_task(config)
-    n_obs_set = config.n_obs_set or TASK_DEFAULTS[task.name]["data.n_obs"]
     return [generate_shard(task, n, config.tuples_per_n_obs, config.seed)
-            for n in n_obs_set]
+            for n in config.n_obs_set]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfm import SamplerConfig, sample_batch, sample_posterior
-from .config import TASK_DEFAULTS
 from .data import draw_tuples
 from .mcmc import ChainConfig, run_chain
 
@@ -63,19 +62,19 @@ def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig | None 
     return reports
 
 
-def generation_error(net, task, n_inferences=10_000, n_obs=None,
+def generation_error(net, task, n_inferences, n_obs,
                      sampler: SamplerConfig | None = None, seed=0, chunk=256):
     """Observation-reconstruction error of the trained sampler.
 
-    Draws fresh (m, e, d) instances, reconstructs observations from the
-    posterior-ensemble mean at the same designs, and pools everything into
-    one relative error ||D - D_hat|| / ||D|| (per-instance errors are also
-    returned for inspection). Pooling keeps near-zero single observations
+    Draws ``n_inferences`` fresh (m, e, d) instances with ``n_obs``
+    observations each (required; ``evaluate`` uses the first training
+    count), reconstructs observations from the posterior-ensemble mean at
+    the same designs, and pools everything into one relative error
+    ||D - D_hat|| / ||D|| (per-instance errors are also returned for
+    inspection). Pooling keeps near-zero single observations
     from dominating the aggregate. Sampler seeds derive from ``seed``;
     ``sampler.seed`` is not used.
     """
-    if n_obs is None:
-        n_obs = TASK_DEFAULTS[task.name]["data.n_obs"][0]
     sampler = sampler or SamplerConfig()
     num = 0.0
     den = 0.0

@@ -157,8 +157,9 @@ def transformer_forward(params: dict, config: NetConfig, task,
     parts.append(_linear(Tensor(m_t[:, None, :], dtype=dt), params, "embed.state"))
     x = T.concat(parts, axis=1)                       # (B, n_tokens, E)
 
-    t = np.broadcast_to(np.asarray(t, dtype=np.float32).reshape(-1, 1), (m_t.shape[0], 1))
-    x = T.add(x, timestep_embed(params, t, config.n_emb))     # (B, 1, E) to every token
+    # a shared scalar t is embedded once, (1, 1, E); times of shape (B,) give (B, 1, E)
+    t = np.asarray(t, dtype=np.float32).reshape(-1, 1)
+    x = T.add(x, timestep_embed(params, t, config.n_emb))     # to every token
 
     for i in range(config.n_layer):
         p = [params[f"block{i}.{name}"] for name in _BLOCK_PARAMS]

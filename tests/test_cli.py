@@ -12,8 +12,8 @@ from flowinverse import cli, tasks
 from flowinverse.cli import main
 from flowinverse.cfm import SamplerConfig
 from flowinverse.checkpoint import save_checkpoint
-from flowinverse.config import (KEY_SPECS, TASK_DEFAULTS, ConfigError, RunConfig,
-                                config_reference, parse_config_text, resolve)
+from flowinverse.config import (KEY_SPECS, TASK_DEFAULTS, ConfigError, config_reference,
+                                load_config_file, parse_config_text, resolve)
 from flowinverse.data import DataGenConfig, make_task
 from flowinverse.metrics import generation_error
 from flowinverse.net import VelocityNet
@@ -72,6 +72,20 @@ class TestConfigParsing:
     def test_reference_covers_all_keys(self):
         ref = config_reference()
         assert "train.lr" in ref and "chain.n_samples" in ref
+
+    def test_reference_shows_every_task_default_on_its_key_line(self):
+        lines = {line.split()[0]: line for line in config_reference().splitlines()}
+        assert set(lines) == set(KEY_SPECS)
+        for task, values in TASK_DEFAULTS.items():
+            for key, value in values.items():
+                shown = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+                assert f"{task}={shown}" in lines[key].split(), (task, key)
+
+    def test_manifest_list_as_comma_string_still_loads(self, tmp_path):
+        # manifests written before list keys became JSON arrays
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"config": {"task": "seir", "data.n_obs": "4,5,6,7,8"}}))
+        assert resolve(load_config_file(str(path)))["data.n_obs"] == (4, 5, 6, 7, 8)
 
 
 @pytest.fixture()
@@ -134,7 +148,6 @@ class TestCliBasics:
         ("mcmc", ["--set", "data.sigma=0"], "data.sigma", "a finite value > 0"),
         ("generate-data", ["--seed", "-1"], "seed", "an integer >= 0"),
         ("mcmc", ["--set", "instance.seed=-3"], "instance.seed", "an integer >= 0"),
-        ("mcmc", ["--set", "net.init_seed=-1"], "net.init_seed", "an integer >= 0"),
     ])
     def test_value_out_of_range_is_a_usage_error(self, workdir, capsys, subcommand, argv,
                                                  key, expected):
@@ -187,12 +200,14 @@ class TestCliBasics:
                                             ("seir.shifted_ramp", False),
                                             ("darcy.sigma_w", 0.2),
                                             ("net.rope_base", 10000.0),
-                                            ("chain.sigma_obs", 1.0)])
+                                            ("chain.sigma_obs", 1.0),
+                                            ("net.init_seed", 0)])
     def test_manifest_with_mlp_net_key_is_rejected(self, workdir, capsys, key, value):
         # the keys of deleted variants and fixed constants are gone: the
         # fixed-size MLP velocity net, the printed SEIR ramp, the Darcy bump
-        # width, the rotary base and the MH likelihood noise (always the
-        # task's, which data.sigma sets)
+        # width, the rotary base, the MH likelihood noise (always the
+        # task's, which data.sigma sets) and the net's init stream (the
+        # master seed's)
         (workdir / "old.json").write_text(json.dumps({"config": {key: value}}))
         assert run_cli("mcmc", "--config", "old.json") == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -214,7 +229,8 @@ class TestTaskFromConfig:
         task = cli._task_from(cfg)
         assert task.sigma == 0.03
         assert cli._task_kwargs(cfg)["sigma"] == 0.03
-        gen = DataGenConfig(task=name, tuples_per_n_obs=1, task_kwargs={"sigma": 0.03})
+        gen = DataGenConfig(task=name, tuples_per_n_obs=1, n_obs_set=(1,),
+                            task_kwargs={"sigma": 0.03})
         assert make_task(gen).sigma == 0.03
         rng = np.random.default_rng(1)
         m = task.sample_params(rng, 2)
@@ -277,9 +293,24 @@ class TestPipeline:
         assert rc == 0
         pooled = json.load(open("generation_error.json"))["pooled"]
         sampler = SamplerConfig(steps=2, method="midpoint", ensemble=3)
-        assert pooled == generation_error(net, task, 4, sampler=sampler)[0]
+        assert pooled == generation_error(net, task, 4, 1, sampler=sampler)[0]
         euler = SamplerConfig(steps=2, method="euler", ensemble=3)
-        assert pooled != generation_error(net, task, 4, sampler=euler)[0]
+        assert pooled != generation_error(net, task, 4, 1, sampler=euler)[0]
+
+    def test_benchmark_subcommand(self, workdir):
+        cfg = resolve({"net.n_emb": 8, "net.n_head": 2, "net.n_layer": 1})
+        task = cli._task_from(cfg)
+        net = VelocityNet(task, cli._net_config(cfg, task), seed=0)
+        save_checkpoint("n.cfmt", "nonlinear", net.config, net.params)
+        rc = run_cli("benchmark", "--set", "paths.checkpoint=n.cfmt",
+                     "--set", "chain.n_samples=200")
+        assert rc == 0
+        timing = json.load(open("timing.json"))
+        assert set(timing) == {"cfm_seconds", "mcmc_seconds", "ratio"}
+        assert timing["ratio"] == timing["mcmc_seconds"] / timing["cfm_seconds"]
+        manifest = json.load(open("manifest_benchmark.json"))
+        assert manifest["subcommand"] == "benchmark"
+        assert [os.path.basename(p) for p in manifest["outputs"]] == ["timing.json"]
 
     def test_train_lr_override_recorded(self, workdir):
         run_cli("generate-data", "--set", "data.tuples_per_n_obs=32",
@@ -297,6 +328,7 @@ class TestPipeline:
         run_cli("generate-data", "--set", "data.tuples_per_n_obs=48",
                 "--set", "paths.dataset=a.cfmd", "--seed", "11")
         first = open("a.cfmd", "rb").read()
+        assert json.load(open("manifest_generate_data.json"))["config"]["data.n_obs"] == [1]
         os.remove("a.cfmd")
         rc = run_cli("generate-data", "--config", "manifest_generate_data.json")
         assert rc == 0
@@ -387,14 +419,11 @@ class TestWriteCsv:
 
 
 def test_every_config_key_is_read():
-    # a key nothing reads is dead surface; RunConfig itself reads task and out_dir
+    # a key nothing reads is dead surface, and only cli reads the config
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     literals = {node.value for node in ast.walk(tree)
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    run_config = inspect.getsource(RunConfig)
-    by_run_config = {"task", "out_dir"}
-    assert all(f'"{key}"' in run_config for key in by_run_config)
-    assert sorted(set(KEY_SPECS) - by_run_config - literals) == []
+    assert sorted(set(KEY_SPECS) - literals) == []
 
 
 def _modules_importing(name):
@@ -402,8 +431,13 @@ def _modules_importing(name):
     importers = set()
     for path in src.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # `from .m import x`, `from flowinverse.m import x` and `from . import m`
+                names = [(node.module or "").rpartition(".")[2], *(a.name for a in node.names)]
+            else:
+                continue
             if name in names:
                 importers.add(path.relative_to(src).as_posix())
     return importers
@@ -418,6 +452,10 @@ def test_every_task_takes_only_sigma():
 
 def test_only_cli_imports_csv():
     assert _modules_importing("csv") == {"cli.py"}
+
+
+def test_only_cli_imports_config():
+    assert _modules_importing("config") == {"cli.py"}
 
 
 # The spans the benchmark's per-layer metrics and scopes read. Its tracer

@@ -51,6 +51,12 @@ class TestGeneration:
         with pytest.raises(ValueError):
             small_config(tuples_per_n_obs=0)
 
+    def test_observation_counts_are_required(self):
+        with pytest.raises(TypeError, match="n_obs_set"):
+            DataGenConfig(task="nonlinear", tuples_per_n_obs=4)
+        with pytest.raises(ValueError, match="n_obs_set must name at least one"):
+            small_config(n_obs_set=())
+
     def test_prior_moments(self):
         shards = generate_dataset(small_config(tuples_per_n_obs=12_000, n_obs_set=(1,)))
         m = shards[0].m.astype(np.float64).ravel()

@@ -85,7 +85,7 @@ class TestGenerationError:
     def test_runs_and_pools(self):
         task = get_task("nonlinear")
         net = _ConstNet(task, 0.0)
-        pooled, per_case = generation_error(net, task, n_inferences=30,
+        pooled, per_case = generation_error(net, task, n_inferences=30, n_obs=1,
                                             sampler=SamplerConfig(steps=4, ensemble=4), seed=1)
         assert per_case.shape == (30,)
         assert 0.0 <= pooled < 10.0
@@ -95,7 +95,7 @@ class TestGenerationError:
         # recorded by the engine of commit 858d25c with every rotary position
         # set to 0; chunk=2 splits the batch
         pooled, per_case = generation_error(tiny_net(), get_task("nonlinear"), n_inferences=5,
-                                            sampler=SamplerConfig(steps=4, ensemble=3),
+                                            n_obs=1, sampler=SamplerConfig(steps=4, ensemble=3),
                                             seed=2, chunk=2)
         np.testing.assert_allclose(
             per_case, [0.12613182907142165, 0.12313974686268035, 1.4431938536223983,

@@ -315,6 +315,19 @@ class TestSeirPaperConfig:
         # add, the final norm, the head and the loss
         assert _seir_parity_case()[3] == 22
 
+    @pytest.mark.parametrize("B", [1, 10, 256])
+    def test_shared_flow_time_matches_per_row_times(self, B):
+        # a scalar t is embedded once and broadcast over the batch
+        task = SeirTask()
+        net = VelocityNet(task, _seir_paper_config(), seed=3)
+        rng = np.random.default_rng(B)
+        e = np.sort(rng.uniform(1.0, 3.0, (B, 8)), axis=1)
+        d = rng.uniform(0.0, 100.0, (B, 16))
+        m_t = rng.normal(size=(B, task.dim_m))
+        for t in (0.0, 0.37, 1.0):
+            v = net.velocity(m_t, t, d, e)
+            np.testing.assert_array_equal(v, net.velocity(m_t, np.full(B, t), d, e))
+
 
 class TestConfigValidation:
     def test_rejects_indivisible_heads(self):
