@@ -134,7 +134,9 @@ def train(net: VelocityNet, shards, config: TrainConfig, checkpoint_fn=None):
     def close_window():
         """Average the window's gradients into one Adam step."""
         inv = 1.0 / len(window_losses)
-        T.adam_step(params, {k: p.grad * inv for k, p in params.items()}, state)
+        for p in params.values():
+            p.grad *= inv
+        T.adam_step(params, state)
         net.zero_grad()
         history.append(float(np.mean(window_losses)))
         window_losses.clear()
@@ -260,8 +262,8 @@ class StraightnessReport:
     trajectories: np.ndarray     # (steps+1, n_paths, dim_m)
 
 
-def path_straightness(net: VelocityNet, d, e, n_paths=32,
-                      cfg: SamplerConfig | None = None) -> StraightnessReport:
+def path_straightness(net: VelocityNet, d, e, n_paths: int,
+                      cfg: SamplerConfig) -> StraightnessReport:
     """Mean relative deviation of flow trajectories from their chords.
 
     A perfectly straight (optimal-transport) path moves as
@@ -269,7 +271,6 @@ def path_straightness(net: VelocityNet, d, e, n_paths=32,
     x(t) and that time-parametrized chord is divided by the chord length.
     Degenerate chords (< 1e-9) are skipped and counted.
     """
-    cfg = cfg or SamplerConfig()
     x0, d_rep, e_rep = _flow_start(net.task, d, e, [cfg.seed], n_paths)
     _, traj = _integrate_flow(net, x0, d_rep, e_rep, cfg, record=True)
     ts = np.linspace(0.0, 1.0, traj.shape[0])

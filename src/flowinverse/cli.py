@@ -47,8 +47,6 @@ from .metrics import benchmark_timing, evaluate_sweep, generation_error, relativ
 from .net import NetConfig, VelocityNet
 from .tasks import get_task
 
-SUBCOMMANDS = ("generate-data", "train", "sample", "evaluate", "mcmc", "benchmark", "paths")
-
 
 def _sha256(path):
     h = hashlib.sha256()
@@ -291,7 +289,7 @@ def _cmd_benchmark(cfg: dict, out_dir):
                                             _sampler_config(cfg))
     out = _write_json(os.path.join(out_dir, "timing.json"),
                       {"cfm_seconds": cfm_s, "mcmc_seconds": mcmc_s, "ratio": ratio})
-    print(f"flow inference {cfm_s:.3f}s vs chain {mcmc_s:.1f}s -> {ratio:.0f}x")
+    print(f"flow inference {cfm_s:.3g}s vs chain {mcmc_s:.3g}s -> {ratio:.3g}x")
     return [ckpt_path], [out]
 
 
@@ -299,7 +297,7 @@ def _cmd_paths(cfg: dict, out_dir):
     net, ckpt_path = _load_net(cfg)
     task = net.task
     _, e, d = _draw_instance(cfg, task)
-    rep = path_straightness(net, d, e, n_paths=cfg["paths.n_paths"], cfg=_sampler_config(cfg))
+    rep = path_straightness(net, d, e, cfg["paths.n_paths"], _sampler_config(cfg))
     out = _write_csv(os.path.join(out_dir, "paths.csv"), *_paths_table(rep))
     summary = _write_json(os.path.join(out_dir, "straightness.json"),
                           {"mean_deviation": rep.mean_deviation, "skipped": rep.skipped,
@@ -327,7 +325,7 @@ def _parser():
         epilog="Config keys:\n" + config_reference(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="subcommand")
-    for name in SUBCOMMANDS:
+    for name in _BODIES:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="flat key=value config file or a run manifest (.json)")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -346,9 +344,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
-    if args.subcommand not in _BODIES:
-        parser.print_help()
-        return 1
     try:
         cfg = _build_config(args)
         out_dir = cfg["out_dir"] or os.environ.get("CFM_OUT_DIR") or "."
@@ -356,6 +351,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except OSError as err:          # an unreadable config file or an unusable out_dir
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     try:
         inputs, outputs = _BODIES[args.subcommand](cfg, out_dir)
         if args.config:

@@ -7,8 +7,8 @@ stream, so generation is order-independent and parallelizable, and the file
 round-trips bitwise.
 
 A dataset file is an :mod:`artifact` with magic ``CFMD``. Its header holds
-the task name and ``[n_obs, seed]`` per shard; shard i stores its arrays
-m, e, d and eta as ``i.m``, ``i.e``, ``i.d`` and ``i.eta``.
+the task name and ``[n_obs, seed]`` per shard, each n_obs once; shard i
+stores its arrays m, e, d and eta as ``i.m``, ``i.e``, ``i.d`` and ``i.eta``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ _ARRAYS = ("m", "e", "d", "eta")      # the arrays of a shard, in file order
 
 _STREAM_TUPLE = 0x64617461          # tag for per-tuple draws
 _STREAM_SHUFFLE = 0x73687566        # tag for per-epoch shard shuffles
+
+SIM_BATCH = 4096            # tuples per simulate_batch call in generate_shard
+VERIFY_FRACTION = 0.01      # share of each shard's tuples load_dataset re-verifies
 
 
 class DatasetFormatError(artifact.FormatError):
@@ -59,15 +62,13 @@ class DataGenConfig:
         self.n_obs_set = tuple(self.n_obs_set)
         if not self.n_obs_set:
             raise ValueError("n_obs_set must name at least one observation count")
+        if len(set(self.n_obs_set)) != len(self.n_obs_set):
+            raise ValueError(f"n_obs_set repeats an observation count: {self.n_obs_set}")
 
 
 def _tuple_rng(seed, n_obs, index):
     return np.random.default_rng(
         np.random.Philox(np.random.SeedSequence((seed, _STREAM_TUPLE, n_obs, index))))
-
-
-def make_task(config: DataGenConfig):
-    return get_task(config.task, **config.task_kwargs)
 
 
 def draw_tuples(task, n_obs, rngs):
@@ -89,12 +90,12 @@ def draw_tuples(task, n_obs, rngs):
     return m, e, clean + eta, eta
 
 
-def generate_shard(task, n_obs, count, seed, sim_batch=4096) -> DatasetShard:
+def generate_shard(task, n_obs, count, seed) -> DatasetShard:
     if count < 1:
         raise ValueError(f"a shard needs at least one tuple, got count={count}")
     chunks = []
-    for lo in range(0, count, sim_batch):
-        hi = min(lo + sim_batch, count)
+    for lo in range(0, count, SIM_BATCH):
+        hi = min(lo + SIM_BATCH, count)
         try:
             chunks.append(draw_tuples(task, n_obs,
                                       [_tuple_rng(seed, n_obs, i) for i in range(lo, hi)]))
@@ -108,7 +109,7 @@ def generate_shard(task, n_obs, count, seed, sim_batch=4096) -> DatasetShard:
 
 def generate_dataset(config: DataGenConfig) -> list[DatasetShard]:
     """Sample (m, e, eta) per tuple and push through the forward model."""
-    task = make_task(config)
+    task = get_task(config.task, **config.task_kwargs)
     return [generate_shard(task, n, config.tuples_per_n_obs, config.seed)
             for n in config.n_obs_set]
 
@@ -123,15 +124,15 @@ def save_dataset(shards, task_name, path):
                    {f"{i}.{k}": getattr(s, k) for i, s in enumerate(shards) for k in _ARRAYS})
 
 
-def load_dataset(path, verify_fraction=0.01, task=None):
+def load_dataset(path, task=None):
     """Load shards; returns (task_name, shards).
 
-    A deterministic sample of tuples is re-verified against the forward
-    model: d minus the stored noise must match F(m, e) to within 1e-6
-    relative to the observation scale. That forward model is noise-free, so
-    ``sigma`` does not change it and any task of the stored name verifies;
-    passing ``task`` only saves building one (for Darcy, its KL basis). Set
-    verify_fraction=0 to skip.
+    A deterministic sample of ``VERIFY_FRACTION`` of each shard's tuples,
+    at least one, is re-verified against the forward model: d minus the
+    stored noise must match F(m, e) to within 1e-6 relative to the
+    observation scale. That forward model is noise-free, so ``sigma`` does
+    not change it and any task of the stored name verifies; passing ``task``
+    only saves building one (for Darcy, its KL basis).
     """
     header, arrays = artifact.read(path, MAGIC, FORMAT_VERSION, DatasetFormatError,
                                    keys=("task", "shards"))
@@ -146,15 +147,16 @@ def load_dataset(path, verify_fraction=0.01, task=None):
         raise DatasetFormatError(f"{path}: shards do not match the arrays: {err!r}") from err
     if len(arrays) != len(_ARRAYS) * len(shards):
         raise DatasetFormatError(f"{path}: {len(arrays)} arrays for {len(shards)} shards")
-    if verify_fraction > 0:
-        _verify_sample(task if task is not None else get_task(task_name),
-                       shards, verify_fraction)
+    n_obs = [s.n_obs for s in shards]
+    if len(set(n_obs)) != len(n_obs):
+        raise DatasetFormatError(f"{path}: shards repeat an observation count: {n_obs}")
+    _verify_sample(task if task is not None else get_task(task_name), shards)
     return task_name, shards
 
 
-def _verify_sample(task, shards, fraction):
+def _verify_sample(task, shards):
     for s in shards:
-        take = max(1, int(len(s) * fraction)) if len(s) else 0
+        take = max(1, int(len(s) * VERIFY_FRACTION)) if len(s) else 0
         idx = np.linspace(0, len(s) - 1, take).astype(int) if take else []
         for i in idx:
             clean = task.forward_observed(s.m[i].astype(np.float64),

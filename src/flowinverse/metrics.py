@@ -18,6 +18,8 @@ from .cfm import SamplerConfig, sample_batch, sample_posterior
 from .data import draw_tuples
 from .mcmc import ChainConfig, run_chain
 
+GENERATION_CHUNK = 256      # instances per sample_batch call in generation_error
+
 
 @dataclass
 class EvalReport:
@@ -27,7 +29,7 @@ class EvalReport:
     trials: int
 
 
-def relative_error_de(m_true, m_est, task, e_row=None):
+def relative_error_de(m_true, m_est, task, e_row):
     """Relative error between DE solutions at the true parameters and at a
     point estimate, such as the posterior-ensemble mean the paper uses."""
     ref = task.de_solution(np.asarray(m_true, dtype=np.float64), e_row)
@@ -39,15 +41,13 @@ def relative_error_de(m_true, m_est, task, e_row=None):
 # trial generation
 # ---------------------------------------------------------------------------
 
-def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig | None = None,
-                   seed=0):
+def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig, seed=0):
     """Per observation count: fresh (m, e, d) instances, posterior ensembles,
     and the DE relative error aggregated as mean +/- std over trials.
 
     Each trial draws its instance and then its sampler seed from its own
     stream; the trials of one observation count integrate as one batch.
     """
-    sampler = sampler or SamplerConfig()
     reports = []
     for n_obs in n_obs_list:
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0x6576616c, n_obs, trial)))
@@ -62,8 +62,7 @@ def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig | None 
     return reports
 
 
-def generation_error(net, task, n_inferences, n_obs,
-                     sampler: SamplerConfig | None = None, seed=0, chunk=256):
+def generation_error(net, task, n_inferences, n_obs, sampler: SamplerConfig, seed=0):
     """Observation-reconstruction error of the trained sampler.
 
     Draws ``n_inferences`` fresh (m, e, d) instances with ``n_obs``
@@ -75,13 +74,12 @@ def generation_error(net, task, n_inferences, n_obs,
     from dominating the aggregate. Sampler seeds derive from ``seed``;
     ``sampler.seed`` is not used.
     """
-    sampler = sampler or SamplerConfig()
     num = 0.0
     den = 0.0
     per_case = np.empty(n_inferences)
     done = 0
     while done < n_inferences:
-        b = min(chunk, n_inferences - done)
+        b = min(GENERATION_CHUNK, n_inferences - done)
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0x67656e65, done + i)))
                 for i in range(b)]
         _, es, ds, _ = draw_tuples(task, n_obs, rngs)
@@ -99,8 +97,7 @@ def generation_error(net, task, n_inferences, n_obs,
     return float(np.sqrt(num / den)), per_case
 
 
-def benchmark_timing(net, task, d, e, chain_cfg: ChainConfig,
-                     sampler: SamplerConfig | None = None):
+def benchmark_timing(net, task, d, e, chain_cfg: ChainConfig, sampler: SamplerConfig):
     """Wall-clock of one flow inference versus one MCMC chain.
 
     Returns (cfm_seconds, mcmc_seconds, ratio). The BLAS thread count is the
@@ -108,7 +105,6 @@ def benchmark_timing(net, task, d, e, chain_cfg: ChainConfig,
     ``OMP_NUM_THREADS``/``OPENBLAS_NUM_THREADS`` to 1 before numpy is
     imported, as ``perfbench/worker.py`` does.
     """
-    sampler = sampler or SamplerConfig()
     t0 = time.perf_counter()
     sample_posterior(net, d, e, sampler)
     cfm_seconds = time.perf_counter() - t0

@@ -53,10 +53,6 @@ class NetConfig:
         if self.dim_m < 1 or self.obs_token_dim < 1:
             raise ValueError("dim_m and obs_token_dim must be >= 1")
 
-    @property
-    def head_dim(self):
-        return self.n_emb // self.n_head
-
 
 def timestep_basis(t, dim: int) -> np.ndarray:
     """Sinusoidal features of a flow time in [0, 1]: half sines, half cosines,
@@ -138,37 +134,6 @@ def param_count(params: dict) -> int:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def transformer_forward(params: dict, config: NetConfig, task,
-                        m_t: np.ndarray, t, d: np.ndarray, e: np.ndarray) -> Tensor:
-    """Velocity prediction for a batch sharing one observation count.
-
-    m_t: (batch, dim_m); t: scalar or (batch,); d, e: task-shaped arrays.
-    Returns a (batch, dim_m) tensor. The tokens are the task's observation
-    features, its design token if it has one, and last the state ``m_t``,
-    whose output the head reads.
-    """
-    obs, design = task.token_features(d, e)
-    if obs.shape[1] == 0:
-        raise ValueError("cannot tokenize an empty observation list")
-    dt = params["head.w"].dtype
-    parts = [_linear(Tensor(obs, dtype=dt), params, "embed.obs")]
-    if design is not None:
-        parts.append(_linear(Tensor(design, dtype=dt), params, "embed.design"))
-    parts.append(_linear(Tensor(m_t[:, None, :], dtype=dt), params, "embed.state"))
-    x = T.concat(parts, axis=1)                       # (B, n_tokens, E)
-
-    # a shared scalar t is embedded once, (1, 1, E); times of shape (B,) give (B, 1, E)
-    t = np.asarray(t, dtype=np.float32).reshape(-1, 1)
-    x = T.add(x, timestep_embed(params, t, config.n_emb))     # to every token
-
-    for i in range(config.n_layer):
-        p = [params[f"block{i}.{name}"] for name in _BLOCK_PARAMS]
-        x = T.attention_block(x, *p[:5], config.n_head, state_only=i == config.n_layer - 1)
-        x = T.mlp_block(x, *p[5:])
-    # x is the state token alone now: (B, E)
-    return _linear(T.rms_norm(x, params["ln_f.g"]), params, "head")
-
-
 class VelocityNet:
     """Bundles a task, a config, and parameters behind one forward call."""
 
@@ -182,8 +147,35 @@ class VelocityNet:
         return param_count(self.params)
 
     def forward(self, m_t, t, d, e) -> Tensor:
-        m_t = np.asarray(m_t, dtype=np.float32)
-        return transformer_forward(self.params, self.config, self.task, m_t, t, d, e)
+        """Velocity prediction for a batch sharing one observation count.
+
+        m_t: (batch, dim_m); t: scalar or (batch,); d, e: task-shaped arrays.
+        Returns a (batch, dim_m) tensor. The tokens are the task's observation
+        features, its design token if it has one, and last the state ``m_t``,
+        whose output the head reads.
+        """
+        params, config = self.params, self.config
+        obs, design = self.task.token_features(d, e)
+        if obs.shape[1] == 0:
+            raise ValueError("cannot tokenize an empty observation list")
+        dt = params["head.w"].dtype
+        parts = [_linear(Tensor(obs, dtype=dt), params, "embed.obs")]
+        if design is not None:
+            parts.append(_linear(Tensor(design, dtype=dt), params, "embed.design"))
+        m_t = np.asarray(m_t, dtype=np.float32)[:, None, :]
+        parts.append(_linear(Tensor(m_t, dtype=dt), params, "embed.state"))
+        x = T.concat(parts, axis=1)                       # (B, n_tokens, E)
+
+        # a shared scalar t is embedded once, (1, 1, E); times of shape (B,) give (B, 1, E)
+        t = np.asarray(t, dtype=np.float32).reshape(-1, 1)
+        x = T.add(x, timestep_embed(params, t, config.n_emb))     # to every token
+
+        for i in range(config.n_layer):
+            p = [params[f"block{i}.{name}"] for name in _BLOCK_PARAMS]
+            x = T.attention_block(x, *p[:5], config.n_head, state_only=i == config.n_layer - 1)
+            x = T.mlp_block(x, *p[5:])
+        # x is the state token alone now: (B, E)
+        return _linear(T.rms_norm(x, params["ln_f.g"]), params, "head")
 
     def velocity(self, m_t, t, d, e) -> np.ndarray:
         """Inference-mode forward pass (no tape recording)."""

@@ -1,15 +1,9 @@
-"""Forward models and priors for the three inverse-problem tasks."""
+"""The three inverse-problem tasks by name; each solver is imported from its
+own module, such as ``tasks.seir.seir_solve`` or ``tasks.darcy.darcy_solve``."""
 
+from .darcy import DarcyTask
 from .nonlinear import NonlinearTask
-from .seir import SeirTask, SeirConstants, seir_solve
-from .darcy import (
-    DarcyTask,
-    DarcyConstants,
-    kl_basis_build,
-    kl_expand,
-    darcy_solve,
-    darcy_observe,
-)
+from .seir import SeirTask
 
 TASKS = {"nonlinear": NonlinearTask, "seir": SeirTask, "darcy": DarcyTask}
 
@@ -19,10 +13,3 @@ def get_task(name: str, **kwargs):
     if name not in TASKS:
         raise ValueError(f"unknown task '{name}'; expected one of {sorted(TASKS)}")
     return TASKS[name](**kwargs)
-
-
-__all__ = [
-    "NonlinearTask", "SeirTask", "SeirConstants", "DarcyTask", "DarcyConstants",
-    "seir_solve", "kl_basis_build", "kl_expand", "darcy_solve",
-    "darcy_observe", "get_task", "TASKS",
-]

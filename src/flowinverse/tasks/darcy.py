@@ -68,19 +68,6 @@ class KLBasis:
         return float(self.eigenvalues.sum() / self.trace)
 
 
-def _grid_points(const):
-    xs = np.linspace(0.0, 1.0, const.n_grid)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    return np.stack([X.ravel(), Y.ravel()], axis=1)
-
-
-def kernel_matrix(const: DarcyConstants = CONST) -> np.ndarray:
-    """Dense squared-exponential kernel on grid nodes, h^2 quadrature weighted."""
-    pts = _grid_points(const)
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-    return (const.sigma_v ** 2) * np.exp(-d2 / (2.0 * const.ell2)) * const.h ** 2
-
-
 def _cache_path(const, cache_dir):
     cache_dir = cache_dir or os.environ.get("FLOWINVERSE_CACHE")
     if not cache_dir:
@@ -126,16 +113,9 @@ def kl_basis_build(const: DarcyConstants = CONST, cache_dir=None) -> KLBasis:
 
 
 def kl_expand(m, basis: KLBasis) -> np.ndarray:
-    """Log-permeability field(s) from mode coefficients.
-
-    m: (n_modes,) or (B, n_modes); returns (n, n) or (B, n, n).
-    """
-    m = np.asarray(m, dtype=np.float64)
+    """Log-permeability field (n, n) from the (n_modes,) mode coefficients."""
     n = basis.const.n_grid
-    single = m.ndim == 1
-    field = np.atleast_2d(m) @ basis.scaled_modes
-    field = field.reshape(-1, n, n)
-    return field[0] if single else field
+    return (np.asarray(m, dtype=np.float64) @ basis.scaled_modes).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +159,19 @@ def _solve_dirichlet(kappa, left_vals, right_vals):
     return u
 
 
-def boundary_profiles(e1, e2, const: DarcyConstants = CONST):
-    ys = np.linspace(0.0, 1.0, const.n_grid)
-    f = np.exp(-((ys - e1) ** 2) / (2.0 * const.sigma_w))
-    g = -np.exp(-((ys - e2) ** 2) / (2.0 * const.sigma_w))
+def boundary_profiles(e1, e2):
+    ys = np.linspace(0.0, 1.0, CONST.n_grid)
+    f = np.exp(-((ys - e1) ** 2) / (2.0 * CONST.sigma_w))
+    g = -np.exp(-((ys - e2) ** 2) / (2.0 * CONST.sigma_w))
     return f, g
 
 
-def darcy_solve(kappa, e1, e2, const: DarcyConstants = CONST):
-    """Pressure field for permeability ``kappa`` and boundary designs (e1, e2)."""
+def darcy_solve(kappa, e1, e2):
+    """Pressure field for a permeability ``kappa`` on the ``CONST`` grid and
+    boundary designs (e1, e2)."""
     if not (0.0 <= e1 <= 1.0 and 0.0 <= e2 <= 1.0):
         raise ValueError(f"design parameters must lie in [0, 1], got ({e1}, {e2})")
-    f, g = boundary_profiles(e1, e2, const)
+    f, g = boundary_profiles(e1, e2)
     return _solve_dirichlet(kappa, f, g)
 
 
@@ -248,7 +229,7 @@ class DarcyTask:
         return np.concatenate([e12, pts.ravel()])
 
     def _solve_row(self, m, e_row):
-        kappa = np.exp(kl_expand(np.asarray(m, dtype=np.float64), self.basis))
+        kappa = np.exp(kl_expand(m, self.basis))
         return darcy_solve(kappa, float(e_row[0]), float(e_row[1]))
 
     def simulate_batch(self, m, e, n_obs):
@@ -269,9 +250,7 @@ class DarcyTask:
         design = e[:, None, :2].astype(np.float32)
         return obs, design
 
-    def de_solution(self, m, e_row=None):
-        if e_row is None:
-            raise ValueError("darcy solution evaluation requires the design row (e1, e2, ...)")
+    def de_solution(self, m, e_row):
         return self._solve_row(m, e_row).reshape(-1)
 
     def forward_observed(self, m, e_row):

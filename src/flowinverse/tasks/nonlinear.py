@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+DE_GRID = np.linspace(0.0, 1.0, 101)      # designs at which de_solution evaluates the map
 
-def nonlinear_forward(m, e, eta=0.0):
+
+def nonlinear_forward(m, e):
     m = np.asarray(m, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    return e ** 2 * m ** 3 + m * np.exp(-np.abs(0.2 - e)) + eta
+    return e ** 2 * m ** 3 + m * np.exp(-np.abs(0.2 - e))
 
 
 class NonlinearTask:
@@ -52,10 +54,10 @@ class NonlinearTask:
         return obs, None
 
     # --- evaluation / inference ---------------------------------------------
-    def de_solution(self, m, e_row=None, grid=101):
-        """Forward map evaluated over a fixed design grid (noise-free)."""
-        eg = np.linspace(0.0, 1.0, grid)
-        return nonlinear_forward(float(np.asarray(m).reshape(-1)[0]), eg)
+    def de_solution(self, m, e_row):
+        """Forward map evaluated over the fixed design grid ``DE_GRID``
+        (noise-free); ``e_row`` is not used."""
+        return nonlinear_forward(float(np.asarray(m).reshape(-1)[0]), DE_GRID)
 
     def forward_observed(self, m, e_row):
         """Noise-free observations at the designs of one tuple."""

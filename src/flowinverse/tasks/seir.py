@@ -16,7 +16,7 @@ once at the end; a larger (B, 6) batch runs on columns (data generation) and
 writes each step into a preallocated array. Both give bitwise equal results.
 ``_read`` interpolates the steps linearly; ``simulate_batch`` and
 ``forward_observed`` integrate only up to their last time, ``seir_solve``
-always over [0, t_end].
+(one rate vector) always over [0, t_end].
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ CONST = SeirConstants()
 N_STEPS = int(round(CONST.t_end / CONST.dt))
 
 TRUE_RATES = np.array([0.4, 0.3, 0.3, 0.1, 0.15, 0.6])
+DE_GRID = np.linspace(0.0, CONST.t_end, 256)    # times at which de_solution reads the states
 
 
 def _ramp(t, tau):
@@ -134,17 +135,10 @@ def _read(state, times):
 
 
 def seir_solve(m, t_grid):
-    """States (S, E, I, R) at the requested times, linearly interpolated
-    between fixed RK4 steps over the full span [0, t_end].
-
-    m may be a single 6-vector or a (B, 6) batch; t_grid is a 1-d array of
-    times in [0, t_end]. Returns (len(t_grid), 4) or (B, len(t_grid), 4).
-    """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    state = _integrate(m)
-    if state.ndim == 3:
-        t_grid = np.broadcast_to(t_grid, (state.shape[2],) + t_grid.shape)
-    return _read(state, t_grid)
+    """States (S, E, I, R) of one 6-vector of rates at the times of the 1-d
+    ``t_grid`` in [0, t_end], linearly interpolated between fixed RK4 steps
+    over the full span; returns (len(t_grid), 4)."""
+    return _read(_integrate(m), t_grid)
 
 
 # Below this many rows a batch runs row by row in Python floats: the column
@@ -203,9 +197,9 @@ class SeirTask:
         et = e[..., None] / self.TIME_SCALE
         return np.concatenate([et, ir], axis=-1).astype(np.float32), None
 
-    def de_solution(self, m, e_row=None, grid=256):
-        tg = np.linspace(0.0, CONST.t_end, grid)
-        return seir_solve(np.asarray(m, dtype=np.float64), tg).reshape(-1)
+    def de_solution(self, m, e_row):
+        """The states on ``DE_GRID``, flattened; ``e_row`` is not used."""
+        return seir_solve(m, DE_GRID).reshape(-1)
 
     def forward_observed(self, m, e_row):
         return _observe(m, np.asarray(e_row, dtype=np.float64)).reshape(-1)

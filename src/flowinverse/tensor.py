@@ -155,17 +155,15 @@ def _linear_bwd(g2, x2, w, need_x=True):
     return (g2 @ w.T if need_x else None), x2.T @ g2, _sum_rows(g2)
 
 
-def _check_rms(x_shape, gain, eps):
-    if eps <= 0:
-        raise ValueError(f"rms_norm eps must be > 0, got {eps}")
+def _check_rms(x_shape, gain):
     if gain.shape != x_shape[-1:]:
         raise ValueError(f"rms_norm gain must have shape {x_shape[-1:]}, got {gain.shape}")
 
 
-def _rms_inv(xd, eps):
+def _rms_inv(xd):
     """1 / rms(x) over the trailing axis, as (..., 1)."""
     ms = np.einsum("...i,...i->...", xd, xd)[..., None] / xd.shape[-1]
-    return 1.0 / np.sqrt(ms + xd.dtype.type(eps))
+    return 1.0 / np.sqrt(ms + xd.dtype.type(RMS_EPS))
 
 
 def _rms_scale(xd, gain, inv):
@@ -295,10 +293,10 @@ def relu_squared(x: Tensor) -> Tensor:
     return _record(Tensor(sq, dtype=x.dtype), (x,), bwd)
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = RMS_EPS) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """Scale each trailing-axis vector to unit root-mean-square, times gain."""
-    _check_rms(x.shape, gain, eps)
-    inv = _rms_inv(x.data, eps)
+    _check_rms(x.shape, gain)
+    inv = _rms_inv(x.data)
     y, _ = _rms_scale(x.data, gain.data, inv)
 
     def bwd(g):
@@ -330,14 +328,14 @@ def attention_block(x: Tensor, gain: Tensor, wqkv: Tensor, bqkv: Tensor,
     (B, E); keys and values still come from every token.
     """
     B, n_tok, E = x.shape
-    _check_rms(x.shape, gain, RMS_EPS)
+    _check_rms(x.shape, gain)
     _check_linear(x.shape, wqkv, bqkv, 3 * E)
     _check_linear(x.shape, wo, bo, E)
     if n_head < 1 or E % n_head:
         raise ValueError(f"attention needs n_emb divisible by n_head, "
                          f"got n_emb={E} with n_head={n_head}")
     xd = x.data
-    inv = _rms_inv(xd, RMS_EPS)
+    inv = _rms_inv(xd)
     h, _ = _rms_scale(xd, gain.data, inv)
     qkv = _linear_fwd(h.reshape(-1, E), wqkv.data, bqkv.data).reshape(B, n_tok, 3 * E)
     ctx, cache = _attention_fwd(qkv, n_head, state_only)
@@ -361,11 +359,11 @@ def attention_block(x: Tensor, gain: Tensor, wqkv: Tensor, bqkv: Tensor,
 def mlp_block(x: Tensor, gain: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Pre-norm squared-ReLU MLP, x + w2(relu²(w1(rms_norm(x, gain))))."""
     E = x.shape[-1]
-    _check_rms(x.shape, gain, RMS_EPS)
+    _check_rms(x.shape, gain)
     _check_linear(x.shape, w1, b1)
     _check_linear(w1.shape, w2, b2, E)
     xd = x.data
-    inv = _rms_inv(xd, RMS_EPS)
+    inv = _rms_inv(xd)
     h, _ = _rms_scale(xd, gain.data, inv)
     f = _linear_fwd(h.reshape(-1, E), w1.data, b1.data)
     sq, r = _relu_squared(f, out=f)
@@ -468,17 +466,19 @@ class AdamState:
         self.lr = lr
 
 
-def adam_step(params: dict, grads: dict, state: AdamState):
-    """One bias-corrected Adam update of ``params`` and ``state``, in place."""
+def adam_step(params: dict, state: AdamState):
+    """One bias-corrected Adam update of ``params`` from their ``grad``
+    buffers, and of ``state``, in place."""
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.data.shape:
-            raise ValueError(f"adam_step shape mismatch for '{k}': param {p.data.shape} vs grad {g.shape}")
+        g = p.grad
+        if getattr(g, "shape", None) != p.data.shape:
+            raise ValueError(f"adam_step shape mismatch for '{k}': param {p.data.shape} "
+                             f"vs grad {getattr(g, 'shape', None)}")
         m = state.m[k]
         v = state.v[k]
         m *= b1

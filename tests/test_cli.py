@@ -4,19 +4,20 @@ import inspect
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from flowinverse import cli, tasks
+from flowinverse import cfm, cli, data, metrics, tasks
 from flowinverse.cli import main
 from flowinverse.cfm import SamplerConfig
-from flowinverse.checkpoint import save_checkpoint
+from flowinverse.checkpoint import load_checkpoint, save_checkpoint
 from flowinverse.config import (KEY_SPECS, TASK_DEFAULTS, ConfigError, config_reference,
                                 load_config_file, parse_config_text, resolve)
-from flowinverse.data import DataGenConfig, make_task
+from flowinverse.data import DataGenConfig, generate_dataset
 from flowinverse.metrics import generation_error
-from flowinverse.net import VelocityNet
+from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import DarcyTask
 from flowinverse.tasks.darcy import boundary_profiles
 
@@ -115,6 +116,40 @@ class TestCliBasics:
         rc = run_cli("sample", "--set", "paths.checkpoint=missing.cfmt")
         assert rc == 2
         assert "checkpoint not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [("--set", "out_dir=afile"),     # a file, not a directory
+                                      ("--config", "missing.cfg")])
+    def test_unusable_path_is_one_error_line(self, workdir, capsys, args):
+        (workdir / "afile").write_text("")
+        assert run_cli("mcmc", *args, "--set", "chain.n_samples=10") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and args[1].split("=")[-1] in err
+        assert len(err.splitlines()) == 1
+
+    def test_repeated_observation_count_is_a_usage_error(self, workdir, capsys):
+        rc = run_cli("generate-data", "--set", "data.n_obs=2,2",
+                     "--set", "data.tuples_per_n_obs=4")
+        assert rc == 1
+        assert "repeats an observation count" in capsys.readouterr().err
+        assert not (workdir / "nonlinear.cfmd").exists()
+
+    def test_flat_text_config_file(self, workdir):
+        (workdir / "run.cfg").write_text(
+            "# a toy dataset\n"
+            "\n"
+            "task = nonlinear\n"
+            "   # indented comment\n"
+            "data.tuples_per_n_obs = 8\n"
+            "data.n_obs = 1, 3\n"
+            "paths.dataset = c.cfmd\n")
+        assert run_cli("generate-data", "--config", "run.cfg", "--seed", "2") == 0
+        manifest = json.load(open("manifest_generate_data.json"))
+        assert manifest["config"]["data.tuples_per_n_obs"] == 8
+        assert manifest["config"]["data.n_obs"] == [1, 3]
+        assert manifest["config"]["seed"] == 2
+        assert set(manifest["input_hashes"]) == {"run.cfg"}
+        _, shards = data.load_dataset("c.cfmd")
+        assert [(s.n_obs, len(s)) for s in shards] == [(1, 8), (3, 8)]
 
 
     def test_zero_epochs_rejected_before_training(self, workdir, capsys):
@@ -224,14 +259,18 @@ class TestCliBasics:
 
 class TestTaskFromConfig:
     @pytest.mark.parametrize("name", ["nonlinear", "seir", "darcy"])
-    def test_data_sigma_is_the_noise_keyword_of_every_task(self, name, kl_basis):
+    def test_data_sigma_is_the_noise_keyword_of_every_task(self, name, kl_basis, monkeypatch):
         cfg = resolve({"task": name, "data.sigma": 0.03})
         task = cli._task_from(cfg)
         assert task.sigma == 0.03
         assert cli._task_kwargs(cfg)["sigma"] == 0.03
         gen = DataGenConfig(task=name, tuples_per_n_obs=1, n_obs_set=(1,),
                             task_kwargs={"sigma": 0.03})
-        assert make_task(gen).sigma == 0.03
+        generated_with = []
+        monkeypatch.setattr(data, "generate_shard",
+                            lambda task, *args: generated_with.append(task.sigma))
+        generate_dataset(gen)
+        assert generated_with == [0.03]
         rng = np.random.default_rng(1)
         m = task.sample_params(rng, 2)
         e = np.stack([task.sample_design(rng, 3) for _ in range(2)])
@@ -297,7 +336,7 @@ class TestPipeline:
         euler = SamplerConfig(steps=2, method="euler", ensemble=3)
         assert pooled != generation_error(net, task, 4, 1, sampler=euler)[0]
 
-    def test_benchmark_subcommand(self, workdir):
+    def test_benchmark_subcommand(self, workdir, capsys):
         cfg = resolve({"net.n_emb": 8, "net.n_head": 2, "net.n_layer": 1})
         task = cli._task_from(cfg)
         net = VelocityNet(task, cli._net_config(cfg, task), seed=0)
@@ -308,9 +347,39 @@ class TestPipeline:
         timing = json.load(open("timing.json"))
         assert set(timing) == {"cfm_seconds", "mcmc_seconds", "ratio"}
         assert timing["ratio"] == timing["mcmc_seconds"] / timing["cfm_seconds"]
+        # the printed line gives the same three figures, to 3 significant digits
+        line = capsys.readouterr().out.splitlines()[0]
+        printed = re.fullmatch(r"flow inference (\S+)s vs chain (\S+)s -> (\S+)x", line)
+        assert printed is not None, line
+        for shown, key in zip(printed.groups(), ("cfm_seconds", "mcmc_seconds", "ratio")):
+            assert float(shown) == float(f"{timing[key]:.3g}"), (key, line)
         manifest = json.load(open("manifest_benchmark.json"))
         assert manifest["subcommand"] == "benchmark"
         assert [os.path.basename(p) for p in manifest["outputs"]] == ["timing.json"]
+
+    def test_periodic_checkpoints(self, workdir):
+        # 64 tuples in batches of 32 over 2 epochs are 4 batches, so windows
+        # of 2 give 2 optimizer steps and no trailing partial window
+        run_cli("generate-data", "--set", "data.tuples_per_n_obs=64",
+                "--set", "paths.dataset=k.cfmd")
+        rc = run_cli("train", "--set", "paths.dataset=k.cfmd",
+                     "--set", "paths.checkpoint=k.cfmt", "--set", "train.epochs=2",
+                     "--set", "train.batch_size=32", "--set", "train.accum_window=2",
+                     "--set", "train.checkpoint_every=1", "--set", "net.n_emb=8",
+                     "--set", "net.n_head=2", "--set", "net.n_layer=1", "--seed", "5")
+        assert rc == 0
+        assert sorted(p.name for p in workdir.glob("k.cfmt*")) == [
+            "k.cfmt", "k.cfmt.step1", "k.cfmt.step2"]
+        steps = {k: load_checkpoint(f"k.cfmt.step{k}") for k in (1, 2)}
+        for k, ck in steps.items():
+            assert ck.step == k and ck.rng_state == {"seed": 5, "epoch": k - 1}
+        final = load_checkpoint("k.cfmt")
+        assert final.step == 2
+        assert list(steps[2].params) == list(final.params)
+        for name, p in final.params.items():
+            np.testing.assert_array_equal(steps[2].params[name].data, p.data)
+        assert any(not np.array_equal(steps[1].params[n].data, p.data)
+                   for n, p in final.params.items())
 
     def test_train_lr_override_recorded(self, workdir):
         run_cli("generate-data", "--set", "data.tuples_per_n_obs=32",
@@ -472,6 +541,23 @@ BENCHMARK_SPANS = (
     "tasks.darcy.darcy_solve", "tasks.darcy.kl_expand", "tasks.darcy.DarcyTask.forward_observed",
     "mcmc.log_posterior", "mcmc.run_chain", "metrics.relative_error_de",
 )
+
+
+def test_every_name_the_benchmark_uses_exists():
+    # what the benchmark imports or calls besides its spans: a removal that
+    # would stop a benchmark run fails here first
+    from flowinverse.tasks import darcy, seir
+
+    assert isinstance(darcy.CONST, darcy.DarcyConstants)
+    assert "cache_dir" in inspect.signature(darcy.kl_basis_build).parameters
+    assert seir.TRUE_RATES.shape == (6,)
+    assert tasks.SeirTask is seir.SeirTask and tasks.DarcyTask is darcy.DarcyTask
+    assert inspect.isfunction(tasks.SeirTask.sample_params)
+    assert isinstance(vars(tasks.DarcyTask)["basis"], property)
+    assert metrics.sample_posterior is cfm.sample_posterior
+    assert cfm.batch_iterator is data.batch_iterator
+    cfg = NetConfig(dim_m=tasks.SeirTask.dim_m, obs_token_dim=tasks.SeirTask.obs_token_dim)
+    assert (cfg.dim_m, cfg.obs_token_dim) == (6, 3)
 
 
 def test_every_span_the_benchmark_reads_is_traceable():

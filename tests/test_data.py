@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowinverse import artifact, cli
+from flowinverse import artifact, cli, data
 from flowinverse.config import resolve
 from flowinverse.data import (FORMAT_VERSION, MAGIC, Batch, DataGenConfig, DatasetFormatError,
                               DatasetShard, _tuple_rng, batch_iterator, draw_tuples,
@@ -57,6 +57,12 @@ class TestGeneration:
         with pytest.raises(ValueError, match="n_obs_set must name at least one"):
             small_config(n_obs_set=())
 
+    def test_rejects_a_repeated_observation_count(self):
+        # shards are keyed by n_obs when batched, so a second shard of the
+        # same count would lose half its tuples
+        with pytest.raises(ValueError, match=r"repeats an observation count: \(2, 2\)"):
+            small_config(n_obs_set=(2, 2))
+
     def test_prior_moments(self):
         shards = generate_dataset(small_config(tuples_per_n_obs=12_000, n_obs_set=(1,)))
         m = shards[0].m.astype(np.float64).ravel()
@@ -92,10 +98,11 @@ class TestDrawTuples:
     CASES = [("nonlinear", 3, 7), ("seir", 5, 5), ("darcy", 4, 3)]
 
     @pytest.mark.parametrize("name,n_obs,count", CASES)
-    def test_rows_match_generate_shard_and_single_draws(self, name, n_obs, count):
+    def test_rows_match_generate_shard_and_single_draws(self, name, n_obs, count, monkeypatch):
+        monkeypatch.setattr(data, "SIM_BATCH", 2)
         task = get_task(name)
         batch = draw_tuples(task, n_obs, [_tuple_rng(13, n_obs, i) for i in range(count)])
-        shard = generate_shard(task, n_obs, count, 13, sim_batch=2)
+        shard = generate_shard(task, n_obs, count, 13)
         for i in range(count):
             ref = _reference_instance(task, n_obs, _tuple_rng(13, n_obs, i))
             for arr, stored, want in zip(batch, (shard.m, shard.e, shard.d, shard.eta), ref):
@@ -165,8 +172,6 @@ class TestPersistence:
         save_dataset(shards, "nonlinear", p)
         with pytest.raises(DatasetFormatError, match="re-verify"):
             load_dataset(str(p))
-        _, ok = load_dataset(str(p), verify_fraction=0)
-        assert len(ok[0]) == 5
 
     def test_unknown_task(self, tmp_path):
         p = tmp_path / "u.cfmd"
@@ -192,7 +197,14 @@ class TestPersistence:
         artifact.write(p, MAGIC, FORMAT_VERSION, {"task": "nonlinear", "shards": shards},
                        {name: np.zeros((2, 1)) for name in names})
         with pytest.raises(DatasetFormatError, match="shard"):
-            load_dataset(str(p), verify_fraction=0)
+            load_dataset(str(p))
+
+    def test_rejects_a_repeated_observation_count(self, tmp_path):
+        (shard,) = generate_dataset(small_config(n_obs_set=(2,), tuples_per_n_obs=5))
+        p = tmp_path / "r.cfmd"
+        save_dataset([shard, shard], "nonlinear", p)
+        with pytest.raises(DatasetFormatError, match=r"repeat an observation count: \[2, 2\]"):
+            load_dataset(str(p))
 
 
 def make_shards(sizes, seed=0):

@@ -42,6 +42,16 @@ class TestLogPosterior:
         assert log_posterior(task, m, d, e, 0.01) == pytest.approx(0.0)
         assert log_posterior(task, m + 0.05, d, e, 0.01) < 0.0
 
+    def test_darcy_log_prior_is_the_standard_normal_exponent(self):
+        # the KL coefficients are i.i.d. N(0, 1): log prior -|m|^2 / 2 up to
+        # a constant, finite everywhere
+        task = get_task("darcy")
+        rng = np.random.default_rng(5)
+        for m in (np.zeros(16), rng.normal(size=16), np.full(16, 30.0)):
+            assert task.log_prior(m) == pytest.approx(-0.5 * float(m @ m), rel=1e-15)
+        m = rng.normal(size=16)
+        assert task.log_prior(2 * m) == pytest.approx(4 * task.log_prior(m))
+
     def test_doubling_sigma_quarters_magnitude(self):
         task = get_task("nonlinear")
         m = np.array([0.4])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowinverse import metrics
 from flowinverse.cfm import SamplerConfig, sample_posterior
 from flowinverse.data import draw_tuples
 from flowinverse.mcmc import ChainConfig
@@ -29,8 +30,9 @@ class TestRelativeErrorDe:
         task = get_task("seir")
         rng = np.random.default_rng(2)
         m = task.sample_params(rng, 1)[0]
+        e = task.sample_design(rng, 4)
         wrong = np.clip(m + 0.2, 0, 1)
-        assert relative_error_de(m, m, task) <= relative_error_de(m, wrong, task)
+        assert relative_error_de(m, m, task, e) <= relative_error_de(m, wrong, task, e)
 
 
 class _ConstNet:
@@ -91,12 +93,13 @@ class TestGenerationError:
         assert 0.0 <= pooled < 10.0
         assert np.isfinite(pooled)
 
-    def test_seeded_output_pinned(self):
+    def test_seeded_output_pinned(self, monkeypatch):
         # recorded by the engine of commit 858d25c with every rotary position
-        # set to 0; chunk=2 splits the batch
+        # set to 0; a chunk of 2 splits the batch
+        monkeypatch.setattr(metrics, "GENERATION_CHUNK", 2)
         pooled, per_case = generation_error(tiny_net(), get_task("nonlinear"), n_inferences=5,
                                             n_obs=1, sampler=SamplerConfig(steps=4, ensemble=3),
-                                            seed=2, chunk=2)
+                                            seed=2)
         np.testing.assert_allclose(
             per_case, [0.12613182907142165, 0.12313974686268035, 1.4431938536223983,
                        0.12653219128247672, 0.4175032354608971], rtol=1e-6)

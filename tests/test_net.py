@@ -7,7 +7,7 @@ from flowinverse import cfm
 from flowinverse import tensor as T
 from flowinverse.data import Batch
 from flowinverse.net import (NetConfig, VelocityNet, init_params, param_count,
-                             timestep_basis, timestep_embed, transformer_forward)
+                             timestep_basis, timestep_embed)
 from flowinverse.tasks import SeirTask, get_task
 from gradcheck import finite_difference_check
 
@@ -133,9 +133,8 @@ class TestTransformerForward:
         cfg = NetConfig(n_emb=2, n_head=1, n_layer=1, dim_m=1, obs_token_dim=2)
         params = init_params(cfg, seed=7)
         m_t, t, d, e = 0.3, 0.6, 0.8, 0.2
-        got = transformer_forward(params, cfg, task,
-                                  np.array([[m_t]], dtype=np.float32), t,
-                                  np.array([[d]]), np.array([[e]])).data[0, 0]
+        got = VelocityNet(task, cfg, params).forward(
+            np.array([[m_t]], dtype=np.float32), t, np.array([[d]]), np.array([[e]])).data[0, 0]
         want = micro_oracle(params, m_t, t, d, e)[0]
         assert got == pytest.approx(want, abs=1e-5)
 
@@ -169,8 +168,7 @@ class TestTransformerForward:
         target = rng.normal(size=(2, 1)).astype(np.float64)
 
         def fn(p):
-            return T.mse(transformer_forward(p, cfg, task, m_t.astype(np.float32), 0.5, d, e),
-                         target)
+            return T.mse(VelocityNet(task, cfg, p).forward(m_t, 0.5, d, e), target)
 
         worst = finite_difference_check(fn, params, max_entries=6)
         assert worst < 1e-4
@@ -335,7 +333,7 @@ class TestConfigValidation:
             NetConfig(n_emb=30, n_head=4)
 
     def test_odd_head_dim_builds_and_runs(self):
-        cfg = NetConfig(n_emb=6, n_head=2, n_layer=1)     # head_dim 3
+        cfg = NetConfig(n_emb=6, n_head=2, n_layer=1)     # 3 features per head
         out = VelocityNet(get_task("nonlinear"), cfg, seed=0).velocity(
             np.full((2, 1), 0.5), 0.3, np.ones((2, 3)), np.full((2, 3), 0.4))
         assert out.shape == (2, 1) and np.isfinite(out).all()
