@@ -96,7 +96,7 @@ def cfm_loss(net: VelocityNet, batch, t, m0):
     m1 = batch.m.astype(np.float32)
     m0 = m0.astype(np.float32)
     t = t.astype(np.float32)
-    m_t = interpolate(m0, m1, t).astype(np.float32)
+    m_t = interpolate(m0, m1, t)
     return T.mse(net.forward(m_t, t, batch.d, batch.e), m1 - m0)
 
 
@@ -124,6 +124,9 @@ def train(net: VelocityNet, shards, config: TrainConfig, checkpoint_fn=None):
     step. It holds no Adam moments and nothing resumes from it, so training
     cannot continue from a checkpoint as if it had never stopped.
     """
+    n_obs = [s.n_obs for s in shards]
+    if len(set(n_obs)) != len(n_obs):       # the epoch noise is drawn per count
+        raise ValueError(f"shards repeat an observation count: {n_obs}")
     params = net.params
     state = T.AdamState(params, lr=config.lr)
     net.zero_grad()

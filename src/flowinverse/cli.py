@@ -20,7 +20,9 @@ Each subcommand writes, into the output directory (the ``out_dir`` key, else
   benchmark      timing.json
   paths          paths.csv, straightness.json
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Exit codes: 0 success, 1 usage error, 2 runtime failure. A usage error or an
+``OSError`` (such as an unwritable output) prints ``error: ...``, any other
+failure ``runtime failure: <type>: ...``.
 """
 
 from __future__ import annotations
@@ -348,13 +350,6 @@ def main(argv=None) -> int:
         cfg = _build_config(args)
         out_dir = cfg["out_dir"] or os.environ.get("CFM_OUT_DIR") or "."
         os.makedirs(out_dir, exist_ok=True)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:          # an unreadable config file or an unusable out_dir
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
         inputs, outputs = _BODIES[args.subcommand](cfg, out_dir)
         if args.config:
             inputs = [args.config] + inputs
@@ -364,7 +359,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
+    except OSError as err:          # e.g. an unreadable file or an unusable out_dir
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:

@@ -4,7 +4,8 @@ Config files hold one ``key = value`` pair per line (``#`` comments and
 blank lines ignored); keys are dotted per module, e.g. ``train.lr``.
 Command-line ``--set key=value`` overrides file values; ``--seed`` overrides
 the master seed. Every key has a documented default below; some defaults
-depend on the task (the published hyperparameters differ between tasks).
+depend on the task (the published hyperparameters differ between tasks). A
+key that feeds a library config field, such as ``net.n_emb``, reads its default.
 
 Only ``cli`` reads this module: it resolves a run's config into a plain dict
 and passes plain values on to the library, which never sees a config key.
@@ -13,6 +14,10 @@ and passes plain values on to the library, which never sees a config key.
 from __future__ import annotations
 
 import json
+
+from .cfm import SamplerConfig, TrainConfig
+from .mcmc import ChainConfig
+from .net import NetConfig
 
 
 def _int(v):
@@ -69,20 +74,21 @@ KEY_SPECS = {
     "data.tuples_per_n_obs": (_int, None, "tuples per observation count"),
     "data.n_obs": (_count_list, None, "observation counts, e.g. '4,5,6,7,8'"),
     "data.sigma": (_opt_scale, None, "noise scale override (task default if unset)"),
-    "net.n_emb": (_int, 32, "embedding width"),
-    "net.n_head": (_int, 4, "attention heads"),
+    "net.n_emb": (_int, NetConfig.n_emb, "embedding width"),
+    "net.n_head": (_int, NetConfig.n_head, "attention heads"),
     "net.n_layer": (_int, None, "transformer blocks"),
     "train.lr": (float, None, "Adam learning rate"),
     "train.epochs": (_int, None, "training epochs"),
-    "train.batch_size": (_int, 256, "tuples per batch"),
-    "train.accum_window": (_int, 4, "batches accumulated per optimizer step"),
-    "train.checkpoint_every": (_int, 0, "optimizer steps between checkpoints (0: off)"),
-    "sampler.steps": (_int, 50, "ODE integration steps"),
-    "sampler.method": (_str, "euler", "euler | midpoint | rk4"),
-    "sampler.ensemble": (_int, 10, "posterior draws per inference"),
-    "chain.n_samples": (_int, 10000, "MCMC chain length"),
-    "chain.burn_in": (float, 0.5, "burn-in fraction discarded"),
-    "chain.proposal_scale": (_opt_float, None, "proposal std (tuned if unset)"),
+    "train.batch_size": (_int, TrainConfig.batch_size, "tuples per batch"),
+    "train.accum_window": (_int, TrainConfig.accum_window, "batches accumulated per optimizer step"),
+    "train.checkpoint_every": (_int, TrainConfig.checkpoint_every,
+                               "optimizer steps between checkpoints (0: off)"),
+    "sampler.steps": (_int, SamplerConfig.steps, "ODE integration steps"),
+    "sampler.method": (_str, SamplerConfig.method, "euler | midpoint | rk4"),
+    "sampler.ensemble": (_int, SamplerConfig.ensemble, "posterior draws per inference"),
+    "chain.n_samples": (_int, ChainConfig.n_samples, "MCMC chain length"),
+    "chain.burn_in": (float, ChainConfig.burn_in, "burn-in fraction discarded"),
+    "chain.proposal_scale": (_opt_float, ChainConfig.proposal_scale, "proposal std (tuned if unset)"),
     "eval.n_obs_list": (_count_list, None, "sweep observation counts"),
     "eval.trials": (_count, 25, "fresh instances per observation count"),
     "eval.n_inferences": (_count, 10000, "instances for the reconstruction error"),
@@ -158,8 +164,13 @@ def load_config_file(path):
     with open(path) as f:
         text = f.read()
     if path.endswith(".json"):
-        manifest = json.loads(text)
-        explicit = manifest.get("config", manifest)
+        try:
+            manifest = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}: not valid JSON: {err}") from err
+        explicit = manifest.get("config", manifest) if isinstance(manifest, dict) else None
+        if not isinstance(explicit, dict):
+            raise ConfigError(f"{path}: expected a JSON object of config keys")
         return {k: parse_value(k, v) for k, v in explicit.items()}
     return parse_config_text(text)
 

@@ -188,7 +188,8 @@ def shuffled_order(n, seed, epoch, n_obs):
 
 
 def batch_iterator(shards, batch_size, seed=0, epoch=0):
-    """Yield fixed-n_obs batches, round-robin over shards.
+    """Yield fixed-n_obs batches, round-robin over shards: for each batch
+    offset, each shard in list order that still has rows gives one batch.
 
     Each shard is reshuffled per epoch (seeded); the final short batch of a
     shard is emitted. Element order within an epoch depends only on
@@ -197,19 +198,10 @@ def batch_iterator(shards, batch_size, seed=0, epoch=0):
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    orders = {s.n_obs: shuffled_order(len(s), seed, epoch, s.n_obs) for s in shards}
-    cursors = {s.n_obs: 0 for s in shards}
-    active = [s for s in shards if len(s)]
-    while active:
-        done = []
-        for s in active:
-            lo = cursors[s.n_obs]
-            hi = min(lo + batch_size, len(s))
-            take = orders[s.n_obs][lo:hi]
-            cursors[s.n_obs] = hi
-            yield Batch(n_obs=s.n_obs, m=s.m[take], e=s.e[take], d=s.d[take],
-                        index=np.arange(lo, hi))
-            if hi >= len(s):
-                done.append(s)
-        for s in done:
-            active.remove(s)
+    orders = [shuffled_order(len(s), seed, epoch, s.n_obs) for s in shards]
+    for lo in range(0, max(map(len, shards), default=0), batch_size):
+        for s, order in zip(shards, orders):
+            if lo < len(s):
+                take = order[lo:lo + batch_size]
+                yield Batch(n_obs=s.n_obs, m=s.m[take], e=s.e[take], d=s.d[take],
+                            index=np.arange(lo, lo + len(take)))

@@ -152,7 +152,8 @@ class VelocityNet:
         m_t: (batch, dim_m); t: scalar or (batch,); d, e: task-shaped arrays.
         Returns a (batch, dim_m) tensor. The tokens are the task's observation
         features, its design token if it has one, and last the state ``m_t``,
-        whose output the head reads.
+        whose output the head reads. Inputs of any float dtype are cast to the
+        parameters' dtype here, so callers and tasks need not cast them.
         """
         params, config = self.params, self.config
         obs, design = self.task.token_features(d, e)
@@ -162,12 +163,12 @@ class VelocityNet:
         parts = [_linear(Tensor(obs, dtype=dt), params, "embed.obs")]
         if design is not None:
             parts.append(_linear(Tensor(design, dtype=dt), params, "embed.design"))
-        m_t = np.asarray(m_t, dtype=np.float32)[:, None, :]
+        m_t = np.asarray(m_t)[:, None, :]
         parts.append(_linear(Tensor(m_t, dtype=dt), params, "embed.state"))
         x = T.concat(parts, axis=1)                       # (B, n_tokens, E)
 
         # a shared scalar t is embedded once, (1, 1, E); times of shape (B,) give (B, 1, E)
-        t = np.asarray(t, dtype=np.float32).reshape(-1, 1)
+        t = np.asarray(t).reshape(-1, 1)
         x = T.add(x, timestep_embed(params, t, config.n_emb))     # to every token
 
         for i in range(config.n_layer):

@@ -237,18 +237,14 @@ class DarcyTask:
         d = np.empty((B, n_obs))
         scale = np.empty(B)
         for i in range(B):
-            u = self._solve_row(m[i], e[i])
-            pts = e[i, 2:].reshape(n_obs, 2)
-            d[i] = darcy_observe(u, pts)
+            d[i] = self.forward_observed(m[i], e[i])
             scale[i] = self.sigma_for(e[i])
         return d, scale
 
     def token_features(self, d, e):
         B, n = d.shape
         pts = e[:, 2:].reshape(B, n, 2)
-        obs = np.concatenate([d[..., None], pts], axis=-1).astype(np.float32)
-        design = e[:, None, :2].astype(np.float32)
-        return obs, design
+        return np.concatenate([d[..., None], pts], axis=-1), e[:, None, :2]
 
     def de_solution(self, m, e_row):
         return self._solve_row(m, e_row).reshape(-1)

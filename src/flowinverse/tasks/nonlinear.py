@@ -50,8 +50,7 @@ class NonlinearTask:
 
     # --- network inputs -----------------------------------------------------
     def token_features(self, d, e):
-        obs = np.stack([d, e], axis=-1).astype(np.float32)
-        return obs, None
+        return np.stack([d, e], axis=-1), None
 
     # --- evaluation / inference ---------------------------------------------
     def de_solution(self, m, e_row):

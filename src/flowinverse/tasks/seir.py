@@ -195,7 +195,7 @@ class SeirTask:
         B, n = e.shape
         ir = d.reshape(B, n, 2) / self.POP_SCALE
         et = e[..., None] / self.TIME_SCALE
-        return np.concatenate([et, ir], axis=-1).astype(np.float32), None
+        return np.concatenate([et, ir], axis=-1), None
 
     def de_solution(self, m, e_row):
         """The states on ``DE_GRID``, flattened; ``e_row`` is not used."""

@@ -28,20 +28,19 @@ DEFAULT_DTYPE = np.float32
 class Tensor:
     """A dense n-dimensional array that can participate in autodiff.
 
-    ``requires_grad`` marks leaf tensors (parameters) whose ``grad`` buffer
-    :func:`backward` adds to. Tensors produced by operations carry
-    ``requires_grad=True`` transitively but never receive a ``grad`` buffer
-    themselves.
+    ``requires_grad`` marks the leaves (tensors no op produced, such as
+    parameters) whose ``grad`` buffer :func:`backward` adds to. Tensors
+    produced by operations carry ``requires_grad=True`` transitively but
+    never receive a ``grad`` buffer themselves.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.is_leaf = True
 
     @property
     def shape(self):
@@ -78,6 +77,7 @@ class Tape:
             loss = ...
         backward(loss, tape)      # adds into each leaf's ``grad``
 
+    The tape's leaves are the tensors that none of its records produced.
     Tapes nest; the innermost open one records, and they must exit in order.
     """
 
@@ -105,7 +105,6 @@ _TAPE_STACK: list[Tape] = []
 def _record(out, inputs, backward_fn):
     if _TAPE_STACK and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.is_leaf = False
         _TAPE_STACK[-1].records.append((out, inputs, backward_fn))
     return out
 
@@ -412,35 +411,31 @@ def backward(loss: Tensor, tape: Tape):
     """Add d(loss)/d(leaf) to ``grad`` of every requires_grad leaf the sweep
     reaches.
 
-    The loss must be scalar. A leaf with no ``grad`` gets its own writable
-    copy of the gradient, so repeated passes sum their gradients until
-    :meth:`Tensor.zero_grad` clears them. The sweep pops the records off
-    ``tape``, so each record's saved arrays are freed as soon as its backward
-    has run, and the tape is empty afterwards.
+    The loss must be scalar. The sweep pops each record off ``tape`` with
+    its output's gradient, so it frees each record's saved arrays as soon
+    as its backward has run, and the gradients left at the end are the
+    leaves' (a loss that is itself a leaf gets none). A leaf with no
+    ``grad`` gets its own writable copy, so repeated passes sum their
+    gradients until :meth:`Tensor.zero_grad` clears them.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=loss.dtype)}
-    leaves: dict[int, Tensor] = {}
+    # id -> (tensor, gradient so far)
+    grads = {id(loss): (loss, np.ones(loss.shape, dtype=loss.dtype))}
     records = tape.records
     while records:
         out, inputs, bwd = records.pop()
-        g = grads.pop(id(out), None)
-        if g is None:
+        entry = grads.pop(id(out), None)
+        if entry is None:
             continue
-        input_grads = bwd(g)
-        for t, gi in zip(inputs, input_grads):
+        for t, gi in zip(inputs, bwd(entry[1])):
             if gi is None or not t.requires_grad:
                 continue
             key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                grads[key] = gi
-            if t.is_leaf:
-                leaves[key] = t
-    for key, t in leaves.items():
-        g = np.asarray(grads[key], dtype=t.dtype)
+            grads[key] = (t, grads[key][1] + gi) if key in grads else (t, gi)
+    grads.pop(id(loss), None)
+    for t, g in grads.values():
+        g = np.asarray(g, dtype=t.dtype)
         # a copy: an op may hand one array, or a read-only view, to two inputs
         t.grad = np.array(g) if t.grad is None else t.grad + g
 

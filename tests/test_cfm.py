@@ -138,10 +138,16 @@ class TestTrain:
         assert exc.value.step == 0
         assert calls == [0]
 
-    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "accum_window"])
     def test_rejects_nonpositive_counts(self, field):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: 0})
+
+    def test_rejects_shards_that_repeat_a_count(self):
+        # the epoch noise is drawn per observation count
+        shards = tiny_dataset(count=8) + tiny_dataset(count=8, seed=1)
+        with pytest.raises(ValueError, match=r"repeat an observation count: \[1, 1\]"):
+            train(tiny_net(), shards, TrainConfig(epochs=1))
 
     def test_loss_decreases(self):
         shards = tiny_dataset(count=512)
@@ -158,6 +164,17 @@ class _ConstantNet:
 
     def velocity(self, m_t, t, d, e):
         return np.broadcast_to(self.c, m_t.shape).copy()
+
+
+class TestSamplerConfig:
+    @pytest.mark.parametrize("kwargs, problem", [
+        ({"steps": 0}, "steps and ensemble must be >= 1"),
+        ({"ensemble": 0}, "steps and ensemble must be >= 1"),
+        ({"method": "heun"}, "unknown integration method 'heun'"),
+    ])
+    def test_rejects(self, kwargs, problem):
+        with pytest.raises(ValueError, match=problem):
+            SamplerConfig(**kwargs)
 
 
 class TestSamplePosterior:
@@ -196,6 +213,13 @@ class TestSamplePosterior:
         net = _ConstantNet([np.nan], 1, task)
         with pytest.raises(FloatingPointError):
             sample_posterior(net, [0.5], [0.5], SamplerConfig(steps=3, ensemble=2))
+
+    def test_nonfinite_state_reported(self):
+        # each velocity is finite, but the rk4 combination overflows float32
+        net = _ConstantNet([3e38], 1, get_task("nonlinear"))
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match="flow state became non-finite after t=1.0000"):
+            sample_posterior(net, [0.5], [0.5], SamplerConfig(steps=1, method="rk4", ensemble=2))
 
 
 class TestSampleBatch:

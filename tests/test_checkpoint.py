@@ -179,6 +179,16 @@ class TestFormatErrors:
         with pytest.raises(CheckpointFormatError, match="header"):
             load_checkpoint(p)
 
+    def test_param_count_must_match_the_arrays(self, tmp_path):
+        cfg, params = make_params()
+        header = {"task": "seir", "net": asdict(cfg), "param_count": param_count(params) + 1,
+                  "step": 0, "rng_state": {}}
+        p = tmp_path / "m.cfmt"
+        artifact.write(p, MAGIC, FORMAT_VERSION, header,
+                       {k: v.data for k, v in params.items()})
+        with pytest.raises(CheckpointFormatError, match="parameter count mismatch"):
+            load_checkpoint(p)
+
     def test_bad_net_config(self, tmp_path):
         cfg, params = make_params()
         header = {"task": "seir", "net": {"n_emb": 8, "width": 3},

@@ -5,17 +5,19 @@ import json
 import os
 import pathlib
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from flowinverse import cfm, cli, data, metrics, tasks
 from flowinverse.cli import main
-from flowinverse.cfm import SamplerConfig
+from flowinverse.cfm import SamplerConfig, TrainConfig
 from flowinverse.checkpoint import load_checkpoint, save_checkpoint
 from flowinverse.config import (KEY_SPECS, TASK_DEFAULTS, ConfigError, config_reference,
                                 load_config_file, parse_config_text, resolve)
 from flowinverse.data import DataGenConfig, generate_dataset
+from flowinverse.mcmc import ChainConfig
 from flowinverse.metrics import generation_error
 from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import DarcyTask
@@ -69,6 +71,25 @@ class TestConfigParsing:
         (workdir / "run.json").write_text(json.dumps({"config": {"eval.trials": 2.7}}))
         assert run_cli("mcmc", "--config", "run.json") == 1
         assert "bad value for 'eval.trials'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"config": {"task": "se', "not valid JSON"),      # truncated
+        ("[1, 2]", "expected a JSON object"),
+        ('{"config": [1, 2]}', "expected a JSON object"),
+    ])
+    def test_config_file_that_is_not_a_json_object_is_a_usage_error(self, workdir, capsys,
+                                                                    text, problem):
+        (workdir / "bad.json").write_text(text)
+        assert run_cli("mcmc", "--config", "bad.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad.json: ") and problem in err
+        assert len(err.splitlines()) == 1
+
+    def test_unknown_task(self):
+        with pytest.raises(ConfigError, match="unknown task 'epidemic'"):
+            resolve({"task": "epidemic"})
+        with pytest.raises(ValueError, match="unknown task 'epidemic'"):
+            tasks.get_task("epidemic")
 
     def test_reference_covers_all_keys(self):
         ref = config_reference()
@@ -125,6 +146,21 @@ class TestCliBasics:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and args[1].split("=")[-1] in err
         assert len(err.splitlines()) == 1
+
+    def test_set_without_equals_is_a_usage_error(self, workdir, capsys):
+        assert run_cli("mcmc", "--set", "chain.n_samples") == 1
+        assert "--set expects key=value, got 'chain.n_samples'" in capsys.readouterr().err
+
+    def test_train_without_a_dataset_is_a_usage_error(self, workdir, capsys):
+        assert run_cli("train") == 1
+        assert "train requires 'paths.dataset'" in capsys.readouterr().err
+
+    def test_checkpoint_for_another_task_is_a_usage_error(self, workdir, capsys):
+        cfg = NetConfig(n_emb=8, n_head=2, n_layer=1, dim_m=6, obs_token_dim=3)
+        save_checkpoint("s.cfmt", "seir", cfg, VelocityNet(tasks.SeirTask(), cfg).params)
+        assert run_cli("sample", "--set", "paths.checkpoint=s.cfmt") == 1
+        assert ("checkpoint is for task 'seir', config says 'nonlinear'"
+                in capsys.readouterr().err)
 
     def test_repeated_observation_count_is_a_usage_error(self, workdir, capsys):
         rc = run_cli("generate-data", "--set", "data.n_obs=2,2",
@@ -255,6 +291,14 @@ class TestCliBasics:
         monkeypatch.setattr(cli, "generate_dataset", fail)
         assert run_cli("generate-data") == 2
         assert "runtime failure: ValueError: forward model diverged" in capsys.readouterr().err
+
+    def test_os_error_during_the_run_is_one_error_line(self, workdir, capsys, monkeypatch):
+        def fail(config):
+            raise PermissionError("cannot write nonlinear.cfmd")
+
+        monkeypatch.setattr(cli, "generate_dataset", fail)
+        assert run_cli("generate-data") == 2
+        assert capsys.readouterr().err == "error: cannot write nonlinear.cfmd\n"
 
 
 class TestTaskFromConfig:
@@ -510,6 +554,28 @@ def _modules_importing(name):
             if name in names:
                 importers.add(path.relative_to(src).as_posix())
     return importers
+
+
+def test_no_task_module_picks_the_net_input_dtype():
+    # the net casts its inputs to its parameters' dtype; a task hands over what it computes
+    src = pathlib.Path(tasks.__file__).parent
+    assert [p.name for p in src.glob("*.py") if "float32" in p.read_text()] == []
+
+
+# the library config that the keys with each prefix feed; the suffix names the field
+LIBRARY_CONFIGS = {"net": NetConfig, "train": TrainConfig, "sampler": SamplerConfig,
+                   "chain": ChainConfig}
+
+
+@pytest.mark.parametrize("task", sorted(TASK_DEFAULTS))
+def test_library_keys_default_to_their_field(task):
+    # a CLI run and a library run start from the same values
+    cfg = resolve({"task": task})
+    for key in KEY_SPECS:
+        prefix, _, name = key.partition(".")
+        if prefix in LIBRARY_CONFIGS and key not in TASK_DEFAULTS[task]:
+            default = {f.name: f.default for f in fields(LIBRARY_CONFIGS[prefix])}[name]
+            assert cfg[key] == default and type(cfg[key]) is type(default), key
 
 
 def test_every_task_takes_only_sigma():

@@ -8,6 +8,7 @@ from flowinverse.data import (FORMAT_VERSION, MAGIC, Batch, DataGenConfig, Datas
                               generate_dataset, generate_shard, load_dataset,
                               save_dataset)
 from flowinverse.tasks import DarcyTask, get_task
+from flowinverse.tasks.nonlinear import NonlinearTask
 from flowinverse.tasks.nonlinear import nonlinear_forward
 
 
@@ -123,6 +124,15 @@ class TestDrawTuples:
         with pytest.raises(ValueError, match="at least one tuple"):
             generate_shard(get_task("nonlinear"), 1, 0, 0)
 
+    def test_forward_model_failure_names_the_shard(self):
+        class Failing(NonlinearTask):
+            def simulate_batch(self, m, e, n_obs):
+                raise FloatingPointError("solver blew up")
+
+        with pytest.raises(RuntimeError, match=r"shard n_obs=3, tuples \[0, 4\), seed=7: "
+                                               "solver blew up"):
+            generate_shard(Failing(), 3, 4, 7)
+
 
 class TestPersistence:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -225,6 +235,20 @@ class TestBatchIterator:
         shards = make_shards({4: 100, 8: 100})
         seq = [b.n_obs for b in batch_iterator(shards, 50)]
         assert seq == [4, 8, 4, 8]
+
+    def test_round_robin_by_position_over_unequal_shards(self):
+        shards = make_shards({4: 25, 8: 60, 2: 45})
+        seq = [(b.n_obs, len(b.index)) for b in batch_iterator(shards, 20)]
+        assert seq == [(4, 20), (8, 20), (2, 20), (4, 5), (8, 20), (2, 20), (8, 20), (2, 5)]
+
+    @pytest.mark.parametrize("batch_size, sizes", [(4, [4, 4, 1, 1]), (256, [5, 5])])
+    def test_two_shards_of_one_count(self, batch_size, sizes):
+        shards = [generate_shard(NonlinearTask(), 2, 5, seed) for seed in (0, 1)]
+        batches = list(batch_iterator(shards, batch_size))
+        assert [len(b.index) for b in batches] == sizes
+        for k, s in enumerate(shards):         # each shard's rows, once, in its turns
+            rows = np.concatenate([b.m for b in batches[k::2]])
+            np.testing.assert_array_equal(np.sort(rows, axis=0), np.sort(s.m, axis=0))
 
     def test_epoch_is_partition(self):
         shards = make_shards({4: 53})

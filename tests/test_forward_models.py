@@ -313,6 +313,11 @@ class TestKlExpand:
 
 
 class TestDarcySolve:
+    @pytest.mark.parametrize("e1, e2", [(-0.1, 0.5), (0.5, 1.2)])
+    def test_rejects_design_outside_unit_interval(self, e1, e2):
+        with pytest.raises(ValueError, match="design parameters must lie in"):
+            dy.darcy_solve(np.ones((65, 65)), e1, e2)
+
     def test_antisymmetry_uniform_kappa(self):
         u = dy.darcy_solve(np.ones((65, 65)), 0.5, 0.5)
         assert np.abs(u + u[::-1, :]).max() < 1e-8

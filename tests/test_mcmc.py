@@ -122,6 +122,15 @@ class TestChainConfig:
         with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
             ChainConfig(**{key: value})
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("n_samples", 0, "n_samples must be >= 1"),
+        ("burn_in", -0.1, r"burn_in fraction must lie in \[0, 1\)"),
+        ("burn_in", 1.0, r"burn_in fraction must lie in \[0, 1\)"),
+    ])
+    def test_rejects_value_out_of_range(self, key, value, problem):
+        with pytest.raises(ValueError, match=problem):
+            ChainConfig(**{key: value})
+
 
 class TestRunChain:
     def test_same_seed_identical(self):

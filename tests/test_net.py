@@ -345,7 +345,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("n_emb", 0), ("n_emb", -8), ("n_head", 0), ("n_head", -2),
-        ("n_layer", 0), ("n_layer", -1),
+        ("n_layer", 0), ("n_layer", -1), ("dim_m", 0),
     ])
     def test_rejects_sizes_below_one(self, field, value):
         # checked before the divisibility test, so n_head=0 is no ZeroDivisionError

@@ -398,6 +398,21 @@ class TestBackward:
         assert x.grad is None
         assert c.grad[0] == pytest.approx(10.0)
 
+    def test_loss_that_is_a_leaf_gets_no_gradient(self):
+        x = Tensor([3.0], requires_grad=True)
+        with Tape() as tape:
+            pass
+        backward(x, tape)
+        assert x.grad is None
+
+    def test_tapes_must_exit_in_order(self, monkeypatch):
+        monkeypatch.setattr(T, "_TAPE_STACK", [])
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        inner.__enter__()
+        with pytest.raises(RuntimeError, match="exited tapes out of order"):
+            outer.__exit__(None, None, None)
+
     def test_requires_scalar_loss(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
