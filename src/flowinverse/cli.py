@@ -17,8 +17,13 @@ Each subcommand writes, into the output directory (the ``out_dir`` key, else
   sample         ensemble.csv, instance.json
   evaluate       sweep_<task>.csv; on nonlinear also generation_error.json
   mcmc           chain.csv, mcmc_<task>.csv, mcmc_result.json
-  benchmark      timing.json
   paths          paths.csv, straightness.json
+
+Each manifest's ``phases_s`` holds the wall seconds of the run's main calls:
+generate, train, inference (sample), sweep and generation_error (evaluate),
+chain (mcmc) and paths. ``sample`` and ``mcmc`` on one config draw one instance,
+so phases_s.chain of manifest_mcmc.json over phases_s.inference of
+manifest_sample.json is the flow-versus-MH speed-up on that instance.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure. A usage error or an
 ``OSError`` (such as an unwritable output) prints ``error: ...``, any other
@@ -28,6 +33,7 @@ failure ``runtime failure: <type>: ...``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -45,7 +51,7 @@ from .config import ConfigError, config_reference, load_config_file, parse_value
 from .data import (DataGenConfig, draw_tuples, generate_dataset, load_dataset,
                    save_dataset)
 from .mcmc import ChainConfig, run_chain
-from .metrics import benchmark_timing, evaluate_sweep, generation_error, relative_error_de
+from .metrics import evaluate_sweep, generation_error, relative_error_de
 from .net import NetConfig, VelocityNet
 from .tasks import get_task
 
@@ -159,7 +165,7 @@ def _write_json(path, obj):
     return path
 
 
-def _write_manifest(cfg: dict, subcommand, inputs, outputs, out_dir):
+def _write_manifest(cfg: dict, subcommand, inputs, outputs, phases, out_dir):
     path = os.path.join(out_dir, f"manifest_{subcommand.replace('-', '_')}.json")
     return _write_json(path, {
         "tool": f"flowinverse {__version__}",
@@ -168,25 +174,35 @@ def _write_manifest(cfg: dict, subcommand, inputs, outputs, out_dir):
         "config": cfg,
         "input_hashes": {p: _sha256(p) for p in inputs if p and os.path.exists(p)},
         "outputs": outputs,
+        "phases_s": phases,
     })
+
+
+@contextlib.contextmanager
+def _phase(phases: dict, name):
+    """Record the wall seconds of the ``with`` body as ``phases[name]``."""
+    t0 = time.perf_counter()
+    yield
+    phases[name] = time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_generate_data(cfg: dict, out_dir):
+def _cmd_generate_data(cfg: dict, out_dir, phases):
     path = cfg["paths.dataset"] or os.path.join(out_dir, f"{cfg['task']}.cfmd")
     gen = _make(DataGenConfig, task=cfg["task"],
                 tuples_per_n_obs=cfg["data.tuples_per_n_obs"], n_obs_set=cfg["data.n_obs"],
                 seed=cfg["seed"], task_kwargs=_task_kwargs(cfg))
-    shards = generate_dataset(gen)
+    with _phase(phases, "generate"):
+        shards = generate_dataset(gen)
     save_dataset(shards, cfg["task"], path)
     print(f"wrote {sum(len(s) for s in shards)} tuples in {len(shards)} shards to {path}")
     return [], [path]
 
 
-def _cmd_train(cfg: dict, out_dir):
+def _cmd_train(cfg: dict, out_dir, phases):
     data_path = _require(cfg, "paths.dataset", "train")
     tc = _make(TrainConfig, lr=cfg["train.lr"], epochs=cfg["train.epochs"],
                batch_size=cfg["train.batch_size"],
@@ -203,24 +219,24 @@ def _cmd_train(cfg: dict, out_dir):
                         trained.params, step=step,
                         rng_state={"seed": cfg["seed"], "epoch": epoch})
 
-    t0 = time.time()
-    net, history = train(net, shards, tc,
-                         checkpoint_fn=save_at if tc.checkpoint_every else None)
-    dur = time.time() - t0
+    with _phase(phases, "train"):
+        net, history = train(net, shards, tc,
+                             checkpoint_fn=save_at if tc.checkpoint_every else None)
     save_checkpoint(ckpt_path, cfg["task"], net_cfg, net.params, step=len(history),
                     rng_state={"seed": cfg["seed"], "epoch": tc.epochs})
     loss_path = _write_csv(os.path.join(out_dir, "loss_history.csv"), ["step", "loss"],
                            [[i, repr(v)] for i, v in enumerate(history)])
-    print(f"trained {net.n_params} parameters, {len(history)} steps in {dur:.1f}s; "
+    print(f"trained {net.n_params} parameters, {len(history)} steps in {phases['train']:.1f}s; "
           f"final loss {history[-1]:.6g}; wrote {ckpt_path}")
     return [data_path], [ckpt_path, loss_path]
 
 
-def _cmd_sample(cfg: dict, out_dir):
+def _cmd_sample(cfg: dict, out_dir, phases):
     net, ckpt_path = _load_net(cfg)
     task = net.task
     m_true, e, d = _draw_instance(cfg, task)
-    ens = sample_posterior(net, d, e, _sampler_config(cfg))
+    with _phase(phases, "inference"):
+        ens = sample_posterior(net, d, e, _sampler_config(cfg))
     out = _write_csv(os.path.join(out_dir, "ensemble.csv"),
                      [f"m{i}" for i in range(task.dim_m)],
                      [[repr(v) for v in row] for row in ens.samples.tolist()])
@@ -232,11 +248,12 @@ def _cmd_sample(cfg: dict, out_dir):
     return [ckpt_path], [out, inst]
 
 
-def _cmd_evaluate(cfg: dict, out_dir):
+def _cmd_evaluate(cfg: dict, out_dir, phases):
     net, ckpt_path = _load_net(cfg)
     task = net.task
-    reports = evaluate_sweep(net, task, cfg["eval.n_obs_list"], cfg["eval.trials"],
-                             _sampler_config(cfg), seed=cfg["seed"])
+    with _phase(phases, "sweep"):
+        reports = evaluate_sweep(net, task, cfg["eval.n_obs_list"], cfg["eval.trials"],
+                                 _sampler_config(cfg), seed=cfg["seed"])
     outputs = [_write_csv(os.path.join(out_dir, f"sweep_{cfg['task']}.csv"),
                           ["N", "mean_error_pct", "std_error_pct"],
                           [[r.n_obs, repr(100.0 * r.mean_error), repr(100.0 * r.std_error)]
@@ -245,9 +262,10 @@ def _cmd_evaluate(cfg: dict, out_dir):
         print(f"N={r.n_obs}: {100 * r.mean_error:.2f}% +/- {100 * r.std_error:.2f}% "
               f"({r.trials} trials)")
     if cfg["task"] == "nonlinear":
-        pooled, per_case = generation_error(net, task, cfg["eval.n_inferences"],
-                                            cfg["data.n_obs"][0],
-                                            sampler=_sampler_config(cfg), seed=cfg["seed"])
+        with _phase(phases, "generation_error"):
+            pooled, per_case = generation_error(net, task, cfg["eval.n_inferences"],
+                                                cfg["data.n_obs"][0],
+                                                sampler=_sampler_config(cfg), seed=cfg["seed"])
         outputs.append(_write_json(os.path.join(out_dir, "generation_error.json"),
                                    {"pooled": pooled,
                                     "median_per_case": float(np.median(per_case)),
@@ -257,16 +275,14 @@ def _cmd_evaluate(cfg: dict, out_dir):
     return [ckpt_path], outputs
 
 
-def _chain_config(cfg: dict) -> ChainConfig:
-    return _make(ChainConfig, n_samples=cfg["chain.n_samples"],
-                 proposal_scale=cfg["chain.proposal_scale"],
-                 burn_in=cfg["chain.burn_in"], seed=cfg["seed"])
-
-
-def _cmd_mcmc(cfg: dict, out_dir):
+def _cmd_mcmc(cfg: dict, out_dir, phases):
+    chain_cfg = _make(ChainConfig, n_samples=cfg["chain.n_samples"],
+                      proposal_scale=cfg["chain.proposal_scale"],
+                      burn_in=cfg["chain.burn_in"], seed=cfg["seed"])
     task = _task_from(cfg)
     m_true, e, d = _draw_instance(cfg, task)
-    res = run_chain(task, d, e, _chain_config(cfg))
+    with _phase(phases, "chain"):
+        res = run_chain(task, d, e, chain_cfg)
     err = relative_error_de(m_true, res.posterior_mean, task, e)
     chain_csv = _write_csv(os.path.join(out_dir, "chain.csv"), *_chain_table(res))
     table = _write_csv(os.path.join(out_dir, f"mcmc_{cfg['task']}.csv"),
@@ -275,31 +291,20 @@ def _cmd_mcmc(cfg: dict, out_dir):
     result = _write_json(os.path.join(out_dir, "mcmc_result.json"),
                          {"acceptance_rate": res.acceptance_rate,
                           "posterior_mean": res.posterior_mean.tolist(),
-                          "relative_error": err, "wall_seconds": res.wall_seconds,
+                          "relative_error": err,
                           "proposal_scale": res.proposal_scale,
                           "warnings": res.warnings})
     print(f"chain of {cfg['chain.n_samples']}: acceptance {res.acceptance_rate:.2f}, "
-          f"solution relative error {100 * err:.2f}% in {res.wall_seconds:.1f}s")
+          f"solution relative error {100 * err:.2f}% in {phases['chain']:.3g}s")
     return [], [chain_csv, table, result]
 
 
-def _cmd_benchmark(cfg: dict, out_dir):
+def _cmd_paths(cfg: dict, out_dir, phases):
     net, ckpt_path = _load_net(cfg)
     task = net.task
     _, e, d = _draw_instance(cfg, task)
-    cfm_s, mcmc_s, ratio = benchmark_timing(net, task, d, e, _chain_config(cfg),
-                                            _sampler_config(cfg))
-    out = _write_json(os.path.join(out_dir, "timing.json"),
-                      {"cfm_seconds": cfm_s, "mcmc_seconds": mcmc_s, "ratio": ratio})
-    print(f"flow inference {cfm_s:.3g}s vs chain {mcmc_s:.3g}s -> {ratio:.3g}x")
-    return [ckpt_path], [out]
-
-
-def _cmd_paths(cfg: dict, out_dir):
-    net, ckpt_path = _load_net(cfg)
-    task = net.task
-    _, e, d = _draw_instance(cfg, task)
-    rep = path_straightness(net, d, e, cfg["paths.n_paths"], _sampler_config(cfg))
+    with _phase(phases, "paths"):
+        rep = path_straightness(net, d, e, cfg["paths.n_paths"], _sampler_config(cfg))
     out = _write_csv(os.path.join(out_dir, "paths.csv"), *_paths_table(rep))
     summary = _write_json(os.path.join(out_dir, "straightness.json"),
                           {"mean_deviation": rep.mean_deviation, "skipped": rep.skipped,
@@ -315,7 +320,6 @@ _BODIES = {
     "sample": _cmd_sample,
     "evaluate": _cmd_evaluate,
     "mcmc": _cmd_mcmc,
-    "benchmark": _cmd_benchmark,
     "paths": _cmd_paths,
 }
 
@@ -350,10 +354,11 @@ def main(argv=None) -> int:
         cfg = _build_config(args)
         out_dir = cfg["out_dir"] or os.environ.get("CFM_OUT_DIR") or "."
         os.makedirs(out_dir, exist_ok=True)
-        inputs, outputs = _BODIES[args.subcommand](cfg, out_dir)
+        phases = {}
+        inputs, outputs = _BODIES[args.subcommand](cfg, out_dir, phases)
         if args.config:
             inputs = [args.config] + inputs
-        manifest = _write_manifest(cfg, args.subcommand, inputs, outputs, out_dir)
+        manifest = _write_manifest(cfg, args.subcommand, inputs, outputs, phases, out_dir)
         print(f"manifest: {manifest}")
         return 0
     except ConfigError as err:

@@ -9,7 +9,6 @@ rate; the proposal is symmetric so no Hastings correction is needed.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ import numpy as np
 
 TUNE_ROUNDS = 30       # pilot rounds at most
 TUNE_STEPS = 60        # proposals per pilot round
+ACCEPT_BAND = (0.2, 0.4)   # acceptance rates the tuner aims for
 
 
 @dataclass
@@ -44,7 +44,6 @@ class ChainResult:
     samples: np.ndarray          # chain[burn-in:], the retained states
     acceptance_rate: float
     posterior_mean: np.ndarray
-    wall_seconds: float
     proposal_scale: float
     warnings: list = field(default_factory=list)
 
@@ -74,22 +73,24 @@ def mh_step(m, logp, scale, rng, logpost):
 
 
 def _tune_scale(m, logp, scale, rng, logpost):
-    """Multiplicative scale adaptation toward acceptance in [0.2, 0.4]."""
+    """Multiplicative scale adaptation toward acceptance in ``ACCEPT_BAND``;
+    returns (state, logp, scale, whether a pilot round reached the band)."""
+    lo, hi = ACCEPT_BAND
     for _ in range(TUNE_ROUNDS):
         acc = 0
         for _ in range(TUNE_STEPS):
             m, logp, ok = mh_step(m, logp, scale, rng, logpost)
             acc += ok
         rate = acc / TUNE_STEPS
-        if 0.2 <= rate <= 0.4:
-            break
-        if rate > 0.4:
+        if lo <= rate <= hi:
+            return m, logp, scale, True
+        if rate > hi:
             scale *= 1.6
         elif rate < 0.05:
             scale *= 0.3
         else:
             scale *= 0.6
-    return m, logp, scale
+    return m, logp, scale, False
 
 
 def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
@@ -98,7 +99,9 @@ def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
     The chain starts from a prior draw; when ``proposal_scale`` is unset a
     tuning phase (not retained) adapts it from 0.1. The result holds every
     main-chain state with its log-posterior and acceptance flag; ``samples``
-    drops the first ``burn_in`` fraction of them.
+    drops the first ``burn_in`` fraction of them. ``warnings`` names a chain
+    that stalled and, for a tuned chain, a tuning that ran out of rounds or
+    a main-chain acceptance outside ``ACCEPT_BAND``.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x6d636d63)))
     d = np.asarray(d, dtype=np.float64).reshape(-1)
@@ -110,11 +113,13 @@ def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
 
     m = task.prior_sample(rng, 1)[0]
     logp = logpost(m)
-    t0 = time.perf_counter()
     warns = []
     scale = cfg.proposal_scale
     if scale is None:
-        m, logp, scale = _tune_scale(m, logp, 0.1, rng, logpost)
+        m, logp, scale, reached = _tune_scale(m, logp, 0.1, rng, logpost)
+        if not reached:
+            warns.append(f"tuning ran out of rounds: no pilot round of the {TUNE_ROUNDS} "
+                         f"accepted within {list(ACCEPT_BAND)}; scale is {scale:.3g}")
 
     chain = np.empty((cfg.n_samples, m.shape[0]))
     logps = np.empty(cfg.n_samples)
@@ -133,10 +138,11 @@ def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
             if consecutive_rejects >= 1000 and not stall_warned:
                 warns.append(f"chain stalled: 1000 consecutive rejections at step {i}")
                 stall_warned = True
-    wall = time.perf_counter() - t0
 
+    rate = float(accepted.mean())
+    if cfg.proposal_scale is None and not ACCEPT_BAND[0] <= rate <= ACCEPT_BAND[1]:
+        warns.append(f"acceptance {rate:.3f} outside the tuning band {list(ACCEPT_BAND)}")
     keep = chain[int(cfg.burn_in * cfg.n_samples):]
     return ChainResult(chain=chain, log_posterior=logps, accepted=accepted,
-                       samples=keep, acceptance_rate=float(accepted.mean()),
-                       posterior_mean=keep.mean(axis=0), wall_seconds=wall,
+                       samples=keep, acceptance_rate=rate, posterior_mean=keep.mean(axis=0),
                        proposal_scale=scale, warnings=warns)

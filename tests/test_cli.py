@@ -365,6 +365,33 @@ class TestPipeline:
         assert os.path.exists("sweep_nonlinear.csv")
         assert os.path.exists("generation_error.json")
 
+        assert run_cli("mcmc", "--set", "chain.n_samples=40", "--seed", "3") == 0
+        assert run_cli("paths", "--set", "paths.checkpoint=toy.cfmt",
+                       "--set", "paths.n_paths=2", "--set", "sampler.steps=4") == 0
+        # every subcommand's manifest times its phases
+        for name in cli._BODIES:
+            phases = json.load(open(f"manifest_{name.replace('-', '_')}.json"))["phases_s"]
+            assert phases and all(type(v) is float and v >= 0.0 for v in phases.values()), name
+        assert set(json.load(open("manifest_evaluate.json"))["phases_s"]) == {
+            "sweep", "generation_error"}
+
+    def test_sample_and_mcmc_time_one_instance(self, workdir, capsys):
+        # the flow-versus-MH speed-up is chain over inference on one instance
+        cfg = resolve({"net.n_emb": 8, "net.n_head": 2, "net.n_layer": 1})
+        task = cli._task_from(cfg)
+        net = VelocityNet(task, cli._net_config(cfg, task), seed=0)
+        save_checkpoint("n.cfmt", "nonlinear", net.config, net.params)
+        shared = ["--set", "instance.n_obs=3", "--set", "instance.seed=7", "--seed", "2"]
+        assert run_cli("sample", "--set", "paths.checkpoint=n.cfmt", *shared) == 0
+        assert run_cli("mcmc", "--set", "chain.n_samples=200", *shared) == 0
+        sample = json.load(open("manifest_sample.json"))
+        mcmc = json.load(open("manifest_mcmc.json"))
+        assert sample["phases_s"]["inference"] > 0 and mcmc["phases_s"]["chain"] > 0
+        for key in ["seed"] + [k for k in KEY_SPECS if k.startswith("instance.")]:
+            assert sample["config"][key] == mcmc["config"][key], key
+        printed = re.search(r" in (\S+)s$", capsys.readouterr().out.splitlines()[-2])
+        assert float(printed.group(1)) == float(f"{mcmc['phases_s']['chain']:.3g}")
+
     def test_evaluate_generation_error_uses_the_configured_sampler(self, workdir):
         cfg = resolve({"net.n_emb": 8, "net.n_head": 2, "net.n_layer": 1})
         task = cli._task_from(cfg)
@@ -379,27 +406,6 @@ class TestPipeline:
         assert pooled == generation_error(net, task, 4, 1, sampler=sampler)[0]
         euler = SamplerConfig(steps=2, method="euler", ensemble=3)
         assert pooled != generation_error(net, task, 4, 1, sampler=euler)[0]
-
-    def test_benchmark_subcommand(self, workdir, capsys):
-        cfg = resolve({"net.n_emb": 8, "net.n_head": 2, "net.n_layer": 1})
-        task = cli._task_from(cfg)
-        net = VelocityNet(task, cli._net_config(cfg, task), seed=0)
-        save_checkpoint("n.cfmt", "nonlinear", net.config, net.params)
-        rc = run_cli("benchmark", "--set", "paths.checkpoint=n.cfmt",
-                     "--set", "chain.n_samples=200")
-        assert rc == 0
-        timing = json.load(open("timing.json"))
-        assert set(timing) == {"cfm_seconds", "mcmc_seconds", "ratio"}
-        assert timing["ratio"] == timing["mcmc_seconds"] / timing["cfm_seconds"]
-        # the printed line gives the same three figures, to 3 significant digits
-        line = capsys.readouterr().out.splitlines()[0]
-        printed = re.fullmatch(r"flow inference (\S+)s vs chain (\S+)s -> (\S+)x", line)
-        assert printed is not None, line
-        for shown, key in zip(printed.groups(), ("cfm_seconds", "mcmc_seconds", "ratio")):
-            assert float(shown) == float(f"{timing[key]:.3g}"), (key, line)
-        manifest = json.load(open("manifest_benchmark.json"))
-        assert manifest["subcommand"] == "benchmark"
-        assert [os.path.basename(p) for p in manifest["outputs"]] == ["timing.json"]
 
     def test_periodic_checkpoints(self, workdir):
         # 64 tuples in batches of 32 over 2 epochs are 4 batches, so windows
@@ -642,3 +648,13 @@ def test_every_span_the_benchmark_reads_is_traceable():
 def test_only_artifact_imports_struct():
     # one binary layout: datasets and checkpoints both go through artifact
     assert _modules_importing("struct") == {"artifact.py"}
+
+
+def test_only_cli_imports_time():
+    # one clock: the manifest's phases_s
+    assert _modules_importing("time") == {"cli.py"}
+
+
+def test_cli_docstring_lists_every_subcommand():
+    listed = re.findall(r"^  ([a-z-]+)  ", cli.__doc__, re.MULTILINE)
+    assert listed == list(cli._BODIES)

@@ -174,7 +174,28 @@ class TestRunChain:
         # gigantic fixed proposal scale on a tight target: everything rejects
         cfg = ChainConfig(n_samples=1500, proposal_scale=1e8, seed=5)
         res = run_chain(task, [0.0], [0.0], cfg)
-        assert any("stalled" in w for w in res.warnings)
+        # a fixed scale is the caller's choice: no acceptance warning
+        assert len(res.warnings) == 1 and "stalled" in res.warnings[0]
+
+    def test_tuning_that_runs_out_of_rounds_warns(self):
+        # infinite noise makes the target flat: every proposal is accepted,
+        # so no pilot round reaches the band and neither does the chain
+        task = _GaussianTargetTask(sigma=np.inf)
+        res = run_chain(task, [0.0], [0.0], ChainConfig(n_samples=200, seed=0))
+        assert res.acceptance_rate == 1.0
+        assert len(res.warnings) == 2
+        assert res.warnings[0].startswith("tuning ran out of rounds: no pilot round of the 30")
+        assert res.warnings[1] == "acceptance 1.000 outside the tuning band [0.2, 0.4]"
+
+    def test_acceptance_outside_the_band_warns(self):
+        # a pilot round reached the band, but the main chain accepts 0.4175
+        res = run_chain(_GaussianTargetTask(), [0.0], [0.0], ChainConfig(n_samples=4000, seed=0))
+        assert res.warnings == ["acceptance 0.417 outside the tuning band [0.2, 0.4]"]
+
+    def test_well_tuned_chain_has_no_warning(self):
+        res = run_chain(_GaussianTargetTask(), [0.0], [0.0], ChainConfig(n_samples=4000, seed=1))
+        assert 0.2 <= res.acceptance_rate <= 0.4
+        assert res.warnings == []
 
     def test_chain_csv(self, tmp_path):
         task = _GaussianTargetTask()

@@ -4,9 +4,7 @@ import pytest
 from flowinverse import metrics
 from flowinverse.cfm import SamplerConfig, sample_posterior
 from flowinverse.data import draw_tuples
-from flowinverse.mcmc import ChainConfig
-from flowinverse.metrics import (benchmark_timing, evaluate_sweep, generation_error,
-                                 relative_error_de)
+from flowinverse.metrics import evaluate_sweep, generation_error, relative_error_de
 from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import get_task
 
@@ -104,19 +102,4 @@ class TestGenerationError:
             per_case, [0.12613182907142165, 0.12313974686268035, 1.4431938536223983,
                        0.12653219128247672, 0.4175032354608971], rtol=1e-6)
         assert pooled == pytest.approx(0.20724542805910048, rel=1e-6)
-
-
-class TestBenchmark:
-    def test_timing_positive_and_short_chain_cheap(self):
-        task = get_task("nonlinear")
-        net = _ConstNet(task, 0.1)
-        rng = np.random.default_rng(0)
-        e = task.sample_design(rng, 2)
-        d = task.forward_observed(np.array([0.5]), e)
-        cfm_s, mcmc_s, ratio = benchmark_timing(
-            net, task, d, e,
-            ChainConfig(n_samples=1, proposal_scale=0.1, burn_in=0.0),
-            SamplerConfig(steps=5, ensemble=3))
-        assert cfm_s > 0 and mcmc_s > 0 and ratio == pytest.approx(mcmc_s / cfm_s)
-        assert mcmc_s < 0.5            # near-empty chain costs setup only
 

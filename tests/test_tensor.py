@@ -405,13 +405,22 @@ class TestBackward:
         backward(x, tape)
         assert x.grad is None
 
-    def test_tapes_must_exit_in_order(self, monkeypatch):
-        monkeypatch.setattr(T, "_TAPE_STACK", [])
-        outer, inner = Tape(), Tape()
-        outer.__enter__()
-        inner.__enter__()
-        with pytest.raises(RuntimeError, match="exited tapes out of order"):
-            outer.__exit__(None, None, None)
+    def test_a_tape_cannot_open_inside_another(self):
+        # nested, `add` would land on the inner tape and the outer tape's
+        # backward would leave x.grad None without a word
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError, match="tapes do not nest"):
+            with Tape() as outer:
+                with Tape():
+                    y = T.add(x, x)
+                loss = T.mse(y, np.zeros(3))
+            backward(loss, outer)
+        assert x.grad is None
+        # the failed attempt leaves no tape open
+        with Tape() as tape:
+            loss = T.mse(T.add(x, x), np.zeros(3))
+        backward(loss, tape)
+        np.testing.assert_allclose(x.grad, np.full(3, 8.0 / 3.0))
 
     def test_requires_scalar_loss(self):
         x = Tensor(np.ones(3), requires_grad=True)
