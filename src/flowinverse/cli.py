@@ -296,6 +296,8 @@ def _cmd_mcmc(cfg: dict, out_dir, phases):
                           "warnings": res.warnings})
     print(f"chain of {cfg['chain.n_samples']}: acceptance {res.acceptance_rate:.2f}, "
           f"solution relative error {100 * err:.2f}% in {phases['chain']:.3g}s")
+    for warning in res.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return [], [chain_csv, table, result]
 
 

@@ -9,14 +9,13 @@ rates, which make the quadratic dynamics diverge for some prior draws.
 
 Observations are (I, R) read at a handful of times in [1, 3].
 
-One fixed-step RK4 kernel, ``_integrate``, serves every path: a single rate
-vector runs it in Python floats (MH, ``de_solution``, each row of a small
-batch), appending each step's state to one flat list that becomes an array
-once at the end; a larger (B, 6) batch runs on columns (data generation) and
-writes each step into a preallocated array. Both give bitwise equal results.
-``_read`` interpolates the steps linearly; ``simulate_batch`` and
-``forward_observed`` integrate only up to their last time, ``seir_solve``
-(one rate vector) always over [0, t_end].
+One fixed-step RK4 kernel, ``_integrate``, serves every path and keeps only
+the steps it is asked for: a single rate vector runs it in Python floats (MH,
+``de_solution``, each row of a small batch), a larger (B, 6) batch on columns
+(data generation), writing each kept step into a preallocated array; both give
+bitwise equal results. ``_read``, which ``seir_solve``, ``forward_observed``
+and ``simulate_batch`` go through, asks it for the two steps that bracket each
+requested time and interpolates linearly between them.
 """
 
 from __future__ import annotations
@@ -50,20 +49,22 @@ def _ramp(t, tau):
 
 def _ramp_tables():
     ts = np.arange(N_STEPS + 1) * CONST.dt
-    full = _ramp(ts, CONST.tau)
-    half = _ramp(ts[:-1] + CONST.dt / 2.0, CONST.tau)
-    return full.tolist(), half.tolist()
+    full = _ramp(ts, CONST.tau).tolist()
+    half = _ramp(ts[:-1] + CONST.dt / 2.0, CONST.tau).tolist()
+    return full[0], list(zip(half, full[1:]))
 
 
-# Python floats, so that the single-vector loop stays in plain float arithmetic
+# ramp at t = 0 and each step's (midpoint, end) pair, as Python floats for the float loop
 _RAMP = _ramp_tables()
 
 
-def _integrate(m, n_steps=N_STEPS):
-    """Classical RK4 from t = 0 over n_steps fixed steps of length dt.
+def _integrate(m, stops):
+    """Classical RK4 from t = 0 in fixed steps of length dt, keeping the
+    states at the step indices ``stops`` (sorted, distinct, at most N_STEPS)
+    and stopping at the last of them.
 
-    A 6-vector m runs in Python floats and returns (n_steps+1, 4); a (B, 6)
-    batch runs on its columns and returns (n_steps+1, 4, B). Both run the
+    A 6-vector m runs in Python floats and returns (len(stops), 4); a (B, 6)
+    batch runs on its columns and returns (len(stops), 4, B). Both run the
     same operations in the same order, so each batch row equals the single
     vector's result bitwise.
     """
@@ -72,91 +73,100 @@ def _integrate(m, n_steps=N_STEPS):
     b1, al, gr, gd1, b2, gd2 = m.tolist() if single else np.ascontiguousarray(m.T)
     db, dg, g0 = b2 - b1, gd2 - gd1, gr + gd1
     dt, h2, h6 = CONST.dt, CONST.dt / 2, CONST.dt / 6
-    s_full, s_half = _RAMP
+    s_start, steps = _RAMP
     S, E, I, R = CONST.s0, CONST.e0, CONST.i0, CONST.r0
-    flat = [S, E, I, R]
-    if not single:
-        state = np.empty((n_steps + 1, 4) + m.shape[:-1])
-        state[0] = np.reshape(flat, (4, 1))
+    kept = [] if single else np.empty((len(stops), 4) + m.shape[:-1])
     # Stage j has infection flux x_j = -dS/dt, dE/dt e_j, dI/dt i_j and dR/dt
     # g_j; the end-of-step rates (bf, gf) start the next step. "S - h * x" is
     # bitwise "S + h * (-x)": rounding is sign-symmetric.
-    bf, gf = b1 + s_full[0] * db, g0 + s_full[0] * dg
-    for k, sh, sf in zip(range(1, n_steps + 1), s_half, s_full[1:]):
-        x1, aE, g1 = bf * S * I, al * E, gf * I
-        e1, i1 = x1 - aE, aE - g1
-        beta, gam = b1 + sh * db, g0 + sh * dg
-        Sj, Ej, Ij = S - h2 * x1, E + h2 * e1, I + h2 * i1
-        x2, aE, g2 = beta * Sj * Ij, al * Ej, gam * Ij
-        e2, i2 = x2 - aE, aE - g2
-        Sj, Ej, Ij = S - h2 * x2, E + h2 * e2, I + h2 * i2
-        x3, aE, g3 = beta * Sj * Ij, al * Ej, gam * Ij
-        e3, i3 = x3 - aE, aE - g3
-        bf, gf = b1 + sf * db, g0 + sf * dg
-        Sj, Ej, Ij = S - dt * x3, E + dt * e3, I + dt * i3
-        x4, aE, g4 = bf * Sj * Ij, al * Ej, gf * Ij
-        e4, i4 = x4 - aE, aE - g4
-        S = S - h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
-        E = E + h6 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-        I = I + h6 * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
-        R = R + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+    bf, gf = b1 + s_start * db, g0 + s_start * dg
+    k = 0
+    for j, stop in enumerate(stops):
+        for sh, sf in steps[k:stop]:
+            x1, aE, g1 = bf * S * I, al * E, gf * I
+            e1, i1 = x1 - aE, aE - g1
+            beta, gam = b1 + sh * db, g0 + sh * dg
+            Sj, Ej, Ij = S - h2 * x1, E + h2 * e1, I + h2 * i1
+            x2, aE, g2 = beta * Sj * Ij, al * Ej, gam * Ij
+            e2, i2 = x2 - aE, aE - g2
+            Sj, Ej, Ij = S - h2 * x2, E + h2 * e2, I + h2 * i2
+            x3, aE, g3 = beta * Sj * Ij, al * Ej, gam * Ij
+            e3, i3 = x3 - aE, aE - g3
+            bf, gf = b1 + sf * db, g0 + sf * dg
+            Sj, Ej, Ij = S - dt * x3, E + dt * e3, I + dt * i3
+            x4, aE, g4 = bf * Sj * Ij, al * Ej, gf * Ij
+            e4, i4 = x4 - aE, aE - g4
+            S = S - h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+            E = E + h6 * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+            I = I + h6 * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
+            R = R + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        k = stop
         if single:
-            flat.extend((S, E, I, R))
+            kept.extend((S, E, I, R))
         else:
-            state[k] = S, E, I, R
+            kept[j] = np.reshape((S, E, I, R), (4, -1))    # floats at stop 0
     if single:
-        state = np.array(flat).reshape(-1, 4)
-    bad = ~np.isfinite(state).all(axis=1).reshape(n_steps + 1, -1)
+        kept = np.array(kept).reshape(-1, 4)
+    # a non-finite state stays non-finite, so the kept states show a failure;
+    # one rerun that keeps every step names the first step that failed
+    bad = ~np.isfinite(kept).all(axis=1).reshape(len(stops), -1)
     if bad.any():
-        k_bad, b_bad = np.argwhere(bad)[0]
-        raise FloatingPointError(f"SEIR state became non-finite at t={k_bad * dt:.4f} "
+        if len(stops) <= stops[-1]:
+            _integrate(m, range(stops[-1] + 1))
+        j_bad, b_bad = np.argwhere(bad)[0]
+        raise FloatingPointError(f"SEIR state became non-finite at t={stops[j_bad] * dt:.4f} "
                                  f"for m={m.reshape(-1, 6)[b_bad].tolist()}")
-    return state
+    return kept
 
 
-def _read(state, times):
-    """States linearly interpolated between RK4 steps.
+def _read(m, times):
+    """States of rates m at the given times, interpolated linearly between
+    the two RK4 steps that bracket each time, the only steps integrated to.
 
-    times (n_t,) against a single (steps+1, 4) state gives (n_t, 4); times
-    (B, n_t) against a (steps+1, 4, B) batch gives (B, n_t, 4).
+    times (n_t,) for a 6-vector gives (n_t, 4); times (B, n_t) for a (B, 6)
+    batch gives (B, n_t, 4).
     """
     times = np.asarray(times, dtype=np.float64)
+    if times.size == 0:
+        raise ValueError("no times requested: the SEIR states are read at one time or more")
     if np.any(times < 0) or np.any(times > CONST.t_end + 1e-12):
         raise ValueError(f"requested times outside [0, {CONST.t_end}]")
     pos = times / CONST.dt
-    k = np.minimum(pos.astype(int), len(state) - 2)
+    k = np.minimum(pos.astype(int), N_STEPS - 1)
     w = (pos - k)[..., None]
+    stops, at = np.unique(np.stack([k, k + 1]), return_inverse=True)
+    state = _integrate(m, stops.tolist())
+    at = at.reshape((2,) + k.shape)         # where k and k + 1 sit among the stops
     if state.ndim == 2:
-        lo, hi = state[k], state[k + 1]
+        lo, hi = state[at[0]], state[at[1]]
     else:
         rows = np.arange(state.shape[2])[:, None]
-        lo, hi = state[k, :, rows], state[k + 1, :, rows]
+        lo, hi = state[at[0], :, rows], state[at[1], :, rows]
     return lo * (1.0 - w) + hi * w
 
 
 def seir_solve(m, t_grid):
     """States (S, E, I, R) of one 6-vector of rates at the times of the 1-d
-    ``t_grid`` in [0, t_end], linearly interpolated between fixed RK4 steps
-    over the full span; returns (len(t_grid), 4)."""
-    return _read(_integrate(m), t_grid)
+    ``t_grid`` in [0, t_end], linearly interpolated between fixed RK4 steps;
+    returns (len(t_grid), 4)."""
+    return _read(m, t_grid)
 
 
 # Below this many rows a batch runs row by row in Python floats: the column
-# kernel pays about 90 numpy calls per step whatever B is. simulate_batch at
-# n_obs 5, one BLAS thread on a 2-CPU AMD EPYC guest, median of 9, rows vs
-# columns: B=1 0.5 vs 10.6 ms, B=16 7.3 vs 15.6, B=32 13.2 vs 15.5, B=36 14.1
-# vs 15.8, B=40 16.3 vs 15.9, B=48 19.9 vs 15.8, B=64 26.9 vs 16.1.
-ROW_LOOP_BELOW = 40
+# kernel pays about 85 numpy calls per step whatever B is. simulate_batch at
+# n_obs 5, one BLAS thread on a 2-CPU Intel Xeon guest, median over three runs
+# of a median of 9, rows vs columns in ms: B=1 1.6 vs 51.0, B=16 19.1 vs 55.4,
+# B=32 36.3 vs 55.9, B=40 45.8 vs 56.0, B=44 48.2 vs 56.0, B=48 53.2 vs 56.7,
+# B=52 57.8 vs 56.5, B=56 57.7 vs 54.8, B=64 64.6 vs 56.7.
+ROW_LOOP_BELOW = 52
 
 
 def _observe(m, times):
-    """(I, R) at the requested times, integrating only up to the last step
-    that brackets the latest of them; bitwise equal to a full-span read.
-    A batch smaller than ``ROW_LOOP_BELOW`` runs one row at a time."""
+    """(I, R) at the requested times, through ``_read``. A batch smaller
+    than ``ROW_LOOP_BELOW`` runs one row at a time."""
     if np.ndim(m) == 2 and len(m) < ROW_LOOP_BELOW:
         return np.stack([_observe(row, t) for row, t in zip(m, times)])
-    n_steps = min(max(int(np.max(times) / CONST.dt), 0), N_STEPS - 1) + 1
-    return _read(_integrate(m, n_steps), times)[..., 2:4]
+    return _read(m, times)[..., 2:4]
 
 
 class SeirTask:

@@ -478,6 +478,18 @@ class TestPipeline:
         assert 0.0 <= result["acceptance_rate"] <= 1.0
         assert result["acceptance_rate"] == sum(r[3] == "1" for r in rows) / 40
 
+    @pytest.mark.parametrize("seed, printed", [
+        (2, ["warning: acceptance 0.125 outside the tuning band [0.2, 0.4]"]), (1, [])],
+        ids=["warns", "quiet"])
+    def test_mcmc_prints_chain_warnings(self, workdir, capsys, seed, printed):
+        # each ChainResult warning goes to stderr as well as into the JSON;
+        # a warning does not change the exit code
+        rc = run_cli("mcmc", "--set", "chain.n_samples=40",
+                     "--set", "instance.n_obs=2", "--seed", str(seed))
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == printed
+        assert ["warning: " + w for w in json.load(open("mcmc_result.json"))["warnings"]] == printed
+
     def test_paths_subcommand(self, workdir):
         run_cli("generate-data", "--set", "data.tuples_per_n_obs=32",
                 "--set", "paths.dataset=p.cfmd")

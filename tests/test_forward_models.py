@@ -6,8 +6,8 @@ import pytest
 
 from flowinverse.tasks import get_task
 from flowinverse.tasks.nonlinear import nonlinear_forward
-from flowinverse.tasks.seir import (CONST, ROW_LOOP_BELOW, TRUE_RATES, _integrate, _ramp,
-                                    _read, seir_solve)
+from flowinverse.tasks.seir import (CONST, N_STEPS, ROW_LOOP_BELOW, TRUE_RATES, _integrate,
+                                    _ramp, _read, seir_solve)
 from flowinverse.tasks import darcy as dy
 
 
@@ -118,6 +118,50 @@ class TestSeirSolve:
         assert digest(chain.log_posterior) == (
             "1140a9a32480caed99328949a5da238247cb81ae66b3fb6d7f548600b9f4977f")
 
+    # times where choosing the bracketing steps can go wrong: t = 0, exact
+    # multiples of dt, t = 3, t_end, duplicate and unsorted times
+    EDGE_TIMES = ([0.0], [5 * CONST.dt, 512 * CONST.dt, 1023 * CONST.dt], [3.0], [CONST.t_end],
+                  [0.0, CONST.t_end], [2.0, 2.0, 1.5], [3.0, 1.0 + CONST.dt, 0.0, 2.5, 3.0])
+
+    def test_edge_time_reads_pinned_to_reference_digests(self):
+        # sha256 of single-vector reads at EDGE_TIMES, and of a batch large
+        # enough to run on columns whose rows draw their times from them
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+        task = get_task("seir")
+        rng = np.random.default_rng(22)
+        m = task.sample_params(rng, 4)
+        observed = np.concatenate([task.forward_observed(row, t) for row in m for t in self.EDGE_TIMES])
+        solved = np.concatenate([seir_solve(row, t) for row in m for t in self.EDGE_TIMES])
+        pool = np.concatenate(self.EDGE_TIMES)
+        rows = 96
+        assert rows >= ROW_LOOP_BELOW
+        batch, _ = task.simulate_batch(task.sample_params(rng, rows), rng.choice(pool, (rows, 3)), 3)
+        assert digest(observed) == "3b68a119f96f36454dfb4bc723ff44e5a0c04bd7760796f7649219a0ed2f7774"
+        assert digest(solved) == "d986f7c12bb774cddc0de40b1a2e95eb7275ba0f8e8f85c6951d81a69377d8f6"
+        assert digest(batch) == "e58c34766d9a28dc019f86f1b4a34de380b7c3bf18fb3f6434357bbf496ca035"
+
+    @pytest.mark.parametrize("rows", [None, ROW_LOOP_BELOW + 8], ids=["vector", "columns"])
+    def test_kept_steps_equal_a_run_that_keeps_every_step(self, rows):
+        # keeping only some steps changes no float operation, for one vector
+        # and on columns: stop 0, adjacent, gapped and last stops
+        rng = np.random.default_rng(5)
+        m = rng.uniform(0, 1, 6 if rows is None else (rows, 6))
+        every = _integrate(m, range(N_STEPS + 1))
+        for stops in ([0], [0, 1, 2], [3, 700], [1, 2, 40, 41, 511, N_STEPS], [N_STEPS]):
+            np.testing.assert_array_equal(_integrate(m, stops), every[stops])
+
+    def test_empty_times_rejected(self):
+        task = get_task("seir")
+        with pytest.raises(ValueError, match="no times requested"):
+            seir_solve(TRUE_RATES, [])
+        with pytest.raises(ValueError, match="no times requested"):
+            task.forward_observed(TRUE_RATES, [])
+        for rows in (1, ROW_LOOP_BELOW + 8):        # row by row and on columns
+            with pytest.raises(ValueError, match="no times requested"):
+                task.simulate_batch(np.tile(TRUE_RATES, (rows, 1)), np.empty((rows, 0)), 0)
+
     def test_states_bounded_over_prior(self):
         rng = np.random.default_rng(7)
         m = rng.uniform(0, 1, (200, 6))
@@ -207,7 +251,7 @@ class TestSeirObserve:
         e = rng.uniform(1, 3, (rows, 5))
         d, _ = task.simulate_batch(m, e, 5)
         grid = np.linspace(0.0, 4.0, 256)
-        columns = _read(_integrate(m), np.broadcast_to(grid, (rows, grid.size)))
+        columns = _read(m, np.broadcast_to(grid, (rows, grid.size)))
         for row in range(rows):
             np.testing.assert_array_equal(task.forward_observed(m[row], e[row]), d[row])
             np.testing.assert_array_equal(task.de_solution(m[row], e[row]),
