@@ -189,10 +189,9 @@ def _prior_draws(task, n, seed):
     return draws
 
 
-def _integrate_flow(net, x0, d_rep, e_rep, cfg: SamplerConfig, record=False):
+def _integrate_flow(net, x0, d_rep, e_rep, cfg: SamplerConfig):
     x = x0.astype(np.float32)
     h = 1.0 / cfg.steps
-    traj = [x.copy()] if record else None
 
     def v(xc, tc):
         out = net.velocity(xc, tc, d_rep, e_rep)
@@ -215,36 +214,26 @@ def _integrate_flow(net, x0, d_rep, e_rep, cfg: SamplerConfig, record=False):
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(x).all():
             raise FloatingPointError(f"flow state became non-finite after t={t + h:.4f}")
-        if record:
-            traj.append(x.copy())
-    return (x, np.stack(traj)) if record else (x, None)
+    return x
 
 
-def _flow_start(task, d, e, seeds, n):
-    """Start points and conditioning rows for ``n`` members per instance.
+def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarray:
+    """Posterior ensembles for instances that share one observation count.
 
-    d, e: one row per seed (a 1-D row is one instance). Rows [i*n, (i+1)*n)
-    belong to instance i and start from ``_prior_draws(task, n, seeds[i])``.
+    d, e: one row per seed (a 1-D row is one instance). Instance i's members
+    start from the counter-derived prior draws of ``seeds[i]`` (``cfg.seed``
+    is not used), and all n_inst * ensemble paths integrate as one batch.
+    Returns (n_inst, ensemble, dim_m) float64.
     """
     d = np.atleast_2d(np.asarray(d, dtype=np.float32))
     e = np.atleast_2d(np.asarray(e, dtype=np.float32))
     if not d.shape[0] == e.shape[0] == len(seeds):
         raise ValueError(f"{d.shape[0]} observation rows and {e.shape[0]} design rows "
                          f"for {len(seeds)} seeds")
-    x0 = np.concatenate([_prior_draws(task, n, s) for s in seeds])
-    return x0, np.repeat(d, n, axis=0), np.repeat(e, n, axis=0)
-
-
-def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarray:
-    """Posterior ensembles for instances that share one observation count.
-
-    Instance i's members start from the counter-derived prior draws of
-    ``seeds[i]`` (``cfg.seed`` is not used), and all n_inst * ensemble paths
-    integrate as one batch. Returns (n_inst, ensemble, dim_m) float64.
-    """
-    x0, d_rep, e_rep = _flow_start(net.task, d, e, seeds, cfg.ensemble)
-    x1, _ = _integrate_flow(net, x0, d_rep, e_rep, cfg)
-    return x1.reshape(len(seeds), cfg.ensemble, -1).astype(np.float64)
+    n = cfg.ensemble
+    x0 = np.concatenate([_prior_draws(net.task, n, s) for s in seeds])
+    x1 = _integrate_flow(net, x0, np.repeat(d, n, axis=0), np.repeat(e, n, axis=0), cfg)
+    return x1.reshape(len(seeds), n, -1).astype(np.float64)
 
 
 def sample_posterior(net: VelocityNet, d, e, cfg: SamplerConfig) -> PosteriorEnsemble:
@@ -255,41 +244,3 @@ def sample_posterior(net: VelocityNet, d, e, cfg: SamplerConfig) -> PosteriorEns
     members independently.
     """
     return PosteriorEnsemble(samples=sample_batch(net, d, e, [cfg.seed], cfg)[0])
-
-
-@dataclass
-class StraightnessReport:
-    mean_deviation: float
-    per_path: np.ndarray
-    skipped: int
-    trajectories: np.ndarray     # (steps+1, n_paths, dim_m)
-
-
-def path_straightness(net: VelocityNet, d, e, n_paths: int,
-                      cfg: SamplerConfig) -> StraightnessReport:
-    """Mean relative deviation of flow trajectories from their chords.
-
-    A perfectly straight (optimal-transport) path moves as
-    (1 - t) x(0) + t x(1); for each probe path the maximum distance between
-    x(t) and that time-parametrized chord is divided by the chord length.
-    Degenerate chords (< 1e-9) are skipped and counted.
-    """
-    x0, d_rep, e_rep = _flow_start(net.task, d, e, [cfg.seed], n_paths)
-    _, traj = _integrate_flow(net, x0, d_rep, e_rep, cfg, record=True)
-    ts = np.linspace(0.0, 1.0, traj.shape[0])
-    devs = []
-    skipped = 0
-    for p in range(n_paths):
-        a = traj[0, p].astype(np.float64)
-        b = traj[-1, p].astype(np.float64)
-        chord = np.linalg.norm(b - a)
-        if chord < 1e-9:
-            skipped += 1
-            continue
-        straight = (1.0 - ts[:, None]) * a + ts[:, None] * b
-        dist = np.linalg.norm(traj[:, p].astype(np.float64) - straight, axis=1)
-        devs.append(dist.max() / chord)
-    devs = np.asarray(devs)
-    mean_dev = float(devs.mean()) if devs.size else 0.0
-    return StraightnessReport(mean_deviation=mean_dev, per_path=devs,
-                              skipped=skipped, trajectories=traj)

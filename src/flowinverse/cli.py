@@ -17,12 +17,11 @@ Each subcommand writes, into the output directory (the ``out_dir`` key, else
   sample         ensemble.csv, instance.json
   evaluate       sweep_<task>.csv; on nonlinear also generation_error.json
   mcmc           chain.csv, mcmc_<task>.csv, mcmc_result.json
-  paths          paths.csv, straightness.json
 
 Each manifest's ``phases_s`` holds the wall seconds of the run's main calls:
-generate, train, inference (sample), sweep and generation_error (evaluate),
-chain (mcmc) and paths. ``sample`` and ``mcmc`` on one config draw one instance,
-so phases_s.chain of manifest_mcmc.json over phases_s.inference of
+generate, train, inference (sample), sweep and generation_error (evaluate)
+and chain (mcmc). ``sample`` and ``mcmc`` on one config draw one instance, so
+phases_s.chain of manifest_mcmc.json over phases_s.inference of
 manifest_sample.json is the flow-versus-MH speed-up on that instance.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure. A usage error or an
@@ -46,10 +45,10 @@ import numpy as np
 from . import __version__
 from .artifact import atomic_open
 from .checkpoint import load_checkpoint, save_checkpoint
-from .cfm import SamplerConfig, TrainConfig, path_straightness, sample_posterior, train
+from .cfm import SamplerConfig, TrainConfig, sample_posterior, train
 from .config import ConfigError, config_reference, load_config_file, parse_value, resolve
-from .data import (DataGenConfig, draw_tuples, generate_dataset, load_dataset,
-                   save_dataset)
+from .data import (DataGenConfig, DatasetTaskError, draw_tuples, generate_dataset,
+                   load_dataset, save_dataset)
 from .mcmc import ChainConfig, run_chain
 from .metrics import evaluate_sweep, generation_error, relative_error_de
 from .net import NetConfig, VelocityNet
@@ -150,15 +149,6 @@ def _chain_table(res):
                                                      res.accepted))])
 
 
-def _paths_table(rep):
-    """Header and rows of paths.csv: each path of a ``StraightnessReport`` over t."""
-    traj = rep.trajectories
-    ts = np.linspace(0.0, 1.0, traj.shape[0])
-    return (["path", "t"] + [f"x{i}" for i in range(traj.shape[2])],
-            [[p, f"{t:.6f}"] + [f"{v:.8g}" for v in traj[k, p]]
-             for p in range(traj.shape[1]) for k, t in enumerate(ts)])
-
-
 def _write_json(path, obj):
     with atomic_open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
@@ -209,7 +199,10 @@ def _cmd_train(cfg: dict, out_dir, phases):
                accum_window=cfg["train.accum_window"], seed=cfg["seed"],
                checkpoint_every=cfg["train.checkpoint_every"])
     task = _task_from(cfg)
-    _, shards = load_dataset(data_path, task=task)
+    try:
+        _, shards = load_dataset(data_path, task=task)
+    except DatasetTaskError as err:
+        raise ConfigError(str(err)) from err
     net_cfg = _net_config(cfg, task)
     net = VelocityNet(task, net_cfg, seed=cfg["seed"])
     ckpt_path = cfg["paths.checkpoint"] or os.path.join(out_dir, f"{cfg['task']}.cfmt")
@@ -301,28 +294,12 @@ def _cmd_mcmc(cfg: dict, out_dir, phases):
     return [], [chain_csv, table, result]
 
 
-def _cmd_paths(cfg: dict, out_dir, phases):
-    net, ckpt_path = _load_net(cfg)
-    task = net.task
-    _, e, d = _draw_instance(cfg, task)
-    with _phase(phases, "paths"):
-        rep = path_straightness(net, d, e, cfg["paths.n_paths"], _sampler_config(cfg))
-    out = _write_csv(os.path.join(out_dir, "paths.csv"), *_paths_table(rep))
-    summary = _write_json(os.path.join(out_dir, "straightness.json"),
-                          {"mean_deviation": rep.mean_deviation, "skipped": rep.skipped,
-                           "n_paths": cfg["paths.n_paths"]})
-    print(f"mean relative chord deviation {rep.mean_deviation:.4f} "
-          f"({rep.skipped} degenerate paths skipped)")
-    return [ckpt_path], [out, summary]
-
-
 _BODIES = {
     "generate-data": _cmd_generate_data,
     "train": _cmd_train,
     "sample": _cmd_sample,
     "evaluate": _cmd_evaluate,
     "mcmc": _cmd_mcmc,
-    "paths": _cmd_paths,
 }
 
 

@@ -94,7 +94,6 @@ KEY_SPECS = {
     "eval.n_inferences": (_count, 10000, "instances for the reconstruction error"),
     "instance.n_obs": (_count, None, "observation count of the conditioning instance"),
     "instance.seed": (_seed, 1, "stream for drawing the conditioning instance"),
-    "paths.n_paths": (_count, 32, "trajectories for the straightness probe"),
 }
 
 # task-dependent defaults, applied when the key is not set explicitly

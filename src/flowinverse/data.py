@@ -35,6 +35,10 @@ class DatasetFormatError(artifact.FormatError):
     pass
 
 
+class DatasetTaskError(ValueError):
+    """A dataset of one task loaded for another."""
+
+
 @dataclass
 class DatasetShard:
     n_obs: int
@@ -132,13 +136,17 @@ def load_dataset(path, task=None):
     stored noise must match F(m, e) to within 1e-6 relative to the
     observation scale. That forward model is noise-free, so ``sigma`` does
     not change it and any task of the stored name verifies; passing ``task``
-    only saves building one (for Darcy, its KL basis).
+    saves building one (for Darcy, its KL basis), and a ``task`` of another
+    name raises ``DatasetTaskError`` before anything is verified.
     """
     header, arrays = artifact.read(path, MAGIC, FORMAT_VERSION, DatasetFormatError,
                                    keys=("task", "shards"))
     task_name = header["task"]
     if task_name not in TASKS:
         raise DatasetFormatError(f"{path}: unknown task {task_name!r}")
+    if task is not None and task.name != task_name:
+        raise DatasetTaskError(f"{path}: dataset is for task '{task_name}', "
+                               f"not '{task.name}'")
     try:
         shards = [DatasetShard(n_obs=n_obs, seed=seed,
                                **{k: arrays[f"{i}.{k}"] for k in _ARRAYS})

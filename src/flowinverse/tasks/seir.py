@@ -163,8 +163,11 @@ ROW_LOOP_BELOW = 52
 
 def _observe(m, times):
     """(I, R) at the requested times, through ``_read``. A batch smaller
-    than ``ROW_LOOP_BELOW`` runs one row at a time."""
+    than ``ROW_LOOP_BELOW`` runs one row at a time; an empty one gives an
+    empty (0, n_t, 2) array."""
     if np.ndim(m) == 2 and len(m) < ROW_LOOP_BELOW:
+        if len(m) == 0:
+            return np.empty(np.shape(times) + (2,))
         return np.stack([_observe(row, t) for row, t in zip(m, times)])
     return _read(m, times)[..., 2:4]
 

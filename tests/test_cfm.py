@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from flowinverse import cli
 from flowinverse import tensor as T
-from flowinverse.cfm import (SamplerConfig, TrainConfig, TrainingDivergedError,
-                             cfm_loss, interpolate, path_straightness,
-                             sample_batch, sample_posterior, train)
+from flowinverse.cfm import (SamplerConfig, TrainConfig, TrainingDivergedError, _integrate_flow,
+                             _prior_draws, cfm_loss, interpolate, sample_batch,
+                             sample_posterior, train)
 from flowinverse.data import Batch, DataGenConfig, DatasetShard, generate_dataset
 from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import get_task
@@ -166,6 +165,16 @@ class _ConstantNet:
         return np.broadcast_to(self.c, m_t.shape).copy()
 
 
+class _LinearNet:
+    """The field v = x, under which each solver step multiplies x by a fixed gain."""
+
+    def __init__(self, task):
+        self.task = task
+
+    def velocity(self, m_t, t, d, e):
+        return m_t.copy()
+
+
 class TestSamplerConfig:
     @pytest.mark.parametrize("kwargs, problem", [
         ({"steps": 0}, "steps and ensemble must be >= 1"),
@@ -185,9 +194,22 @@ class TestSamplePosterior:
         net = _ConstantNet([0.25], 1, task)
         cfg = SamplerConfig(steps=steps, method=method, ensemble=6, seed=3)
         ens = sample_posterior(net, [0.5], [0.5], cfg)
-        from flowinverse.cfm import _prior_draws
         x0 = _prior_draws(task, 6, 3)
         np.testing.assert_allclose(ens.samples, x0 + 0.25, atol=5e-7)
+
+    @pytest.mark.parametrize("method", ["euler", "midpoint", "rk4"])
+    @pytest.mark.parametrize("steps", [1, 7, 50])
+    def test_linear_field_endpoint_is_the_solver_gain(self, method, steps):
+        # each step of a solver maps x to g x under v = x, with g the
+        # solver's truncated Taylor series of e^h
+        h = 1.0 / steps
+        gain = {"euler": 1 + h, "midpoint": 1 + h + h ** 2 / 2,
+                "rk4": 1 + h + h ** 2 / 2 + h ** 3 / 6 + h ** 4 / 24}[method]
+        task = get_task("nonlinear")
+        cfg = SamplerConfig(steps=steps, method=method, ensemble=6, seed=4)
+        ens = sample_posterior(_LinearNet(task), [0.5], [0.5], cfg)
+        np.testing.assert_allclose(ens.samples, _prior_draws(task, 6, 4) * gain ** steps,
+                                   rtol=1e-5)
 
     def test_same_seed_identical(self):
         net = tiny_net()
@@ -199,14 +221,21 @@ class TestSamplePosterior:
     def test_batched_members_match_individual_integration(self):
         net = tiny_net()
         cfg = SamplerConfig(steps=8, ensemble=4, seed=2)
-        from flowinverse.cfm import _flow_start, _integrate_flow
-        x0, d_rep, e_rep = _flow_start(net.task, [0.4], [0.6], [2], 4)
-        batch, _ = _integrate_flow(net, x0, d_rep, e_rep, cfg)
-        singles = [
-            _integrate_flow(net, x0[i:i + 1], d_rep[:1], e_rep[:1], cfg)[0][0]
-            for i in range(4)
-        ]
+        batch = sample_posterior(net, [0.4], [0.6], cfg).samples
+        x0 = _prior_draws(net.task, 4, 2)
+        d, e = np.float32([[0.4]]), np.float32([[0.6]])
+        singles = [_integrate_flow(net, x0[i:i + 1], d, e, cfg)[0] for i in range(4)]
         np.testing.assert_allclose(batch, np.stack(singles), atol=1e-6)
+
+    def test_seeded_output_pinned(self):
+        # recorded by the engine of commit 858d25c with every rotary position
+        # set to 0; a change of prior-draw or conditioning stream moves these
+        # by far more than the tolerance
+        ens = sample_posterior(tiny_net(), [0.5], [0.5], SamplerConfig(steps=6, ensemble=4, seed=2))
+        np.testing.assert_allclose(
+            ens.samples[:, 0],
+            [0.21358200907707214, 0.20090940594673157, 0.9198744297027588,
+             0.2551370859146118], rtol=1e-6)
 
     def test_nonfinite_velocity_reported(self):
         task = get_task("nonlinear")
@@ -249,85 +278,3 @@ class TestSampleBatch:
     def test_rejects_seed_count_mismatch(self):
         with pytest.raises(ValueError, match="2 seeds"):
             sample_batch(tiny_net(), self.D, self.E, [1, 2], SamplerConfig(steps=2))
-
-
-class TestPathStraightness:
-    def test_constant_field_zero_deviation(self):
-        task = get_task("nonlinear")
-        net = _ConstantNet([0.7], 1, task)
-        rep = path_straightness(net, [0.5], [0.5], n_paths=5,
-                                cfg=SamplerConfig(steps=20, ensemble=1, seed=0))
-        assert rep.mean_deviation == pytest.approx(0.0, abs=1e-6)
-        assert rep.skipped == 0
-
-    def test_exponential_field_matches_dense_oracle(self):
-        task = get_task("nonlinear")
-
-        class _LinearNet:
-            task = None
-
-            def velocity(self, m_t, t, d, e):
-                return m_t.copy()
-
-        net = _LinearNet()
-        net.task = task
-
-        # dense reference: x' = x from x0, fine RK4, deviation from the
-        # time-parametrized chord
-        def dense_deviation(x0, steps=4096):
-            h = 1.0 / steps
-            xs = [x0]
-            x = x0
-            for k in range(steps):
-                k1 = x
-                k2 = x + 0.5 * h * k1
-                k3 = x + 0.5 * h * k2
-                k4 = x + h * k3
-                x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                xs.append(x)
-            xs = np.array(xs)
-            ts = np.linspace(0, 1, steps + 1)
-            chord = xs[0] + ts * (xs[-1] - xs[0])
-            return np.abs(xs - chord).max() / abs(xs[-1] - xs[0])
-
-        from flowinverse.cfm import _prior_draws
-        x0 = float(_prior_draws(task, 1, 4)[0, 0])
-        rep = path_straightness(net, [0.5], [0.5], n_paths=1,
-                                cfg=SamplerConfig(steps=512, method="rk4",
-                                                  ensemble=1, seed=4))
-        want = dense_deviation(x0)
-        assert want > 0.05
-        assert rep.mean_deviation == pytest.approx(want, rel=1e-2)
-
-    def test_degenerate_chord_skipped(self):
-        task = get_task("nonlinear")
-        net = _ConstantNet([0.0], 1, task)
-        rep = path_straightness(net, [0.5], [0.5], n_paths=3,
-                                cfg=SamplerConfig(steps=5, ensemble=1, seed=0))
-        assert rep.skipped == 3
-        assert rep.mean_deviation == 0.0
-
-    def test_seeded_output_pinned(self):
-        # recorded by the engine of commit 858d25c with every rotary position
-        # set to 0; a change of prior-draw or conditioning stream moves these
-        # by far more than the tolerance
-        rep = path_straightness(tiny_net(), [0.5], [0.5], n_paths=4,
-                                cfg=SamplerConfig(steps=6, seed=2))
-        np.testing.assert_allclose(
-            rep.per_path, [0.01790656489325683, 0.018574093292125362,
-                           0.007390892571487456, 0.016005487061802548], rtol=1e-6)
-        np.testing.assert_allclose(
-            rep.trajectories[-1, :, 0],
-            [0.21358200907707214, 0.20090940594673157, 0.9198744297027588,
-             0.2551370859146118], rtol=1e-6)
-        assert rep.mean_deviation == pytest.approx(0.01496925945466805, rel=1e-6)
-
-    def test_csv_emitted(self, tmp_path):
-        task = get_task("nonlinear")
-        net = _ConstantNet([0.3], 1, task)
-        rep = path_straightness(net, [0.5], [0.5], n_paths=2,
-                                cfg=SamplerConfig(steps=4, ensemble=1, seed=0))
-        out = cli._write_csv(tmp_path / "paths.csv", *cli._paths_table(rep))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "path,t,x0"
-        assert len(lines) == 1 + 2 * 5

@@ -155,6 +155,16 @@ class TestCliBasics:
         assert run_cli("train") == 1
         assert "train requires 'paths.dataset'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["seir", "darcy"])
+    def test_dataset_for_another_task_is_a_usage_error(self, workdir, capsys, task):
+        assert run_cli("generate-data", "--set", "data.tuples_per_n_obs=8",
+                       "--set", "paths.dataset=n.cfmd") == 0
+        capsys.readouterr()
+        assert run_cli("train", "--set", f"task={task}", "--set", "paths.dataset=n.cfmd") == 1
+        assert capsys.readouterr().err == (
+            f"error: n.cfmd: dataset is for task 'nonlinear', not '{task}'\n")
+        assert not list(workdir.rglob("*.cfmt*"))
+
     def test_checkpoint_for_another_task_is_a_usage_error(self, workdir, capsys):
         cfg = NetConfig(n_emb=8, n_head=2, n_layer=1, dim_m=6, obs_token_dim=3)
         save_checkpoint("s.cfmt", "seir", cfg, VelocityNet(tasks.SeirTask(), cfg).params)
@@ -251,9 +261,8 @@ class TestCliBasics:
         assert not list(workdir.rglob("*.cfmd"))
 
     @pytest.mark.parametrize("key, value", [
-        ("eval.trials", "0"), ("eval.n_inferences", "0"), ("paths.n_paths", "0"),
-        ("instance.n_obs", "0"), ("data.n_obs", "4,0"), ("data.n_obs", ""),
-        ("eval.n_obs_list", "-1"),
+        ("eval.trials", "0"), ("eval.n_inferences", "0"), ("instance.n_obs", "0"),
+        ("data.n_obs", "4,0"), ("data.n_obs", ""), ("eval.n_obs_list", "-1"),
     ])
     def test_count_below_one_is_a_usage_error(self, workdir, capsys, key, value):
         rc = run_cli("mcmc", "--set", f"{key}={value}", "--set", "chain.n_samples=5")
@@ -272,13 +281,14 @@ class TestCliBasics:
                                             ("darcy.sigma_w", 0.2),
                                             ("net.rope_base", 10000.0),
                                             ("chain.sigma_obs", 1.0),
-                                            ("net.init_seed", 0)])
+                                            ("net.init_seed", 0),
+                                            ("paths.n_paths", 32)])
     def test_manifest_with_mlp_net_key_is_rejected(self, workdir, capsys, key, value):
         # the keys of deleted variants and fixed constants are gone: the
         # fixed-size MLP velocity net, the printed SEIR ramp, the Darcy bump
         # width, the rotary base, the MH likelihood noise (always the
-        # task's, which data.sigma sets) and the net's init stream (the
-        # master seed's)
+        # task's, which data.sigma sets), the net's init stream (the
+        # master seed's) and the path count of the deleted straightness probe
         (workdir / "old.json").write_text(json.dumps({"config": {key: value}}))
         assert run_cli("mcmc", "--config", "old.json") == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -366,8 +376,6 @@ class TestPipeline:
         assert os.path.exists("generation_error.json")
 
         assert run_cli("mcmc", "--set", "chain.n_samples=40", "--seed", "3") == 0
-        assert run_cli("paths", "--set", "paths.checkpoint=toy.cfmt",
-                       "--set", "paths.n_paths=2", "--set", "sampler.steps=4") == 0
         # every subcommand's manifest times its phases
         for name in cli._BODIES:
             phases = json.load(open(f"manifest_{name.replace('-', '_')}.json"))["phases_s"]
@@ -489,23 +497,6 @@ class TestPipeline:
         assert rc == 0
         assert capsys.readouterr().err.splitlines() == printed
         assert ["warning: " + w for w in json.load(open("mcmc_result.json"))["warnings"]] == printed
-
-    def test_paths_subcommand(self, workdir):
-        run_cli("generate-data", "--set", "data.tuples_per_n_obs=32",
-                "--set", "paths.dataset=p.cfmd")
-        run_cli("train", "--set", "paths.dataset=p.cfmd",
-                "--set", "paths.checkpoint=p.cfmt", "--set", "train.epochs=1",
-                "--set", "net.n_emb=8", "--set", "net.n_head=2",
-                "--set", "net.n_layer=1")
-        rc = run_cli("paths", "--set", "paths.checkpoint=p.cfmt",
-                     "--set", "paths.n_paths=4", "--set", "sampler.steps=8")
-        assert rc == 0
-        lines = open("paths.csv").read().strip().splitlines()
-        assert lines[0] == "path,t,x0"
-        assert len(lines) == 4 * (8 + 1) + 1
-        assert lines[1].startswith("0,0.000000,") and lines[9].startswith("0,1.000000,")
-        summary = json.load(open("straightness.json"))
-        assert "mean_deviation" in summary
 
     def test_out_dir_env_fallback(self, workdir, monkeypatch):
         sub = workdir / "outputs"

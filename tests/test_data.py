@@ -4,8 +4,8 @@ import pytest
 from flowinverse import artifact, cli, data
 from flowinverse.config import resolve
 from flowinverse.data import (FORMAT_VERSION, MAGIC, Batch, DataGenConfig, DatasetFormatError,
-                              DatasetShard, _tuple_rng, batch_iterator, draw_tuples,
-                              generate_dataset, generate_shard, load_dataset,
+                              DatasetShard, DatasetTaskError, _tuple_rng, batch_iterator,
+                              draw_tuples, generate_dataset, generate_shard, load_dataset,
                               save_dataset)
 from flowinverse.tasks import DarcyTask, get_task
 from flowinverse.tasks.nonlinear import NonlinearTask
@@ -189,6 +189,17 @@ class TestPersistence:
                      "epidemic", p)
         with pytest.raises(DatasetFormatError, match="unknown task 'epidemic'"):
             load_dataset(str(p))
+
+    @pytest.mark.parametrize("name", ["seir", "darcy"])
+    def test_task_of_another_name_rejected_before_verifying(self, tmp_path, monkeypatch, name):
+        # verifying nonlinear tuples with another task's forward model fails
+        # in that model, so the names are compared first
+        p = tmp_path / "n.cfmd"
+        save_dataset(generate_dataset(small_config(tuples_per_n_obs=3)), "nonlinear", p)
+        monkeypatch.setattr(data, "_verify_sample", lambda *args: pytest.fail("verified"))
+        with pytest.raises(DatasetTaskError,
+                           match=f"dataset is for task 'nonlinear', not '{name}'"):
+            load_dataset(str(p), task=get_task(name))
 
     @pytest.mark.parametrize("header", [{"task": "nonlinear"}, {"shards": []}, ["nonlinear"]])
     def test_header_lacking_a_key(self, tmp_path, header):

@@ -523,6 +523,12 @@ class TestTaskInterfaces:
         assert d.shape == (3, task.d_width(n_obs))
         assert scale.shape == (3,) and np.all(scale > 0)
 
+    @pytest.mark.parametrize("name", ["nonlinear", "seir", "darcy"])
+    def test_zero_rows_give_empty_arrays(self, name):
+        task = get_task(name)
+        d, scale = task.simulate_batch(np.empty((0, task.dim_m)), np.empty((0, task.e_width(3))), 3)
+        assert d.shape == (0, task.d_width(3)) and scale.shape == (0,)
+
     def test_forward_observed_consistency(self):
         for name in ("nonlinear", "seir", "darcy"):
             task = get_task(name)
