@@ -127,6 +127,8 @@ def train(net: VelocityNet, shards, config: TrainConfig, checkpoint_fn=None):
     n_obs = [s.n_obs for s in shards]
     if len(set(n_obs)) != len(n_obs):       # the epoch noise is drawn per count
         raise ValueError(f"shards repeat an observation count: {n_obs}")
+    if not any(map(len, shards)):
+        raise ValueError("the shards hold no tuples to train on")
     params = net.params
     state = T.AdamState(params, lr=config.lr)
     net.zero_grad()

@@ -9,8 +9,8 @@ is sufficient to reproduce the run bit for bit (rerun with
 This module is the only one that reads the config and the only one that
 writes run outputs; the library calls take plain values and return data.
 Each subcommand writes, into the output directory (the ``out_dir`` key, else
-``$CFM_OUT_DIR``, else ``.``) unless a ``paths.*`` key names the file, its
-``manifest_<subcommand>.json`` and:
+``.``) unless a ``paths.*`` key names the file, its ``manifest_<subcommand>.json``
+and:
 
   generate-data  <task>.cfmd (dataset)
   train          <task>.cfmt (checkpoint; .step<k> ones too), loss_history.csv
@@ -46,7 +46,7 @@ from . import __version__
 from .artifact import atomic_open
 from .checkpoint import load_checkpoint, save_checkpoint
 from .cfm import SamplerConfig, TrainConfig, sample_posterior, train
-from .config import ConfigError, config_reference, load_config_file, parse_value, resolve
+from .config import ConfigError, config_reference, load_config_file, resolve
 from .data import (DataGenConfig, DatasetTaskError, draw_tuples, generate_dataset,
                    load_dataset, save_dataset)
 from .mcmc import ChainConfig, run_chain
@@ -71,7 +71,7 @@ def _build_config(args) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got '{item}'")
         key, _, raw = item.partition("=")
-        explicit[key.strip()] = parse_value(key.strip(), raw.strip())
+        explicit[key.strip()] = raw.strip()
     if args.seed is not None:
         explicit["seed"] = args.seed
     return resolve(explicit)
@@ -83,15 +83,6 @@ def _make(cls, **kwargs):
         return cls(**kwargs)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-
-
-def _task_kwargs(cfg: dict) -> dict:
-    """Task constructor arguments; ``sigma`` only when ``data.sigma`` is set."""
-    return {} if cfg["data.sigma"] is None else {"sigma": cfg["data.sigma"]}
-
-
-def _task_from(cfg: dict):
-    return get_task(cfg["task"], **_task_kwargs(cfg))
 
 
 def _net_config(cfg: dict, task) -> NetConfig:
@@ -121,7 +112,7 @@ def _load_net(cfg: dict):
     ck = load_checkpoint(path)
     if ck.task_name != cfg["task"]:
         raise ConfigError(f"checkpoint is for task '{ck.task_name}', config says '{cfg['task']}'")
-    return VelocityNet(_task_from(cfg), ck.net_config, ck.params), path
+    return VelocityNet(get_task(cfg["task"]), ck.net_config, ck.params), path
 
 
 def _draw_instance(cfg: dict, task):
@@ -182,9 +173,8 @@ def _phase(phases: dict, name):
 
 def _cmd_generate_data(cfg: dict, out_dir, phases):
     path = cfg["paths.dataset"] or os.path.join(out_dir, f"{cfg['task']}.cfmd")
-    gen = _make(DataGenConfig, task=cfg["task"],
-                tuples_per_n_obs=cfg["data.tuples_per_n_obs"], n_obs_set=cfg["data.n_obs"],
-                seed=cfg["seed"], task_kwargs=_task_kwargs(cfg))
+    gen = _make(DataGenConfig, task=cfg["task"], tuples_per_n_obs=cfg["data.tuples_per_n_obs"],
+                n_obs_set=cfg["data.n_obs"], seed=cfg["seed"])
     with _phase(phases, "generate"):
         shards = generate_dataset(gen)
     save_dataset(shards, cfg["task"], path)
@@ -198,11 +188,13 @@ def _cmd_train(cfg: dict, out_dir, phases):
                batch_size=cfg["train.batch_size"],
                accum_window=cfg["train.accum_window"], seed=cfg["seed"],
                checkpoint_every=cfg["train.checkpoint_every"])
-    task = _task_from(cfg)
+    task = get_task(cfg["task"])
     try:
         _, shards = load_dataset(data_path, task=task)
     except DatasetTaskError as err:
         raise ConfigError(str(err)) from err
+    if not any(map(len, shards)):
+        raise ConfigError(f"{data_path}: the dataset holds no tuples")
     net_cfg = _net_config(cfg, task)
     net = VelocityNet(task, net_cfg, seed=cfg["seed"])
     ckpt_path = cfg["paths.checkpoint"] or os.path.join(out_dir, f"{cfg['task']}.cfmt")
@@ -269,10 +261,8 @@ def _cmd_evaluate(cfg: dict, out_dir, phases):
 
 
 def _cmd_mcmc(cfg: dict, out_dir, phases):
-    chain_cfg = _make(ChainConfig, n_samples=cfg["chain.n_samples"],
-                      proposal_scale=cfg["chain.proposal_scale"],
-                      burn_in=cfg["chain.burn_in"], seed=cfg["seed"])
-    task = _task_from(cfg)
+    chain_cfg = _make(ChainConfig, n_samples=cfg["chain.n_samples"], seed=cfg["seed"])
+    task = get_task(cfg["task"])
     m_true, e, d = _draw_instance(cfg, task)
     with _phase(phases, "chain"):
         res = run_chain(task, d, e, chain_cfg)
@@ -331,7 +321,7 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         cfg = _build_config(args)
-        out_dir = cfg["out_dir"] or os.environ.get("CFM_OUT_DIR") or "."
+        out_dir = cfg["out_dir"] or "."
         os.makedirs(out_dir, exist_ok=True)
         phases = {}
         inputs, outputs = _BODIES[args.subcommand](cfg, out_dir, phases)

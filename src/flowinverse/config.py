@@ -4,8 +4,9 @@ Config files hold one ``key = value`` pair per line (``#`` comments and
 blank lines ignored); keys are dotted per module, e.g. ``train.lr``.
 Command-line ``--set key=value`` overrides file values; ``--seed`` overrides
 the master seed. Every key has a documented default below; some defaults
-depend on the task (the published hyperparameters differ between tasks). A
-key that feeds a library config field, such as ``net.n_emb``, reads its default.
+depend on the task (the published hyperparameters differ between tasks), and
+the evaluation and instance counts derive from ``data.n_obs``. A key that
+feeds a library config field, such as ``net.n_emb``, reads its default.
 
 Only ``cli`` reads this module: it resolves a run's config into a plain dict
 and passes plain values on to the library, which never sees a config key.
@@ -47,37 +48,23 @@ def _count_list(v):
     return tuple(_count(x) for x in items)
 
 
-def _opt_float(v):
-    if v is None or str(v).strip().lower() in ("", "none", "default"):
-        return None
-    return float(v)
-
-
-def _opt_scale(v):
-    x = _opt_float(v)
-    if x is not None and not 0.0 < x < float("inf"):
-        raise ValueError(f"expected a finite value > 0, got {x}")
-    return x
-
-
 def _str(v):
     return None if v is None else str(v)   # a manifest records an unset key as null
 
 
-# key -> (parser, default, help); None default means "task-dependent" or unset
+# key -> (parser, default, help); None default means "set per task", derived or unset
 KEY_SPECS = {
     "task": (_str, "nonlinear", "one of nonlinear | seir | darcy"),
     "seed": (_seed, 0, "master seed; all randomness derives from it"),
-    "out_dir": (_str, None, "output directory (fallback: $CFM_OUT_DIR, then '.')"),
+    "out_dir": (_str, None, "output directory (default '.')"),
     "paths.dataset": (_str, None, "dataset file to read or write"),
     "paths.checkpoint": (_str, None, "checkpoint file to read or write"),
     "data.tuples_per_n_obs": (_int, None, "tuples per observation count"),
     "data.n_obs": (_count_list, None, "observation counts, e.g. '4,5,6,7,8'"),
-    "data.sigma": (_opt_scale, None, "noise scale override (task default if unset)"),
     "net.n_emb": (_int, NetConfig.n_emb, "embedding width"),
     "net.n_head": (_int, NetConfig.n_head, "attention heads"),
-    "net.n_layer": (_int, None, "transformer blocks"),
-    "train.lr": (float, None, "Adam learning rate"),
+    "net.n_layer": (_int, NetConfig.n_layer, "transformer blocks"),
+    "train.lr": (float, TrainConfig.lr, "Adam learning rate"),
     "train.epochs": (_int, None, "training epochs"),
     "train.batch_size": (_int, TrainConfig.batch_size, "tuples per batch"),
     "train.accum_window": (_int, TrainConfig.accum_window, "batches accumulated per optimizer step"),
@@ -87,8 +74,6 @@ KEY_SPECS = {
     "sampler.method": (_str, SamplerConfig.method, "euler | midpoint | rk4"),
     "sampler.ensemble": (_int, SamplerConfig.ensemble, "posterior draws per inference"),
     "chain.n_samples": (_int, ChainConfig.n_samples, "MCMC chain length"),
-    "chain.burn_in": (float, ChainConfig.burn_in, "burn-in fraction discarded"),
-    "chain.proposal_scale": (_opt_float, ChainConfig.proposal_scale, "proposal std (tuned if unset)"),
     "eval.n_obs_list": (_count_list, None, "sweep observation counts"),
     "eval.trials": (_count, 25, "fresh instances per observation count"),
     "eval.n_inferences": (_count, 10000, "instances for the reconstruction error"),
@@ -96,35 +81,31 @@ KEY_SPECS = {
     "instance.seed": (_seed, 1, "stream for drawing the conditioning instance"),
 }
 
-# task-dependent defaults, applied when the key is not set explicitly
+# the paper's values where they differ by task, applied when the key is not set
 TASK_DEFAULTS = {
     "nonlinear": {
-        "net.n_layer": 4,
-        "train.lr": 8e-4,
         "train.epochs": 16,
         "data.tuples_per_n_obs": 100_000,
         "data.n_obs": (1,),
-        "eval.n_obs_list": (1,),
-        "instance.n_obs": 1,
     },
     "seir": {
         "net.n_layer": 6,
-        "train.lr": 8e-4,
         "train.epochs": 30,
         "data.tuples_per_n_obs": 20_000,
         "data.n_obs": (4, 5, 6, 7, 8),
-        "eval.n_obs_list": (4, 5, 6, 7, 8),
-        "instance.n_obs": 8,
     },
     "darcy": {
-        "net.n_layer": 4,
         "train.lr": 3e-4,
         "train.epochs": 40,
         "data.tuples_per_n_obs": 4_000,
         "data.n_obs": (4, 5, 6, 7, 8),
-        "eval.n_obs_list": (4, 5, 6, 7, 8),
-        "instance.n_obs": 8,
     },
+}
+
+# defaults computed from the resolved data.n_obs: key -> (shown as, function)
+DERIVED_DEFAULTS = {
+    "eval.n_obs_list": ("data.n_obs", tuple),
+    "instance.n_obs": ("max(data.n_obs)", max),
 }
 
 
@@ -132,7 +113,7 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_value(key, raw):
+def _parse_value(key, raw):
     if key not in KEY_SPECS:
         known = "\n  ".join(sorted(KEY_SPECS))
         raise ConfigError(f"unknown config key '{key}'; valid keys:\n  {known}")
@@ -144,7 +125,7 @@ def parse_value(key, raw):
 
 
 def parse_config_text(text):
-    """Parse flat 'key = value' lines into a dict of typed values."""
+    """Split flat 'key = value' lines into a dict of raw value strings."""
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -153,13 +134,12 @@ def parse_config_text(text):
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{stripped}'")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        out[key] = parse_value(key, raw.strip())
+        out[key.strip()] = raw.strip()
     return out
 
 
 def load_config_file(path):
-    """Read a config from a flat-text file or from a run manifest (.json)."""
+    """Read the raw values of a flat-text config file or of a run manifest (.json)."""
     with open(path) as f:
         text = f.read()
     if path.endswith(".json"):
@@ -170,18 +150,23 @@ def load_config_file(path):
         explicit = manifest.get("config", manifest) if isinstance(manifest, dict) else None
         if not isinstance(explicit, dict):
             raise ConfigError(f"{path}: expected a JSON object of config keys")
-        return {k: parse_value(k, v) for k, v in explicit.items()}
+        return explicit
     return parse_config_text(text)
 
 
 def resolve(explicit: dict) -> dict:
-    """Every key's value: explicit, else the task's default, else the key's."""
-    explicit = {k: parse_value(k, v) for k, v in explicit.items()}
+    """Every key's value: explicit, else the task's default, else one derived
+    from ``data.n_obs``, else the key's own. Only here are raw values parsed."""
+    explicit = {k: _parse_value(k, v) for k, v in explicit.items()}
     task = explicit.get("task", KEY_SPECS["task"][1])
     if task not in TASK_DEFAULTS:
         raise ConfigError(f"unknown task '{task}'; expected one of {sorted(TASK_DEFAULTS)}")
     values = {key: default for key, (_, default, _h) in KEY_SPECS.items()}
-    return {**values, **TASK_DEFAULTS[task], **explicit}
+    cfg = {**values, **TASK_DEFAULTS[task], **explicit}
+    for key, (_, derive) in DERIVED_DEFAULTS.items():
+        if key not in explicit:
+            cfg[key] = derive(cfg["data.n_obs"])
+    return cfg
 
 
 def _show(value):
@@ -189,12 +174,18 @@ def _show(value):
 
 
 def config_reference():
-    """Human-readable key reference: key, default, help. A task-dependent
-    key shows each task's default instead, e.g. ``nonlinear=16 seir=30 darcy=40``."""
+    """Human-readable key reference: key, default, help. A key's default is
+    followed by the tasks that differ from it (``default=4 seir=6``); a key
+    every task sets shows only theirs, and a derived key its source
+    (``= max(data.n_obs)``)."""
     lines = []
     for key, (_, default, help_) in sorted(KEY_SPECS.items()):
-        per_task = [f"{task}={_show(values[key])}" for task, values in TASK_DEFAULTS.items()
-                    if key in values]
-        d = " ".join(per_task) if per_task else f"default={default!r}"
-        lines.append(f"{key:26s} {d:24s} {help_}")
+        if key in DERIVED_DEFAULTS:
+            shown = ["= " + DERIVED_DEFAULTS[key][0]]
+        else:
+            shown = [f"{task}={_show(values[key])}" for task, values in TASK_DEFAULTS.items()
+                     if key in values]
+            if default is not None or not shown:
+                shown.insert(0, f"default={default!r}")
+        lines.append(f"{key:26s} {' '.join(shown):24s} {help_}")
     return "\n".join(lines)

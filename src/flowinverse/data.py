@@ -13,7 +13,7 @@ stores its arrays m, e, d and eta as ``i.m``, ``i.e``, ``i.d`` and ``i.eta``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class DataGenConfig:
     tuples_per_n_obs: int
     n_obs_set: tuple          # observation counts, one shard each
     seed: int = 0
-    task_kwargs: dict = field(default_factory=dict)   # e.g. sigma, the noise level
 
     def __post_init__(self):
         if self.tuples_per_n_obs <= 0:
@@ -113,7 +112,7 @@ def generate_shard(task, n_obs, count, seed) -> DatasetShard:
 
 def generate_dataset(config: DataGenConfig) -> list[DatasetShard]:
     """Sample (m, e, eta) per tuple and push through the forward model."""
-    task = get_task(config.task, **config.task_kwargs)
+    task = get_task(config.task)
     return [generate_shard(task, n, config.tuples_per_n_obs, config.seed)
             for n in config.n_obs_set]
 

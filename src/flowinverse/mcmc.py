@@ -3,8 +3,9 @@
 The unnormalized log-posterior combines a Gaussian likelihood on the
 observations with the task prior (flat inside the uniform box, standard
 normal for the permeability coefficients). Proposals are isotropic Gaussian
-steps whose scale is tuned in a short pilot phase toward a 20-40% acceptance
-rate; the proposal is symmetric so no Hastings correction is needed.
+steps; every chain tunes their scale in a short pilot phase toward a 20-40%
+acceptance rate, then discards the first ``BURN_IN`` fraction of its main
+chain. The proposal is symmetric so no Hastings correction is needed.
 """
 
 from __future__ import annotations
@@ -17,23 +18,17 @@ import numpy as np
 TUNE_ROUNDS = 30       # pilot rounds at most
 TUNE_STEPS = 60        # proposals per pilot round
 ACCEPT_BAND = (0.2, 0.4)   # acceptance rates the tuner aims for
+BURN_IN = 0.5          # fraction of the main chain discarded
 
 
 @dataclass
 class ChainConfig:
     n_samples: int = 10_000
-    proposal_scale: float | None = None   # None: auto-tune
-    burn_in: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if not 0.0 <= self.burn_in < 1.0:
-            raise ValueError("burn_in fraction must lie in [0, 1)")
-        v = self.proposal_scale
-        if v is not None and not (np.isfinite(v) and v > 0):
-            raise ValueError(f"proposal_scale must be finite and > 0, got {v}")
 
 
 @dataclass
@@ -44,7 +39,7 @@ class ChainResult:
     samples: np.ndarray          # chain[burn-in:], the retained states
     acceptance_rate: float
     posterior_mean: np.ndarray
-    proposal_scale: float
+    proposal_scale: float        # the tuned proposal std
     warnings: list = field(default_factory=list)
 
 
@@ -96,12 +91,12 @@ def _tune_scale(m, logp, scale, rng, logpost):
 def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
     """Run one chain conditioned on a single observation tuple.
 
-    The chain starts from a prior draw; when ``proposal_scale`` is unset a
-    tuning phase (not retained) adapts it from 0.1. The result holds every
-    main-chain state with its log-posterior and acceptance flag; ``samples``
-    drops the first ``burn_in`` fraction of them. ``warnings`` names a chain
-    that stalled and, for a tuned chain, a tuning that ran out of rounds or
-    a main-chain acceptance outside ``ACCEPT_BAND``.
+    The chain starts from a prior draw, and a tuning phase (not retained)
+    adapts the proposal scale from 0.1. The result holds every main-chain
+    state with its log-posterior and acceptance flag; ``samples`` drops the
+    first ``BURN_IN`` fraction of them. ``warnings`` names a tuning that ran
+    out of rounds, a chain that stalled and a main-chain acceptance outside
+    ``ACCEPT_BAND``.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x6d636d63)))
     d = np.asarray(d, dtype=np.float64).reshape(-1)
@@ -114,12 +109,10 @@ def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
     m = task.prior_sample(rng, 1)[0]
     logp = logpost(m)
     warns = []
-    scale = cfg.proposal_scale
-    if scale is None:
-        m, logp, scale, reached = _tune_scale(m, logp, 0.1, rng, logpost)
-        if not reached:
-            warns.append(f"tuning ran out of rounds: no pilot round of the {TUNE_ROUNDS} "
-                         f"accepted within {list(ACCEPT_BAND)}; scale is {scale:.3g}")
+    m, logp, scale, reached = _tune_scale(m, logp, 0.1, rng, logpost)
+    if not reached:
+        warns.append(f"tuning ran out of rounds: no pilot round of the {TUNE_ROUNDS} "
+                     f"accepted within {list(ACCEPT_BAND)}; scale is {scale:.3g}")
 
     chain = np.empty((cfg.n_samples, m.shape[0]))
     logps = np.empty(cfg.n_samples)
@@ -140,9 +133,9 @@ def run_chain(task, d, e, cfg: ChainConfig) -> ChainResult:
                 stall_warned = True
 
     rate = float(accepted.mean())
-    if cfg.proposal_scale is None and not ACCEPT_BAND[0] <= rate <= ACCEPT_BAND[1]:
+    if not ACCEPT_BAND[0] <= rate <= ACCEPT_BAND[1]:
         warns.append(f"acceptance {rate:.3f} outside the tuning band {list(ACCEPT_BAND)}")
-    keep = chain[int(cfg.burn_in * cfg.n_samples):]
+    keep = chain[int(BURN_IN * cfg.n_samples):]
     return ChainResult(chain=chain, log_posterior=logps, accepted=accepted,
                        samples=keep, acceptance_rate=rate, posterior_mean=keep.mean(axis=0),
                        proposal_scale=scale, warnings=warns)

@@ -148,6 +148,17 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"repeat an observation count: \[1, 1\]"):
             train(tiny_net(), shards, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("rows", [None, 0], ids=["no-shards", "empty-shard"])
+    def test_rejects_shards_without_tuples(self, rows):
+        shards = [] if rows is None else [DatasetShard(
+            n_obs=1, m=np.empty((0, 1)), e=np.empty((0, 2)), d=np.empty((0, 1)),
+            eta=np.empty((0, 1)))]
+        calls = []
+        with pytest.raises(ValueError, match="no tuples to train on"):
+            train(tiny_net(), shards, TrainConfig(epochs=1, checkpoint_every=1),
+                  checkpoint_fn=lambda *args: calls.append(args))
+        assert calls == []
+
     def test_loss_decreases(self):
         shards = tiny_dataset(count=512)
         tc = TrainConfig(lr=3e-3, epochs=6, batch_size=64, accum_window=1, seed=1)
