@@ -4,7 +4,8 @@ Each run reads a flat key=value config file (optionally a previous run's
 manifest), applies --set overrides, executes, and writes a manifest with the
 resolved config, master seed, and content hashes of every input file, which
 is sufficient to reproduce the run bit for bit (rerun with
-``--config <manifest.json>``).
+``--config <manifest.json>``; its values equal to their defaults count as
+unset, so ``--set task=...`` or ``data.n_obs=...`` takes the new defaults).
 
 This module is the only one that reads the config and the only one that
 writes run outputs; the library calls take plain values and return data.
@@ -17,6 +18,9 @@ and:
   sample         ensemble.csv, instance.json
   evaluate       sweep_<task>.csv; on nonlinear also generation_error.json
   mcmc           chain.csv, mcmc_<task>.csv, mcmc_result.json
+
+``train`` reads the dataset, and ``sample`` and ``evaluate`` the checkpoint,
+from those paths; a missing file exits 2 with ``error: ...`` and its path.
 
 Each manifest's ``phases_s`` holds the wall seconds of the run's main calls:
 generate, train, inference (sample), sweep and generation_error (evaluate)
@@ -98,15 +102,15 @@ def _sampler_config(cfg: dict) -> SamplerConfig:
                  ensemble=cfg["sampler.ensemble"], seed=cfg["seed"])
 
 
-def _require(cfg, key, what):
-    v = cfg[key]
-    if v is None:
-        raise ConfigError(f"{what} requires '{key}' (see --set {key}=...)")
-    return v
+def _path(cfg: dict, out_dir, key):
+    """``paths.dataset`` or ``paths.checkpoint``, else ``<out_dir>/<task>.cfmd``
+    or ``.cfmt``: where one subcommand writes the file and the next reads it."""
+    ext = {"paths.dataset": "cfmd", "paths.checkpoint": "cfmt"}[key]
+    return cfg[key] or os.path.join(out_dir, f"{cfg['task']}.{ext}")
 
 
-def _load_net(cfg: dict):
-    path = _require(cfg, "paths.checkpoint", "this subcommand")
+def _load_net(cfg: dict, out_dir):
+    path = _path(cfg, out_dir, "paths.checkpoint")
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     ck = load_checkpoint(path)
@@ -172,7 +176,7 @@ def _phase(phases: dict, name):
 # ---------------------------------------------------------------------------
 
 def _cmd_generate_data(cfg: dict, out_dir, phases):
-    path = cfg["paths.dataset"] or os.path.join(out_dir, f"{cfg['task']}.cfmd")
+    path = _path(cfg, out_dir, "paths.dataset")
     gen = _make(DataGenConfig, task=cfg["task"], tuples_per_n_obs=cfg["data.tuples_per_n_obs"],
                 n_obs_set=cfg["data.n_obs"], seed=cfg["seed"])
     with _phase(phases, "generate"):
@@ -183,7 +187,7 @@ def _cmd_generate_data(cfg: dict, out_dir, phases):
 
 
 def _cmd_train(cfg: dict, out_dir, phases):
-    data_path = _require(cfg, "paths.dataset", "train")
+    data_path = _path(cfg, out_dir, "paths.dataset")
     tc = _make(TrainConfig, lr=cfg["train.lr"], epochs=cfg["train.epochs"],
                batch_size=cfg["train.batch_size"],
                accum_window=cfg["train.accum_window"], seed=cfg["seed"],
@@ -197,7 +201,7 @@ def _cmd_train(cfg: dict, out_dir, phases):
         raise ConfigError(f"{data_path}: the dataset holds no tuples")
     net_cfg = _net_config(cfg, task)
     net = VelocityNet(task, net_cfg, seed=cfg["seed"])
-    ckpt_path = cfg["paths.checkpoint"] or os.path.join(out_dir, f"{cfg['task']}.cfmt")
+    ckpt_path = _path(cfg, out_dir, "paths.checkpoint")
 
     def save_at(step, epoch, trained):
         save_checkpoint(ckpt_path + f".step{step}", cfg["task"], net_cfg,
@@ -217,7 +221,7 @@ def _cmd_train(cfg: dict, out_dir, phases):
 
 
 def _cmd_sample(cfg: dict, out_dir, phases):
-    net, ckpt_path = _load_net(cfg)
+    net, ckpt_path = _load_net(cfg, out_dir)
     task = net.task
     m_true, e, d = _draw_instance(cfg, task)
     with _phase(phases, "inference"):
@@ -234,7 +238,7 @@ def _cmd_sample(cfg: dict, out_dir, phases):
 
 
 def _cmd_evaluate(cfg: dict, out_dir, phases):
-    net, ckpt_path = _load_net(cfg)
+    net, ckpt_path = _load_net(cfg, out_dir)
     task = net.task
     with _phase(phases, "sweep"):
         reports = evaluate_sweep(net, task, cfg["eval.n_obs_list"], cfg["eval.trials"],

@@ -57,8 +57,8 @@ KEY_SPECS = {
     "task": (_str, "nonlinear", "one of nonlinear | seir | darcy"),
     "seed": (_seed, 0, "master seed; all randomness derives from it"),
     "out_dir": (_str, None, "output directory (default '.')"),
-    "paths.dataset": (_str, None, "dataset file to read or write"),
-    "paths.checkpoint": (_str, None, "checkpoint file to read or write"),
+    "paths.dataset": (_str, None, "dataset file (default <out_dir>/<task>.cfmd)"),
+    "paths.checkpoint": (_str, None, "checkpoint file (default <out_dir>/<task>.cfmt)"),
     "data.tuples_per_n_obs": (_int, None, "tuples per observation count"),
     "data.n_obs": (_count_list, None, "observation counts, e.g. '4,5,6,7,8'"),
     "net.n_emb": (_int, NetConfig.n_emb, "embedding width"),
@@ -139,7 +139,8 @@ def parse_config_text(text):
 
 
 def load_config_file(path):
-    """Read the raw values of a flat-text config file or of a run manifest (.json)."""
+    """Read the raw values of a flat-text config file, or those a run manifest
+    (.json) did not leave at their defaults."""
     with open(path) as f:
         text = f.read()
     if path.endswith(".json"):
@@ -150,8 +151,20 @@ def load_config_file(path):
         explicit = manifest.get("config", manifest) if isinstance(manifest, dict) else None
         if not isinstance(explicit, dict):
             raise ConfigError(f"{path}: expected a JSON object of config keys")
-        return explicit
+        return _set_in_manifest(explicit)
     return parse_config_text(text)
+
+
+def _set_in_manifest(recorded: dict) -> dict:
+    """The manifest's task and the raw values that differ from what resolve
+    gives that task (for a derived key, the manifest's ``data.n_obs``): a
+    manifest records every key, so the rest count as unset."""
+    values = {k: _parse_value(k, v) for k, v in recorded.items()}
+    defaults = resolve({"task": values["task"]} if "task" in values else {})
+    if "data.n_obs" in values:
+        defaults.update((k, derive(values["data.n_obs"]))
+                        for k, (_, derive) in DERIVED_DEFAULTS.items())
+    return {k: v for k, v in recorded.items() if k == "task" or values[k] != defaults[k]}
 
 
 def resolve(explicit: dict) -> dict:

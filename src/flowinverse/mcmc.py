@@ -44,14 +44,15 @@ class ChainResult:
 
 
 def log_posterior(task, m, d, e, sigma_obs):
-    """Unnormalized log pi(m | d, e); -inf outside the prior support."""
+    """Unnormalized log pi(m | d, e); -inf outside the prior support, and with
+    a warning where the forward model fails numerically (other errors raise)."""
     lp = task.log_prior(m)
     if not np.isfinite(lp):
         return -np.inf
     try:
         pred = task.forward_observed(np.asarray(m, dtype=np.float64),
                                      np.asarray(e, dtype=np.float64))
-    except Exception as err:
+    except FloatingPointError as err:     # SEIR's non-finite state, Darcy's SolverError
         warnings.warn(f"forward model failed during MCMC: {err}")
         return -np.inf
     r = np.asarray(d, dtype=np.float64).reshape(-1) - np.asarray(pred).reshape(-1)

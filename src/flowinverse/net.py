@@ -8,13 +8,13 @@ mixes them; a final RMS norm and a linear head read the velocity off the
 state token alone. So the same weights accept any number of observations,
 and the velocity does not depend on their order beyond float rounding.
 
-Each block is two tape records, the fused pre-norm sub-blocks
+The forward pass is one tape record per layer: :func:`tensor.token_embedding`,
+:func:`tensor.time_embedding`, each block's fused pre-norm sub-blocks
 :func:`tensor.attention_block` (q|k|v packed in one (E, 3E) weight
-``attn.wqkv``) and :func:`tensor.mlp_block`. Since the head reads only the
-state token, the last block computes its query, output projection, residual
-and MLP for that token alone, as a (batch, n_emb) row each; keys and values
-still come from every token. So the final norm and the head act on those
-rows and give the velocity directly, with no reshape on the tape.
+``attn.wqkv``) and :func:`tensor.mlp_block`, and :func:`tensor.head` (final
+norm and read-out). Since the head reads only the state token, the last block
+computes its query, output projection, residual and MLP for that token alone,
+as a (batch, n_emb) row each; keys and values still come from every token.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is
@@ -70,18 +70,6 @@ def timestep_basis(t, dim: int) -> np.ndarray:
 # One block's parameters in the argument order of its two fused sub-blocks.
 _BLOCK_PARAMS = ("ln1.g", "attn.wqkv.w", "attn.wqkv.b", "attn.wo.w", "attn.wo.b",
                 "ln2.g", "mlp.fc.w", "mlp.fc.b", "mlp.proj.w", "mlp.proj.b")
-
-
-def _linear(x: Tensor, params: dict, name: str) -> Tensor:
-    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"])
-
-
-def timestep_embed(params: dict, t, dim: int) -> Tensor:
-    """Sinusoidal basis followed by a 2-layer MLP with squared-ReLU; flow
-    times of shape ``s`` give an embedding of shape ``s + (dim,)``."""
-    basis = Tensor(timestep_basis(t, dim), dtype=params["temb.fc1.w"].dtype)
-    h = T.relu_squared(_linear(basis, params, "temb.fc1"))
-    return _linear(h, params, "temb.fc2")
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +148,21 @@ class VelocityNet:
         if obs.shape[1] == 0:
             raise ValueError("cannot tokenize an empty observation list")
         dt = params["head.w"].dtype
-        parts = [_linear(Tensor(obs, dtype=dt), params, "embed.obs")]
-        if design is not None:
-            parts.append(_linear(Tensor(design, dtype=dt), params, "embed.design"))
-        m_t = np.asarray(m_t)[:, None, :]
-        parts.append(_linear(Tensor(m_t, dtype=dt), params, "embed.state"))
-        x = T.concat(parts, axis=1)                       # (B, n_tokens, E)
+        tokens = {"obs": obs, "design": design, "state": np.asarray(m_t)[:, None, :]}
+        x = T.token_embedding((Tensor(f, dtype=dt), params[f"embed.{k}.w"], params[f"embed.{k}.b"])
+                              for k, f in tokens.items() if f is not None)  # (B, n_tokens, E)
 
         # a shared scalar t is embedded once, (1, 1, E); times of shape (B,) give (B, 1, E)
-        t = np.asarray(t).reshape(-1, 1)
-        x = T.add(x, timestep_embed(params, t, config.n_emb))     # to every token
+        basis = timestep_basis(np.asarray(t).reshape(-1, 1), config.n_emb)
+        temb = [params[f"temb.{name}"] for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b")]
+        x = T.time_embedding(x, basis, *temb)
 
         for i in range(config.n_layer):
             p = [params[f"block{i}.{name}"] for name in _BLOCK_PARAMS]
             x = T.attention_block(x, *p[:5], config.n_head, state_only=i == config.n_layer - 1)
             x = T.mlp_block(x, *p[5:])
         # x is the state token alone now: (B, E)
-        return _linear(T.rms_norm(x, params["ln_f.g"]), params, "head")
+        return T.head(x, params["ln_f.g"], params["head.w"], params["head.b"])
 
     def velocity(self, m_t, t, d, e) -> np.ndarray:
         """Inference-mode forward pass (no tape recording)."""

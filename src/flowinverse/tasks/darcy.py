@@ -122,8 +122,8 @@ def kl_expand(m, basis: KLBasis) -> np.ndarray:
 # finite-volume solver
 # ---------------------------------------------------------------------------
 
-class SolverError(RuntimeError):
-    pass
+class SolverError(FloatingPointError):
+    """A permeability the finite-volume solve cannot handle numerically."""
 
 
 def _solve_dirichlet(kappa, left_vals, right_vals):

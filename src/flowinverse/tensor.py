@@ -6,13 +6,13 @@ works too, for finite-difference gradient checks. The graph is recorded on an
 explicit :class:`Tape` that is rebuilt for every forward pass, so batches
 with different sequence lengths pose no problem.
 
-The tape ops are the ones the velocity net and its loss record: the
-primitives :func:`add`, :func:`concat`, :func:`linear`, :func:`relu_squared`
-and :func:`rms_norm`, the loss :func:`mse`, and the transformer's two
-pre-norm sub-blocks, :func:`attention_block` and :func:`mlp_block`. The
-sub-blocks are one op each with a hand-written backward; their intermediates
-are private, so they reuse buffers in place, and their backward recomputes
-the cheap ones instead of keeping them on the tape.
+The tape ops are the layers of the velocity net and its loss, one record
+each: :func:`token_embedding`, :func:`time_embedding`, the transformer's two
+pre-norm sub-blocks :func:`attention_block` and :func:`mlp_block`,
+:func:`head` and the loss :func:`mse`. Each has a hand-written backward built
+from one set of private formulas; intermediates are private, so the blocks
+reuse buffers in place, and backwards recompute the cheap ones instead of
+keeping them on the tape.
 
 Reductions use numpy's fixed evaluation order, so results are bitwise
 reproducible for identical inputs.
@@ -113,24 +113,11 @@ def _record(out, inputs, backward_fn):
     return out
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # shared formulas
 # ---------------------------------------------------------------------------
-# Each forward and backward formula is written once, on arrays; the
-# primitives and the fused blocks below call the same helpers.
+# Each forward and backward formula is written once, on arrays; every op
+# below calls the same helpers.
 
 RMS_EPS = 1e-8
 
@@ -247,78 +234,65 @@ def _attention_bwd(g, cache):
 
 
 # ---------------------------------------------------------------------------
-# primitive operations
-# ---------------------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, dtype=a.dtype)
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _record(out, (a, b), bwd)
-
-
-def concat(tensors, axis: int) -> Tensor:
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), dtype=tensors[0].dtype)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(out, tuple(tensors), bwd)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """(..., k) @ (k, n) + (n,) as one 2-D GEMM; ``x`` gets a gradient only
-    if it requires one (raw token features do not)."""
-    _check_linear(x.shape, w, b)
-    k, n = w.shape
-    xd = x.data
-    x2 = xd.reshape(-1, k)
-    out = Tensor(_linear_fwd(x2, w.data, b.data).reshape(xd.shape[:-1] + (n,)), dtype=x.dtype)
-
-    def bwd(g):
-        gx, gw, gb = _linear_bwd(g.reshape(-1, n), x2, w.data, x.requires_grad)
-        return (None if gx is None else gx.reshape(xd.shape)), gw, gb
-
-    return _record(out, (x, w, b), bwd)
-
-
-def relu_squared(x: Tensor) -> Tensor:
-    sq, r = _relu_squared(x.data)
-
-    def bwd(g):
-        return (_relu_squared_bwd(g, r),)
-
-    return _record(Tensor(sq, dtype=x.dtype), (x,), bwd)
-
-
-def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
-    """Scale each trailing-axis vector to unit root-mean-square, times gain."""
-    _check_rms(x.shape, gain)
-    inv = _rms_inv(x.data)
-    y, _ = _rms_scale(x.data, gain.data, inv)
-
-    def bwd(g):
-        _, xhat = _rms_scale(x.data, gain.data, inv)
-        return _rms_bwd(g, x.data, gain.data, inv, xhat)
-
-    return _record(Tensor(y, dtype=x.dtype), (x, gain), bwd)
-
-
-# ---------------------------------------------------------------------------
-# fused transformer sub-blocks
+# layers
 # ---------------------------------------------------------------------------
 # One tape record each, with a hand-written backward. Each runs the float
-# operations of rms_norm, linear, attention or relu² and a residual add, in
-# that composition's order, so (without ``state_only``) its output and
-# gradients are bitwise the composition's; tests/test_tensor.py checks this
-# against a plain-numpy composition. The tape keeps 1 / rms(x), the
-# attention's q, kᵀ, v and weights, its context and relu(f); the backward
-# recomputes the normalised input and relu².
+# operations of the composition it fuses (linear layers, relu², an rms norm,
+# attention, a concat or an add), in that composition's order, so (without
+# ``state_only``) its output and gradients are bitwise the composition's;
+# tests/test_tensor.py checks this against a plain-numpy composition. The
+# sub-blocks' tape keeps 1 / rms(x), the attention's q, kᵀ, v and weights,
+# its context and relu(f); the backward recomputes the normalised input and
+# relu².
+
+def token_embedding(groups) -> Tensor:
+    """Project each ``(features, w, b)`` group, features (B, n_g, k), to
+    (B, n_g, E) and join the groups along the token axis. A group's features
+    get a gradient only if they require one (raw token features do not)."""
+    groups = list(groups)
+    E = groups[0][1].shape[-1]
+    for f, w, b in groups:
+        _check_linear(f.shape, w, b, E)
+    out = np.concatenate([_linear_fwd(f.data.reshape(-1, w.shape[0]), w.data, b.data)
+                          .reshape(f.shape[:-1] + (E,)) for f, w, b in groups], axis=1)
+    splits = np.cumsum([f.shape[1] for f, _, _ in groups])[:-1]
+
+    def bwd(g):
+        grads = []
+        for gi, (f, w, _) in zip(np.split(g, splits, axis=1), groups):
+            gx, gw, gb = _linear_bwd(gi.reshape(-1, E), f.data.reshape(-1, w.shape[0]), w.data,
+                                     f.requires_grad)
+            grads += [None if gx is None else gx.reshape(f.shape), gw, gb]
+        return grads
+
+    inputs = tuple(t for group in groups for t in group)
+    return _record(Tensor(out, dtype=groups[0][0].dtype), inputs, bwd)
+
+
+def time_embedding(x: Tensor, basis, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """x + w2(relu²(w1(basis))) for a (B, T, E) sequence. ``basis`` is a
+    constant (B or 1, 1, k) array, the flow-time features of each row or of
+    one time all rows share; its embedding is added to every token."""
+    B, _, E = x.shape
+    basis = np.asarray(basis, dtype=w1.dtype)
+    if basis.ndim != 3 or basis.shape[0] not in (1, B) or basis.shape[1] != 1:
+        raise ValueError(f"time_embedding basis must have shape ({B} or 1, 1, k), "
+                         f"got {basis.shape}")
+    _check_linear(basis.shape, w1, b1)
+    _check_linear(w1.shape, w2, b2, E)
+    x2 = basis.reshape(len(basis), -1)
+    sq, r = _relu_squared(_linear_fwd(x2, w1.data, b1.data))
+    y = x.data + _linear_fwd(sq, w2.data, b2.data).reshape(len(basis), 1, E)
+    axes = tuple(i for i in (0, 1) if basis.shape[i] < x.shape[i])    # broadcast over
+
+    def bwd(g):
+        gt = g.sum(axis=axes, keepdims=True) if axes else g
+        dsq, dw2, db2 = _linear_bwd(gt.reshape(-1, E), sq, w2.data)
+        _, dw1, db1 = _linear_bwd(_relu_squared_bwd(dsq, r), x2, w1.data, need_x=False)
+        return g, dw1, db1, dw2, db2
+
+    return _record(Tensor(y, dtype=x.dtype), (x, w1, b1, w2, b2), bwd)
+
 
 def attention_block(x: Tensor, gain: Tensor, wqkv: Tensor, bqkv: Tensor,
                     wo: Tensor, bo: Tensor, n_head: int, state_only: bool = False) -> Tensor:
@@ -384,6 +358,25 @@ def mlp_block(x: Tensor, gain: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: T
         return dx, dgain, dw1, db1, dw2, db2
 
     return _record(Tensor(y, dtype=x.dtype), (x, gain, w1, b1, w2, b2), bwd)
+
+
+def head(x: Tensor, gain: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The read-out w(rms_norm(x, gain)) of (..., E) rows."""
+    _check_rms(x.shape, gain)
+    _check_linear(x.shape, w, b)
+    xd = x.data
+    E = xd.shape[-1]
+    inv = _rms_inv(xd)
+    h, _ = _rms_scale(xd, gain.data, inv)
+    y = _linear_fwd(h.reshape(-1, E), w.data, b.data).reshape(xd.shape[:-1] + w.shape[1:])
+
+    def bwd(g):
+        h, xhat = _rms_scale(xd, gain.data, inv)
+        dh, dw, db = _linear_bwd(g.reshape(-1, w.shape[1]), h.reshape(-1, E), w.data)
+        dx, dgain = _rms_bwd(dh.reshape(xd.shape), xd, gain.data, inv, xhat)
+        return dx, dgain, dw, db
+
+    return _record(Tensor(y, dtype=x.dtype), (x, gain, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

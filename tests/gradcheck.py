@@ -6,13 +6,14 @@ from flowinverse.tensor import Tape, Tensor, backward
 
 
 def finite_difference_check(fn, params: dict, h: float = 1e-4, max_entries: int | None = None,
-                            rng: np.random.Generator | None = None):
+                            rng: np.random.Generator | None = None, entries: dict | None = None):
     """Compare analytic gradients of ``fn(params) -> scalar Tensor`` with
     central finite differences evaluated in float64.
 
     Returns the worst relative error over all checked parameter entries.
     ``max_entries`` limits the number of randomly chosen entries per tensor
-    (None checks every entry).
+    (None checks every entry); ``entries`` maps a parameter name to the flat
+    indices to check in it instead.
     """
     shadow = {k: Tensor(p.data.astype(np.float64), requires_grad=True, dtype=np.float64)
               for k, p in params.items()}
@@ -26,7 +27,9 @@ def finite_difference_check(fn, params: dict, h: float = 1e-4, max_entries: int 
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         gflat = grad.reshape(-1)
         idxs = np.arange(flat.size)
-        if max_entries is not None and flat.size > max_entries:
+        if entries is not None and k in entries:
+            idxs = entries[k]
+        elif max_entries is not None and flat.size > max_entries:
             if rng is None:
                 rng = np.random.default_rng(0)
             idxs = rng.choice(flat.size, size=max_entries, replace=False)

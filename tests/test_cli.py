@@ -186,9 +186,12 @@ class TestCliBasics:
         assert run_cli("mcmc", "--set", "chain.n_samples") == 1
         assert "--set expects key=value, got 'chain.n_samples'" in capsys.readouterr().err
 
-    def test_train_without_a_dataset_is_a_usage_error(self, workdir, capsys):
-        assert run_cli("train") == 1
-        assert "train requires 'paths.dataset'" in capsys.readouterr().err
+    def test_train_without_a_dataset_file_is_one_error_line(self, workdir, capsys):
+        # with no paths.dataset, train reads generate-data's default output
+        assert run_cli("train", "--set", "out_dir=runs") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and os.path.join("runs", "nonlinear.cfmd") in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("task", ["seir", "darcy"])
     def test_dataset_for_another_task_is_a_usage_error(self, workdir, capsys, task):
@@ -411,6 +414,23 @@ class TestPipeline:
         assert set(json.load(open("manifest_evaluate.json"))["phases_s"]) == {
             "sweep", "generation_error"}
 
+    def test_pipeline_without_paths_keys(self, workdir):
+        # each reader defaults to the path its writer used: <out_dir>/<task>.*
+        net = ["--set", "net.n_emb=8", "--set", "net.n_head=2", "--set", "net.n_layer=1"]
+        shared = ["--set", "out_dir=runs", "--set", "sampler.steps=2", "--seed", "3"]
+        assert run_cli("generate-data", "--set", "data.tuples_per_n_obs=16", *shared) == 0
+        assert run_cli("train", "--set", "train.epochs=1", *net, *shared) == 0
+        assert run_cli("sample", "--set", "sampler.ensemble=3", *shared) == 0
+        assert run_cli("evaluate", "--set", "eval.trials=1", "--set", "eval.n_inferences=2",
+                       *shared) == 0
+        train = json.load(open("runs/manifest_train.json"))
+        assert train["outputs"][0] == os.path.join("runs", "nonlinear.cfmt")
+        assert list(train["input_hashes"]) == [os.path.join("runs", "nonlinear.cfmd")]
+        for name in ("sample", "evaluate"):
+            manifest = json.load(open(f"runs/manifest_{name}.json"))
+            assert list(manifest["input_hashes"]) == [os.path.join("runs", "nonlinear.cfmt")]
+            assert manifest["config"]["paths.checkpoint"] is None
+
     def test_sample_and_mcmc_time_one_instance(self, workdir, capsys):
         # the flow-versus-MH speed-up is chain over inference on one instance
         cfg = resolve({"net.n_emb": 8, "net.n_head": 2, "net.n_layer": 1})
@@ -488,6 +508,28 @@ class TestPipeline:
         rc = run_cli("generate-data", "--config", "manifest_generate_data.json")
         assert rc == 0
         assert open("a.cfmd", "rb").read() == first
+
+    @staticmethod
+    def _rerun_config(*argv):
+        return cli._build_config(cli._parser().parse_args(
+            ["mcmc", "--config", "manifest_mcmc.json", *argv]))
+
+    def test_rerun_with_another_task_takes_its_defaults(self, workdir):
+        assert run_cli("mcmc", "--set", "chain.n_samples=40", "--set", "train.epochs=3") == 0
+        assert self._rerun_config() == resolve({"chain.n_samples": 40, "train.epochs": 3})
+        # nonlinear's data.n_obs, n_layer and tuple count do not carry over;
+        # a value set away from its default does
+        assert self._rerun_config("--set", "task=seir") == resolve(
+            {"task": "seir", "chain.n_samples": 40, "train.epochs": 3})
+
+    def test_rerun_with_other_counts_derives_from_them(self, workdir):
+        assert run_cli("mcmc", "--set", "chain.n_samples=40") == 0
+        cfg = self._rerun_config("--set", "data.n_obs=3,5")
+        assert (cfg["eval.n_obs_list"], cfg["instance.n_obs"]) == ((3, 5), 5)
+        # a derived key set away from its derivation keeps its value
+        assert run_cli("mcmc", "--set", "chain.n_samples=40", "--set", "instance.n_obs=2") == 0
+        cfg = self._rerun_config("--set", "data.n_obs=3,5")
+        assert (cfg["eval.n_obs_list"], cfg["instance.n_obs"]) == ((3, 5), 2)
 
     def test_rerun_from_manifest_leaves_unset_paths_unset(self, workdir):
         run_cli("generate-data", "--set", "data.tuples_per_n_obs=8",

@@ -4,6 +4,7 @@ import pytest
 from flowinverse import cli
 from flowinverse.mcmc import BURN_IN, ChainConfig, log_posterior, mh_step, run_chain
 from flowinverse.tasks import get_task
+from flowinverse.tasks.darcy import SolverError
 
 
 class _GaussianTargetTask:
@@ -41,11 +42,36 @@ class _StuckTask(_GaussianTargetTask):
         return 0.0 if self.prior_calls == 1 else -np.inf
 
 
+class _FailingTask(_GaussianTargetTask):
+    """A forward model that raises ``error`` away from the origin."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def forward_observed(self, m, e_row):
+        if abs(float(m[0])) > 0.5:
+            raise self.error
+        return super().forward_observed(m, e_row)
+
+
 class TestLogPosterior:
     def test_outside_support(self):
         task = get_task("seir")
         m = np.array([0.5, 0.5, 0.5, 0.5, 0.5, 1.5])
         assert log_posterior(task, m, np.zeros(8), np.full(4, 2.0), 0.5) == -np.inf
+
+    def test_a_programming_error_in_the_forward_model_propagates(self):
+        task = _FailingTask(IndexError("index 3 is out of bounds"))
+        with pytest.raises(IndexError, match="index 3 is out of bounds"):
+            run_chain(task, np.zeros(1), np.zeros(1), ChainConfig(n_samples=50, seed=0))
+
+    @pytest.mark.parametrize("error", [FloatingPointError("SEIR state became non-finite"),
+                                       SolverError("banded Cholesky factorisation failed")])
+    def test_a_numerical_failure_is_minus_infinity_with_a_warning(self, error):
+        with pytest.warns(UserWarning, match="forward model failed during MCMC: "):
+            lp = log_posterior(_FailingTask(error), np.array([0.9]), np.zeros(1), np.zeros(1), 1.0)
+        assert lp == -np.inf
 
     def test_zero_residual_is_maximal(self):
         task = get_task("nonlinear")

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +7,18 @@ import pytest
 from flowinverse import cfm
 from flowinverse import tensor as T
 from flowinverse.data import Batch
-from flowinverse.net import (NetConfig, VelocityNet, init_params, param_count,
-                             timestep_basis, timestep_embed)
+from flowinverse.net import NetConfig, VelocityNet, init_params, param_count, timestep_basis
 from flowinverse.tasks import SeirTask, get_task
 from gradcheck import finite_difference_check
 
 PARITY_REFERENCE = Path(__file__).parent / "data" / "seir_parity_reference.npz"
+
+
+def timestep_embed(params, t, dim):
+    """The flow-time embedding alone: time_embedding added to zero tokens."""
+    temb = [params[f"temb.{name}"] for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b")]
+    return T.time_embedding(T.Tensor(np.zeros((len(t), 1, dim))),
+                            timestep_basis(np.reshape(t, (-1, 1)), dim), *temb)
 
 
 class TestTimestepEmbed:
@@ -308,10 +315,10 @@ class TestSeirPaperConfig:
                 assert np.abs(g).max() < 1e-6 * scale, name
 
     def test_tape_records_per_loss(self):
-        # two records per block (fused attention and MLP sub-blocks) and 10
-        # more: 2 embeddings and their concat, 3 for the flow-time MLP, its
-        # add, the final norm, the head and the loss
-        assert _seir_parity_case()[3] == 22
+        # one record per layer: the token embedding, the time embedding, the
+        # fused attention and MLP sub-blocks of each of the 6 blocks, the head
+        # and the loss
+        assert _seir_parity_case()[3] == 16
 
     @pytest.mark.parametrize("B", [1, 10, 256])
     def test_shared_flow_time_matches_per_row_times(self, B):
@@ -325,6 +332,64 @@ class TestSeirPaperConfig:
         for t in (0.0, 0.37, 1.0):
             v = net.velocity(m_t, t, d, e)
             np.testing.assert_array_equal(v, net.velocity(m_t, np.full(B, t), d, e))
+
+
+def _digest(arrays: dict) -> str:
+    """sha256 of named arrays, by name: each name, dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        a = np.ascontiguousarray(arrays[name])
+        h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _loss_and_grads(net, batch, t, m0):
+    with T.Tape() as tape:
+        loss = cfm.cfm_loss(net, batch, t, m0)
+    T.backward(loss, tape)
+    return {"loss": loss.data, **{k: p.grad for k, p in net.params.items()}}
+
+
+class TestBitwisePins:
+    """Digests recorded when the embeddings, the final norm and the head
+    were still composed of generic linear, relu², rms_norm, concat and add
+    records; their one-op-per-layer forms must not move a bit."""
+
+    def test_darcy_loss_and_gradients(self):
+        # three embedding groups: observations, the design token and the state
+        task = get_task("darcy")
+        cfg = NetConfig(n_emb=16, n_head=2, n_layer=2, dim_m=task.dim_m,
+                        obs_token_dim=task.obs_token_dim, design_token_dim=task.design_token_dim)
+        rng = np.random.default_rng(31)
+        B, n_obs = 7, 5
+        batch = Batch(n_obs=n_obs, m=rng.normal(size=(B, task.dim_m)),
+                      e=rng.uniform(0, 1, (B, 2 + 2 * n_obs)), d=rng.normal(size=(B, n_obs)),
+                      index=np.arange(B))
+        arrays = _loss_and_grads(VelocityNet(task, cfg, seed=6), batch, rng.uniform(0, 1, B),
+                                 rng.normal(size=(B, task.dim_m)))
+        assert _digest(arrays) == "618630ef3c49df33"
+
+    def test_seir_training_step_on_one_row(self):
+        # one row: the (1, 1, E) time embedding sums over the tokens alone
+        task = SeirTask()
+        net = VelocityNet(task, _seir_paper_config(), seed=4)
+        rng = np.random.default_rng(32)
+        batch = Batch(n_obs=6, m=task.prior_sample(rng, 1), e=np.sort(rng.uniform(1, 3, (1, 6))),
+                      d=rng.uniform(0, 100, (1, 12)), index=np.arange(1))
+        arrays = _loss_and_grads(net, batch, rng.uniform(0, 1, 1), task.prior_sample(rng, 1))
+        T.adam_step(net.params, T.AdamState(net.params, lr=8e-4))
+        arrays.update((f"{k}.stepped", p.data) for k, p in net.params.items())
+        assert _digest(arrays) == "262b806279ecb139"
+
+    def test_shared_flow_time_velocity(self):
+        task = SeirTask()
+        net = VelocityNet(task, _seir_paper_config(), seed=3)
+        rng = np.random.default_rng(33)
+        e = np.sort(rng.uniform(1.0, 3.0, (10, 8)), axis=1)
+        d = rng.uniform(0.0, 100.0, (10, 16))
+        v = net.velocity(rng.normal(size=(10, task.dim_m)), 0.37, d, e)
+        assert _digest({"v": v}) == "b96aa2c7a846a742"
 
 
 class TestConfigValidation:

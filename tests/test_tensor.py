@@ -15,15 +15,41 @@ from flowinverse.tensor import AdamState, Tape, Tensor, adam_step, backward
 from gradcheck import finite_difference_check
 
 
+def rms_norm(x, gain):
+    """rms_norm(x, gain) as :func:`tensor.head` with an identity read-out."""
+    n = gain.shape[0]
+    return T.head(x, gain, Tensor(np.eye(n), dtype=x.dtype), Tensor(np.zeros(n), dtype=x.dtype))
+
+
+def pass_through(x):
+    """x itself, as one tape record: time_embedding with zero weights."""
+    E = x.shape[-1]
+    w, b = Tensor(np.zeros((E, E)), dtype=x.dtype), Tensor(np.zeros(E), dtype=x.dtype)
+    return T.time_embedding(x, np.zeros((1, 1, E)), w, b, w, b)
+
+
 class TestLinear:
+    """The linear layer of a :func:`tensor.token_embedding` group."""
+
     def test_matches_numpy_product_plus_bias(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 3, 4)).astype(np.float32)
         w = rng.normal(size=(4, 5)).astype(np.float32)
         b = rng.normal(size=(5,)).astype(np.float32)
-        out = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        out = T.token_embedding([(Tensor(x), Tensor(w), Tensor(b))]).data
         assert out.shape == (2, 3, 5)
         np.testing.assert_allclose(out, x @ w + b, rtol=1e-5, atol=1e-6)
+
+    def test_joins_the_groups_along_the_token_axis(self):
+        rng = np.random.default_rng(11)
+        xs = [rng.normal(size=(2, n, k)) for n, k in ((3, 4), (1, 2))]
+        ws = [rng.normal(size=(k, 5)) for k in (4, 2)]
+        bs = [rng.normal(size=5) for _ in range(2)]
+        out = T.token_embedding([(Tensor(x), Tensor(w), Tensor(b))
+                                 for x, w, b in zip(xs, ws, bs)]).data
+        assert out.shape == (2, 4, 5)
+        for got, x, w, b in zip((out[:, :3], out[:, 3:]), xs, ws, bs):
+            np.testing.assert_allclose(got, x @ w + b, rtol=1e-5, atol=1e-5)
 
     def test_constant_input_gets_no_gradient(self):
         rng = np.random.default_rng(7)
@@ -31,7 +57,7 @@ class TestLinear:
         w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=(5,)), requires_grad=True)
         with Tape() as tape:
-            loss = T.mse(T.linear(x, w, b), np.zeros((2, 3, 5)))
+            loss = T.mse(T.token_embedding([(x, w, b)]), np.zeros((2, 3, 5)))
         _, _, bwd = tape.records[0]
         gx, gw, gb = bwd(np.ones((2, 3, 5), dtype=np.float32))
         assert gx is None
@@ -42,22 +68,59 @@ class TestLinear:
 
     def test_shape_mismatch_message(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
-            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+            T.token_embedding([(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))),
+                                Tensor(np.zeros(5)))])
 
     def test_rejects_bias_of_another_shape(self):
         with pytest.raises(ValueError, match=r"\(3, 5\).*\(1, 5\)"):
-            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros((1, 5))))
+            T.token_embedding([(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))),
+                                Tensor(np.zeros((1, 5))))])
+
+    def test_rejects_groups_of_another_width(self):
+        ok = (Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
+        narrow = (Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match=r"linear shapes.*\(3, 4\)"):
+            T.token_embedding([ok, narrow])
 
 
 class TestReluSquared:
+    """relu² inside :func:`tensor.time_embedding`: a basis value v through
+    unit weights embeds as relu(v)², and the first bias gets 2 relu(v)."""
+
     @pytest.mark.parametrize("x,y,g", [(-2.0, 0.0, 0.0), (3.0, 9.0, 6.0), (0.0, 0.0, 0.0)])
     def test_value_and_gradient(self, x, y, g):
-        t = Tensor([x], requires_grad=True)
+        one, zero = Tensor([[1.0]]), Tensor([0.0], requires_grad=True)
         with Tape() as tape:
-            out = T.relu_squared(t)
+            out = T.time_embedding(Tensor(np.zeros((1, 1, 1))), [[[x]]], one, zero, one, zero)
         assert out.item() == pytest.approx(y)
-        (gx,) = tape.records[0][2](np.ones(1, dtype=np.float32))
-        assert gx[0] == pytest.approx(g)
+        _, _, db1, _, _ = tape.records[0][2](np.ones((1, 1, 1), dtype=np.float32))
+        assert db1[0] == pytest.approx(g)
+
+
+class TestTimeEmbedding:
+    def test_adds_one_embedding_to_every_token(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 4, 6))
+        basis = rng.normal(size=(3, 1, 6))
+        w1, w2 = rng.normal(size=(2, 6, 6))
+        b1, b2 = rng.normal(size=(2, 6))
+        out = T.time_embedding(Tensor(x, dtype=np.float64), basis,
+                               *(Tensor(a, dtype=np.float64) for a in (w1, b1, w2, b2))).data
+        temb = np.maximum(basis @ w1 + b1, 0) ** 2 @ w2 + b2
+        np.testing.assert_allclose(out, x + temb, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 6), (3, 2, 6), (3, 6), (1, 1, 5)])
+    def test_rejects_a_basis_of_another_shape(self, shape):
+        rng = np.random.default_rng(13)
+        w, b = Tensor(rng.normal(size=(6, 6))), Tensor(np.zeros(6))
+        match = r"linear shapes" if shape[-1] == 5 else r"basis must have shape \(3 or 1, 1, k\)"
+        with pytest.raises(ValueError, match=match):
+            T.time_embedding(Tensor(np.zeros((3, 4, 6))), np.zeros(shape), w, b, w, b)
+
+    def test_rejects_an_embedding_of_another_width(self):
+        w, b = Tensor(np.zeros((6, 6))), Tensor(np.zeros(6))
+        with pytest.raises(ValueError, match="linear shapes"):
+            T.time_embedding(Tensor(np.zeros((3, 4, 5))), np.zeros((1, 1, 6)), w, b, w, b)
 
 
 class TestMse:
@@ -68,33 +131,42 @@ class TestMse:
 
 
 class TestRmsNorm:
+    """The norm of :func:`tensor.head`, read out through identity weights."""
+
     def test_ones_stay_ones(self, monkeypatch):
         monkeypatch.setattr(T, "RMS_EPS", 1e-12)
         x = Tensor(np.ones((2, 4)))
         g = Tensor(np.ones(4))
-        np.testing.assert_allclose(T.rms_norm(x, g).data, 1.0, atol=1e-6)
+        np.testing.assert_allclose(rms_norm(x, g).data, 1.0, atol=1e-6)
 
     def test_plus_minus_three(self, monkeypatch):
         monkeypatch.setattr(T, "RMS_EPS", 1e-12)
         x = Tensor([[3.0, -3.0]])
         g = Tensor(np.ones(2))
-        np.testing.assert_allclose(T.rms_norm(x, g).data, [[1.0, -1.0]], atol=1e-6)
+        np.testing.assert_allclose(rms_norm(x, g).data, [[1.0, -1.0]], atol=1e-6)
 
     def test_zero_gain_zero_output(self):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 5)))
         g = Tensor(np.zeros(5))
-        assert np.all(T.rms_norm(x, g).data == 0)
+        assert np.all(rms_norm(x, g).data == 0)
 
     def test_rejects_gain_of_another_shape(self):
         with pytest.raises(ValueError, match=r"\(4,\).*\(1, 4\)"):
-            T.rms_norm(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))))
+            rms_norm(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))))
+
+    def test_head_rejects_read_out_of_another_shape(self):
+        x, g = Tensor(np.ones((2, 4))), Tensor(np.ones(4))
+        with pytest.raises(ValueError, match=r"linear shapes.*\(3, 2\)"):
+            T.head(x, g, Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ValueError, match=r"linear shapes.*\(4, 2\), b \(3,\)"):
+            T.head(x, g, Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)))
 
     @given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1), st.floats(1e-2, 1e3))
     @settings(max_examples=30, deadline=None)
     def test_unit_rms_property(self, dim, seed, scale):
         x = np.random.default_rng(seed).normal(size=(dim,))
         x = x / np.sqrt(np.mean(x * x)) * scale     # force RMS = scale >= 1e-2
-        out = T.rms_norm(Tensor(x), Tensor(np.ones(dim))).data.astype(np.float64)
+        out = rms_norm(Tensor(x), Tensor(np.ones(dim))).data.astype(np.float64)
         assert np.sqrt(np.mean(out * out)) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -308,6 +380,45 @@ def composed_mse(v, target, g):
     return np.asarray((diff * diff).mean(), dtype=v.dtype), gsq * diff + gsq * diff
 
 
+def unbroadcast(grad, shape):
+    """Sum ``grad`` down to ``shape``, the inverse of numpy broadcasting, as
+    the unfused engine's ``add`` did."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def composed_token_embedding(groups, g):
+    """One linear layer per group, then a concat along the token axis."""
+    ys, bwds = zip(*(composed_linear(*group) for group in groups))
+    splits = np.cumsum([y.shape[1] for y in ys])[:-1]
+    grads = [gi for bwd, gs in zip(bwds, np.split(g, splits, axis=1)) for gi in bwd(gs)]
+    return np.concatenate(ys, axis=1), grads
+
+
+def composed_time_embedding(x, basis, w1, b1, w2, b2, g):
+    """linear, relu², linear, and the add that broadcasts the embedding."""
+    f, fc1_bwd = composed_linear(basis, w1, b1)
+    r = np.maximum(f, 0)
+    temb, fc2_bwd = composed_linear(r * r, w2, b2)
+    dsq, dw2, db2 = fc2_bwd(unbroadcast(g, temb.shape))
+    _, dw1, db1 = fc1_bwd(dsq * (2 * r))
+    return x + temb, (g, dw1, db1, dw2, db2)
+
+
+def composed_head(x, gain, w, b, g):
+    h, norm_bwd = composed_rms_norm(x, gain)
+    y, lin_bwd = composed_linear(h, w, b)
+    dh, dw, db = lin_bwd(g)
+    return y, norm_bwd(dh) + (dw, db)
+
+
 def run_block(kind, arrays, g, **kw):
     """The fused sub-block's output and the six gradients of its record."""
     inputs = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in arrays]
@@ -335,6 +446,48 @@ class TestFusedBlocks:
         for got, expected in zip(grads, want_grads):
             assert got.dtype == np.float32
             np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("case", ["token_embedding", "time_per_row", "time_shared",
+                                      "time_one_row", "head"])
+    def test_layers_match_the_composition_bitwise(self, case):
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
+
+        def f32(*shape):
+            return rng.normal(size=shape).astype(np.float32)
+
+        B, E = (1 if case == "time_one_row" else 5), 8
+        if case == "token_embedding":
+            # constant observation features, then state features with a gradient
+            arrays = [f32(B, 4, 3), f32(3, E), f32(E), f32(B, 1, 2), f32(2, E), f32(E)]
+            g = f32(B, 5, E)
+            want, want_grads = composed_token_embedding([arrays[:3], arrays[3:]], g)
+            want_grads[0] = None
+            op = lambda t: T.token_embedding([t[:3], t[3:]])
+        elif case == "head":
+            arrays = [f32(B, E), f32(E), f32(E, 3), f32(3)]
+            g = f32(B, 3)
+            want, want_grads = composed_head(*arrays, g)
+            op = lambda t: T.head(*t)
+        else:                   # a (1, 1, E) basis sums over tokens, and rows if B > 1
+            basis = f32(B if case == "time_per_row" else 1, 1, E)
+            arrays = [f32(B, 4, E), f32(E, E), f32(E), f32(E, E), f32(E)]
+            g = f32(B, 4, E)
+            want, want_grads = composed_time_embedding(arrays[0], basis, *arrays[1:], g)
+            op = lambda t: T.time_embedding(t[0], basis, *t[1:])
+        inputs = [Tensor(a, requires_grad=w is not None) for a, w in zip(arrays, want_grads)]
+        with Tape() as tape:
+            out = op(inputs)
+        assert len(tape) == 1
+        grads = tape.records[0][2](g)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, want)
+        assert len(grads) == len(want_grads)
+        for got, expected in zip(grads, want_grads):
+            if expected is None:
+                assert got is None
+            else:
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(got, expected)
 
     def test_mse_matches_the_composition_bitwise(self):
         rng = np.random.default_rng(10)
@@ -389,11 +542,12 @@ class TestBackward:
 
     def test_constant_has_zero_gradient(self):
         # x is on the tape, but the loss does not depend on it
-        x = Tensor([3.0], requires_grad=True)
+        x = Tensor(np.full((1, 3, 2), 3.0), requires_grad=True)
         c = Tensor([5.0], requires_grad=True)
         with Tape() as tape:
-            T.add(x, x)
+            pass_through(x)
             loss = T.mse(c, np.zeros(1))
+        assert len(tape) == 2
         backward(loss, tape)
         assert x.grad is None
         assert c.grad[0] == pytest.approx(10.0)
@@ -406,33 +560,33 @@ class TestBackward:
         assert x.grad is None
 
     def test_a_tape_cannot_open_inside_another(self):
-        # nested, `add` would land on the inner tape and the outer tape's
-        # backward would leave x.grad None without a word
-        x = Tensor(np.ones(3), requires_grad=True)
+        # nested, the pass-through would land on the inner tape and the outer
+        # tape's backward would leave x.grad None without a word
+        x = Tensor(np.ones((1, 3, 1)), requires_grad=True)
         with pytest.raises(RuntimeError, match="tapes do not nest"):
             with Tape() as outer:
                 with Tape():
-                    y = T.add(x, x)
-                loss = T.mse(y, np.zeros(3))
+                    y = pass_through(x)
+                loss = T.mse(y, np.zeros(y.shape))
             backward(loss, outer)
         assert x.grad is None
         # the failed attempt leaves no tape open
         with Tape() as tape:
-            loss = T.mse(T.add(x, x), np.zeros(3))
+            loss = T.mse(pass_through(x), np.zeros(x.shape))
         backward(loss, tape)
-        np.testing.assert_allclose(x.grad, np.full(3, 8.0 / 3.0))
+        np.testing.assert_allclose(x.grad, np.full(x.shape, 2.0 / 3.0))
 
     def test_requires_scalar_loss(self):
-        x = Tensor(np.ones(3), requires_grad=True)
+        x = Tensor(np.ones((1, 3, 1)), requires_grad=True)
         with Tape() as tape:
-            y = T.add(x, x)
+            y = pass_through(x)
         with pytest.raises(ValueError, match="scalar"):
             backward(y, tape)
 
     def test_sweep_empties_the_tape(self):
-        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        x = Tensor(np.ones((2, 3, 2)), requires_grad=True)
         with Tape() as tape:
-            loss = T.mse(T.relu_squared(T.add(x, x)), np.zeros((2, 3)))
+            loss = T.mse(rms_norm(pass_through(x), Tensor(np.ones(2))), np.zeros(x.shape))
         assert len(tape) == 3
         backward(loss, tape)
         assert len(tape) == 0
@@ -453,51 +607,75 @@ class TestBackward:
         assert grad_after_pass() == 2.0
 
     def test_leaves_get_their_own_writable_gradients(self):
-        # add passes its incoming gradient to both inputs as one array
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
+        # time_embedding hands its output's gradient on to x as the same array
+        x = Tensor(np.ones((2, 3, 2)), requires_grad=True)
         with Tape() as tape:
-            loss = T.mse(T.add(a, b), np.zeros(3))
+            loss = T.mse(pass_through(x), np.zeros(x.shape))
+        out, inputs, bwd = tape.records[0]
+        handed = []
+        tape.records[0] = (out, inputs, lambda g: handed.append(bwd(g)) or handed[0])
         backward(loss, tape)
-        assert a.grad is not b.grad
-        assert a.grad.flags.writeable and b.grad.flags.writeable
-        third = b.grad.copy()
-        a.grad *= 2.0
-        np.testing.assert_array_equal(a.grad, 2.0 * third)
-        np.testing.assert_array_equal(b.grad, third)
+        passed = handed[0][0]
+        assert not np.shares_memory(x.grad, passed)
+        assert x.grad.flags.writeable
+        before = passed.copy()
+        x.grad *= 2.0
+        np.testing.assert_array_equal(passed, before)
+        np.testing.assert_array_equal(x.grad, 2.0 * before)
+
+    def test_one_weight_in_two_groups_gets_both_gradients(self):
+        rng = np.random.default_rng(14)
+        xs = [Tensor(rng.normal(size=(2, n, 3)), dtype=np.float64) for n in (4, 1)]
+        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True, dtype=np.float64)
+        b = Tensor(rng.normal(size=5), requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            out = T.token_embedding([(x, w, b) for x in xs])
+            loss = T.mse(out, np.zeros(out.shape))
+        backward(loss, tape)
+        g = 2.0 * out.data / out.size
+        np.testing.assert_allclose(w.grad, sum(x.data.reshape(-1, 3).T @ gi.reshape(-1, 5)
+                                               for x, gi in zip(xs, (g[:, :4], g[:, 4:]))),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 1)), rtol=1e-12)
 
     def test_linearity(self):
+        # the loss over two token groups is the mean of the two groups' losses,
+        # and x reaches it through both groups and the nonlinear MLP
         rng = np.random.default_rng(3)
-        xv, a, b = rng.normal(size=(3, 4)).astype(np.float32)
+        xv = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        w1, w2 = (Tensor(a) for a in rng.normal(size=(2, 4, 6)).astype(np.float32))
+        b1, b2 = (Tensor(a) for a in rng.normal(size=(2, 6)).astype(np.float32))
+        mlp = [Tensor(a) for a in block_inputs("mlp", rng, 1, 1, 6, np.float32)[1:]]
 
-        def grad_of(fn):
+        def grad_of(groups):
             x = Tensor(xv, requires_grad=True)
             with Tape() as tape:
-                loss = fn(x)
+                h = T.mlp_block(T.token_embedding([(x, w, b) for w, b in groups]), *mlp)
+                loss = T.mse(h, np.zeros(h.shape))
             backward(loss, tape)
             return x.grad.astype(np.float64)
 
-        f = lambda x: T.mse(x, a)
-        g = lambda x: T.mse(T.relu_squared(x), b)
-        combo = lambda x: T.add(f(x), g(x))
-        np.testing.assert_allclose(grad_of(combo), grad_of(f) + grad_of(g), atol=1e-6)
+        both = grad_of([(w1, b1), (w2, b2)])
+        np.testing.assert_allclose(2.0 * both, grad_of([(w1, b1)]) + grad_of([(w2, b2)]),
+                                   atol=1e-6)
 
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        params = {
-            "w": Tensor(rng.normal(size=(5, 4)).astype(np.float32), requires_grad=True),
-            "b": Tensor(rng.normal(size=(4,)).astype(np.float32), requires_grad=True),
-            "g": Tensor(rng.uniform(0.5, 1.5, 4).astype(np.float32), requires_grad=True),
-        }
+        params = {k: Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+                  for k, shape in (("w", (5, 4)), ("b", (4,)), ("t1", (4, 4)), ("c1", (4,)),
+                                   ("t2", (4, 4)), ("c2", (4,)), ("hw", (4, 2)), ("hb", (2,)))}
+        params["g"] = Tensor(rng.uniform(0.5, 1.5, 4).astype(np.float32), requires_grad=True)
         for kind in ("attention", "mlp"):
             for i, a in enumerate(block_inputs(kind, rng, 1, 1, 4, np.float32)[1:]):
                 params[f"{kind}{i}"] = Tensor(a, requires_grad=True)
         x = rng.normal(size=(2, 3, 5))
+        basis = rng.normal(size=(2, 1, 4))
 
         def fn(p):
-            h = T.linear(Tensor(x, dtype=p["w"].dtype), p["w"], p["b"])
-            h = T.attention_block(T.relu_squared(h), *(p[f"attention{i}"] for i in range(5)), 2)
-            h = T.rms_norm(T.mlp_block(h, *(p[f"mlp{i}"] for i in range(5))), p["g"])
+            h = T.token_embedding([(Tensor(x, dtype=p["w"].dtype), p["w"], p["b"])])
+            h = T.time_embedding(h, basis, p["t1"], p["c1"], p["t2"], p["c2"])
+            h = T.attention_block(h, *(p[f"attention{i}"] for i in range(5)), 2, state_only=True)
+            h = T.head(T.mlp_block(h, *(p[f"mlp{i}"] for i in range(5))), p["g"], p["hw"], p["hb"])
             return T.mse(h, np.zeros(h.shape))
 
         assert finite_difference_check(fn, params) < 1e-4
@@ -508,8 +686,7 @@ class TestBackward:
         def run():
             t = Tensor(x, requires_grad=True)
             with Tape() as tape:
-                loss = T.mse(T.relu_squared(T.attention_block(t, *map(Tensor, weights), 2)),
-                             np.zeros(x.shape))
+                loss = T.mse(T.attention_block(t, *map(Tensor, weights), 2), np.zeros(x.shape))
             backward(loss, tape)
             return loss.item(), t.grad.copy()
 
@@ -570,13 +747,11 @@ class TestAdam:
 
 # Finite-difference case -> the public tape ops it checks.
 GRADIENT_CASES = {
-    "add": ("add",),
-    "linear": ("linear",),
-    "relu_squared": ("relu_squared",),
-    "rms_norm": ("rms_norm",),
+    "token_embedding": ("token_embedding",),
+    "time_embedding": ("time_embedding",),
     "attention_block": ("attention_block",),
     "mlp_block": ("mlp_block",),
-    "concat": ("concat",),
+    "head": ("head",),
     "mse": ("mse",),
 }
 NOT_TAPE_OPS = {"backward", "adam_step"}
@@ -618,56 +793,64 @@ def test_the_net_and_its_loss_record_every_tape_op():
 
 
 class TestPrimitiveGradients:
-    """Finite-difference checks for every tape op, on random small shapes."""
+    """Finite-difference checks for every tape op, on random small shapes,
+    in float64."""
 
     @pytest.mark.parametrize("op_name", list(GRADIENT_CASES))
     def test_op(self, op_name):
         rng = np.random.default_rng(zlib.crc32(op_name.encode()))
-        a = rng.normal(size=(3, 4, 6)).astype(np.float32)
-        b = rng.normal(size=(3, 4, 6)).astype(np.float32)
-        params = {"a": Tensor(a, requires_grad=True), "b": Tensor(b, requires_grad=True)}
-        if op_name == "linear":
-            params["w"] = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
-            params["c"] = Tensor(rng.normal(size=(5,)), requires_grad=True)
-        if op_name == "rms_norm":
-            params["g"] = Tensor(rng.normal(size=(6,)), requires_grad=True)
-        if op_name.endswith("_block"):     # E 6; attention: 2 heads of 3
-            kind = op_name.removesuffix("_block")
-            for i, w in enumerate(block_inputs(kind, rng, 3, 1, 6, np.float64)):
-                params[f"w{i}"] = Tensor(w, requires_grad=True)
-            if kind == "attention":
-                # the key bias is held fixed: softmax is shift-invariant, so its
-                # gradient is 0 and its finite differences are rounding noise
-                bq, key_bias, bv = np.split(params.pop("w3").data, 3)
-                params["bq"] = Tensor(bq, requires_grad=True)
-                params["bv"] = Tensor(bv, requires_grad=True)
+
+        def param(*shape):
+            return Tensor(rng.normal(size=shape), requires_grad=True)
 
         def sq(out):
             return T.mse(out, np.zeros(out.shape))
 
-        def fn(p):
-            if op_name == "add":
-                out = T.add(p["a"], p["b"])
-            elif op_name == "linear":
-                out = T.linear(p["a"], p["w"], p["c"])
-            elif op_name == "relu_squared":
-                out = T.relu_squared(p["a"])
-            elif op_name == "rms_norm":
-                out = T.rms_norm(p["a"], p["g"])
-            elif op_name == "attention_block":     # 4 tokens, the last one's query, 1 token
-                bqkv = T.concat([p["bq"], Tensor(key_bias, dtype=p["bq"].dtype), p["bv"]], axis=0)
-                w = [p["w1"], p["w2"], bqkv, p["w4"], p["w5"]]
-                return T.add(T.add(sq(T.attention_block(p["a"], *w, 2)),
-                                   sq(T.attention_block(p["a"], *w, 2, state_only=True))),
-                             sq(T.attention_block(p["w0"], *w, 2)))
-            elif op_name == "mlp_block":
-                out = T.mlp_block(p["a"], *(p[f"w{i}"] for i in range(1, 6)))
-            elif op_name == "concat":
-                out = T.concat([p["a"], p["b"]], axis=1)
-            elif op_name == "mse":                 # a gradient of the loss other than 1
-                out = T.mse(p["a"], b)
-            return sq(out)
+        a = rng.normal(size=(3, 4, 6))
+        params = {"a": param(3, 4, 6)}
+        entries = None
+        if op_name == "token_embedding":
+            # constant observation features; the state features require a gradient
+            params = {"s": param(3, 1, 2), "w": param(6, 5), "c": param(5), "ws": param(2, 5),
+                      "cs": param(5)}
+            variants = [lambda p: sq(T.token_embedding([
+                (Tensor(a, dtype=p["w"].dtype), p["w"], p["c"]), (p["s"], p["ws"], p["cs"])]))]
+        elif op_name == "time_embedding":
+            # a time per row, then one all rows share, through the same weights
+            rows, shared = rng.normal(size=(3, 1, 6)), rng.normal(size=(1, 1, 6))
+            params.update((k, param(*shape)) for k, shape in
+                          (("w1", (6, 6)), ("b1", (6,)), ("w2", (6, 6)), ("b2", (6,))))
+
+            def embed_twice(p):
+                w = [p[k] for k in ("w1", "b1", "w2", "b2")]
+                return sq(T.time_embedding(T.time_embedding(p["a"], rows, *w), shared, *w))
+
+            variants = [embed_twice]
+        elif op_name == "head":
+            params = {"r": param(5, 6), "g": param(6), "w": param(6, 3), "c": param(3)}
+            variants = [lambda p: sq(T.head(p["r"], p["g"], p["w"], p["c"]))]
+        elif op_name == "attention_block":         # E 6; 2 heads of 3
+            for i, w in enumerate(block_inputs("attention", rng, 3, 1, 6, np.float64)):
+                params[f"w{i}"] = Tensor(w, requires_grad=True)
+            # the key bias is not checked: softmax is shift-invariant, so its
+            # gradient is 0 and its finite differences are rounding noise
+            entries = {"w3": np.r_[0:6, 12:18]}
+            w = ["w1", "w2", "w3", "w4", "w5"]
+            variants = [                           # 4 tokens, the last one's query, 1 token
+                lambda p: sq(T.attention_block(p["a"], *(p[k] for k in w), 2)),
+                lambda p: sq(T.attention_block(p["a"], *(p[k] for k in w), 2, state_only=True)),
+                lambda p: sq(T.attention_block(p["w0"], *(p[k] for k in w), 2)),
+            ]
+        elif op_name == "mlp_block":
+            for i, w in enumerate(block_inputs("mlp", rng, 3, 1, 6, np.float64)[1:], 1):
+                params[f"w{i}"] = Tensor(w, requires_grad=True)
+            variants = [lambda p: sq(T.mlp_block(p["a"], *(p[f"w{i}"] for i in range(1, 6))))]
+        elif op_name == "mse":                     # a gradient of the loss other than 1
+            b = rng.normal(size=(3, 4, 6))
+            variants = [lambda p: sq(T.mse(p["a"], b))]
 
         # every entry of a fused block's inputs, 20 of each other op's
         max_entries = None if op_name.endswith("_block") else 20
-        assert finite_difference_check(fn, params, max_entries=max_entries) < 1e-4
+        for fn in variants:
+            assert finite_difference_check(fn, params, max_entries=max_entries,
+                                           entries=entries) < 1e-4
