@@ -753,6 +753,11 @@ GRADIENT_CASES = {
     "mlp_block": ("mlp_block",),
     "head": ("head",),
     "mse": ("mse",),
+    # the formulas the fused ops are built from, each on its own
+    "linear": ("token_embedding",),
+    "concat": ("token_embedding",),
+    "add": ("time_embedding",),
+    "relu_squared": ("time_embedding",),
 }
 NOT_TAPE_OPS = {"backward", "adam_step"}
 
@@ -826,6 +831,35 @@ class TestPrimitiveGradients:
                 return sq(T.time_embedding(T.time_embedding(p["a"], rows, *w), shared, *w))
 
             variants = [embed_twice]
+        elif op_name == "linear":
+            # one group, float64 state features that require a gradient, k != E
+            params = {"s": param(3, 2, 4), "w": param(4, 5), "c": param(5)}
+            variants = [lambda p: sq(T.token_embedding([(p["s"], p["w"], p["c"])]))]
+        elif op_name == "concat":
+            # groups of 3, 1 and 2 tokens; one weight fans out to two of them
+            params = {"u": param(3, 1, 4), "v": param(3, 2, 4), "w": param(6, 5),
+                      "wv": param(4, 5), "c": param(5), "cu": param(5), "cv": param(5)}
+            variants = [lambda p: sq(T.token_embedding([
+                (Tensor(a[:, :3], dtype=p["w"].dtype), p["w"], p["c"]),
+                (p["u"], p["wv"], p["cu"]), (p["v"], p["wv"], p["cv"])]))]
+        elif op_name == "add":
+            # a (1, 1, E) basis broadcast over the tokens of one row, then of three rows
+            params.update((k, param(*shape)) for k, shape in
+                          (("x1", (1, 4, 6)), ("w1", (6, 6)), ("b1", (6,)), ("w2", (6, 6)),
+                           ("b2", (6,))))
+            shared = rng.normal(size=(1, 1, 6))
+            w = ["w1", "b1", "w2", "b2"]
+            variants = [lambda p: sq(T.time_embedding(p["x1"], shared, *(p[k] for k in w))),
+                        lambda p: sq(T.time_embedding(p["a"], shared, *(p[k] for k in w)))]
+        elif op_name == "relu_squared":
+            # pre-activations of both signs: half the first-layer units are off
+            params = {"x": param(3, 2, 6), "w1": param(6, 8), "b1": param(8), "w2": param(8, 6),
+                      "b2": param(6)}
+            rows = rng.normal(size=(3, 1, 6))
+            pre = rows.reshape(3, 6) @ params["w1"].data + params["b1"].data
+            assert (pre < 0).any() and (pre > 0).any()
+            variants = [lambda p: sq(T.time_embedding(p["x"], rows, p["w1"], p["b1"], p["w2"],
+                                                      p["b2"]))]
         elif op_name == "head":
             params = {"r": param(5, 6), "g": param(6), "w": param(6, 3), "c": param(3)}
             variants = [lambda p: sq(T.head(p["r"], p["g"], p["w"], p["c"]))]
