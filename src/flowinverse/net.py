@@ -24,6 +24,7 @@ the trained counts the posterior does not contract.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +55,20 @@ class NetConfig:
             raise ValueError("dim_m and obs_token_dim must be >= 1")
 
 
+@functools.lru_cache(maxsize=None)
+def _frequencies(half: int) -> np.ndarray:
+    freqs = (10000.0 ** (np.arange(half) / max(half - 1, 1))).astype(np.float32)
+    freqs.flags.writeable = False           # one table per width, shared by every call
+    return freqs
+
+
 def timestep_basis(t, dim: int) -> np.ndarray:
     """Sinusoidal features of a flow time in [0, 1]: half sines, half cosines,
     with frequencies log-spaced over [1, 1e4]."""
     t = np.asarray(t, dtype=np.float32)
     if np.any(t < -1e-6) or np.any(t > 1 + 1e-6):
         raise ValueError(f"flow time must lie in [0, 1], got range [{t.min()}, {t.max()}]")
-    t = np.clip(t, 0.0, 1.0)
-    half = dim // 2
-    freqs = (10000.0 ** (np.arange(half) / max(half - 1, 1))).astype(np.float32)
-    ang = t[..., None] * freqs
+    ang = np.clip(t, 0.0, 1.0)[..., None] * _frequencies(dim // 2)
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 

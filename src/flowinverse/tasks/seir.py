@@ -9,12 +9,13 @@ rates, which make the quadratic dynamics diverge for some prior draws.
 
 Observations are (I, R) read at a handful of times in [1, 3].
 
-One fixed-step RK4 kernel, ``_integrate``, serves every path and keeps only
-the steps it is asked for: a single rate vector runs it in Python floats (MH,
-``de_solution``, each row of a small batch), a larger (B, 6) batch on columns
-(data generation), writing each kept step into a preallocated array; both give
-bitwise equal results. ``_read``, which ``seir_solve``, ``forward_observed``
-and ``simulate_batch`` go through, asks it for the two steps that bracket each
+One fixed-step RK4 scheme serves every path and keeps only the steps it is
+asked for (``_integrate``): a single rate vector runs it as one loop in Python
+floats (MH, ``de_solution``, each row of a small batch), a larger (B, 6) batch
+as one kernel on a stacked (4, B) state that writes every stage into
+preallocated buffers (data generation); each batch row is bitwise equal to
+its vector's loop. ``_read``, which ``seir_solve``, ``forward_observed`` and
+``simulate_batch`` go through, asks it for the two steps that bracket each
 requested time and interpolates linearly between them.
 """
 
@@ -64,24 +65,40 @@ def _integrate(m, stops):
     and stopping at the last of them.
 
     A 6-vector m runs in Python floats and returns (len(stops), 4); a (B, 6)
-    batch runs on its columns and returns (len(stops), 4, B). Both run the
-    same operations in the same order, so each batch row equals the single
-    vector's result bitwise.
+    batch runs ``_columns`` and returns (len(stops), 4, B). Both run the same
+    float operations in the same order, up to exact sign flips, so each batch
+    row equals the single vector's result bitwise.
     """
     m = np.asarray(m, dtype=np.float64)
-    single = m.ndim == 1
-    b1, al, gr, gd1, b2, gd2 = m.tolist() if single else np.ascontiguousarray(m.T)
+    if m.ndim == 1:
+        kept = _floats(m.tolist(), stops)
+    else:
+        kept = _columns(m, stops)
+    # a non-finite state stays non-finite, so the kept states show a failure;
+    # one rerun that keeps every step names the first step that failed
+    bad = ~np.isfinite(kept).all(axis=1).reshape(len(stops), -1)
+    if bad.any():
+        if len(stops) <= stops[-1]:
+            _integrate(m, range(stops[-1] + 1))
+        j_bad, b_bad = np.argwhere(bad)[0]
+        raise FloatingPointError(f"SEIR state became non-finite at t={stops[j_bad] * CONST.dt:.4f} "
+                                 f"for m={m.reshape(-1, 6)[b_bad].tolist()}")
+    return kept
+
+
+def _floats(m, stops):
+    """The RK4 loop of one rate vector in Python floats: (len(stops), 4)."""
+    b1, al, gr, gd1, b2, gd2 = m
     db, dg, g0 = b2 - b1, gd2 - gd1, gr + gd1
     dt, h2, h6 = CONST.dt, CONST.dt / 2, CONST.dt / 6
     s_start, steps = _RAMP
     S, E, I, R = CONST.s0, CONST.e0, CONST.i0, CONST.r0
-    kept = [] if single else np.empty((len(stops), 4) + m.shape[:-1])
+    kept = []
     # Stage j has infection flux x_j = -dS/dt, dE/dt e_j, dI/dt i_j and dR/dt
-    # g_j; the end-of-step rates (bf, gf) start the next step. "S - h * x" is
-    # bitwise "S + h * (-x)": rounding is sign-symmetric.
+    # g_j; the end-of-step rates (bf, gf) start the next step.
     bf, gf = b1 + s_start * db, g0 + s_start * dg
     k = 0
-    for j, stop in enumerate(stops):
+    for stop in stops:
         for sh, sf in steps[k:stop]:
             x1, aE, g1 = bf * S * I, al * E, gf * I
             e1, i1 = x1 - aE, aE - g1
@@ -101,21 +118,75 @@ def _integrate(m, stops):
             I = I + h6 * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
             R = R + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         k = stop
-        if single:
-            kept.extend((S, E, I, R))
-        else:
-            kept[j] = np.reshape((S, E, I, R), (4, -1))    # floats at stop 0
-    if single:
-        kept = np.array(kept).reshape(-1, 4)
-    # a non-finite state stays non-finite, so the kept states show a failure;
-    # one rerun that keeps every step names the first step that failed
-    bad = ~np.isfinite(kept).all(axis=1).reshape(len(stops), -1)
-    if bad.any():
-        if len(stops) <= stops[-1]:
-            _integrate(m, range(stops[-1] + 1))
-        j_bad, b_bad = np.argwhere(bad)[0]
-        raise FloatingPointError(f"SEIR state became non-finite at t={stops[j_bad] * dt:.4f} "
-                                 f"for m={m.reshape(-1, 6)[b_bad].tolist()}")
+        kept.extend((S, E, I, R))
+    return np.array(kept).reshape(-1, 4)
+
+
+def _columns(m, stops):
+    """The RK4 loop of ``_floats`` on the columns of a (B, 6) batch, writing
+    every stage into preallocated buffers: (len(stops), 4, B).
+
+    The state is one (4, B) array Y = (S, E, I, R) and each stage's slopes
+    one (4, B) block (-x, e, i, g), so a stage state is Y + c * slopes and the
+    update Y + h6 * (k1 + 2 k2 + 2 k3 + k4) on all four rows at once. The
+    float operations are those of ``_floats`` with -x for x and -beta for
+    beta: "S + h * (-x)" is bitwise "S - h * x", and (-beta * S) * I bitwise
+    -(beta * S * I), since rounding is sign-symmetric.
+    """
+    mul, neg = np.multiply, np.negative
+    b1, al, gr, gd1, b2, gd2 = np.ascontiguousarray(m.T)
+    # (-beta, gamma) at ramp weight w is base + w * slope
+    base, slope = np.stack([-b1, gr + gd1]), np.stack([-(b2 - b1), gd2 - gd1])
+    dt, h2, h6 = CONST.dt, CONST.dt / 2, CONST.dt / 6
+    s_start, steps = _RAMP
+    Y = np.empty((4, len(m)))
+    Y.T[:] = CONST.s0, CONST.e0, CONST.i0, CONST.r0
+    Z = np.empty((3, len(m)))                   # a stage state (S, E, I)
+    K = np.empty((4, 4, len(m)))                # the four stages' slopes
+    mid, end = np.empty((2, len(m))), np.empty((2, len(m)))
+    kept = np.empty((len(stops), 4, len(m)))
+    mul(slope, s_start, end)
+    end += base
+    Y3, k1, k2, k3, k4 = Y[:3], *K
+    ys, zs, mids, ends = (*Y3,), (*Z,), (*mid,), (*end,)
+    stage_rows = [(*k,) for k in K]
+
+    def slopes(j, S, E, I, nb, gam):
+        nx, e, i, g = stage_rows[j]
+        mul(nb, S, nx)
+        nx *= I                 # -x = (-beta * S) * I
+        mul(al, E, i)           # alpha * E, until the last line
+        mul(gam, I, g)
+        neg(nx, e)
+        e -= i                  # e = x - alpha * E
+        i -= g                  # i = alpha * E - g
+
+    k = 0
+    for j, stop in enumerate(stops):
+        for sh, sf in steps[k:stop]:
+            slopes(0, *ys, *ends)
+            mul(slope, sh, mid)
+            mid += base
+            mul(k1[:3], h2, Z)
+            Z += Y3
+            slopes(1, *zs, *mids)
+            mul(k2[:3], h2, Z)
+            Z += Y3
+            slopes(2, *zs, *mids)
+            mul(slope, sf, end)
+            end += base
+            mul(k3[:3], dt, Z)
+            Z += Y3
+            slopes(3, *zs, *ends)
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= h6
+            Y += k1
+        k = stop
+        kept[j] = Y
     return kept
 
 
@@ -153,12 +224,13 @@ def seir_solve(m, t_grid):
 
 
 # Below this many rows a batch runs row by row in Python floats: the column
-# kernel pays about 85 numpy calls per step whatever B is. simulate_batch at
+# kernel pays about 45 numpy calls per step whatever B is. simulate_batch at
 # n_obs 5, one BLAS thread on a 2-CPU Intel Xeon guest, median over three runs
-# of a median of 9, rows vs columns in ms: B=1 1.6 vs 51.0, B=16 19.1 vs 55.4,
-# B=32 36.3 vs 55.9, B=40 45.8 vs 56.0, B=44 48.2 vs 56.0, B=48 53.2 vs 56.7,
-# B=52 57.8 vs 56.5, B=56 57.7 vs 54.8, B=64 64.6 vs 56.7.
-ROW_LOOP_BELOW = 52
+# of a median of 9 interleaved calls, rows vs columns in ms: B=1 1.3 vs 41.2,
+# B=16 19.0 vs 37.1, B=24 28.2 vs 37.3, B=28 34.9 vs 37.6, B=32 36.4 vs 37.4,
+# B=36 31.1 vs 27.2, B=40 39.5 vs 32.7, B=48 55.4 vs 36.2, B=64 66.3 vs 28.5.
+# In three more runs the median paired rows/columns ratio passed 1 at B=25-31.
+ROW_LOOP_BELOW = 32
 
 
 def _observe(m, times):

@@ -155,6 +155,39 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+class TestMallocSettings:
+    class FakeMallopt:
+        def __init__(self):
+            self.calls = []
+
+        def __call__(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    def test_no_op_where_libc_has_no_mallopt(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_memory() is False
+
+    def test_no_op_where_no_libc_loads(self, monkeypatch):
+        def load(name):
+            raise OSError("no C library")
+        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+        assert cli._keep_freed_memory() is False
+
+    def test_sets_each_threshold_once(self, monkeypatch):
+        libc = type("Libc", (), {"mallopt": self.FakeMallopt()})()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert cli._keep_freed_memory() is True
+        assert libc.mallopt.calls == list(cli._MALLOC_SETTINGS)
+        assert libc.mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
+
+    def test_main_sets_them_first(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append("mallopt"))
+        assert run_cli() == 1
+        assert calls == ["mallopt"]
+
+
 class TestCliBasics:
     def test_no_arguments_shows_help(self, capsys):
         assert run_cli() == 1

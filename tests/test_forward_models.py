@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,36 @@ class TestSeirSolve:
                 get_task("seir").simulate_batch(batch, np.full((ROW_LOOP_BELOW, 1), 4.0), 1)
         finally:
             np.seterr(**old)
+
+    def test_one_failing_row_of_a_column_batch_is_named(self):
+        # among finite prior draws on columns, the error names the failing
+        # row's rates and the step at which its single-vector run fails
+        rows = ROW_LOOP_BELOW + 8
+        batch = np.random.default_rng(9).uniform(0, 1, (rows, 6))
+        batch[rows // 3] = self.OUT_OF_BOX
+        times = np.full((rows, 2), 4.0)
+        times[:, 0] = 1.5
+        old = np.seterr(all="ignore")
+        try:
+            with pytest.raises(FloatingPointError) as single:
+                seir_solve(self.OUT_OF_BOX, [1.5, 4.0])
+            t_single = re.search(r"t=[0-9.]+", str(single.value)).group()
+            with pytest.raises(FloatingPointError, match=re.escape(
+                    f"non-finite at {t_single} for m={self.OUT_OF_BOX.tolist()}")):
+                get_task("seir").simulate_batch(batch, times, 2)
+        finally:
+            np.seterr(**old)
+        assert t_single == "t=3.9688"
+
+    def test_datagen_sized_batch_matches_single_vectors(self):
+        # a batch shaped like one dataset shard: 1024 prior draws at n_obs 8
+        rng = np.random.default_rng(1024)
+        task = get_task("seir")
+        m = task.sample_params(rng, 1024)
+        e = rng.uniform(1, 3, (1024, 8))
+        d, _ = task.simulate_batch(m, e, 8)
+        for i in np.linspace(0, 1023, 24).astype(int):
+            np.testing.assert_array_equal(d[i], task.forward_observed(m[i], e[i]))
 
     def test_single_vector_blowup_raises_and_mh_rejects_it(self):
         # one vector fails as loudly as a batch, and MH turns the failure
