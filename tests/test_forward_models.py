@@ -288,10 +288,12 @@ class TestSeirObserve:
             np.testing.assert_array_equal(task.de_solution(m[row], e[row]),
                                           columns[row].reshape(-1))
 
-    @pytest.mark.parametrize("rows", [1, 2, ROW_LOOP_BELOW - 1, ROW_LOOP_BELOW, ROW_LOOP_BELOW + 1])
+    @pytest.mark.parametrize("rows", sorted({1, 2, ROW_LOOP_BELOW - 1, ROW_LOOP_BELOW,
+                                             ROW_LOOP_BELOW + 1, 51, 52, 53}))
     def test_small_and_large_batches_match_single_vectors(self, rows):
         # below ROW_LOOP_BELOW a batch runs row by row, above it on columns;
-        # either way each row is the single vector's result bitwise
+        # either way each row is the single vector's result bitwise. 51-53
+        # rows straddle the crossover of the earlier allocating column kernel.
         rng = np.random.default_rng(rows)
         task = get_task("seir")
         m = rng.uniform(0, 1, (rows, 6))
