@@ -191,14 +191,29 @@ def _prior_draws(task, n, seed):
     return draws
 
 
+class FlowDivergedError(FloatingPointError):
+    """A velocity or flow state became non-finite; ``row`` is the first
+    non-finite row of the integrated batch."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
+
+
+def _first_nonfinite_row(a):
+    return int(np.argmin(np.isfinite(a).all(axis=1)))
+
+
 def _integrate_flow(net, x0, d_rep, e_rep, cfg: SamplerConfig):
     x = x0.astype(np.float32)
     h = 1.0 / cfg.steps
+    cond = net.condition(d_rep, e_rep)
 
     def v(xc, tc):
-        out = net.velocity(xc, tc, d_rep, e_rep)
+        out = net.velocity(xc, tc, cond)
         if not np.isfinite(out).all():
-            raise FloatingPointError(f"velocity became non-finite at t={tc:.4f}")
+            row = _first_nonfinite_row(out)
+            raise FlowDivergedError(f"velocity became non-finite at t={tc:.4f} in row {row}", row)
         return out
 
     for k in range(cfg.steps):
@@ -215,7 +230,9 @@ def _integrate_flow(net, x0, d_rep, e_rep, cfg: SamplerConfig):
             k4 = v(x + h * k3, min(t + h, 1.0))
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(x).all():
-            raise FloatingPointError(f"flow state became non-finite after t={t + h:.4f}")
+            row = _first_nonfinite_row(x)
+            raise FlowDivergedError(
+                f"flow state became non-finite after t={t + h:.4f} in row {row}", row)
     return x
 
 
@@ -224,8 +241,11 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
 
     d, e: one row per seed (a 1-D row is one instance). Instance i's members
     start from the counter-derived prior draws of ``seeds[i]`` (``cfg.seed``
-    is not used), and all n_inst * ensemble paths integrate as one batch.
-    Returns (n_inst, ensemble, dim_m) float64.
+    is not used), and all n_inst * ensemble paths integrate as one batch,
+    from one conditioning (:meth:`VelocityNet.condition`) of the repeated
+    rows. Returns (n_inst, ensemble, dim_m) float64. A path that becomes
+    non-finite raises :class:`FlowDivergedError`, whose message names its
+    instance and member.
     """
     d = np.atleast_2d(np.asarray(d, dtype=np.float32))
     e = np.atleast_2d(np.asarray(e, dtype=np.float32))
@@ -234,7 +254,12 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
                          f"for {len(seeds)} seeds")
     n = cfg.ensemble
     x0 = np.concatenate([_prior_draws(net.task, n, s) for s in seeds])
-    x1 = _integrate_flow(net, x0, np.repeat(d, n, axis=0), np.repeat(e, n, axis=0), cfg)
+    try:
+        x1 = _integrate_flow(net, x0, np.repeat(d, n, axis=0), np.repeat(e, n, axis=0), cfg)
+    except FlowDivergedError as err:
+        instance, member = divmod(err.row, n)
+        raise FlowDivergedError(f"{err} (instance {instance}, member {member})",
+                                err.row) from None
     return x1.reshape(len(seeds), n, -1).astype(np.float64)
 
 

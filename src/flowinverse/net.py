@@ -7,14 +7,26 @@ every token, and bi-directional self-attention without position embeddings
 mixes them; a final RMS norm and a linear head read the velocity off the
 state token alone. So the same weights accept any number of observations,
 and the velocity does not depend on their order beyond float rounding.
+Since the head reads only the state token, the last block computes its
+query, output projection, residual and MLP for that token alone, as a
+(batch, n_emb) row each; keys and values still come from every token.
 
-The forward pass is one tape record per layer: :func:`tensor.token_embedding`,
-:func:`tensor.time_embedding`, each block's fused pre-norm sub-blocks
-:func:`tensor.attention_block` (q|k|v packed in one (E, 3E) weight
-``attn.wqkv``) and :func:`tensor.mlp_block`, and :func:`tensor.head` (final
-norm and read-out). Since the head reads only the state token, the last block
-computes its query, output projection, residual and MLP for that token alone,
-as a (batch, n_emb) row each; keys and values still come from every token.
+The net has two entry points that compute the same velocity, bit for bit:
+
+- :meth:`VelocityNet.forward`, for training, records one tape op per layer:
+  :func:`tensor.token_embedding`, :func:`tensor.time_embedding`, each
+  block's fused pre-norm sub-blocks :func:`tensor.attention_block` (q|k|v
+  packed in one (E, 3E) weight ``attn.wqkv``) and :func:`tensor.mlp_block`,
+  and :func:`tensor.head` (final norm and read-out).
+- :meth:`VelocityNet.condition` and :meth:`VelocityNet.velocity`, for
+  inference. ``condition`` embeds the observation (and design) tokens of a
+  batch once and looks up the parameter arrays once; ``velocity`` then runs
+  one solver step from that :class:`Conditioning` with the same array
+  formulas in the same order, without tensors or a tape. Whatever else
+  depends on the observations alone belongs in the conditioning. A cache of
+  each layer's observation keys and values would live there, once the
+  observation tokens neither get the flow time nor attend to the state; in
+  this net they do both, so only their embeddings are fixed.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is
@@ -30,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import (Tensor, _attention_fwd, _linear_fwd, _relu_squared, _rms_inv,
+                     _rms_scale)
 
 
 @dataclass(frozen=True)
@@ -72,7 +85,9 @@ def timestep_basis(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
-# One block's parameters in the argument order of its two fused sub-blocks.
+# The time embedding's parameters, and one block's, in the argument order of
+# their tape ops.
+_TEMB_PARAMS = ("fc1.w", "fc1.b", "fc2.w", "fc2.b")
 _BLOCK_PARAMS = ("ln1.g", "attn.wqkv.w", "attn.wqkv.b", "attn.wo.w", "attn.wo.b",
                 "ln2.g", "mlp.fc.w", "mlp.fc.b", "mlp.proj.w", "mlp.proj.b")
 
@@ -127,6 +142,23 @@ def param_count(params: dict) -> int:
 # forward passes
 # ---------------------------------------------------------------------------
 
+@dataclass
+class Conditioning:
+    """What a batch's observations fix for every step of one integration.
+
+    ``tokens`` is a (B, n_tokens, E) buffer that holds the embedded
+    observation (and design) tokens; :meth:`VelocityNet.velocity` writes each
+    step's state embedding into its last token, so a conditioning serves one
+    integration at a time. The other fields are the parameter arrays in the
+    order ``velocity`` reads them.
+    """
+    tokens: np.ndarray
+    state: tuple          # embed.state w, b
+    temb: tuple           # temb fc1 w, b, fc2 w, b
+    blocks: list          # per block, the arrays of _BLOCK_PARAMS
+    head: tuple           # ln_f.g, head w, b
+
+
 class VelocityNet:
     """Bundles a task, a config, and parameters behind one forward call."""
 
@@ -139,6 +171,14 @@ class VelocityNet:
     def n_params(self):
         return param_count(self.params)
 
+    def _fixed_tokens(self, d, e) -> dict:
+        """The token features that (d, e) fix: the observations' and, if the
+        task has one, the design token's (else None)."""
+        obs, design = self.task.token_features(d, e)
+        if obs.shape[1] == 0:
+            raise ValueError("cannot tokenize an empty observation list")
+        return {"obs": obs, "design": design}
+
     def forward(self, m_t, t, d, e) -> Tensor:
         """Velocity prediction for a batch sharing one observation count.
 
@@ -149,17 +189,14 @@ class VelocityNet:
         parameters' dtype here, so callers and tasks need not cast them.
         """
         params, config = self.params, self.config
-        obs, design = self.task.token_features(d, e)
-        if obs.shape[1] == 0:
-            raise ValueError("cannot tokenize an empty observation list")
         dt = params["head.w"].dtype
-        tokens = {"obs": obs, "design": design, "state": np.asarray(m_t)[:, None, :]}
+        tokens = {**self._fixed_tokens(d, e), "state": np.asarray(m_t)[:, None, :]}
         x = T.token_embedding((Tensor(f, dtype=dt), params[f"embed.{k}.w"], params[f"embed.{k}.b"])
                               for k, f in tokens.items() if f is not None)  # (B, n_tokens, E)
 
         # a shared scalar t is embedded once, (1, 1, E); times of shape (B,) give (B, 1, E)
         basis = timestep_basis(np.asarray(t).reshape(-1, 1), config.n_emb)
-        temb = [params[f"temb.{name}"] for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b")]
+        temb = [params[f"temb.{name}"] for name in _TEMB_PARAMS]
         x = T.time_embedding(x, basis, *temb)
 
         for i in range(config.n_layer):
@@ -169,9 +206,66 @@ class VelocityNet:
         # x is the state token alone now: (B, E)
         return T.head(x, params["ln_f.g"], params["head.w"], params["head.b"])
 
-    def velocity(self, m_t, t, d, e) -> np.ndarray:
-        """Inference-mode forward pass (no tape recording)."""
-        return self.forward(m_t, t, d, e).data
+    def condition(self, d, e) -> Conditioning:
+        """The conditioning of a batch for :meth:`velocity`: the tokens that
+        (d, e) fix, embedded once as :meth:`forward` embeds them."""
+        a = {k: p.data for k, p in self.params.items()}
+        E = self.config.n_emb
+        dt = a["head.w"].dtype
+        emb = []
+        for k, f in self._fixed_tokens(d, e).items():
+            if f is not None:
+                f = np.asarray(f, dtype=dt)
+                emb.append(_linear_fwd(f.reshape(-1, f.shape[-1]), a[f"embed.{k}.w"],
+                                       a[f"embed.{k}.b"]).reshape(f.shape[:-1] + (E,)))
+        tokens = np.empty((len(emb[0]), sum(x.shape[1] for x in emb) + 1, E), dtype=dt)
+        np.concatenate(emb, axis=1, out=tokens[:, :-1])
+        return Conditioning(
+            tokens=tokens,
+            state=(a["embed.state.w"], a["embed.state.b"]),
+            temb=tuple(a[f"temb.{name}"] for name in _TEMB_PARAMS),
+            blocks=[tuple(a[f"block{i}.{name}"] for name in _BLOCK_PARAMS)
+                    for i in range(self.config.n_layer)],
+            head=(a["ln_f.g"], a["head.w"], a["head.b"]))
+
+    def velocity(self, m_t, t, cond: Conditioning) -> np.ndarray:
+        """Inference-mode forward pass: bitwise :meth:`forward`'s velocity
+        for the batch ``cond`` was made from, computed on plain arrays, so
+        no tape records it.
+
+        m_t: (B, dim_m), B the conditioning's rows; t: scalar or (B,).
+        Returns a (B, dim_m) array.
+        """
+        buf = cond.tokens
+        B, _, E = buf.shape
+        m_t = np.asarray(m_t, dtype=buf.dtype)
+        if m_t.shape != (B, self.config.dim_m):
+            raise ValueError(f"m_t must have shape {(B, self.config.dim_m)} to match "
+                             f"the conditioning, got {m_t.shape}")
+        basis = timestep_basis(np.asarray(t).reshape(-1, 1), E).astype(buf.dtype, copy=False)
+        if len(basis) not in (1, B):
+            raise ValueError(f"t must be a scalar or have {B} entries, got {len(basis)}")
+        buf[:, -1] = _linear_fwd(m_t, *cond.state)
+        w1, b1, w2, b2 = cond.temb
+        sq, _ = _relu_squared(_linear_fwd(basis.reshape(len(basis), -1), w1, b1))
+        x = buf + _linear_fwd(sq, w2, b2).reshape(len(basis), 1, E)
+
+        last = len(cond.blocks) - 1
+        for i, (g1, wqkv, bqkv, wo, bo, g2, w_fc, b_fc, w_pr, b_pr) in enumerate(cond.blocks):
+            h, _ = _rms_scale(x, g1, _rms_inv(x))
+            qkv = _linear_fwd(h.reshape(-1, E), wqkv, bqkv).reshape(x.shape[:2] + (3 * E,))
+            ctx, _ = _attention_fwd(qkv, self.config.n_head, state_only=i == last)
+            res = x[:, -1] if i == last else x
+            y = _linear_fwd(ctx.reshape(-1, E), wo, bo).reshape(res.shape)
+            y += res
+            h, _ = _rms_scale(y, g2, _rms_inv(y))
+            f = _linear_fwd(h.reshape(-1, E), w_fc, b_fc)
+            sq, _ = _relu_squared(f, out=f)
+            x = _linear_fwd(sq, w_pr, b_pr).reshape(y.shape)
+            x += y
+        g, w, b = cond.head
+        h, _ = _rms_scale(x, g, _rms_inv(x))
+        return _linear_fwd(h.reshape(-1, E), w, b).reshape(x.shape[:-1] + w.shape[1:])
 
     def zero_grad(self):
         for p in self.params.values():

@@ -197,7 +197,8 @@ def _attention_fwd(qkv, n_head, state_only=False):
     parts = qkv.reshape(B, n_tok, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
     # Contiguous copies. On strided views the stacked products cost about the
     # same (B=256, T=9: 0.53 ms either way, copies included), but the
-    # backward's products then round differently from the unfused engine's.
+    # backward's products then round differently, which would move the
+    # digests that pin this engine's gradients (TestBitwisePins).
     q = np.ascontiguousarray(parts[0, :, :, n_tok - 1:] if state_only else parts[0])
     kt = np.ascontiguousarray(parts[1].swapaxes(-1, -2))     # (B, H, hd, T)
     v = np.ascontiguousarray(parts[2])                       # (B, H, T, hd)

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from flowinverse import tensor as T
-from flowinverse.cfm import (SamplerConfig, TrainConfig, TrainingDivergedError, _integrate_flow,
-                             _prior_draws, cfm_loss, interpolate, sample_batch,
-                             sample_posterior, train)
+from flowinverse.cfm import (FlowDivergedError, SamplerConfig, TrainConfig,
+                             TrainingDivergedError, _integrate_flow, _prior_draws, cfm_loss,
+                             interpolate, sample_batch, sample_posterior, train)
 from flowinverse.data import Batch, DataGenConfig, DatasetShard, generate_dataset
 from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import get_task
@@ -172,7 +174,10 @@ class _ConstantNet:
         self.task = task
         self.dim_m = dim_m
 
-    def velocity(self, m_t, t, d, e):
+    def condition(self, d, e):
+        return None
+
+    def velocity(self, m_t, t, cond):
         return np.broadcast_to(self.c, m_t.shape).copy()
 
 
@@ -182,8 +187,26 @@ class _LinearNet:
     def __init__(self, task):
         self.task = task
 
-    def velocity(self, m_t, t, d, e):
+    def condition(self, d, e):
+        return None
+
+    def velocity(self, m_t, t, cond):
         return m_t.copy()
+
+
+class _OneRowNet:
+    """The field that is 0 everywhere but on one row of the batch."""
+
+    def __init__(self, task, row, value):
+        self.task, self.row, self.value = task, row, value
+
+    def condition(self, d, e):
+        return None
+
+    def velocity(self, m_t, t, cond):
+        out = np.zeros_like(m_t)
+        out[self.row] = self.value
+        return out
 
 
 class TestSamplerConfig:
@@ -285,6 +308,18 @@ class TestSampleBatch:
             own = sample_posterior(net, self.D[i], self.E[i],
                                    SamplerConfig(steps=8, method=method, ensemble=4, seed=seed))
             np.testing.assert_allclose(batch[i], own.samples, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("value, method, problem", [
+        (np.nan, "euler", "velocity became non-finite at t=0.0000 in row 6"),
+        # a finite velocity whose rk4 combination overflows float32
+        (3e38, "rk4", "flow state became non-finite after t=1.0000 in row 6")])
+    def test_nonfinite_path_names_its_instance_and_member(self, value, method, problem):
+        net = _OneRowNet(get_task("nonlinear"), 6, value)
+        cfg = SamplerConfig(steps=1, method=method, ensemble=4)
+        with np.errstate(over="ignore"), pytest.raises(
+                FlowDivergedError, match=re.escape(f"{problem} (instance 1, member 2)")) as err:
+            sample_batch(net, self.D, self.E, self.SEEDS, cfg)
+        assert err.value.row == 6
 
     def test_rejects_seed_count_mismatch(self):
         with pytest.raises(ValueError, match="2 seeds"):

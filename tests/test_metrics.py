@@ -38,7 +38,10 @@ class _ConstNet:
         self.task = task
         self.c = np.float32(c)
 
-    def velocity(self, m_t, t, d, e):
+    def condition(self, d, e):
+        return None
+
+    def velocity(self, m_t, t, cond):
         return np.full_like(m_t, self.c)
 
 

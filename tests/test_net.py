@@ -130,8 +130,9 @@ class TestTransformerForward:
         net = VelocityNet(task, cfg, seed=0)
         for n_obs in range(1, 17):
             rng = np.random.default_rng(n_obs)
-            out = net.velocity(rng.uniform(0, 1, (3, 1)), 0.4,
-                               rng.normal(size=(3, n_obs)), rng.uniform(0, 1, (3, n_obs)))
+            m_t = rng.uniform(0, 1, (3, 1))
+            cond = net.condition(rng.normal(size=(3, n_obs)), rng.uniform(0, 1, (3, n_obs)))
+            out = net.velocity(m_t, 0.4, cond)
             assert out.shape == (3, 1)
             assert np.isfinite(out).all()
 
@@ -153,8 +154,8 @@ class TestTransformerForward:
         m_t = rng.uniform(0, 1, (2, 6))
         d = rng.uniform(0, 50, (2, 8))
         e = rng.uniform(1, 3, (2, 4))
-        a = net.velocity(m_t, 0.3, d, e)
-        b = net.velocity(m_t, 0.3, d, e)
+        a = net.velocity(m_t, 0.3, net.condition(d, e))
+        b = net.velocity(m_t, 0.3, net.condition(d, e))
         np.testing.assert_array_equal(a, b)
 
     def test_param_count_pure_function_of_config(self):
@@ -217,9 +218,9 @@ class TestPermutationInvariance:
         for n_obs in (4, 8):
             d, e = _observations(task, rng, n_obs)
             m_t = rng.normal(size=(2, task.dim_m))
-            v = net.velocity(m_t, 0.6, d, e)
+            v = net.velocity(m_t, 0.6, net.condition(d, e))
             dp, ep = _permute_observations(task, d, e, rng.permutation(n_obs))
-            vp = net.velocity(m_t, 0.6, dp, ep)
+            vp = net.velocity(m_t, 0.6, net.condition(dp, ep))
             assert np.abs(vp - v).max() <= 1e-6 * np.abs(v).max(), n_obs
 
 
@@ -277,7 +278,7 @@ def _seir_parity_case():
     T.backward(loss, tape)
     m_t = cfm.interpolate(m0.astype(np.float32), m1.astype(np.float32),
                           t.astype(np.float32)).astype(np.float32)
-    v = net.velocity(m_t, t.astype(np.float32), d, e)
+    v = net.velocity(m_t, t.astype(np.float32), net.condition(d, e))
     return loss.item(), v, _split_qkv({k: p.grad for k, p in params.items()}), n_records
 
 
@@ -329,9 +330,10 @@ class TestSeirPaperConfig:
         e = np.sort(rng.uniform(1.0, 3.0, (B, 8)), axis=1)
         d = rng.uniform(0.0, 100.0, (B, 16))
         m_t = rng.normal(size=(B, task.dim_m))
+        cond = net.condition(d, e)
         for t in (0.0, 0.37, 1.0):
-            v = net.velocity(m_t, t, d, e)
-            np.testing.assert_array_equal(v, net.velocity(m_t, np.full(B, t), d, e))
+            v = net.velocity(m_t, t, cond)
+            np.testing.assert_array_equal(v, net.velocity(m_t, np.full(B, t), cond))
 
 
 def _digest(arrays: dict) -> str:
@@ -388,8 +390,62 @@ class TestBitwisePins:
         rng = np.random.default_rng(33)
         e = np.sort(rng.uniform(1.0, 3.0, (10, 8)), axis=1)
         d = rng.uniform(0.0, 100.0, (10, 16))
-        v = net.velocity(rng.normal(size=(10, task.dim_m)), 0.37, d, e)
+        v = net.velocity(rng.normal(size=(10, task.dim_m)), 0.37, net.condition(d, e))
         assert _digest({"v": v}) == "b96aa2c7a846a742"
+
+
+class TestConditionedVelocity:
+    """``velocity`` from a prebuilt conditioning is ``forward``'s velocity,
+    bit for bit, without a tape record."""
+
+    @staticmethod
+    def _net(task_name, n_layer):
+        task = get_task(task_name)
+        if task_name == "seir" and n_layer == 6:
+            return VelocityNet(task, _seir_paper_config(), seed=8)
+        cfg = NetConfig(n_emb=16, n_head=2, n_layer=n_layer, dim_m=task.dim_m,
+                        obs_token_dim=task.obs_token_dim, design_token_dim=task.design_token_dim)
+        return VelocityNet(task, cfg, seed=n_layer)
+
+    # n_layer 1: the first block is also the state_only block
+    @pytest.mark.parametrize("task_name, n_layer", [
+        ("nonlinear", 1), ("nonlinear", 2), ("seir", 1), ("seir", 6),
+        ("darcy", 1), ("darcy", 2)])
+    @pytest.mark.parametrize("B", [1, 10])
+    def test_equals_forward_bitwise(self, task_name, n_layer, B):
+        net = self._net(task_name, n_layer)
+        rng = np.random.default_rng(B * 10 + n_layer)
+        pairs = [_observations(net.task, rng, 8) for _ in range(5)]     # 2 rows each
+        d, e = (np.concatenate(rows)[:B] for rows in zip(*pairs))
+        m_t = rng.normal(size=(B, net.task.dim_m)).astype(np.float32)
+        cond = net.condition(d, e)
+        for t in (0.0, 0.37, 1.0, rng.uniform(0, 1, B).astype(np.float32)):
+            want = net.forward(m_t, t, d, e).data
+            got = net.velocity(m_t, t, cond)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_records_nothing_on_an_open_tape(self):
+        net = self._net("seir", 6)
+        d, e = _observations(net.task, np.random.default_rng(3), 4)
+        cond = net.condition(d, e)
+        with T.Tape() as tape:
+            v = net.velocity(np.zeros((2, net.task.dim_m)), 0.5, cond)
+        assert len(tape) == 0 and v.shape == (2, net.task.dim_m)
+
+    def test_rejects_rows_that_differ_from_the_conditioning(self):
+        net = self._net("nonlinear", 2)
+        d, e = _observations(net.task, np.random.default_rng(4), 3)
+        cond = net.condition(d, e)                 # 2 rows
+        with pytest.raises(ValueError, match="m_t must have shape"):
+            net.velocity(np.zeros((3, 1)), 0.5, cond)
+        with pytest.raises(ValueError, match="t must be a scalar or have 2 entries"):
+            net.velocity(np.zeros((2, 1)), np.full(3, 0.5), cond)
+
+    def test_condition_rejects_empty_observations(self):
+        net = self._net("nonlinear", 1)
+        with pytest.raises(ValueError, match="empty"):
+            net.condition(np.zeros((1, 0)), np.zeros((1, 0)))
 
 
 class TestConfigValidation:
@@ -399,8 +455,9 @@ class TestConfigValidation:
 
     def test_odd_head_dim_builds_and_runs(self):
         cfg = NetConfig(n_emb=6, n_head=2, n_layer=1)     # 3 features per head
-        out = VelocityNet(get_task("nonlinear"), cfg, seed=0).velocity(
-            np.full((2, 1), 0.5), 0.3, np.ones((2, 3)), np.full((2, 3), 0.4))
+        net = VelocityNet(get_task("nonlinear"), cfg, seed=0)
+        out = net.velocity(np.full((2, 1), 0.5), 0.3,
+                           net.condition(np.ones((2, 3)), np.full((2, 3), 0.4)))
         assert out.shape == (2, 1) and np.isfinite(out).all()
 
     def test_rejects_odd_n_emb(self):
