@@ -241,9 +241,12 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
 
     d, e: one row per seed (a 1-D row is one instance). Instance i's members
     start from the counter-derived prior draws of ``seeds[i]`` (``cfg.seed``
-    is not used), and all n_inst * ensemble paths integrate as one batch,
-    from one conditioning (:meth:`VelocityNet.condition`) of the repeated
-    rows. Returns (n_inst, ensemble, dim_m) float64. A path that becomes
+    is not used), and all n_inst * ensemble paths integrate as one batch.
+    The observation stream of the repeated rows runs once, into one
+    conditioning (:meth:`VelocityNet.condition`), and each solver step runs
+    the state rows alone (:meth:`VelocityNet.velocity`, within 1e-6 of max|v|
+    of :meth:`VelocityNet.forward`, the training path). Returns
+    (n_inst, ensemble, dim_m) float64. A path that becomes
     non-finite raises :class:`FlowDivergedError`, whose message names its
     instance and member.
     """

@@ -16,7 +16,7 @@ from .tasks import TASKS
 from .tensor import Tensor
 
 MAGIC = b"CFMT"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 class CheckpointFormatError(artifact.FormatError):

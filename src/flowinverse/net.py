@@ -2,31 +2,39 @@
 
 Each observation is one token that carries its own design, e.g. (d_i, e_i);
 a task whose design is shared adds one design token, and the state ``m_t``
-comes last. A sinusoidal-plus-MLP embedding of the flow time is added to
-every token, and bi-directional self-attention without position embeddings
-mixes them; a final RMS norm and a linear head read the velocity off the
-state token alone. So the same weights accept any number of observations,
-and the velocity does not depend on their order beyond float rounding.
-Since the head reads only the state token, the last block computes its
-query, output projection, residual and MLP for that token alone, as a
-(batch, n_emb) row each; keys and values still come from every token.
+comes last. The blocks run two streams over these tokens, with one set of
+weights:
 
-The net has two entry points that compute the same velocity, bit for bit:
+- the **observation stream**, the observation and design tokens, gets no
+  flow time, and its queries attend only to its own keys, so it does not
+  depend on the state or on t;
+- the **state stream**, the state token alone, gets a sinusoidal-plus-MLP
+  embedding of the flow time, and its query attends to every key.
 
-- :meth:`VelocityNet.forward`, for training, records one tape op per layer:
-  :func:`tensor.token_embedding`, :func:`tensor.time_embedding`, each
+There are no position embeddings, so the same weights accept any number of
+observations, and the velocity does not depend on their order beyond float
+rounding. A final RMS norm and a linear head read the velocity off the state
+token. Since nothing reads the observation tokens after the last block, that
+block computes its query, output projection, residual and MLP for the state
+alone, as a (batch, n_emb) row each; keys and values still come from every
+token.
+
+The net has two entry points that compute the same velocity, up to float
+rounding (within 1e-6 of max|v|):
+
+- :meth:`VelocityNet.forward`, for training, runs both streams as one
+  sequence and records one tape op per layer: :func:`tensor.token_embedding`,
+  :func:`tensor.time_embedding` (added to the state token only), each
   block's fused pre-norm sub-blocks :func:`tensor.attention_block` (q|k|v
-  packed in one (E, 3E) weight ``attn.wqkv``) and :func:`tensor.mlp_block`,
+  packed in one (E, 3E) weight ``attn.wqkv``; the observation queries'
+  scores against the state key are masked) and :func:`tensor.mlp_block`,
   and :func:`tensor.head` (final norm and read-out).
 - :meth:`VelocityNet.condition` and :meth:`VelocityNet.velocity`, for
-  inference. ``condition`` embeds the observation (and design) tokens of a
-  batch once and looks up the parameter arrays once; ``velocity`` then runs
-  one solver step from that :class:`Conditioning` with the same array
-  formulas in the same order, without tensors or a tape. Whatever else
-  depends on the observations alone belongs in the conditioning. A cache of
-  each layer's observation keys and values would live there, once the
-  observation tokens neither get the flow time nor attend to the state; in
-  this net they do both, so only their embeddings are fixed.
+  inference, without tensors or a tape. ``condition`` runs the observation
+  stream of a batch once, through every block, and keeps each block's
+  observation keys and values in a :class:`Conditioning`; ``velocity`` then
+  runs one solver step on the state row alone, a (batch, n_emb) array, whose
+  query attends to those cached keys and to its own.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is
@@ -42,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import (Tensor, _attention_fwd, _linear_fwd, _relu_squared, _rms_inv,
+from .tensor import (Tensor, _attention_fwd, _linear_fwd, _mlp_fwd, _relu_squared, _rms_inv,
                      _rms_scale)
 
 
@@ -146,13 +154,16 @@ def param_count(params: dict) -> int:
 class Conditioning:
     """What a batch's observations fix for every step of one integration.
 
-    ``tokens`` is a (B, n_tokens, E) buffer that holds the embedded
-    observation (and design) tokens; :meth:`VelocityNet.velocity` writes each
-    step's state embedding into its last token, so a conditioning serves one
-    integration at a time. The other fields are the parameter arrays in the
-    order ``velocity`` reads them.
+    Per block, ``keys`` holds the observation stream's keys as a
+    (B, H, hd, T) array and ``values`` its values as (B, H, T, hd), T the
+    number of tokens with the state. The last slot of each is the state's:
+    :meth:`VelocityNet.velocity` writes the step's state key and value there
+    and changes nothing else, so a conditioning serves one integration at a
+    time, and any number of integrations in turn. The other fields are the
+    parameter arrays in the order ``velocity`` reads them.
     """
-    tokens: np.ndarray
+    keys: list            # per block, (B, H, hd, T)
+    values: list          # per block, (B, H, T, hd)
     state: tuple          # embed.state w, b
     temb: tuple           # temb fc1 w, b, fc2 w, b
     blocks: list          # per block, the arrays of _BLOCK_PARAMS
@@ -207,10 +218,12 @@ class VelocityNet:
         return T.head(x, params["ln_f.g"], params["head.w"], params["head.b"])
 
     def condition(self, d, e) -> Conditioning:
-        """The conditioning of a batch for :meth:`velocity`: the tokens that
-        (d, e) fix, embedded once as :meth:`forward` embeds them."""
+        """The conditioning of a batch for :meth:`velocity`: the observation
+        stream of (d, e) run once through every block, as :meth:`forward`
+        runs it, and each block's observation keys and values."""
         a = {k: p.data for k, p in self.params.items()}
-        E = self.config.n_emb
+        E, H = self.config.n_emb, self.config.n_head
+        hd = E // H
         dt = a["head.w"].dtype
         emb = []
         for k, f in self._fixed_tokens(d, e).items():
@@ -218,54 +231,73 @@ class VelocityNet:
                 f = np.asarray(f, dtype=dt)
                 emb.append(_linear_fwd(f.reshape(-1, f.shape[-1]), a[f"embed.{k}.w"],
                                        a[f"embed.{k}.b"]).reshape(f.shape[:-1] + (E,)))
-        tokens = np.empty((len(emb[0]), sum(x.shape[1] for x in emb) + 1, E), dtype=dt)
-        np.concatenate(emb, axis=1, out=tokens[:, :-1])
+        x = np.concatenate(emb, axis=1)                     # (B, T - 1, E)
+        B, n_fixed, _ = x.shape
+        blocks = [tuple(a[f"block{i}.{name}"] for name in _BLOCK_PARAMS)
+                  for i in range(self.config.n_layer)]
+        keys, values = [], []
+        for i, (g1, wqkv, bqkv, wo, bo, *mlp) in enumerate(blocks):
+            h, _ = _rms_scale(x, g1, _rms_inv(x))
+            qkv = _linear_fwd(h.reshape(-1, E), wqkv, bqkv).reshape(B, n_fixed, 3 * E)
+            parts = qkv.reshape(B, n_fixed, 3, H, hd)
+            k = np.empty((B, H, hd, n_fixed + 1), dtype=dt)
+            v = np.empty((B, H, n_fixed + 1, hd), dtype=dt)
+            k[..., :-1] = parts[:, :, 1].transpose(0, 2, 3, 1)
+            v[:, :, :-1] = parts[:, :, 2].transpose(0, 2, 1, 3)
+            keys.append(k)
+            values.append(v)
+            if i == len(blocks) - 1:      # the head reads the state alone
+                break
+            ctx, _ = _attention_fwd(qkv, H)
+            y = _linear_fwd(ctx.reshape(-1, E), wo, bo).reshape(x.shape)
+            y += x
+            x, _, _ = _mlp_fwd(y, *mlp)
         return Conditioning(
-            tokens=tokens,
+            keys=keys, values=values,
             state=(a["embed.state.w"], a["embed.state.b"]),
             temb=tuple(a[f"temb.{name}"] for name in _TEMB_PARAMS),
-            blocks=[tuple(a[f"block{i}.{name}"] for name in _BLOCK_PARAMS)
-                    for i in range(self.config.n_layer)],
+            blocks=blocks,
             head=(a["ln_f.g"], a["head.w"], a["head.b"]))
 
     def velocity(self, m_t, t, cond: Conditioning) -> np.ndarray:
-        """Inference-mode forward pass: bitwise :meth:`forward`'s velocity
-        for the batch ``cond`` was made from, computed on plain arrays, so
-        no tape records it.
+        """Inference-mode forward pass: :meth:`forward`'s velocity for the
+        batch ``cond`` was made from, up to float rounding, computed on the
+        state row alone with plain arrays, so no tape records it.
 
         m_t: (B, dim_m), B the conditioning's rows; t: scalar or (B,).
         Returns a (B, dim_m) array.
         """
-        buf = cond.tokens
-        B, _, E = buf.shape
-        m_t = np.asarray(m_t, dtype=buf.dtype)
+        B, H, hd, _ = cond.keys[0].shape
+        E = H * hd
+        dt = cond.keys[0].dtype
+        m_t = np.asarray(m_t, dtype=dt)
         if m_t.shape != (B, self.config.dim_m):
             raise ValueError(f"m_t must have shape {(B, self.config.dim_m)} to match "
                              f"the conditioning, got {m_t.shape}")
-        basis = timestep_basis(np.asarray(t).reshape(-1, 1), E).astype(buf.dtype, copy=False)
+        basis = timestep_basis(np.asarray(t).reshape(-1, 1), E).astype(dt, copy=False)
         if len(basis) not in (1, B):
             raise ValueError(f"t must be a scalar or have {B} entries, got {len(basis)}")
-        buf[:, -1] = _linear_fwd(m_t, *cond.state)
         w1, b1, w2, b2 = cond.temb
         sq, _ = _relu_squared(_linear_fwd(basis.reshape(len(basis), -1), w1, b1))
-        x = buf + _linear_fwd(sq, w2, b2).reshape(len(basis), 1, E)
-
-        last = len(cond.blocks) - 1
-        for i, (g1, wqkv, bqkv, wo, bo, g2, w_fc, b_fc, w_pr, b_pr) in enumerate(cond.blocks):
+        x = _linear_fwd(m_t, *cond.state)                   # (B, E), the state row
+        x += _linear_fwd(sq, w2, b2)
+        c = dt.type(1.0 / np.sqrt(hd))
+        for k, v, (g1, wqkv, bqkv, wo, bo, *mlp) in zip(cond.keys, cond.values, cond.blocks):
             h, _ = _rms_scale(x, g1, _rms_inv(x))
-            qkv = _linear_fwd(h.reshape(-1, E), wqkv, bqkv).reshape(x.shape[:2] + (3 * E,))
-            ctx, _ = _attention_fwd(qkv, self.config.n_head, state_only=i == last)
-            res = x[:, -1] if i == last else x
-            y = _linear_fwd(ctx.reshape(-1, E), wo, bo).reshape(res.shape)
-            y += res
-            h, _ = _rms_scale(y, g2, _rms_inv(y))
-            f = _linear_fwd(h.reshape(-1, E), w_fc, b_fc)
-            sq, _ = _relu_squared(f, out=f)
-            x = _linear_fwd(sq, w_pr, b_pr).reshape(y.shape)
-            x += y
+            qkv = _linear_fwd(h, wqkv, bqkv).reshape(B, 3, H, hd)
+            k[..., -1] = qkv[:, 1]
+            v[:, :, -1] = qkv[:, 2]
+            s = qkv[:, 0, :, None] @ k                      # (B, H, 1, T)
+            s *= c
+            s -= s.max(axis=-1, keepdims=True)
+            np.exp(s, out=s)
+            s /= np.einsum("...i->...", s)[..., None]
+            y = _linear_fwd((s @ v).reshape(B, E), wo, bo)
+            y += x
+            x, _, _ = _mlp_fwd(y, *mlp)
         g, w, b = cond.head
         h, _ = _rms_scale(x, g, _rms_inv(x))
-        return _linear_fwd(h.reshape(-1, E), w, b).reshape(x.shape[:-1] + w.shape[1:])
+        return _linear_fwd(h, w, b)
 
     def zero_grad(self):
         for p in self.params.values():

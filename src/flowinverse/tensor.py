@@ -188,10 +188,28 @@ def _relu_squared_bwd(g, r, out=None):
     return np.multiply(g, two_r, out=two_r)
 
 
-def _attention_fwd(qkv, n_head, state_only=False):
+def _mlp_fwd(xd, gain, w1, b1, w2, b2):
+    """x + w2(relu²(w1(rms_norm(x, gain)))) of (..., E) rows, with 1 / rms(x)
+    and relu(f), which the backward needs."""
+    inv = _rms_inv(xd)
+    h, _ = _rms_scale(xd, gain, inv)
+    f = _linear_fwd(h.reshape(-1, xd.shape[-1]), w1, b1)
+    sq, r = _relu_squared(f, out=f)
+    y = _linear_fwd(sq, w2, b2).reshape(xd.shape)
+    y += xd
+    return y, inv, r
+
+
+def _attention_fwd(qkv, n_head, state_only=False, two_stream=False):
     """Each head's softmax(q kᵀ / √hd) v of a packed (B, T, 3E) q|k|v,
     merged to (B, Tq, E), and what the backward needs. Tq is T, or 1 with
-    ``state_only``: only the last token's query is used."""
+    ``state_only``: only the last token's query is used.
+
+    With ``two_stream`` the last token is the state and the others are the
+    observation stream: their queries score the state's key −inf, so it gets
+    weight 0 and they attend to each other alone, while the state's query
+    attends to every key. The backward needs no change: a weight of 0 gives
+    its score, and the key and value behind it, no gradient from that row."""
     B, n_tok, E3 = qkv.shape
     hd = E3 // (3 * n_head)
     parts = qkv.reshape(B, n_tok, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
@@ -205,6 +223,8 @@ def _attention_fwd(qkv, n_head, state_only=False):
     c = qkv.dtype.type(1.0 / np.sqrt(hd))
     s = q @ kt
     s *= c
+    if two_stream:                        # no rows with state_only: its query is the state's
+        s[..., :-1, -1] = -np.inf
     m = s[..., 0].copy()
     for i in range(1, n_tok):             # exact row max; fast on short rows
         np.maximum(m, s[..., i], out=m)
@@ -239,8 +259,8 @@ def _attention_bwd(g, cache):
 # ---------------------------------------------------------------------------
 # One tape record each, with a hand-written backward. Each runs the float
 # operations of the composition it fuses (linear layers, relu², an rms norm,
-# attention, a concat or an add), in that composition's order, so (without
-# ``state_only``) its output and gradients are bitwise the composition's;
+# masked attention, a concat or an add), in that composition's order, so
+# (without ``state_only``) its output and gradients are bitwise the composition's;
 # tests/test_tensor.py checks this against a plain-numpy composition. The
 # sub-blocks' tape keeps 1 / rms(x), the attention's q, kᵀ, v and weights,
 # its context and relu(f); the backward recomputes the normalised input and
@@ -271,9 +291,10 @@ def token_embedding(groups) -> Tensor:
 
 
 def time_embedding(x: Tensor, basis, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """x + w2(relu²(w1(basis))) for a (B, T, E) sequence. ``basis`` is a
-    constant (B or 1, 1, k) array, the flow-time features of each row or of
-    one time all rows share; its embedding is added to every token."""
+    """x + w2(relu²(w1(basis))) on the last token of a (B, T, E) sequence,
+    the state; the other tokens pass through. ``basis`` is a constant
+    (B or 1, 1, k) array, the flow-time features of each row or of one time
+    all rows share."""
     B, _, E = x.shape
     basis = np.asarray(basis, dtype=w1.dtype)
     if basis.ndim != 3 or basis.shape[0] not in (1, B) or basis.shape[1] != 1:
@@ -283,11 +304,13 @@ def time_embedding(x: Tensor, basis, w1: Tensor, b1: Tensor, w2: Tensor, b2: Ten
     _check_linear(w1.shape, w2, b2, E)
     x2 = basis.reshape(len(basis), -1)
     sq, r = _relu_squared(_linear_fwd(x2, w1.data, b1.data))
-    y = x.data + _linear_fwd(sq, w2.data, b2.data).reshape(len(basis), 1, E)
-    axes = tuple(i for i in (0, 1) if basis.shape[i] < x.shape[i])    # broadcast over
+    y = x.data.copy()
+    y[:, -1:] += _linear_fwd(sq, w2.data, b2.data).reshape(len(basis), 1, E)
 
     def bwd(g):
-        gt = g.sum(axis=axes, keepdims=True) if axes else g
+        gt = g[:, -1:]
+        if len(basis) < B:                # one time, broadcast over the rows
+            gt = gt.sum(axis=0, keepdims=True)
         dsq, dw2, db2 = _linear_bwd(gt.reshape(-1, E), sq, w2.data)
         _, dw1, db1 = _linear_bwd(_relu_squared_bwd(dsq, r), x2, w1.data, need_x=False)
         return g, dw1, db1, dw2, db2
@@ -297,9 +320,12 @@ def time_embedding(x: Tensor, basis, w1: Tensor, b1: Tensor, w2: Tensor, b2: Ten
 
 def attention_block(x: Tensor, gain: Tensor, wqkv: Tensor, bqkv: Tensor,
                     wo: Tensor, bo: Tensor, n_head: int, state_only: bool = False) -> Tensor:
-    """Pre-norm bi-directional self-attention of a (B, T, E) sequence,
+    """Pre-norm self-attention of a (B, T, E) sequence in two streams,
     x + wo(attention(wqkv(rms_norm(x, gain)))), with q|k|v packed in one
-    (E, 3E) weight.
+    (E, 3E) weight. The last token is the state: it attends to every token,
+    while the others, the observation stream, attend to each other alone
+    (their scores against the state's key are −inf before the row max). So
+    the observation rows' outputs do not depend on the state row.
 
     With ``state_only`` the query, the output projection and the residual
     are computed for the last token alone and the result is that token's
@@ -316,7 +342,7 @@ def attention_block(x: Tensor, gain: Tensor, wqkv: Tensor, bqkv: Tensor,
     inv = _rms_inv(xd)
     h, _ = _rms_scale(xd, gain.data, inv)
     qkv = _linear_fwd(h.reshape(-1, E), wqkv.data, bqkv.data).reshape(B, n_tok, 3 * E)
-    ctx, cache = _attention_fwd(qkv, n_head, state_only)
+    ctx, cache = _attention_fwd(qkv, n_head, state_only, two_stream=True)
     sel = -1 if state_only else slice(None)
     c2 = ctx.reshape(-1, E)
     y = _linear_fwd(c2, wo.data, bo.data).reshape(xd[:, sel].shape)
@@ -341,12 +367,7 @@ def mlp_block(x: Tensor, gain: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: T
     _check_linear(x.shape, w1, b1)
     _check_linear(w1.shape, w2, b2, E)
     xd = x.data
-    inv = _rms_inv(xd)
-    h, _ = _rms_scale(xd, gain.data, inv)
-    f = _linear_fwd(h.reshape(-1, E), w1.data, b1.data)
-    sq, r = _relu_squared(f, out=f)
-    y = _linear_fwd(sq, w2.data, b2.data).reshape(xd.shape)
-    y += xd
+    y, inv, r = _mlp_fwd(xd, gain.data, w1.data, b1.data, w2.data, b2.data)
 
     def bwd(g):
         sq = r * r                        # the tape keeps relu(f) alone

@@ -94,7 +94,7 @@ class TestFormatErrors:
                                      "param_count": param_count(params), "step": 0,
                                      "rng_state": {}},
                        {name: t.data for name, t in params.items()})
-        with pytest.raises(CheckpointFormatError, match="file has 2, reader supports 6"):
+        with pytest.raises(CheckpointFormatError, match="file has 2, reader supports 7"):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("version", [3, 4])
@@ -109,7 +109,7 @@ class TestFormatErrors:
                                            "rng_state": {}},
                        {name: t.data for name, t in params.items()})
         with pytest.raises(CheckpointFormatError,
-                           match=f"file has {version}, reader supports 6"):
+                           match=f"file has {version}, reader supports 7"):
             load_checkpoint(p)
 
     def test_version_5_file_rejected(self, tmp_path):
@@ -127,7 +127,20 @@ class TestFormatErrors:
         artifact.write(p, MAGIC, 5, {"task": "seir", "net": asdict(cfg),
                                      "param_count": param_count(params), "step": 0,
                                      "rng_state": {}}, arrays)
-        with pytest.raises(CheckpointFormatError, match="file has 5, reader supports 6"):
+        with pytest.raises(CheckpointFormatError, match="file has 5, reader supports 7"):
+            load_checkpoint(p)
+
+    def test_version_6_file_rejected(self, tmp_path):
+        # version 6 holds weights trained with the time embedding on every
+        # token and every token attending to the state: under the two-stream
+        # net they would load and give other velocities
+        cfg, params = make_params()
+        p = tmp_path / "old.cfmt"
+        artifact.write(p, MAGIC, 6, {"task": "seir", "net": asdict(cfg),
+                                     "param_count": param_count(params), "step": 0,
+                                     "rng_state": {}},
+                       {name: t.data for name, t in params.items()})
+        with pytest.raises(CheckpointFormatError, match="file has 6, reader supports 7"):
             load_checkpoint(p)
 
     def test_truncation(self, tmp_path):

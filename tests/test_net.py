@@ -1,5 +1,4 @@
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +9,6 @@ from flowinverse.data import Batch
 from flowinverse.net import NetConfig, VelocityNet, init_params, param_count, timestep_basis
 from flowinverse.tasks import SeirTask, get_task
 from gradcheck import finite_difference_check
-
-PARITY_REFERENCE = Path(__file__).parent / "data" / "seir_parity_reference.npz"
-
 
 def timestep_embed(params, t, dim):
     """The flow-time embedding alone: time_embedding added to zero tokens."""
@@ -88,7 +84,9 @@ class TestTokenize:
 def micro_oracle(params, m_t, t, d, e):
     """Independent plain-numpy forward pass for a 1-layer, 1-head, n_emb=2
     transformer on the scalar task; written from scratch against the
-    documented architecture, no shared code with the engine."""
+    documented architecture, no shared code with the engine. The time
+    embedding goes to the state token alone, and the observation token
+    attends to itself alone."""
     def lin(x, w, b):
         return x @ w + b
 
@@ -104,7 +102,7 @@ def micro_oracle(params, m_t, t, d, e):
     basis = np.concatenate([np.sin(t * freqs), np.cos(t * freqs)])
     h = np.maximum(lin(basis, p["temb.fc1.w"], p["temb.fc1.b"]), 0) ** 2
     temb = lin(h, p["temb.fc2.w"], p["temb.fc2.b"])
-    tokens = tokens + temb
+    tokens = tokens + np.array([[0.0], [1.0]]) * temb        # the state row only
 
     x = rms(tokens, p["block0.ln1.g"])
     wqkv, bqkv = p["block0.attn.wqkv.w"], p["block0.attn.wqkv.b"]      # q | k | v
@@ -112,6 +110,7 @@ def micro_oracle(params, m_t, t, d, e):
     k = lin(x, wqkv[:, 2:4], bqkv[2:4])
     v = lin(x, wqkv[:, 4:6], bqkv[4:6])
     scores = q @ k.T / np.sqrt(2.0)
+    scores[0, 1] = -np.inf                                    # observation -> state
     w = np.exp(scores - scores.max(-1, keepdims=True))
     w = w / w.sum(-1, keepdims=True)
     attn = lin(w @ v, p["block0.attn.wo.w"], p["block0.attn.wo.b"])
@@ -144,7 +143,9 @@ class TestTransformerForward:
         got = VelocityNet(task, cfg, params).forward(
             np.array([[m_t]], dtype=np.float32), t, np.array([[d]]), np.array([[e]])).data[0, 0]
         want = micro_oracle(params, m_t, t, d, e)[0]
-        assert got == pytest.approx(want, abs=1e-5)
+        # relative: the velocity is about 0.03, and the old architecture's
+        # differs from this oracle's by 3e-6 of it
+        assert got == pytest.approx(want, rel=1e-6)
 
     def test_bitwise_determinism(self):
         task = get_task("seir")
@@ -229,97 +230,126 @@ def _seir_paper_config():
                      obs_token_dim=SeirTask.obs_token_dim)
 
 
-QKV = ("wq", "wk", "wv")
+def two_stream_oracle(params, task, n_head, m_t, t, d, e):
+    """Independent float64 velocity of the two-stream net, one row and one
+    head at a time, written from the documented architecture with no code
+    shared with the engine: the observation (and design) tokens run a plain
+    transformer of their own, without the flow time, and the state token,
+    which alone gets the time embedding, attends to their keys and its own.
+    The observation tokens of the last block are computed too, and unused."""
+    p = {k: v.data.astype(np.float64) for k, v in params.items()}
+    n_layer = sum(k.endswith(".ln1.g") for k in p)
+    E = p["head.w"].shape[0]
+    hd = E // n_head
+
+    def lin(x, name):
+        return x @ p[name + ".w"] + p[name + ".b"]
+
+    def rms(x, g):
+        return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-8) * g
+
+    def softmax(z):
+        z = np.exp(z - z.max(-1, keepdims=True))
+        return z / z.sum(-1, keepdims=True)
+
+    def mlp(x, b):
+        return x + lin(np.maximum(lin(rms(x, p[b + ".ln2.g"]), b + ".mlp.fc"), 0) ** 2,
+                       b + ".mlp.proj")
+
+    obs, design = task.token_features(np.asarray(d, np.float64), np.asarray(e, np.float64))
+    t = np.broadcast_to(np.asarray(t, np.float64), (len(m_t),))
+    half = E // 2
+    # float32 flow-time angles, as the engine forms them: at a frequency of
+    # 1e4 their rounding alone moves the velocity by up to 2e-5 of max|v|
+    freqs = (10000.0 ** (np.arange(half) / max(half - 1, 1))).astype(np.float32)
+    out = []
+    for row in range(len(m_t)):
+        fixed = lin(obs[row], "embed.obs")
+        if design is not None:
+            fixed = np.vstack([fixed, lin(design[row], "embed.design")])
+        angles = (np.float32(t[row]) * freqs).astype(np.float64)
+        basis = np.concatenate([np.sin(angles), np.cos(angles)])
+        temb = lin(np.maximum(lin(basis, "temb.fc1"), 0) ** 2, "temb.fc2")
+        state = lin(np.asarray(m_t[row], np.float64), "embed.state") + temb
+        for i in range(n_layer):
+            b = f"block{i}"
+            qkv_f = lin(rms(fixed, p[b + ".ln1.g"]), b + ".attn.wqkv")
+            qkv_s = lin(rms(state, p[b + ".ln1.g"]), b + ".attn.wqkv")
+            keys = np.vstack([qkv_f[:, E:2 * E], qkv_s[None, E:2 * E]])
+            values = np.vstack([qkv_f[:, 2 * E:], qkv_s[None, 2 * E:]])
+            ctx_f = np.empty((len(fixed), E))
+            ctx_s = np.empty(E)
+            for h in range(n_head):
+                c = slice(h * hd, (h + 1) * hd)
+                w = softmax(qkv_f[:, c] @ keys[:-1, c].T / np.sqrt(hd))    # own keys only
+                ctx_f[:, c] = w @ values[:-1, c]
+                ctx_s[c] = softmax(keys[:, c] @ qkv_s[c] / np.sqrt(hd)) @ values[:, c]
+            fixed = mlp(fixed + lin(ctx_f, b + ".attn.wo"), b)
+            state = mlp(state + lin(ctx_s, b + ".attn.wo"), b)
+        out.append(lin(rms(state, p["ln_f.g"]), "head"))
+    return np.array(out)
 
 
-def _split_qkv(arrays: dict) -> dict:
-    """The arrays under their names before q, k and v were packed: each
-    ``attn.wqkv.*`` becomes ``attn.wq.*``, ``attn.wk.*`` and ``attn.wv.*``,
-    as views into the packed array."""
-    out = {}
-    for name, a in arrays.items():
-        if ".attn.wqkv." in name:
-            out.update((name.replace("wqkv", part), piece)
-                       for part, piece in zip(QKV, np.split(a, 3, axis=-1)))
-        else:
-            out[name] = a
-    return out
-
-
-def _packed_group(name: str) -> list:
-    """The unpacked names that share ``name``'s packed parameter."""
-    for part in QKV:
-        if f".attn.{part}." in name:
-            return [name.replace(f".{part}.", f".{other}.") for other in QKV]
-    return [name]
-
-
-def _seir_parity_case():
-    """Loss, velocity and parameter gradients of one cfm_loss on frozen,
-    perturbed paper-config SEIR parameters (B=64, n_obs=8), and the number of
-    tape records (read before the backward sweep empties the tape).
-    Gradients come under the unpacked q/k/v names."""
+def _seir_oracle_case(B=4, n_obs=8):
+    """A net with perturbed paper-config SEIR parameters (biases and gains
+    off 0 and 1 too) and one cfm_loss batch for it: (net, batch, t, m0)."""
     task = SeirTask()
     params = init_params(_seir_paper_config(), seed=5)
     rng = np.random.default_rng(2024)
-    unpacked = _split_qkv({k: p.data for k, p in params.items()})
-    for name in sorted(unpacked):   # biases and gains move off 0 and 1 too
-        unpacked[name] += rng.normal(0.0, 0.05, unpacked[name].shape).astype(np.float32)
-    B, n_obs = 64, 8
+    for name in sorted(params):
+        params[name].data += rng.normal(0.0, 0.05, params[name].shape).astype(np.float32)
     e = np.sort(rng.uniform(1.0, 3.0, (B, n_obs)), axis=1)
     d = rng.uniform(0.0, 100.0, (B, 2 * n_obs))
-    m1 = rng.normal(size=(B, task.dim_m))
-    m0 = rng.normal(size=(B, task.dim_m))
-    t = rng.uniform(0.0, 1.0, B)
+    batch = Batch(n_obs=n_obs, m=rng.normal(size=(B, task.dim_m)), e=e, d=d,
+                  index=np.arange(B))
     net = VelocityNet(task, _seir_paper_config(), params=params)
-    with T.Tape() as tape:
-        loss = cfm.cfm_loss(net, Batch(n_obs=n_obs, m=m1, e=e, d=d, index=np.arange(B)), t, m0)
-    n_records = len(tape)
-    T.backward(loss, tape)
-    m_t = cfm.interpolate(m0.astype(np.float32), m1.astype(np.float32),
-                          t.astype(np.float32)).astype(np.float32)
-    v = net.velocity(m_t, t.astype(np.float32), net.condition(d, e))
-    return loss.item(), v, _split_qkv({k: p.grad for k, p in params.items()}), n_records
+    return net, batch, rng.uniform(0.0, 1.0, B), rng.normal(size=(B, task.dim_m))
 
 
 class TestSeirPaperConfig:
-    def test_matches_reference_engine(self):
-        # The reference was recorded with the engine of commit 858d25c (fused
-        # linear, separate q, k and v weights, RoPE as a complex multiply)
-        # with every rotary position set to 0; a zero rotation is the
-        # identity, so that is this position-free net computed by an
-        # independently validated engine. It keeps the loss, the velocity
-        # and, per parameter, 48 evenly spaced gradient entries plus the
-        # largest one. The q, k and v slices of a packed weight share the
-        # scale of that weight's largest gradient: the key bias's gradient
-        # is 0 up to rounding (softmax is shift-invariant), and its own
-        # reference maximum, 1e-10, is rounding noise.
-        with np.load(PARITY_REFERENCE) as z:
-            ref = dict(z)
-        loss, v, grads, _ = _seir_parity_case()
-        assert loss == pytest.approx(float(ref["loss"]), rel=1e-5)
-        np.testing.assert_allclose(v, ref["velocity"], rtol=0,
-                                   atol=1e-5 * np.abs(ref["velocity"]).max())
-        assert sorted(grads) == sorted(ref["names"].tolist())
-        ref_max = dict(zip(ref["names"].tolist(), ref["maxabs"]))
-        stops = np.cumsum(ref["counts"])
-        for name, stop, count in zip(ref["names"].tolist(), stops, ref["counts"]):
-            group = _packed_group(name)
-            scale = max(ref_max[n] for n in group)
-            idx = ref["index"][stop - count:stop]
-            g = grads[name].reshape(-1)
-            np.testing.assert_allclose(g[idx], ref["value"][stop - count:stop], rtol=0,
-                                       atol=1e-5 * scale, err_msg=name)
-            got_max = max(np.abs(grads[n]).max() for n in group)
-            assert got_max == pytest.approx(scale, rel=1e-5), name
-            if name.endswith(".attn.wk.b"):
-                assert np.abs(g).max() < 1e-6 * scale, name
+    def test_matches_two_stream_oracle(self):
+        # the loss and the velocity of the engine, in float32, against the
+        # float64 oracle, at the bounds the earlier engine parity used
+        net, batch, t, m0 = _seir_oracle_case()
+        with T.Tape():
+            loss = cfm.cfm_loss(net, batch, t, m0).item()
+        m1 = batch.m.astype(np.float32)
+        m0, t = m0.astype(np.float32), t.astype(np.float32)
+        m_t = cfm.interpolate(m0, m1, t).astype(np.float32)
+        want = two_stream_oracle(net.params, net.task, net.config.n_head, m_t, t,
+                                 batch.d, batch.e)
+        assert loss == pytest.approx(np.mean((want - (m1 - m0)) ** 2), rel=1e-5)
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(net.forward(m_t, t, batch.d, batch.e).data, want,
+                                   rtol=0, atol=1e-5 * scale)
+        np.testing.assert_allclose(net.velocity(m_t, t, net.condition(batch.d, batch.e)), want,
+                                   rtol=0, atol=1e-5 * scale)
+
+    def test_gradients_match_finite_differences(self):
+        # per parameter, its three largest gradient entries in float64; the
+        # key bias's gradient is 0 up to rounding (softmax is shift-invariant
+        # within each stream), so its largest entries are the query's and value's
+        net, batch, t, m0 = _seir_oracle_case(B=3)
+
+        def fn(p):
+            return cfm.cfm_loss(VelocityNet(net.task, net.config, params=p), batch, t, m0)
+
+        p64 = {k: T.Tensor(p.data, requires_grad=True, dtype=np.float64)
+               for k, p in net.params.items()}
+        with T.Tape() as tape:
+            loss = fn(p64)
+        T.backward(loss, tape)
+        entries = {k: np.argsort(np.abs(p.grad).reshape(-1))[-3:] for k, p in p64.items()}
+        assert finite_difference_check(fn, net.params, entries=entries) < 1e-5
 
     def test_tape_records_per_loss(self):
         # one record per layer: the token embedding, the time embedding, the
         # fused attention and MLP sub-blocks of each of the 6 blocks, the head
         # and the loss
-        assert _seir_parity_case()[3] == 16
+        net, batch, t, m0 = _seir_oracle_case()
+        with T.Tape() as tape:
+            cfm.cfm_loss(net, batch, t, m0)
+        assert len(tape) == 16
 
     @pytest.mark.parametrize("B", [1, 10, 256])
     def test_shared_flow_time_matches_per_row_times(self, B):
@@ -354,9 +384,9 @@ def _loss_and_grads(net, batch, t, m0):
 
 
 class TestBitwisePins:
-    """Digests recorded when the embeddings, the final norm and the head
-    were still composed of generic linear, relu², rms_norm, concat and add
-    records; their one-op-per-layer forms must not move a bit."""
+    """Digests of the two-stream net, recorded once
+    ``TestSeirPaperConfig`` had checked it against an independent oracle
+    and finite differences; a refactor of the engine must not move a bit."""
 
     def test_darcy_loss_and_gradients(self):
         # three embedding groups: observations, the design token and the state
@@ -370,10 +400,10 @@ class TestBitwisePins:
                       index=np.arange(B))
         arrays = _loss_and_grads(VelocityNet(task, cfg, seed=6), batch, rng.uniform(0, 1, B),
                                  rng.normal(size=(B, task.dim_m)))
-        assert _digest(arrays) == "618630ef3c49df33"
+        assert _digest(arrays) == "40e0941a6d4bb956"
 
     def test_seir_training_step_on_one_row(self):
-        # one row: the (1, 1, E) time embedding sums over the tokens alone
+        # one row: the (1, 1, E) time embedding reaches the state token alone
         task = SeirTask()
         net = VelocityNet(task, _seir_paper_config(), seed=4)
         rng = np.random.default_rng(32)
@@ -382,7 +412,7 @@ class TestBitwisePins:
         arrays = _loss_and_grads(net, batch, rng.uniform(0, 1, 1), task.prior_sample(rng, 1))
         T.adam_step(net.params, T.AdamState(net.params, lr=8e-4))
         arrays.update((f"{k}.stepped", p.data) for k, p in net.params.items())
-        assert _digest(arrays) == "262b806279ecb139"
+        assert _digest(arrays) == "fb2bcbcf37023718"
 
     def test_shared_flow_time_velocity(self):
         task = SeirTask()
@@ -391,12 +421,12 @@ class TestBitwisePins:
         e = np.sort(rng.uniform(1.0, 3.0, (10, 8)), axis=1)
         d = rng.uniform(0.0, 100.0, (10, 16))
         v = net.velocity(rng.normal(size=(10, task.dim_m)), 0.37, net.condition(d, e))
-        assert _digest({"v": v}) == "b96aa2c7a846a742"
+        assert _digest({"v": v}) == "f934deb4d4c035f0"
 
 
 class TestConditionedVelocity:
     """``velocity`` from a prebuilt conditioning is ``forward``'s velocity,
-    bit for bit, without a tape record."""
+    up to float rounding, without a tape record."""
 
     @staticmethod
     def _net(task_name, n_layer):
@@ -407,23 +437,52 @@ class TestConditionedVelocity:
                         obs_token_dim=task.obs_token_dim, design_token_dim=task.design_token_dim)
         return VelocityNet(task, cfg, seed=n_layer)
 
+    @staticmethod
+    def _batch(net, B, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [_observations(net.task, rng, 8) for _ in range(5)]     # 2 rows each
+        d, e = (np.concatenate(rows)[:B] for rows in zip(*pairs))
+        return d, e, rng.normal(size=(B, net.task.dim_m)).astype(np.float32), rng
+
     # n_layer 1: the first block is also the state_only block
     @pytest.mark.parametrize("task_name, n_layer", [
         ("nonlinear", 1), ("nonlinear", 2), ("seir", 1), ("seir", 6),
         ("darcy", 1), ("darcy", 2)])
     @pytest.mark.parametrize("B", [1, 10])
-    def test_equals_forward_bitwise(self, task_name, n_layer, B):
+    def test_equals_forward(self, task_name, n_layer, B):
+        # the two paths run GEMMs of different shapes, whose rows OpenBLAS
+        # does not always round alike
         net = self._net(task_name, n_layer)
-        rng = np.random.default_rng(B * 10 + n_layer)
-        pairs = [_observations(net.task, rng, 8) for _ in range(5)]     # 2 rows each
-        d, e = (np.concatenate(rows)[:B] for rows in zip(*pairs))
-        m_t = rng.normal(size=(B, net.task.dim_m)).astype(np.float32)
+        d, e, m_t, rng = self._batch(net, B, B * 10 + n_layer)
         cond = net.condition(d, e)
         for t in (0.0, 0.37, 1.0, rng.uniform(0, 1, B).astype(np.float32)):
             want = net.forward(m_t, t, d, e).data
             got = net.velocity(m_t, t, cond)
             assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("task_name, n_layer", [("seir", 6), ("darcy", 2)])
+    def test_velocity_writes_only_the_state_slots(self, task_name, n_layer):
+        net = self._net(task_name, n_layer)
+        d, e, m_t, rng = self._batch(net, 10, 5)
+        cond = net.condition(d, e)
+        cached = [(k[..., :-1].copy(), v[:, :, :-1].copy()) for k, v in zip(cond.keys, cond.values)]
+        assert len(cached) == n_layer
+        for m, t in ((m_t, 0.0), (100 * m_t, 1.0), (-m_t, rng.uniform(0, 1, 10))):
+            net.velocity(m, t, cond)
+            for (k, v), (k0, v0) in zip(zip(cond.keys, cond.values), cached):
+                np.testing.assert_array_equal(k[..., :-1], k0)
+                np.testing.assert_array_equal(v[:, :, :-1], v0)
+
+    def test_a_conditioning_serves_integrations_in_turn(self, monkeypatch):
+        net = self._net("seir", 6)
+        d, e, _, _ = self._batch(net, 10, 6)
+        cfg = cfm.SamplerConfig(steps=50, ensemble=3)
+        fresh = cfm.sample_batch(net, d, e, list(range(10)), cfg)
+        cond = net.condition(*(np.repeat(np.float32(a), 3, axis=0) for a in (d, e)))
+        monkeypatch.setattr(net, "condition", lambda d, e: cond)
+        for _ in range(2):
+            np.testing.assert_array_equal(cfm.sample_batch(net, d, e, list(range(10)), cfg), fresh)
 
     def test_records_nothing_on_an_open_tape(self):
         net = self._net("seir", 6)

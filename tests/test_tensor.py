@@ -98,7 +98,8 @@ class TestReluSquared:
 
 
 class TestTimeEmbedding:
-    def test_adds_one_embedding_to_every_token(self):
+    def test_adds_the_embedding_to_the_state_token(self):
+        # the observation tokens, all but the last, pass through unchanged
         rng = np.random.default_rng(12)
         x = rng.normal(size=(3, 4, 6))
         basis = rng.normal(size=(3, 1, 6))
@@ -107,7 +108,8 @@ class TestTimeEmbedding:
         out = T.time_embedding(Tensor(x, dtype=np.float64), basis,
                                *(Tensor(a, dtype=np.float64) for a in (w1, b1, w2, b2))).data
         temb = np.maximum(basis @ w1 + b1, 0) ** 2 @ w2 + b2
-        np.testing.assert_allclose(out, x + temb, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(out[:, :-1], x[:, :-1])
+        np.testing.assert_allclose(out[:, -1:], x[:, -1:] + temb, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(2, 1, 6), (3, 2, 6), (3, 6), (1, 1, 5)])
     def test_rejects_a_basis_of_another_shape(self, shape):
@@ -321,6 +323,8 @@ def composed_linear(x, w, b):
 
 
 def composed_attention(qkv, n_head):
+    """Two-stream attention: a (T, T) mask of −inf where a query of the
+    first T - 1 tokens meets the last token's key, added to the scores."""
     B, n_tok, E3 = qkv.shape
     hd = E3 // (3 * n_head)
     parts = qkv.reshape(B, n_tok, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
@@ -328,8 +332,11 @@ def composed_attention(qkv, n_head):
     kt = np.ascontiguousarray(parts[1].swapaxes(-1, -2))
     v = np.ascontiguousarray(parts[2])
     c = qkv.dtype.type(1.0 / np.sqrt(hd))
+    mask = np.zeros((n_tok, n_tok), dtype=qkv.dtype)
+    mask[:-1, -1] = -np.inf
     s = q @ kt
     s *= c
+    s += mask
     s -= s.max(-1, keepdims=True)
     np.exp(s, out=s)
     s /= np.einsum("...i->...", s)[..., None]
@@ -403,13 +410,14 @@ def composed_token_embedding(groups, g):
 
 
 def composed_time_embedding(x, basis, w1, b1, w2, b2, g):
-    """linear, relu², linear, and the add that broadcasts the embedding."""
+    """linear, relu², linear, and the add that broadcasts the embedding over
+    the rows of the last token, the state; the other tokens are copied."""
     f, fc1_bwd = composed_linear(basis, w1, b1)
     r = np.maximum(f, 0)
     temb, fc2_bwd = composed_linear(r * r, w2, b2)
-    dsq, dw2, db2 = fc2_bwd(unbroadcast(g, temb.shape))
+    dsq, dw2, db2 = fc2_bwd(unbroadcast(g[:, -1:], temb.shape))
     _, dw1, db1 = fc1_bwd(dsq * (2 * r))
-    return x + temb, (g, dw1, db1, dw2, db2)
+    return np.concatenate([x[:, :-1], x[:, -1:] + temb], axis=1), (g, dw1, db1, dw2, db2)
 
 
 def composed_head(x, gain, w, b, g):
@@ -468,7 +476,7 @@ class TestFusedBlocks:
             g = f32(B, 3)
             want, want_grads = composed_head(*arrays, g)
             op = lambda t: T.head(*t)
-        else:                   # a (1, 1, E) basis sums over tokens, and rows if B > 1
+        else:                   # a (1, 1, E) basis sums over the rows if B > 1
             basis = f32(B if case == "time_per_row" else 1, 1, E)
             arrays = [f32(B, 4, E), f32(E, E), f32(E), f32(E, E), f32(E)]
             g = f32(B, 4, E)
@@ -500,6 +508,22 @@ class TestFusedBlocks:
         assert out.data.dtype == grad.dtype == np.float32
         np.testing.assert_array_equal(out.data, want)
         np.testing.assert_array_equal(grad, want_grad)
+
+    def test_observation_rows_ignore_the_state_row(self):
+        # the observation stream's outputs, and so the gradients that reach
+        # the observation rows from them, do not depend on the last token
+        rng = np.random.default_rng(11)
+        arrays = block_inputs("attention", rng, 5, 4, 8, np.float32)
+        g = rng.normal(size=(5, 4, 8)).astype(np.float32)
+        g[:, -1] = 0
+        out, grads = run_block("attention", arrays, g)
+        moved = [a.copy() for a in arrays]
+        moved[0][:, -1] += rng.normal(scale=3.0, size=(5, 8)).astype(np.float32)
+        moved_out, moved_grads = run_block("attention", moved, g)
+        assert np.abs(moved_out[:, -1] - out[:, -1]).min() > 0
+        np.testing.assert_array_equal(moved_out[:, :-1], out[:, :-1])
+        np.testing.assert_array_equal(moved_grads[0][:, :-1], grads[0][:, :-1])
+        np.testing.assert_array_equal(moved_grads[0][:, -1], 0)
 
     def test_state_only_is_the_last_row(self):
         rng = np.random.default_rng(8)
@@ -843,7 +867,7 @@ class TestPrimitiveGradients:
                 (Tensor(a[:, :3], dtype=p["w"].dtype), p["w"], p["c"]),
                 (p["u"], p["wv"], p["cu"]), (p["v"], p["wv"], p["cv"])]))]
         elif op_name == "add":
-            # a (1, 1, E) basis broadcast over the tokens of one row, then of three rows
+            # a (1, 1, E) basis on the state token of one row, then broadcast over three rows
             params.update((k, param(*shape)) for k, shape in
                           (("x1", (1, 4, 6)), ("w1", (6, 6)), ("b1", (6,)), ("w2", (6, 6)),
                            ("b2", (6,))))
@@ -870,7 +894,9 @@ class TestPrimitiveGradients:
             # gradient is 0 and its finite differences are rounding noise
             entries = {"w3": np.r_[0:6, 12:18]}
             w = ["w1", "w2", "w3", "w4", "w5"]
-            variants = [                           # 4 tokens, the last one's query, 1 token
+            # 4 tokens (the three observation queries skip the state's key),
+            # the last one's query, 1 token
+            variants = [
                 lambda p: sq(T.attention_block(p["a"], *(p[k] for k in w), 2)),
                 lambda p: sq(T.attention_block(p["a"], *(p[k] for k in w), 2, state_only=True)),
                 lambda p: sq(T.attention_block(p["w0"], *(p[k] for k in w), 2)),
