@@ -307,9 +307,10 @@ def _seir_oracle_case(B=4, n_obs=8):
 
 
 class TestSeirPaperConfig:
-    def test_matches_two_stream_oracle(self):
+    def test_matches_reference_engine(self):
         # the loss and the velocity of the engine, in float32, against the
-        # float64 oracle, at the bounds the earlier engine parity used
+        # reference engine, the float64 two-stream oracle, at the bounds the
+        # earlier engine parity used
         net, batch, t, m0 = _seir_oracle_case()
         with T.Tape():
             loss = cfm.cfm_loss(net, batch, t, m0).item()
