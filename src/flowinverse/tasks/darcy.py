@@ -10,15 +10,20 @@ Discretization: vertex-centered finite volumes on a uniform 65x65 grid with
 harmonic-mean face transmissibilities (flux-conservative, second order on
 smooth fields) and homogeneous Neumann conditions on the y = 0, 1 sides,
 along which the x-faces are half width. The unknowns are the (n-2)*n nodes
-off the Dirichlet lines x = 0, 1, row-major in x; their flux balance is a
-symmetric positive definite 5-diagonal matrix (offsets -n, -1, 0, 1, n), and
-the boundary pressure times the first and last x-face transmissibilities is
-its right-hand side. One banded Cholesky solve takes its lower band, stored
-(n+1, (n-2)*n) with the diagonal in row 0, -ty in row 1 and -tx in row n.
+(r, j) off the Dirichlet lines x = 0, 1, whose 5-point flux balance has the
+boundary pressure times the first and last x-face transmissibilities on its
+right. It couples only nodes of opposite parity of r + j, so the red nodes
+(r + j even) are eliminated exactly, u_r = (b_r + sum t u_b) / D_r, leaving
+the SPD Schur complement S = D_b - A_br D_r^-1 A_rb on the black nodes: a
+9-point operator coupling (r, j+-2), (r+-2, j) and (r+-1, j+-1), whose
+products are formed as t * (t / D) so that small permeabilities do not
+underflow. One banded Cholesky solve takes its lower band, of width n
+(offsets 1, (n-1)/2, (n+1)/2 and n on odd grids), stored (n+1, N_black).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -35,6 +40,12 @@ class DarcyConstants:
     sigma_v: float = 1.0        # kernel standard deviation
     ell2: float = 0.1           # kernel squared length-scale
     n_modes: int = 16
+
+    def __post_init__(self):
+        if self.n_grid < 3:
+            raise ValueError(f"n_grid must be at least 3, got {self.n_grid}")
+        if not 1 <= self.n_modes <= self.n_grid ** 2:
+            raise ValueError(f"n_modes must lie in [1, n_grid**2], got {self.n_modes}")
 
     @property
     def h(self):
@@ -126,9 +137,29 @@ class SolverError(FloatingPointError):
     """A permeability the finite-volume solve cannot handle numerically."""
 
 
+@functools.lru_cache(maxsize=None)
+def _red_black(n):
+    """Flat red and black indices of the (n-2, n) free grid, and where each
+    entry of the black lower band comes from in ``_solve_dirichlet``'s stacked
+    (5, n-2, n) couplings (``src``) and goes in the flat band (``dst``)."""
+    black = np.indices((n - 2, n)).sum(0) % 2 == 1
+    idx = np.full((n, n + 3), -1)           # black number at (r, j + 1); -1 elsewhere
+    idx[:n - 2, 1:-2][black] = p = np.arange(black.sum())
+    src, dst = [], []
+    for k, (dr, dj) in enumerate([(0, 0), (0, 2), (2, 0), (1, 1), (1, -1)]):
+        q = idx[dr:dr + n - 2, 1 + dj:1 + dj + n][black]
+        src.append(k * black.size + np.flatnonzero(black)[q >= 0])
+        dst.append((p * (n + 1) + q - p)[q >= 0])
+    maps = np.flatnonzero(~black), np.flatnonzero(black), np.concatenate(src), np.concatenate(dst)
+    for a in maps:
+        a.flags.writeable = False           # one map per grid size, shared by every solve
+    return maps
+
+
 def _solve_dirichlet(kappa, left_vals, right_vals):
     """Solve the FV system with explicit Dirichlet data on x = 0 (left) and
-    x = 1 (right); homogeneous Neumann on the y sides."""
+    x = 1 (right); homogeneous Neumann on the y sides. The red nodes are
+    eliminated and the black Schur complement is Cholesky-factored in band."""
     kappa = np.asarray(kappa, dtype=np.float64)
     if np.any(kappa <= 0) or not np.isfinite(kappa).all():
         raise SolverError("permeability must be positive and finite everywhere")
@@ -142,20 +173,41 @@ def _solve_dirichlet(kappa, left_vals, right_vals):
     if not all(((t > 0) & (t < np.inf)).all() for t in (tx, ty[:, :-1])):
         raise SolverError("face transmissibilities overflow or underflow for permeability "
                           f"in [{kappa.min():.3g}, {kappa.max():.3g}]")
-    ab = np.zeros((n + 1, (n - 2) * n), order="F")    # lower band, LAPACK layout
-    ab[0] = (tx[1:] + tx[:-1] + ty).ravel()
-    ab[1] = -ty.ravel()                 # 0 at a row's last node: no face above y = 1
-    ab[0, 1:] -= ab[1, :-1]             # add the y-face below
-    ab[n, :-n] = -tx[1:-1].ravel()
-    b = np.zeros(ab.shape[1])
-    b[:n] = tx[0] * left_vals
-    b[-n:] += tx[-1] * right_vals
+    t = np.zeros((4, n - 2, n))         # each free node's faces to its W, E, S, N neighbours
+    t[0], t[1], t[2, :, 1:], t[3] = tx[:-1], tx[1:], ty[:, :-1], ty
+    (W, E, S, N), d = t, t.sum(0)
+
+    def at(a, dr, dj):                  # a, padded by one zero node, at each (r+dr, j+dj)
+        return a[..., 1 + dr:n - 1 + dr, 1 + dj:n + 1 + dj]
+
+    def inflow(v):                      # sum over the faces of t * v at the neighbour
+        v = np.pad(v, 1)
+        return W * at(v, -1, 0) + E * at(v, 1, 0) + S * at(v, 0, -1) + N * at(v, 0, 1)
+
+    g = np.pad(t / d, ((0, 0), (1, 1), (1, 1)))        # each face's t / D at its red end
+    c = np.stack([d - W * at(g[1], -1, 0) - E * at(g[0], 1, 0) - S * at(g[3], 0, -1)
+                  - N * at(g[2], 0, 1),                                     # diagonal
+                  -N * at(g[3], 0, 1),                                      # (r, j+2)
+                  -E * at(g[1], 1, 0),                                      # (r+2, j)
+                  -N * at(g[1], 0, 1) - E * at(g[3], 1, 0),                 # (r+1, j+1)
+                  -S * at(g[1], 0, -1) - E * at(g[2], 1, 0)])               # (r+1, j-1)
+    red, black, src, dst = _red_black(n)
+    band = np.zeros(black.size * (n + 1))    # its transpose is the LAPACK layout
+    band[dst] = c.ravel()[src]
+    b = np.zeros((n - 2, n))
+    b[0] = W[0] * left_vals
+    b[-1] += E[-1] * right_vals
+    rhs = (b + inflow(b / d)).ravel()[black]
     try:
-        x = solveh_banded(ab, b, overwrite_ab=True, overwrite_b=True, lower=True, check_finite=False)
+        x = solveh_banded(band.reshape(black.size, n + 1).T, rhs, overwrite_ab=True,
+                          overwrite_b=True, lower=True, check_finite=False)
     except LinAlgError as err:
         raise SolverError(f"banded Cholesky factorisation failed: {err}") from err
-    u = np.empty((n, n))
-    u[0], u[1:-1], u[-1] = left_vals, x.reshape(n - 2, n), right_vals
+    u = np.zeros((n, n))
+    u[0], u[-1] = left_vals, right_vals
+    free = u[1:-1].reshape(-1)          # a view
+    free[black] = x
+    free[red] = (b + inflow(u[1:-1])).ravel()[red] / d.ravel()[red]
     return u
 
 

@@ -304,6 +304,23 @@ class TestSeirObserve:
             d, np.stack([task.forward_observed(m[i], e[i]) for i in range(rows)]))
 
 
+class TestDarcyConstants:
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(n_grid=2), "n_grid"),
+        (dict(n_grid=3, n_modes=0), "n_modes"),
+        (dict(n_grid=3, n_modes=16), "n_modes"),
+    ])
+    def test_bad_grid_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            dy.DarcyConstants(**kwargs)
+
+    def test_smallest_grid_solves(self):
+        const = dy.DarcyConstants(n_grid=3, n_modes=9)
+        assert dy.kl_basis_build(const).modes.shape == (9, 9)
+        u = dy._solve_dirichlet(np.ones((3, 3)), np.zeros(3), np.ones(3))
+        np.testing.assert_allclose(u[1], 0.5, rtol=1e-12)
+
+
 class TestKlBasis:
     def test_kernel_diagonal(self):
         const = dy.DarcyConstants(n_grid=9)
@@ -411,12 +428,10 @@ class TestDarcySolve:
         u = dy._solve_dirichlet(np.ones((n, n)), np.zeros(n), np.ones(n))
         np.testing.assert_allclose(u, xs[:, None] * np.ones((1, n)), atol=1e-9)
 
-    def test_residual_below_tolerance(self):
-        rng = np.random.default_rng(3)
-        n = 33
-        kappa = np.exp(rng.normal(0, 0.5, (n, n)))
-        f = np.linspace(0, 1, n)
-        g = -f
+    @staticmethod
+    def _flux_residual(kappa, f, g):
+        """Relative residual of the solve's flux balance."""
+        n = kappa.shape[0]
         u = dy._solve_dirichlet(kappa, f, g)
         np.testing.assert_array_equal(u[0], f)
         np.testing.assert_array_equal(u[-1], g)
@@ -443,7 +458,41 @@ class TestDarcySolve:
                         r -= t * u[nb]
                 residual.append(r - b)
                 rhs.append(b)
-        assert np.linalg.norm(residual) / np.linalg.norm(rhs) <= 1e-9
+        return np.linalg.norm(residual) / np.linalg.norm(rhs)
+
+    # an even grid has as many red as black nodes and row-dependent band offsets
+    @pytest.mark.parametrize("n", [8, 9, 33])
+    def test_residual_below_tolerance(self, n):
+        rng = np.random.default_rng(3)
+        kappa = np.exp(rng.normal(0, 0.5, (n, n)))
+        f = np.linspace(0, 1, n)
+        assert self._flux_residual(kappa, f, -f) <= 1e-9
+
+    @pytest.mark.parametrize("n", [8, 33])
+    def test_residual_below_tolerance_on_a_checkerboard(self, n):
+        # permeability 1e4 apart on the red and the black nodes, times a
+        # rough field so that the faces still differ
+        rng = np.random.default_rng(4)
+        i, j = np.indices((n, n))
+        kappa = np.where((i + j) % 2 == 0, 1e2, 1e-2) * np.exp(rng.normal(0, 0.5, (n, n)))
+        f = np.linspace(0, 1, n)
+        assert self._flux_residual(kappa, f, -f) <= 1e-9
+
+    def test_pressure_is_invariant_to_permeability_scale(self, kl_basis):
+        # every product in the elimination is t * (t / D), so neither scale
+        # underflows or overflows
+        m = np.random.default_rng(5).standard_normal(16)
+        kappa = np.exp(dy.kl_expand(m, kl_basis))
+        u = dy.darcy_solve(kappa, 0.3, 0.7)
+        for c in (1e-100, 1e100):
+            np.testing.assert_allclose(dy.darcy_solve(kappa * c, 0.3, 0.7), u,
+                                       rtol=0, atol=1e-12 * np.abs(u).max())
+
+    @pytest.mark.parametrize("n", [9, 65])
+    def test_black_band_offsets_on_odd_grids(self, n):
+        red, black, src, dst = dy._red_black(n)
+        assert (red.size, black.size) == ((n - 2) * n // 2 + 1, (n - 2) * n // 2)
+        assert set(dst % (n + 1)) == {0, 1, (n - 1) // 2, (n + 1) // 2, n}
 
     @staticmethod
     def _reference_cases(kl_basis):
@@ -454,11 +503,12 @@ class TestDarcySolve:
             yield seed, dy.darcy_solve(np.exp(dy.kl_expand(m, kl_basis)), e1, e2)
 
     def test_solution_pinned_to_reference_digests(self, kl_basis):
-        # sha256 of the pressure field's bytes from the banded Cholesky solve
+        # sha256 of the pressure field's bytes from the red-black elimination
+        # and the banded Cholesky solve of the black Schur complement
         expected = {
-            11: "bdc640fff725f9ec8ff0fdd931962ff39cda7975686ae530fc92d50234ddeb64",
-            12: "5cb95f94cdef507a92873051726767d944b7a31d2e26aea0fd142b580551c46a",
-            13: "b68948fa4e3250cb7fef83c4fa582b77a87ba43c57f35f73dc8698539fa8c08e",
+            11: "243635d286410a5ac37a66b489530fdfcb974228bfbe4e2558a13ff0239369ea",
+            12: "c6124a514971cb5ff12a4997cfdff63d21b9f29673bfd4a196d43d65e95d55a3",
+            13: "c609026dbd1fc95a3e948abe7cec0019e20b5d5936d1cb4bfec53210adf295cb",
         }
         for seed, u in self._reference_cases(kl_basis):
             assert u.dtype == np.float64 and u.shape == (65, 65)
