@@ -180,11 +180,14 @@ def _solve_dirichlet(kappa, left_vals, right_vals):
     def at(a, dr, dj):                  # a, padded by one zero node, at each (r+dr, j+dj)
         return a[..., 1 + dr:n - 1 + dr, 1 + dj:n + 1 + dj]
 
-    def inflow(v):                      # sum over the faces of t * v at the neighbour
-        v = np.pad(v, 1)
+    frame = np.zeros((5, n, n + 2))     # zero off the free grid
+    frame[:4, 1:-1, 1:-1] = t / d
+    g, v = frame[:4], frame[4]          # each face's t / D, read at its red end; inflow's grid
+
+    def inflow(nodes):                  # sum over the faces of t * nodes at the neighbour
+        v[1:-1, 1:-1] = nodes
         return W * at(v, -1, 0) + E * at(v, 1, 0) + S * at(v, 0, -1) + N * at(v, 0, 1)
 
-    g = np.pad(t / d, ((0, 0), (1, 1), (1, 1)))        # each face's t / D at its red end
     c = np.stack([d - W * at(g[1], -1, 0) - E * at(g[0], 1, 0) - S * at(g[3], 0, -1)
                   - N * at(g[2], 0, 1),                                     # diagonal
                   -N * at(g[3], 0, 1),                                      # (r, j+2)
