@@ -76,15 +76,16 @@ class PosteriorEnsemble:
 
 
 def interpolate(m0, m1, t):
-    """Convex combination (1-t) m0 + t m1; t scalar or per-row column."""
+    """Convex combination (1-t) m0 + t m1 of (B, dim_m) endpoints; t: (B,),
+    one flow time per row."""
     m0 = np.asarray(m0)
     m1 = np.asarray(m1)
     if m0.shape != m1.shape:
         raise ValueError(f"endpoint shapes differ: {m0.shape} vs {m1.shape}")
     t = np.asarray(t)
-    if t.ndim == 1:
-        t = t[:, None]
-    return (1.0 - t) * m0 + t * m1
+    if t.shape != m0.shape[:1]:
+        raise ValueError(f"t must have shape {m0.shape[:1]}, a time per row, got {t.shape}")
+    return (1.0 - t[:, None]) * m0 + t[:, None] * m1
 
 
 def cfm_loss(net: VelocityNet, batch, t, m0):
@@ -252,6 +253,8 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
     """
     d = np.atleast_2d(np.asarray(d, dtype=np.float32))
     e = np.atleast_2d(np.asarray(e, dtype=np.float32))
+    if len(seeds) == 0:
+        raise ValueError("seeds is empty: sample_batch needs one seed per instance")
     if not d.shape[0] == e.shape[0] == len(seeds):
         raise ValueError(f"{d.shape[0]} observation rows and {e.shape[0]} design rows "
                          f"for {len(seeds)} seeds")

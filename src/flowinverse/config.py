@@ -76,7 +76,7 @@ KEY_SPECS = {
     "chain.n_samples": (_int, ChainConfig.n_samples, "MCMC chain length"),
     "eval.n_obs_list": (_count_list, None, "sweep observation counts"),
     "eval.trials": (_count, 25, "fresh instances per observation count"),
-    "eval.n_inferences": (_count, 10000, "instances for the reconstruction error"),
+    "eval.n_inferences": (_count, 10000, "instances for the reconstruction error (nonlinear only)"),
     "instance.n_obs": (_count, None, "observation count of the conditioning instance"),
     "instance.seed": (_seed, 1, "stream for drawing the conditioning instance"),
 }

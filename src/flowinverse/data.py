@@ -136,10 +136,10 @@ def load_dataset(path, task=None):
     A deterministic sample of ``VERIFY_FRACTION`` of each shard's tuples,
     at least one, is re-verified against the forward model: d minus the
     stored noise must match F(m, e) to within 1e-6 relative to the
-    observation scale. That forward model is noise-free, so ``sigma`` does
-    not change it and any task of the stored name verifies; passing ``task``
-    saves building one (for Darcy, its KL basis), and a ``task`` of another
-    name raises ``DatasetTaskError`` before anything is verified.
+    observation scale. It compares d - eta with the noise-free forward
+    model, so it does not depend on the noise level; passing ``task`` saves
+    building one (for Darcy, its KL basis), and a ``task`` of another name
+    raises ``DatasetTaskError`` before anything is verified.
     """
     header, arrays = artifact.read(path, MAGIC, FORMAT_VERSION, DatasetFormatError,
                                    keys=("task", "shards"))

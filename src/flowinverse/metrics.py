@@ -47,6 +47,8 @@ def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig, seed=0
     Each trial draws its instance and then its sampler seed from its own
     stream; the trials of one observation count integrate as one batch.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     reports = []
     for n_obs in n_obs_list:
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0x6576616c, n_obs, trial)))
@@ -73,6 +75,8 @@ def generation_error(net, task, n_inferences, n_obs, sampler: SamplerConfig, see
     from dominating the aggregate. Sampler seeds derive from ``seed``;
     ``sampler.seed`` is not used.
     """
+    if n_inferences < 1:
+        raise ValueError(f"n_inferences must be >= 1, got {n_inferences}")
     num = 0.0
     den = 0.0
     per_case = np.empty(n_inferences)

@@ -37,9 +37,10 @@ rounding (within 1e-6 of max|v|):
   query attends to those cached keys and to its own.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
-1 to 4 observations gives posteriors whose median standard deviation is
-about 3 times the exact one at 8 observations and about 4 times at 16: past
-the trained counts the posterior does not contract.
+1 to 4 observations gives posteriors whose median standard deviation is 2.0
+to 2.6 times the exact one at 8 and at 16 observations, and whose central 90%
+interval covers the true parameter in 0.70 to 0.82 of instances: past the
+trained counts the posterior does not contract as the exact one does.
 """
 
 from __future__ import annotations
@@ -193,10 +194,10 @@ class VelocityNet:
     def forward(self, m_t, t, d, e) -> Tensor:
         """Velocity prediction for a batch sharing one observation count.
 
-        m_t: (batch, dim_m); t: scalar or (batch,); d, e: task-shaped arrays.
-        Returns a (batch, dim_m) tensor. The tokens are the task's observation
-        features, its design token if it has one, and last the state ``m_t``,
-        whose output the head reads. Inputs of any float dtype are cast to the
+        m_t: (batch, dim_m); t: (batch,), one flow time per row; d, e: task-shaped
+        arrays. Returns a (batch, dim_m) tensor. The tokens are the task's
+        observation features, its design token if it has one, and last the
+        state ``m_t``, whose output the head reads. Inputs of any float dtype are cast to the
         parameters' dtype here, so callers and tasks need not cast them.
         """
         params, config = self.params, self.config
@@ -205,8 +206,9 @@ class VelocityNet:
         x = T.token_embedding((Tensor(f, dtype=dt), params[f"embed.{k}.w"], params[f"embed.{k}.b"])
                               for k, f in tokens.items() if f is not None)  # (B, n_tokens, E)
 
-        # a shared scalar t is embedded once, (1, 1, E); times of shape (B,) give (B, 1, E)
-        basis = timestep_basis(np.asarray(t).reshape(-1, 1), config.n_emb)
+        if np.shape(t) != (len(m_t),):
+            raise ValueError(f"t must have shape ({len(m_t)},), a time per row, got {np.shape(t)}")
+        basis = timestep_basis(t, config.n_emb)[:, None]           # (B, 1, E)
         temb = [params[f"temb.{name}"] for name in _TEMB_PARAMS]
         x = T.time_embedding(x, basis, *temb)
 
@@ -264,8 +266,8 @@ class VelocityNet:
         batch ``cond`` was made from, up to float rounding, computed on the
         state row alone with plain arrays, so no tape records it.
 
-        m_t: (B, dim_m), B the conditioning's rows; t: scalar or (B,).
-        Returns a (B, dim_m) array.
+        m_t: (B, dim_m), B the conditioning's rows; t: one flow time, a
+        scalar, for every row. Returns a (B, dim_m) array.
         """
         B, H, hd, _ = cond.keys[0].shape
         E = H * hd
@@ -274,11 +276,11 @@ class VelocityNet:
         if m_t.shape != (B, self.config.dim_m):
             raise ValueError(f"m_t must have shape {(B, self.config.dim_m)} to match "
                              f"the conditioning, got {m_t.shape}")
-        basis = timestep_basis(np.asarray(t).reshape(-1, 1), E).astype(dt, copy=False)
-        if len(basis) not in (1, B):
-            raise ValueError(f"t must be a scalar or have {B} entries, got {len(basis)}")
+        if np.ndim(t) != 0:
+            raise ValueError(f"t must be a scalar, one time for every row, got {np.shape(t)}")
+        basis = timestep_basis(t, E).astype(dt, copy=False)[None]      # one (1, E) row
         w1, b1, w2, b2 = cond.temb
-        sq, _ = _relu_squared(_linear_fwd(basis.reshape(len(basis), -1), w1, b1))
+        sq, _ = _relu_squared(_linear_fwd(basis, w1, b1))
         x = _linear_fwd(m_t, *cond.state)                   # (B, E), the state row
         x += _linear_fwd(sq, w2, b2)
         c = dt.type(1.0 / np.sqrt(hd))

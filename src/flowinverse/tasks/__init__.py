@@ -8,8 +8,8 @@ from .seir import SeirTask
 TASKS = {"nonlinear": NonlinearTask, "seir": SeirTask, "darcy": DarcyTask}
 
 
-def get_task(name: str, **kwargs):
+def get_task(name: str):
     """Construct a task by name ('nonlinear', 'seir', 'darcy')."""
     if name not in TASKS:
         raise ValueError(f"unknown task '{name}'; expected one of {sorted(TASKS)}")
-    return TASKS[name](**kwargs)
+    return TASKS[name]()

@@ -253,11 +253,9 @@ class DarcyTask:
     dim_m = 16
     obs_token_dim = 3          # (d_i, x_i, y_i)
     design_token_dim = 2       # (e1, e2)
+    sigma = 0.01               # noise relative to each design's max|u| (see sigma_for)
 
-    def __init__(self, sigma: float = 0.01):
-        """``sigma`` is the noise level relative to the largest boundary
-        magnitude of each design (see ``sigma_for``)."""
-        self.sigma = float(sigma)
+    def __init__(self):
         self._basis = None
 
     @property

@@ -23,9 +23,7 @@ class NonlinearTask:
     dim_m = 1
     obs_token_dim = 2          # (d_i, e_i)
     design_token_dim = 0
-
-    def __init__(self, sigma: float = 0.01):
-        self.sigma = float(sigma)
+    sigma = 0.01               # observation noise standard deviation
 
     # --- dataset layout -----------------------------------------------------
     def e_width(self, n_obs):

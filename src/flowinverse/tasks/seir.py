@@ -253,9 +253,7 @@ class SeirTask:
     # fixed input scaling so token features are O(1)
     POP_SCALE = 100.0
     TIME_SCALE = 4.0
-
-    def __init__(self, sigma: float = 0.5):
-        self.sigma = float(sigma)
+    sigma = 0.5                # observation noise standard deviation
 
     def e_width(self, n_obs):
         return n_obs

@@ -293,25 +293,20 @@ def token_embedding(groups) -> Tensor:
 def time_embedding(x: Tensor, basis, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """x + w2(relu²(w1(basis))) on the last token of a (B, T, E) sequence,
     the state; the other tokens pass through. ``basis`` is a constant
-    (B or 1, 1, k) array, the flow-time features of each row or of one time
-    all rows share."""
+    (B, 1, k) array, the flow-time features of each row."""
     B, _, E = x.shape
     basis = np.asarray(basis, dtype=w1.dtype)
-    if basis.ndim != 3 or basis.shape[0] not in (1, B) or basis.shape[1] != 1:
-        raise ValueError(f"time_embedding basis must have shape ({B} or 1, 1, k), "
-                         f"got {basis.shape}")
+    if basis.ndim != 3 or basis.shape[:2] != (B, 1):
+        raise ValueError(f"time_embedding basis must have shape ({B}, 1, k), got {basis.shape}")
     _check_linear(basis.shape, w1, b1)
     _check_linear(w1.shape, w2, b2, E)
-    x2 = basis.reshape(len(basis), -1)
+    x2 = basis.reshape(B, -1)
     sq, r = _relu_squared(_linear_fwd(x2, w1.data, b1.data))
     y = x.data.copy()
-    y[:, -1:] += _linear_fwd(sq, w2.data, b2.data).reshape(len(basis), 1, E)
+    y[:, -1] += _linear_fwd(sq, w2.data, b2.data)
 
     def bwd(g):
-        gt = g[:, -1:]
-        if len(basis) < B:                # one time, broadcast over the rows
-            gt = gt.sum(axis=0, keepdims=True)
-        dsq, dw2, db2 = _linear_bwd(gt.reshape(-1, E), sq, w2.data)
+        dsq, dw2, db2 = _linear_bwd(g[:, -1], sq, w2.data)
         _, dw1, db1 = _linear_bwd(_relu_squared_bwd(dsq, r), x2, w1.data, need_x=False)
         return g, dw1, db1, dw2, db2
 

@@ -16,11 +16,11 @@ class TestInterpolate:
     def test_endpoints(self):
         m0 = np.array([[1.0, 2.0]])
         m1 = np.array([[5.0, -2.0]])
-        np.testing.assert_array_equal(interpolate(m0, m1, 0.0), m0)
-        np.testing.assert_array_equal(interpolate(m0, m1, 1.0), m1)
+        np.testing.assert_array_equal(interpolate(m0, m1, np.zeros(1)), m0)
+        np.testing.assert_array_equal(interpolate(m0, m1, np.ones(1)), m1)
 
     def test_midpoint(self):
-        out = interpolate(np.zeros((1, 2)), np.array([[2.0, 4.0]]), 0.5)
+        out = interpolate(np.zeros((1, 2)), np.array([[2.0, 4.0]]), np.full(1, 0.5))
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_linear_in_t(self):
@@ -32,7 +32,12 @@ class TestInterpolate:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            interpolate(np.zeros((1, 2)), np.zeros((1, 3)), 0.5)
+            interpolate(np.zeros((1, 2)), np.zeros((1, 3)), np.full(1, 0.5))
+
+    @pytest.mark.parametrize("t", [0.5, np.full(1, 0.5), np.full((3, 1), 0.5)])
+    def test_rejects_times_not_one_per_row(self, t):
+        with pytest.raises(ValueError, match=r"t must have shape \(3,\), a time per row"):
+            interpolate(np.zeros((3, 2)), np.ones((3, 2)), t)
 
 
 class _OracleNet:
@@ -325,3 +330,7 @@ class TestSampleBatch:
     def test_rejects_seed_count_mismatch(self):
         with pytest.raises(ValueError, match="2 seeds"):
             sample_batch(tiny_net(), self.D, self.E, [1, 2], SamplerConfig(steps=2))
+
+    def test_rejects_an_empty_seed_list(self):
+        with pytest.raises(ValueError, match="seeds is empty"):
+            sample_batch(tiny_net(), self.D[:0], self.E[:0], [], SamplerConfig(steps=2))

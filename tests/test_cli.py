@@ -386,8 +386,9 @@ class TestCliBasics:
 
 class TestTaskFromConfig:
     @pytest.mark.parametrize("name", ["nonlinear", "seir", "darcy"])
-    def test_sigma_is_the_noise_keyword_of_every_task(self, name, kl_basis):
-        task = tasks.get_task(name, sigma=0.03)
+    def test_sigma_is_the_noise_level_of_every_task(self, name, kl_basis):
+        # a subclass with another level: generation and sigma_for both read it
+        task = type("NoisierTask", (tasks.TASKS[name],), {"sigma": 0.03})()
         assert task.sigma == 0.03
         rng = np.random.default_rng(1)
         m = task.sample_params(rng, 2)
@@ -396,10 +397,10 @@ class TestTaskFromConfig:
         np.testing.assert_array_equal(scale, [task.sigma_for(row) for row in e])
 
     def test_darcy_sigma_is_relative_to_the_boundary_maximum(self):
-        task = DarcyTask(sigma=0.03)
+        task = DarcyTask()
         e_row = np.array([0.2, 0.9, 0.5, 0.5])
         f, g = boundary_profiles(0.2, 0.9)
-        assert task.sigma_for(e_row) == 0.03 * max(np.abs(f).max(), np.abs(g).max())
+        assert task.sigma_for(e_row) == 0.01 * max(np.abs(f).max(), np.abs(g).max())
 
 
 class TestPipeline:
@@ -681,10 +682,13 @@ def test_library_keys_default_to_their_field(task):
             assert cfg[key] == default and type(cfg[key]) is type(default), key
 
 
-def test_every_task_takes_only_sigma():
-    # a task is its name and one noise level; anything else is a fixed constant
+def test_every_task_takes_no_keyword():
+    # a task is its name and fixed constants, its noise level among them
     for cls in tasks.TASKS.values():
-        assert list(inspect.signature(cls).parameters) == ["sigma"], cls
+        assert list(inspect.signature(cls).parameters) == [], cls
+    assert {name: cls.sigma for name, cls in tasks.TASKS.items()} == {
+        "nonlinear": 0.01, "seir": 0.5, "darcy": 0.01}
+    assert list(inspect.signature(tasks.get_task).parameters) == ["name"]
     assert set(TASK_DEFAULTS) == set(tasks.TASKS)
 
 
@@ -732,6 +736,17 @@ def test_every_name_the_benchmark_uses_exists():
     DataGenConfig(task="seir", tuples_per_n_obs=8, n_obs_set=(4, 5), seed=1)
     TrainConfig(epochs=2, batch_size=256, accum_window=4, seed=1, checkpoint_every=1)
     SamplerConfig(seed=1, steps=50, method="euler", ensemble=10)
+    # each task built as the benchmark builds it: no argument, and a counting
+    # subclass whose __init__ calls super().__init__()
+    tasks.SeirTask()
+    tasks.DarcyTask()
+
+    class CountingSeirTask(tasks.SeirTask):
+        def __init__(self):
+            super().__init__()
+            self.calls = 0
+
+    assert CountingSeirTask().calls == 0
 
 
 def test_every_span_the_benchmark_reads_is_traceable():

@@ -27,8 +27,11 @@ class TestGeneration:
                 np.testing.assert_array_equal(getattr(sa, f), getattr(sb, f))
 
     def test_noise_free_matches_formula(self):
+        class NoiseFreeTask(NonlinearTask):
+            sigma = 0.0
+
         for n_obs in (1, 3):
-            s = generate_shard(NonlinearTask(sigma=0.0), n_obs, 50, 7)
+            s = generate_shard(NoiseFreeTask(), n_obs, 50, 7)
             clean = nonlinear_forward(s.m.astype(np.float64)[:, :1],
                                       s.e.astype(np.float64))
             np.testing.assert_allclose(s.d, clean, atol=1e-6)

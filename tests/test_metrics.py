@@ -63,6 +63,12 @@ class TestEvaluateSweep:
                                 sampler=SamplerConfig(steps=3, ensemble=2), seed=0)
         assert rep.std_error == 0.0
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_no_trials(self, trials):
+        task = get_task("nonlinear")
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            evaluate_sweep(_ConstNet(task, 0.0), task, [1], trials=trials,
+                           sampler=SamplerConfig(steps=3, ensemble=2))
 
     def test_batched_sweep_matches_per_trial_reference(self):
         # Reference: one sample_posterior per trial on that trial's stream.
@@ -93,6 +99,12 @@ class TestGenerationError:
         assert per_case.shape == (30,)
         assert 0.0 <= pooled < 10.0
         assert np.isfinite(pooled)
+
+    def test_rejects_no_inferences(self):
+        task = get_task("nonlinear")
+        with pytest.raises(ValueError, match="n_inferences must be >= 1, got 0"):
+            generation_error(_ConstNet(task, 0.0), task, n_inferences=0, n_obs=1,
+                             sampler=SamplerConfig(steps=4, ensemble=4))
 
     def test_seeded_output_pinned(self, monkeypatch):
         # recorded from the two-stream net, which the float64 oracle of

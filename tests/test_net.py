@@ -78,7 +78,7 @@ class TestTokenize:
         cfg = NetConfig(n_emb=8, n_head=2, n_layer=1, dim_m=1, obs_token_dim=2)
         net = VelocityNet(get_task("nonlinear"), cfg, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            net.forward(np.zeros((1, 1)), 0.5, np.zeros((1, 0)), np.zeros((1, 0)))
+            net.forward(np.zeros((1, 1)), np.full(1, 0.5), np.zeros((1, 0)), np.zeros((1, 0)))
 
 
 def micro_oracle(params, m_t, t, d, e):
@@ -141,7 +141,8 @@ class TestTransformerForward:
         params = init_params(cfg, seed=7)
         m_t, t, d, e = 0.3, 0.6, 0.8, 0.2
         got = VelocityNet(task, cfg, params).forward(
-            np.array([[m_t]], dtype=np.float32), t, np.array([[d]]), np.array([[e]])).data[0, 0]
+            np.array([[m_t]], dtype=np.float32), np.full(1, t), np.array([[d]]),
+            np.array([[e]])).data[0, 0]
         want = micro_oracle(params, m_t, t, d, e)[0]
         # relative: the velocity is about 0.03, and the old architecture's
         # differs from this oracle's by 3e-6 of it
@@ -177,7 +178,7 @@ class TestTransformerForward:
         target = rng.normal(size=(2, 1)).astype(np.float64)
 
         def fn(p):
-            return T.mse(VelocityNet(task, cfg, p).forward(m_t, 0.5, d, e), target)
+            return T.mse(VelocityNet(task, cfg, p).forward(m_t, np.full(2, 0.5), d, e), target)
 
         worst = finite_difference_check(fn, params, max_entries=6)
         assert worst < 1e-4
@@ -257,7 +258,7 @@ def two_stream_oracle(params, task, n_head, m_t, t, d, e):
                        b + ".mlp.proj")
 
     obs, design = task.token_features(np.asarray(d, np.float64), np.asarray(e, np.float64))
-    t = np.broadcast_to(np.asarray(t, np.float64), (len(m_t),))
+    t = np.asarray(t, np.float64)
     half = E // 2
     # float32 flow-time angles, as the engine forms them: at a frequency of
     # 1e4 their rounding alone moves the velocity by up to 2e-5 of max|v|
@@ -323,8 +324,11 @@ class TestSeirPaperConfig:
         scale = np.abs(want).max()
         np.testing.assert_allclose(net.forward(m_t, t, batch.d, batch.e).data, want,
                                    rtol=0, atol=1e-5 * scale)
-        np.testing.assert_allclose(net.velocity(m_t, t, net.condition(batch.d, batch.e)), want,
-                                   rtol=0, atol=1e-5 * scale)
+        # the solver's path takes one flow time for the whole batch
+        want = two_stream_oracle(net.params, net.task, net.config.n_head, m_t,
+                                 np.full(len(t), t[0]), batch.d, batch.e)
+        np.testing.assert_allclose(net.velocity(m_t, t[0], net.condition(batch.d, batch.e)),
+                                   want, rtol=0, atol=1e-5 * np.abs(want).max())
 
     def test_gradients_match_finite_differences(self):
         # per parameter, its three largest gradient entries in float64; the
@@ -354,7 +358,8 @@ class TestSeirPaperConfig:
 
     @pytest.mark.parametrize("B", [1, 10, 256])
     def test_shared_flow_time_matches_per_row_times(self, B):
-        # a scalar t is embedded once and broadcast over the batch
+        # a solver step's one flow time, embedded once for the batch, gives
+        # each row the velocity that training's per-row times give it
         task = SeirTask()
         net = VelocityNet(task, _seir_paper_config(), seed=3)
         rng = np.random.default_rng(B)
@@ -363,8 +368,9 @@ class TestSeirPaperConfig:
         m_t = rng.normal(size=(B, task.dim_m))
         cond = net.condition(d, e)
         for t in (0.0, 0.37, 1.0):
-            v = net.velocity(m_t, t, cond)
-            np.testing.assert_array_equal(v, net.velocity(m_t, np.full(B, t), cond))
+            want = net.forward(m_t, np.full(B, t), d, e).data
+            np.testing.assert_allclose(net.velocity(m_t, t, cond), want,
+                                       rtol=0, atol=1e-6 * np.abs(want).max())
 
 
 def _digest(arrays: dict) -> str:
@@ -456,8 +462,8 @@ class TestConditionedVelocity:
         net = self._net(task_name, n_layer)
         d, e, m_t, rng = self._batch(net, B, B * 10 + n_layer)
         cond = net.condition(d, e)
-        for t in (0.0, 0.37, 1.0, rng.uniform(0, 1, B).astype(np.float32)):
-            want = net.forward(m_t, t, d, e).data
+        for t in (0.0, 0.37, 1.0, float(rng.uniform(0, 1))):
+            want = net.forward(m_t, np.full(B, t), d, e).data
             got = net.velocity(m_t, t, cond)
             assert got.dtype == want.dtype
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
@@ -469,7 +475,7 @@ class TestConditionedVelocity:
         cond = net.condition(d, e)
         cached = [(k[..., :-1].copy(), v[:, :, :-1].copy()) for k, v in zip(cond.keys, cond.values)]
         assert len(cached) == n_layer
-        for m, t in ((m_t, 0.0), (100 * m_t, 1.0), (-m_t, rng.uniform(0, 1, 10))):
+        for m, t in ((m_t, 0.0), (100 * m_t, 1.0), (-m_t, float(rng.uniform(0, 1)))):
             net.velocity(m, t, cond)
             for (k, v), (k0, v0) in zip(zip(cond.keys, cond.values), cached):
                 np.testing.assert_array_equal(k[..., :-1], k0)
@@ -499,8 +505,22 @@ class TestConditionedVelocity:
         cond = net.condition(d, e)                 # 2 rows
         with pytest.raises(ValueError, match="m_t must have shape"):
             net.velocity(np.zeros((3, 1)), 0.5, cond)
-        with pytest.raises(ValueError, match="t must be a scalar or have 2 entries"):
-            net.velocity(np.zeros((2, 1)), np.full(3, 0.5), cond)
+
+    @pytest.mark.parametrize("t", [np.full(2, 0.5), np.full(1, 0.5), [[0.5]]])
+    def test_velocity_rejects_a_time_per_row(self, t):
+        # a solver step integrates every row at one flow time
+        net = self._net("nonlinear", 2)
+        cond = net.condition(*_observations(net.task, np.random.default_rng(4), 3))
+        with pytest.raises(ValueError, match="t must be a scalar"):
+            net.velocity(np.zeros((2, 1)), t, cond)
+
+    @pytest.mark.parametrize("t", [0.5, np.full(1, 0.5), np.full(3, 0.5), np.full((2, 1), 0.5)])
+    def test_forward_rejects_times_not_one_per_row(self, t):
+        # training draws one flow time per row: forward takes exactly (B,)
+        net = self._net("nonlinear", 2)
+        d, e = _observations(net.task, np.random.default_rng(4), 3)
+        with pytest.raises(ValueError, match=r"t must have shape \(2,\), a time per row"):
+            net.forward(np.zeros((2, 1)), t, d, e)
 
     def test_condition_rejects_empty_observations(self):
         net = self._net("nonlinear", 1)

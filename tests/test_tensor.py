@@ -25,7 +25,7 @@ def pass_through(x):
     """x itself, as one tape record: time_embedding with zero weights."""
     E = x.shape[-1]
     w, b = Tensor(np.zeros((E, E)), dtype=x.dtype), Tensor(np.zeros(E), dtype=x.dtype)
-    return T.time_embedding(x, np.zeros((1, 1, E)), w, b, w, b)
+    return T.time_embedding(x, np.zeros((x.shape[0], 1, E)), w, b, w, b)
 
 
 class TestLinear:
@@ -111,18 +111,19 @@ class TestTimeEmbedding:
         np.testing.assert_array_equal(out[:, :-1], x[:, :-1])
         np.testing.assert_allclose(out[:, -1:], x[:, -1:] + temb, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(2, 1, 6), (3, 2, 6), (3, 6), (1, 1, 5)])
+    # (1, 1, 6): one time for all rows is not a basis of each row's time
+    @pytest.mark.parametrize("shape", [(2, 1, 6), (3, 2, 6), (3, 6), (3, 1, 5), (1, 1, 6)])
     def test_rejects_a_basis_of_another_shape(self, shape):
         rng = np.random.default_rng(13)
         w, b = Tensor(rng.normal(size=(6, 6))), Tensor(np.zeros(6))
-        match = r"linear shapes" if shape[-1] == 5 else r"basis must have shape \(3 or 1, 1, k\)"
+        match = r"linear shapes" if shape[-1] == 5 else r"basis must have shape \(3, 1, k\)"
         with pytest.raises(ValueError, match=match):
             T.time_embedding(Tensor(np.zeros((3, 4, 6))), np.zeros(shape), w, b, w, b)
 
     def test_rejects_an_embedding_of_another_width(self):
         w, b = Tensor(np.zeros((6, 6))), Tensor(np.zeros(6))
         with pytest.raises(ValueError, match="linear shapes"):
-            T.time_embedding(Tensor(np.zeros((3, 4, 5))), np.zeros((1, 1, 6)), w, b, w, b)
+            T.time_embedding(Tensor(np.zeros((3, 4, 5))), np.zeros((3, 1, 6)), w, b, w, b)
 
 
 class TestMse:
@@ -387,20 +388,6 @@ def composed_mse(v, target, g):
     return np.asarray((diff * diff).mean(), dtype=v.dtype), gsq * diff + gsq * diff
 
 
-def unbroadcast(grad, shape):
-    """Sum ``grad`` down to ``shape``, the inverse of numpy broadcasting, as
-    the unfused engine's ``add`` did."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 def composed_token_embedding(groups, g):
     """One linear layer per group, then a concat along the token axis."""
     ys, bwds = zip(*(composed_linear(*group) for group in groups))
@@ -410,12 +397,12 @@ def composed_token_embedding(groups, g):
 
 
 def composed_time_embedding(x, basis, w1, b1, w2, b2, g):
-    """linear, relu², linear, and the add that broadcasts the embedding over
-    the rows of the last token, the state; the other tokens are copied."""
+    """linear, relu², linear, and the add of each row's embedding to its last
+    token, the state; the other tokens are copied."""
     f, fc1_bwd = composed_linear(basis, w1, b1)
     r = np.maximum(f, 0)
     temb, fc2_bwd = composed_linear(r * r, w2, b2)
-    dsq, dw2, db2 = fc2_bwd(unbroadcast(g[:, -1:], temb.shape))
+    dsq, dw2, db2 = fc2_bwd(g[:, -1:])
     _, dw1, db1 = fc1_bwd(dsq * (2 * r))
     return np.concatenate([x[:, :-1], x[:, -1:] + temb], axis=1), (g, dw1, db1, dw2, db2)
 
@@ -455,8 +442,8 @@ class TestFusedBlocks:
             assert got.dtype == np.float32
             np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.parametrize("case", ["token_embedding", "time_per_row", "time_shared",
-                                      "time_one_row", "head"])
+    @pytest.mark.parametrize("case", ["token_embedding", "time_per_row", "time_one_row",
+                                      "head"])
     def test_layers_match_the_composition_bitwise(self, case):
         rng = np.random.default_rng(zlib.crc32(case.encode()))
 
@@ -476,8 +463,8 @@ class TestFusedBlocks:
             g = f32(B, 3)
             want, want_grads = composed_head(*arrays, g)
             op = lambda t: T.head(*t)
-        else:                   # a (1, 1, E) basis sums over the rows if B > 1
-            basis = f32(B if case == "time_per_row" else 1, 1, E)
+        else:                   # a (B, 1, E) basis, one flow time per row
+            basis = f32(B, 1, E)
             arrays = [f32(B, 4, E), f32(E, E), f32(E), f32(E, E), f32(E)]
             g = f32(B, 4, E)
             want, want_grads = composed_time_embedding(arrays[0], basis, *arrays[1:], g)
@@ -845,14 +832,14 @@ class TestPrimitiveGradients:
             variants = [lambda p: sq(T.token_embedding([
                 (Tensor(a, dtype=p["w"].dtype), p["w"], p["c"]), (p["s"], p["ws"], p["cs"])]))]
         elif op_name == "time_embedding":
-            # a time per row, then one all rows share, through the same weights
-            rows, shared = rng.normal(size=(3, 1, 6)), rng.normal(size=(1, 1, 6))
+            # a time per row, then another, through the same weights
+            rows, later = rng.normal(size=(2, 3, 1, 6))
             params.update((k, param(*shape)) for k, shape in
                           (("w1", (6, 6)), ("b1", (6,)), ("w2", (6, 6)), ("b2", (6,))))
 
             def embed_twice(p):
                 w = [p[k] for k in ("w1", "b1", "w2", "b2")]
-                return sq(T.time_embedding(T.time_embedding(p["a"], rows, *w), shared, *w))
+                return sq(T.time_embedding(T.time_embedding(p["a"], rows, *w), later, *w))
 
             variants = [embed_twice]
         elif op_name == "linear":
@@ -867,14 +854,13 @@ class TestPrimitiveGradients:
                 (Tensor(a[:, :3], dtype=p["w"].dtype), p["w"], p["c"]),
                 (p["u"], p["wv"], p["cu"]), (p["v"], p["wv"], p["cv"])]))]
         elif op_name == "add":
-            # a (1, 1, E) basis on the state token of one row, then broadcast over three rows
-            params.update((k, param(*shape)) for k, shape in
-                          (("x1", (1, 4, 6)), ("w1", (6, 6)), ("b1", (6,)), ("w2", (6, 6)),
-                           ("b2", (6,))))
-            shared = rng.normal(size=(1, 1, 6))
+            # a (1, 1, E) basis on the state token of one row
+            params = {k: param(*shape) for k, shape in
+                      (("x1", (1, 4, 6)), ("w1", (6, 6)), ("b1", (6,)), ("w2", (6, 6)),
+                       ("b2", (6,)))}
+            one = rng.normal(size=(1, 1, 6))
             w = ["w1", "b1", "w2", "b2"]
-            variants = [lambda p: sq(T.time_embedding(p["x1"], shared, *(p[k] for k in w))),
-                        lambda p: sq(T.time_embedding(p["a"], shared, *(p[k] for k in w)))]
+            variants = [lambda p: sq(T.time_embedding(p["x1"], one, *(p[k] for k in w)))]
         elif op_name == "relu_squared":
             # pre-activations of both signs: half the first-layer units are off
             params = {"x": param(3, 2, 6), "w1": param(6, 8), "b1": param(8), "w2": param(8, 6),
