@@ -205,10 +205,10 @@ def _first_nonfinite_row(a):
     return int(np.argmin(np.isfinite(a).all(axis=1)))
 
 
-def _integrate_flow(net, x0, d_rep, e_rep, cfg: SamplerConfig):
+def _integrate_flow(net, x0, d, e, cfg: SamplerConfig):
     x = x0.astype(np.float32)
     h = 1.0 / cfg.steps
-    cond = net.condition(d_rep, e_rep)
+    cond = net.condition(d, e).repeat(len(x0) // len(d))
 
     def v(xc, tc):
         out = net.velocity(xc, tc, cond)
@@ -243,10 +243,10 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
     d, e: one row per seed (a 1-D row is one instance). Instance i's members
     start from the counter-derived prior draws of ``seeds[i]`` (``cfg.seed``
     is not used), and all n_inst * ensemble paths integrate as one batch.
-    The observation stream of the repeated rows runs once, into one
-    conditioning (:meth:`VelocityNet.condition`), and each solver step runs
-    the state rows alone (:meth:`VelocityNet.velocity`, within 1e-6 of max|v|
-    of :meth:`VelocityNet.forward`, the training path). Returns
+    The observation stream runs once per instance, into a conditioning
+    (:meth:`VelocityNet.condition`) its members share, and each solver step
+    runs the state rows alone (:meth:`VelocityNet.velocity`, within 1e-6 of
+    max|v| of :meth:`VelocityNet.forward`, the training path). Returns
     (n_inst, ensemble, dim_m) float64. A path that becomes
     non-finite raises :class:`FlowDivergedError`, whose message names its
     instance and member.
@@ -261,7 +261,7 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
     n = cfg.ensemble
     x0 = np.concatenate([_prior_draws(net.task, n, s) for s in seeds])
     try:
-        x1 = _integrate_flow(net, x0, np.repeat(d, n, axis=0), np.repeat(e, n, axis=0), cfg)
+        x1 = _integrate_flow(net, x0, d, e, cfg)
     except FlowDivergedError as err:
         instance, member = divmod(err.row, n)
         raise FlowDivergedError(f"{err} (instance {instance}, member {member})",

@@ -19,8 +19,9 @@ block computes its query, output projection, residual and MLP for the state
 alone, as a (batch, n_emb) row each; keys and values still come from every
 token.
 
-The net has two entry points that compute the same velocity, up to float
-rounding (within 1e-6 of max|v|):
+The net has two entry points. Both run one set of per-layer forwards, the
+private array functions of :mod:`tensor`, so they compute the same velocity
+up to the rounding of GEMMs of other shapes (within 1e-6 of max|v|):
 
 - :meth:`VelocityNet.forward`, for training, runs both streams as one
   sequence and records one tape op per layer: :func:`tensor.token_embedding`,
@@ -31,10 +32,9 @@ rounding (within 1e-6 of max|v|):
   and :func:`tensor.head` (final norm and read-out).
 - :meth:`VelocityNet.condition` and :meth:`VelocityNet.velocity`, for
   inference, without tensors or a tape. ``condition`` runs the observation
-  stream of a batch once, through every block, and keeps each block's
-  observation keys and values in a :class:`Conditioning`; ``velocity`` then
-  runs one solver step on the state row alone, a (batch, n_emb) array, whose
-  query attends to those cached keys and to its own.
+  stream of a batch once, through every block, into a :class:`Conditioning`
+  of each block's keys and values; ``velocity`` then runs one solver step on
+  the state row alone, whose query attends to those keys and to its own.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is 2.0
@@ -46,13 +46,13 @@ trained counts the posterior does not contract as the exact one does.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import (Tensor, _attention_fwd, _linear_fwd, _mlp_fwd, _relu_squared, _rms_inv,
-                     _rms_scale)
+from .tensor import (Tensor, _attention_fwd, _embed_fwd, _heads, _mlp_fwd, _prenorm_fwd,
+                     _residual_fwd, _time_fwd)
 
 
 @dataclass(frozen=True)
@@ -155,20 +155,25 @@ def param_count(params: dict) -> int:
 class Conditioning:
     """What a batch's observations fix for every step of one integration.
 
-    Per block, ``keys`` holds the observation stream's keys as a
-    (B, H, hd, T) array and ``values`` its values as (B, H, T, hd), T the
-    number of tokens with the state. The last slot of each is the state's:
+    ``keys`` holds each block's observation keys as an (L, B, H, hd, T)
+    array and ``values`` its values as (L, B, H, T, hd), for L blocks and T
+    tokens with the state. The last slot of each is the state's:
     :meth:`VelocityNet.velocity` writes the step's state key and value there
     and changes nothing else, so a conditioning serves one integration at a
     time, and any number of integrations in turn. The other fields are the
     parameter arrays in the order ``velocity`` reads them.
     """
-    keys: list            # per block, (B, H, hd, T)
-    values: list          # per block, (B, H, T, hd)
+    keys: np.ndarray      # (L, B, H, hd, T)
+    values: np.ndarray    # (L, B, H, T, hd)
     state: tuple          # embed.state w, b
     temb: tuple           # temb fc1 w, b, fc2 w, b
     blocks: list          # per block, the arrays of _BLOCK_PARAMS
     head: tuple           # ln_f.g, head w, b
+
+    def repeat(self, n):
+        """This conditioning with each row repeated n times in turn."""
+        return replace(self, keys=np.repeat(self.keys, n, axis=1),
+                       values=np.repeat(self.values, n, axis=1))
 
 
 class VelocityNet:
@@ -186,6 +191,10 @@ class VelocityNet:
     def _fixed_tokens(self, d, e) -> dict:
         """The token features that (d, e) fix: the observations' and, if the
         task has one, the design token's (else None)."""
+        d_shape, e_shape = np.shape(d), np.shape(e)
+        n = next((n for n in range(d_shape[-1] + 1) if self.task.d_width(n) == d_shape[-1]), -1)
+        if len(d_shape) != 2 or n < 0 or e_shape != (d_shape[0], self.task.e_width(n)):
+            raise ValueError(f"d {d_shape} and e {e_shape} are not rows of one observation count")
         obs, design = self.task.token_features(d, e)
         if obs.shape[1] == 0:
             raise ValueError("cannot tokenize an empty observation list")
@@ -224,42 +233,26 @@ class VelocityNet:
         stream of (d, e) run once through every block, as :meth:`forward`
         runs it, and each block's observation keys and values."""
         a = {k: p.data for k, p in self.params.items()}
-        E, H = self.config.n_emb, self.config.n_head
-        hd = E // H
+        H, L = self.config.n_head, self.config.n_layer
         dt = a["head.w"].dtype
-        emb = []
-        for k, f in self._fixed_tokens(d, e).items():
-            if f is not None:
-                f = np.asarray(f, dtype=dt)
-                emb.append(_linear_fwd(f.reshape(-1, f.shape[-1]), a[f"embed.{k}.w"],
-                                       a[f"embed.{k}.b"]).reshape(f.shape[:-1] + (E,)))
-        x = np.concatenate(emb, axis=1)                     # (B, T - 1, E)
-        B, n_fixed, _ = x.shape
-        blocks = [tuple(a[f"block{i}.{name}"] for name in _BLOCK_PARAMS)
-                  for i in range(self.config.n_layer)]
-        keys, values = [], []
-        for i, (g1, wqkv, bqkv, wo, bo, *mlp) in enumerate(blocks):
-            h, _ = _rms_scale(x, g1, _rms_inv(x))
-            qkv = _linear_fwd(h.reshape(-1, E), wqkv, bqkv).reshape(B, n_fixed, 3 * E)
-            parts = qkv.reshape(B, n_fixed, 3, H, hd)
-            k = np.empty((B, H, hd, n_fixed + 1), dtype=dt)
-            v = np.empty((B, H, n_fixed + 1, hd), dtype=dt)
-            k[..., :-1] = parts[:, :, 1].transpose(0, 2, 3, 1)
-            v[:, :, :-1] = parts[:, :, 2].transpose(0, 2, 1, 3)
-            keys.append(k)
-            values.append(v)
-            if i == len(blocks) - 1:      # the head reads the state alone
+        x = np.concatenate([_embed_fwd(f.astype(dt), a[f"embed.{k}.w"], a[f"embed.{k}.b"])
+                            for k, f in self._fixed_tokens(d, e).items() if f is not None],
+                           axis=1)                          # (B, T - 1, E)
+        B, n_fixed, E = x.shape
+        blocks = [tuple(a[f"block{i}.{name}"] for name in _BLOCK_PARAMS) for i in range(L)]
+        keys = np.empty((L, B, H, E // H, n_fixed + 1), dtype=dt)
+        values = np.empty((L, B, H, n_fixed + 1, E // H), dtype=dt)
+        for i, (k, v, (g1, wqkv, bqkv, wo, bo, *mlp)) in enumerate(zip(keys, values, blocks)):
+            qkv, _ = _prenorm_fwd(x, g1, wqkv, bqkv)
+            q = _heads(qkv.reshape(B, n_fixed, 3 * E), H, k, v, slice(None, -1))
+            if i == L - 1:                # the head reads the state alone
                 break
-            ctx, _ = _attention_fwd(qkv, H)
-            y = _linear_fwd(ctx.reshape(-1, E), wo, bo).reshape(x.shape)
-            y += x
-            x, _, _ = _mlp_fwd(y, *mlp)
-        return Conditioning(
-            keys=keys, values=values,
-            state=(a["embed.state.w"], a["embed.state.b"]),
-            temb=tuple(a[f"temb.{name}"] for name in _TEMB_PARAMS),
-            blocks=blocks,
-            head=(a["ln_f.g"], a["head.w"], a["head.b"]))
+            ctx, _ = _attention_fwd(q, k[..., :-1], v[:, :, :-1])
+            x, _, _ = _mlp_fwd(_residual_fwd(ctx.reshape(-1, E), wo, bo, x), *mlp)
+        return Conditioning(keys=keys, values=values, blocks=blocks,
+                            state=(a["embed.state.w"], a["embed.state.b"]),
+                            temb=tuple(a[f"temb.{name}"] for name in _TEMB_PARAMS),
+                            head=(a["ln_f.g"], a["head.w"], a["head.b"]))
 
     def velocity(self, m_t, t, cond: Conditioning) -> np.ndarray:
         """Inference-mode forward pass: :meth:`forward`'s velocity for the
@@ -269,37 +262,22 @@ class VelocityNet:
         m_t: (B, dim_m), B the conditioning's rows; t: one flow time, a
         scalar, for every row. Returns a (B, dim_m) array.
         """
-        B, H, hd, _ = cond.keys[0].shape
-        E = H * hd
-        dt = cond.keys[0].dtype
+        B, H, E = cond.keys.shape[1], self.config.n_head, self.config.n_emb
+        dt = cond.keys.dtype
         m_t = np.asarray(m_t, dtype=dt)
         if m_t.shape != (B, self.config.dim_m):
             raise ValueError(f"m_t must have shape {(B, self.config.dim_m)} to match "
                              f"the conditioning, got {m_t.shape}")
         if np.ndim(t) != 0:
             raise ValueError(f"t must be a scalar, one time for every row, got {np.shape(t)}")
-        basis = timestep_basis(t, E).astype(dt, copy=False)[None]      # one (1, E) row
-        w1, b1, w2, b2 = cond.temb
-        sq, _ = _relu_squared(_linear_fwd(basis, w1, b1))
-        x = _linear_fwd(m_t, *cond.state)                   # (B, E), the state row
-        x += _linear_fwd(sq, w2, b2)
-        c = dt.type(1.0 / np.sqrt(hd))
+        x = _embed_fwd(m_t, *cond.state)                    # (B, E), the state row
+        _time_fwd(x, timestep_basis(t, E).astype(dt, copy=False)[None], *cond.temb)
         for k, v, (g1, wqkv, bqkv, wo, bo, *mlp) in zip(cond.keys, cond.values, cond.blocks):
-            h, _ = _rms_scale(x, g1, _rms_inv(x))
-            qkv = _linear_fwd(h, wqkv, bqkv).reshape(B, 3, H, hd)
-            k[..., -1] = qkv[:, 1]
-            v[:, :, -1] = qkv[:, 2]
-            s = qkv[:, 0, :, None] @ k                      # (B, H, 1, T)
-            s *= c
-            s -= s.max(axis=-1, keepdims=True)
-            np.exp(s, out=s)
-            s /= np.einsum("...i->...", s)[..., None]
-            y = _linear_fwd((s @ v).reshape(B, E), wo, bo)
-            y += x
-            x, _, _ = _mlp_fwd(y, *mlp)
-        g, w, b = cond.head
-        h, _ = _rms_scale(x, g, _rms_inv(x))
-        return _linear_fwd(h, w, b)
+            qkv, _ = _prenorm_fwd(x, g1, wqkv, bqkv)
+            q = _heads(qkv.reshape(B, 1, 3 * E), H, k, v, slice(-1, None))  # the state's slot
+            ctx, _ = _attention_fwd(q, k, v)
+            x, _, _ = _mlp_fwd(_residual_fwd(ctx.reshape(B, E), wo, bo, x), *mlp)
+        return _prenorm_fwd(x, *cond.head)[0]
 
     def zero_grad(self):
         for p in self.params.values():

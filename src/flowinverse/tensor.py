@@ -9,16 +9,18 @@ with different sequence lengths pose no problem.
 The tape ops are the layers of the velocity net and its loss, one record
 each: :func:`token_embedding`, :func:`time_embedding`, the transformer's two
 pre-norm sub-blocks :func:`attention_block` and :func:`mlp_block`,
-:func:`head` and the loss :func:`mse`. Each has a hand-written backward built
-from one set of private formulas; intermediates are private, so the blocks
-reuse buffers in place, and backwards recompute the cheap ones instead of
-keeping them on the tape.
+:func:`head` and the loss :func:`mse`. Each is a private array forward, which
+the net's tape-free inference path calls too, plus a hand-written backward;
+intermediates are private, so the blocks reuse buffers in place, and
+backwards recompute the cheap ones instead of keeping them on the tape.
 
 Reductions use numpy's fixed evaluation order, so results are bitwise
 reproducible for identical inputs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -116,8 +118,8 @@ def _record(out, inputs, backward_fn):
 # ---------------------------------------------------------------------------
 # shared formulas
 # ---------------------------------------------------------------------------
-# Each forward and backward formula is written once, on arrays; every op
-# below calls the same helpers.
+# Each forward and backward formula is written once, on arrays; the ops
+# below and the net's inference path call the same helpers.
 
 RMS_EPS = 1e-8
 
@@ -148,12 +150,6 @@ def _linear_bwd(g2, x2, w, need_x=True):
 def _check_rms(x_shape, gain):
     if gain.shape != x_shape[-1:]:
         raise ValueError(f"rms_norm gain must have shape {x_shape[-1:]}, got {gain.shape}")
-
-
-def _rms_inv(xd):
-    """1 / rms(x) over the trailing axis, as (..., 1)."""
-    ms = np.einsum("...i,...i->...", xd, xd)[..., None] / xd.shape[-1]
-    return 1.0 / np.sqrt(ms + xd.dtype.type(RMS_EPS))
 
 
 def _rms_scale(xd, gain, inv):
@@ -188,63 +184,87 @@ def _relu_squared_bwd(g, r, out=None):
     return np.multiply(g, two_r, out=two_r)
 
 
+def _embed_fwd(f, w, b):
+    """One group's token embedding: (..., k) features projected to (..., E)."""
+    return _linear_fwd(f.reshape(-1, w.shape[0]), w, b).reshape(f.shape[:-1] + w.shape[1:])
+
+
+def _time_fwd(state, basis, w1, b1, w2, b2):
+    """Add w2(relu²(w1(basis))) to the state rows in place; return relu², relu."""
+    sq, r = _relu_squared(_linear_fwd(basis, w1, b1))
+    state += _linear_fwd(sq, w2, b2)
+    return sq, r
+
+
+def _prenorm_fwd(x, gain, w, b):
+    """w(rms_norm(x, gain)) of (..., E) rows, as (rows, n), and 1 / rms(x)."""
+    ms = np.einsum("...i,...i->...", x, x)[..., None] / x.shape[-1]
+    inv = 1.0 / np.sqrt(ms + x.dtype.type(RMS_EPS))
+    h, _ = _rms_scale(x, gain, inv)
+    return _linear_fwd(h.reshape(-1, x.shape[-1]), w, b), inv
+
+
+def _residual_fwd(x2, w, b, res):
+    """res + w(x2), shaped as res."""
+    y = _linear_fwd(x2, w, b).reshape(res.shape)
+    y += res
+    return y
+
+
 def _mlp_fwd(xd, gain, w1, b1, w2, b2):
     """x + w2(relu²(w1(rms_norm(x, gain)))) of (..., E) rows, with 1 / rms(x)
     and relu(f), which the backward needs."""
-    inv = _rms_inv(xd)
-    h, _ = _rms_scale(xd, gain, inv)
-    f = _linear_fwd(h.reshape(-1, xd.shape[-1]), w1, b1)
+    f, inv = _prenorm_fwd(xd, gain, w1, b1)
     sq, r = _relu_squared(f, out=f)
-    y = _linear_fwd(sq, w2, b2).reshape(xd.shape)
-    y += xd
-    return y, inv, r
+    return _residual_fwd(sq, w2, b2, xd), inv, r
 
 
-def _attention_fwd(qkv, n_head, state_only=False, two_stream=False):
-    """Each head's softmax(q kᵀ / √hd) v of a packed (B, T, 3E) q|k|v,
-    merged to (B, Tq, E), and what the backward needs. Tq is T, or 1 with
-    ``state_only``: only the last token's query is used.
-
-    With ``two_stream`` the last token is the state and the others are the
-    observation stream: their queries score the state's key −inf, so it gets
-    weight 0 and they attend to each other alone, while the state's query
-    attends to every key. The backward needs no change: a weight of 0 gives
-    its score, and the key and value behind it, no gradient from that row."""
+def _heads(qkv, n_head, kt, v, at=slice(None)):
+    """Split a packed (B, T, 3E) q|k|v by head: its keys go to the slots ``at``
+    of kt (B, H, hd, S), its values to those of v (B, H, S, hd); return q."""
     B, n_tok, E3 = qkv.shape
-    hd = E3 // (3 * n_head)
-    parts = qkv.reshape(B, n_tok, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
-    # Contiguous copies. On strided views the stacked products cost about the
-    # same (B=256, T=9: 0.53 ms either way, copies included), but the
-    # backward's products then round differently, which would move the
-    # digests that pin this engine's gradients (TestBitwisePins).
-    q = np.ascontiguousarray(parts[0, :, :, n_tok - 1:] if state_only else parts[0])
-    kt = np.ascontiguousarray(parts[1].swapaxes(-1, -2))     # (B, H, hd, T)
-    v = np.ascontiguousarray(parts[2])                       # (B, H, T, hd)
-    c = qkv.dtype.type(1.0 / np.sqrt(hd))
+    parts = qkv.reshape(B, n_tok, 3, n_head, E3 // (3 * n_head)).transpose(2, 0, 3, 1, 4)
+    kt[..., at] = parts[1].swapaxes(-1, -2)
+    v[:, :, at] = parts[2]
+    return parts[0]
+
+
+def _attention_fwd(q, kt, v, two_stream=False):
+    """Each head's softmax(q kᵀ / √hd) v of queries (B, H, Tq, hd), keys
+    kt (B, H, hd, T) and values (B, H, T, hd), merged to (B, Tq, E), and the
+    weights, which the backward needs.
+
+    With ``two_stream`` the last key and query are the state's, and the other
+    queries score its key −inf: it gets weight 0 and they attend to each
+    other alone. The backward needs no change: a weight of 0 gives its score,
+    and the key and value behind it, no gradient from that row."""
+    B, n_head, n_q, hd = q.shape
     s = q @ kt
-    s *= c
-    if two_stream:                        # no rows with state_only: its query is the state's
+    s *= q.dtype.type(1.0 / math.sqrt(hd))
+    if two_stream:                        # no rows if the state's is the only query
         s[..., :-1, -1] = -np.inf
-    m = s[..., 0].copy()
-    for i in range(1, n_tok):             # exact row max; fast on short rows
-        np.maximum(m, s[..., i], out=m)
+    if s.size <= 1024:                    # exact row max: numpy's costs ~70 ns a row,
+        m = s.max(axis=-1)
+    else:                                 # a loop ~1 µs a column, fast on many short rows
+        m = s[..., 0].copy()
+        for i in range(1, s.shape[-1]):
+            np.maximum(m, s[..., i], out=m)
     s -= m[..., None]
     np.exp(s, out=s)
     s /= np.einsum("...i->...", s)[..., None]
-    ctx = (s @ v).transpose(0, 2, 1, 3).reshape(B, q.shape[2], E3 // 3)
-    return ctx, (q, kt, v, s, c)
+    return (s @ v).transpose(0, 2, 1, 3).reshape(B, n_q, n_head * hd), s
 
 
-def _attention_bwd(g, cache):
-    """The (B, T, 3E) q|k|v gradient from the (B, Tq, E) context gradient."""
-    q, kt, v, s, c = cache
+def _attention_bwd(g, q, kt, v, s):
+    """The (B, T, 3E) q|k|v gradient from the (B, Tq, E) context gradient,
+    for contiguous q, kt and v and the weights s of :func:`_attention_fwd`."""
     B, n_head, n_q, hd = q.shape
     n_tok = v.shape[2]
     g = np.ascontiguousarray(g.reshape(B, n_q, n_head, hd).transpose(0, 2, 1, 3))
     ds = g @ np.ascontiguousarray(v.swapaxes(-1, -2))
     ds -= np.einsum("...i,...i->...", ds, s)[..., None]
     ds *= s
-    ds *= c
+    ds *= q.dtype.type(1.0 / math.sqrt(hd))
     dqkv = np.empty((B, n_tok, 3 * n_head * hd), dtype=g.dtype)
     d = dqkv.reshape(B, n_tok, 3, n_head, hd).transpose(2, 0, 3, 1, 4)
     d[0, :, :, :n_tok - n_q] = 0          # queries that were not used
@@ -257,14 +277,14 @@ def _attention_bwd(g, cache):
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
-# One tape record each, with a hand-written backward. Each runs the float
-# operations of the composition it fuses (linear layers, relu², an rms norm,
-# masked attention, a concat or an add), in that composition's order, so
-# (without ``state_only``) its output and gradients are bitwise the composition's;
-# tests/test_tensor.py checks this against a plain-numpy composition. The
-# sub-blocks' tape keeps 1 / rms(x), the attention's q, kᵀ, v and weights,
-# its context and relu(f); the backward recomputes the normalised input and
-# relu².
+# One tape record each: a forward above, which inference shares, and a
+# hand-written backward. Each runs the float operations of the composition it
+# fuses (linear layers, relu², an rms norm, masked attention, a concat or an
+# add), in that composition's order, so (without ``state_only``) its output
+# and gradients are bitwise the composition's; tests/test_tensor.py checks
+# this against a plain-numpy composition. The sub-blocks' tape keeps
+# 1 / rms(x), the attention's q, kᵀ, v and weights, its context and relu(f);
+# the backward recomputes the normalised input and relu².
 
 def token_embedding(groups) -> Tensor:
     """Project each ``(features, w, b)`` group, features (B, n_g, k), to
@@ -274,8 +294,7 @@ def token_embedding(groups) -> Tensor:
     E = groups[0][1].shape[-1]
     for f, w, b in groups:
         _check_linear(f.shape, w, b, E)
-    out = np.concatenate([_linear_fwd(f.data.reshape(-1, w.shape[0]), w.data, b.data)
-                          .reshape(f.shape[:-1] + (E,)) for f, w, b in groups], axis=1)
+    out = np.concatenate([_embed_fwd(f.data, w.data, b.data) for f, w, b in groups], axis=1)
     splits = np.cumsum([f.shape[1] for f, _, _ in groups])[:-1]
 
     def bwd(g):
@@ -301,9 +320,8 @@ def time_embedding(x: Tensor, basis, w1: Tensor, b1: Tensor, w2: Tensor, b2: Ten
     _check_linear(basis.shape, w1, b1)
     _check_linear(w1.shape, w2, b2, E)
     x2 = basis.reshape(B, -1)
-    sq, r = _relu_squared(_linear_fwd(x2, w1.data, b1.data))
     y = x.data.copy()
-    y[:, -1] += _linear_fwd(sq, w2.data, b2.data)
+    sq, r = _time_fwd(y[:, -1], x2, w1.data, b1.data, w2.data, b2.data)
 
     def bwd(g):
         dsq, dw2, db2 = _linear_bwd(g[:, -1], sq, w2.data)
@@ -334,18 +352,21 @@ def attention_block(x: Tensor, gain: Tensor, wqkv: Tensor, bqkv: Tensor,
         raise ValueError(f"attention needs n_emb divisible by n_head, "
                          f"got n_emb={E} with n_head={n_head}")
     xd = x.data
-    inv = _rms_inv(xd)
-    h, _ = _rms_scale(xd, gain.data, inv)
-    qkv = _linear_fwd(h.reshape(-1, E), wqkv.data, bqkv.data).reshape(B, n_tok, 3 * E)
-    ctx, cache = _attention_fwd(qkv, n_head, state_only, two_stream=True)
+    qkv, inv = _prenorm_fwd(xd, gain.data, wqkv.data, bqkv.data)
+    kt = np.empty((B, n_head, E // n_head, n_tok), dtype=xd.dtype)
+    v = np.empty((B, n_head, n_tok, E // n_head), dtype=xd.dtype)
+    q = _heads(qkv.reshape(B, n_tok, 3 * E), n_head, kt, v)
+    # contiguous: the backward's products round differently on a strided q,
+    # which would move the digests that pin the gradients (TestBitwisePins)
+    q = np.ascontiguousarray(q[:, :, n_tok - 1:] if state_only else q)
+    ctx, s = _attention_fwd(q, kt, v, two_stream=True)
     sel = -1 if state_only else slice(None)
     c2 = ctx.reshape(-1, E)
-    y = _linear_fwd(c2, wo.data, bo.data).reshape(xd[:, sel].shape)
-    y += xd[:, sel]
+    y = _residual_fwd(c2, wo.data, bo.data, xd[:, sel])
 
     def bwd(g):
         dc, dwo, dbo = _linear_bwd(g.reshape(-1, E), c2, wo.data)
-        dqkv = _attention_bwd(dc, cache).reshape(-1, 3 * E)
+        dqkv = _attention_bwd(dc, q, kt, v, s).reshape(-1, 3 * E)
         h, xhat = _rms_scale(xd, gain.data, inv)
         dh, dwqkv, dbqkv = _linear_bwd(dqkv, h.reshape(-1, E), wqkv.data)
         dx, dgain = _rms_bwd(dh.reshape(xd.shape), xd, gain.data, inv, xhat)
@@ -383,9 +404,7 @@ def head(x: Tensor, gain: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_linear(x.shape, w, b)
     xd = x.data
     E = xd.shape[-1]
-    inv = _rms_inv(xd)
-    h, _ = _rms_scale(xd, gain.data, inv)
-    y = _linear_fwd(h.reshape(-1, E), w.data, b.data).reshape(xd.shape[:-1] + w.shape[1:])
+    y, inv = _prenorm_fwd(xd, gain.data, w.data, b.data)
 
     def bwd(g):
         h, xhat = _rms_scale(xd, gain.data, inv)
@@ -393,7 +412,7 @@ def head(x: Tensor, gain: Tensor, w: Tensor, b: Tensor) -> Tensor:
         dx, dgain = _rms_bwd(dh.reshape(xd.shape), xd, gain.data, inv, xhat)
         return dx, dgain, dw, db
 
-    return _record(Tensor(y, dtype=x.dtype), (x, gain, w, b), bwd)
+    return _record(Tensor(y.reshape(xd.shape[:-1] + (-1,)), dtype=x.dtype), (x, gain, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

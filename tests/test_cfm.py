@@ -173,6 +173,14 @@ class TestTrain:
         assert history[-1] < history[0]
 
 
+class _Unconditioned:
+    """What the stub nets below condition on: nothing, shared by any number
+    of members."""
+
+    def repeat(self, n):
+        return self
+
+
 class _ConstantNet:
     def __init__(self, c, dim_m, task):
         self.c = np.asarray(c, dtype=np.float32)
@@ -180,7 +188,7 @@ class _ConstantNet:
         self.dim_m = dim_m
 
     def condition(self, d, e):
-        return None
+        return _Unconditioned()
 
     def velocity(self, m_t, t, cond):
         return np.broadcast_to(self.c, m_t.shape).copy()
@@ -193,7 +201,7 @@ class _LinearNet:
         self.task = task
 
     def condition(self, d, e):
-        return None
+        return _Unconditioned()
 
     def velocity(self, m_t, t, cond):
         return m_t.copy()
@@ -206,7 +214,7 @@ class _OneRowNet:
         self.task, self.row, self.value = task, row, value
 
     def condition(self, d, e):
-        return None
+        return _Unconditioned()
 
     def velocity(self, m_t, t, cond):
         out = np.zeros_like(m_t)

@@ -7,6 +7,7 @@ from flowinverse.data import draw_tuples
 from flowinverse.metrics import evaluate_sweep, generation_error, relative_error_de
 from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import get_task
+from test_cfm import _Unconditioned
 
 
 def tiny_net():
@@ -39,7 +40,7 @@ class _ConstNet:
         self.c = np.float32(c)
 
     def condition(self, d, e):
-        return None
+        return _Unconditioned()
 
     def velocity(self, m_t, t, cond):
         return np.full_like(m_t, self.c)

@@ -486,10 +486,27 @@ class TestConditionedVelocity:
         d, e, _, _ = self._batch(net, 10, 6)
         cfg = cfm.SamplerConfig(steps=50, ensemble=3)
         fresh = cfm.sample_batch(net, d, e, list(range(10)), cfg)
-        cond = net.condition(*(np.repeat(np.float32(a), 3, axis=0) for a in (d, e)))
+        cond = net.condition(np.float32(d), np.float32(e))     # one row per instance
         monkeypatch.setattr(net, "condition", lambda d, e: cond)
         for _ in range(2):
             np.testing.assert_array_equal(cfm.sample_batch(net, d, e, list(range(10)), cfg), fresh)
+
+    @pytest.mark.parametrize("task_name, n_layer", [("nonlinear", 2), ("seir", 6), ("darcy", 2)])
+    @pytest.mark.parametrize("instances, ensemble, n_obs",
+                             [(1, 10, 8), (16, 10, 8), (25, 10, 5), (4, 100, 4)])
+    def test_repeated_conditioning_is_that_of_repeated_rows(self, task_name, n_layer,
+                                                            instances, ensemble, n_obs):
+        # sample_batch conditions each instance once and repeats the cache
+        # for its members: bitwise the cache of the repeated rows
+        net = self._net(task_name, n_layer)
+        rng = np.random.default_rng(instances * n_obs)
+        pairs = [_observations(net.task, rng, n_obs) for _ in range((instances + 1) // 2)]
+        d, e = (np.float32(np.concatenate(rows)[:instances]) for rows in zip(*pairs))
+        once = net.condition(d, e)
+        rows = net.condition(np.repeat(d, ensemble, axis=0), np.repeat(e, ensemble, axis=0))
+        repeated = once.repeat(ensemble)
+        np.testing.assert_array_equal(repeated.keys[..., :-1], rows.keys[..., :-1])
+        np.testing.assert_array_equal(repeated.values[..., :-1, :], rows.values[..., :-1, :])
 
     def test_records_nothing_on_an_open_tape(self):
         net = self._net("seir", 6)
@@ -521,6 +538,20 @@ class TestConditionedVelocity:
         d, e = _observations(net.task, np.random.default_rng(4), 3)
         with pytest.raises(ValueError, match=r"t must have shape \(2,\), a time per row"):
             net.forward(np.zeros((2, 1)), t, d, e)
+
+    @pytest.mark.parametrize("task_name", ["nonlinear", "seir", "darcy"])
+    def test_rejects_d_and_e_of_different_counts(self, task_name):
+        net = self._net(task_name, 1)
+        d, e = _observations(net.task, np.random.default_rng(5), 3)
+        cases = [(d[:1], e), (d[:, :-1], e), (d, e[:, :-1])]
+        if task_name == "seir":               # widths 2n and n, of one count
+            cases.append((d[:, :4], e))
+        for dd, ee in cases:
+            msg = rf"d \({len(dd)}, {dd.shape[1]}\) and e \({len(ee)}, {ee.shape[1]}\)"
+            with pytest.raises(ValueError, match=msg):
+                net.condition(dd, ee)
+            with pytest.raises(ValueError, match=msg):
+                net.forward(np.zeros((len(dd), net.task.dim_m)), np.full(len(dd), 0.5), dd, ee)
 
     def test_condition_rejects_empty_observations(self):
         net = self._net("nonlinear", 1)

@@ -173,10 +173,19 @@ class TestRmsNorm:
         assert np.sqrt(np.mean(out * out)) == pytest.approx(1.0, abs=1e-3)
 
 
+def heads(qkv, n_head):
+    """A packed (B, T, 3E) q|k|v as contiguous per-head q, kᵀ and v."""
+    B, n_tok, E3 = qkv.shape
+    hd = E3 // (3 * n_head)
+    kt = np.empty((B, n_head, hd, n_tok), dtype=qkv.dtype)
+    v = np.empty((B, n_head, n_tok, hd), dtype=qkv.dtype)
+    return np.ascontiguousarray(T._heads(qkv, n_head, kt, v)), kt, v
+
+
 def attend(qkv, n_head, dtype=np.float32):
     """The attention core of :func:`tensor.attention_block` on a packed
     q|k|v, without the norm and the projections around it."""
-    return T._attention_fwd(np.asarray(qkv, dtype=dtype), n_head)[0]
+    return T._attention_fwd(*heads(np.asarray(qkv, dtype=dtype), n_head))[0]
 
 
 def block_inputs(kind, rng, B, n_tok, E, dtype):
@@ -204,7 +213,9 @@ def attention_oracle(qkv, n_head):
 
 
 class TestAttention:
-    @pytest.mark.parametrize("B,n_tok,n_head,hd", [(5, 3, 2, 4), (2, 9, 4, 8), (3, 1, 2, 3)])
+    # (8, 9, 4, 2) has more than 1024 scores, so its row max runs the column loop
+    @pytest.mark.parametrize("B,n_tok,n_head,hd", [(5, 3, 2, 4), (2, 9, 4, 8), (3, 1, 2, 3),
+                                                   (8, 9, 4, 2)])
     def test_batched_matches_loop(self, B, n_tok, n_head, hd):
         qkv = np.random.default_rng(1).normal(size=(B, n_tok, 3 * n_head * hd)).astype(np.float32)
         out = attend(qkv, n_head)
@@ -238,8 +249,9 @@ class TestAttention:
         # when every token has the same value, the weights do not matter
         qkv = np.random.default_rng(5).normal(size=(2, 4, 6))
         qkv[..., 4:] = [0.5, -1.5]
-        _, cache = T._attention_fwd(qkv, 1)
-        grad = T._attention_bwd(np.random.default_rng(6).normal(size=(2, 4, 2)), cache)
+        q, kt, v = heads(qkv, 1)
+        _, s = T._attention_fwd(q, kt, v)
+        grad = T._attention_bwd(np.random.default_rng(6).normal(size=(2, 4, 2)), q, kt, v, s)
         np.testing.assert_allclose(grad[..., :4], 0.0, atol=1e-15)
         assert np.abs(grad[..., 4:]).min() > 0
 
