@@ -22,6 +22,7 @@ from .net import VelocityNet
 
 _STREAM_NOISE = 0x6e6f6973      # per-(epoch, shard) training draws
 _STREAM_MEMBER = 0x6d656d62     # per-member prior draws at inference
+PATH_BATCH = 2560               # most flow paths one sample_batch integration holds
 
 
 class TrainingDivergedError(RuntimeError):
@@ -194,7 +195,7 @@ def _prior_draws(task, n, seed):
 
 class FlowDivergedError(FloatingPointError):
     """A velocity or flow state became non-finite; ``row`` is the first
-    non-finite row of the integrated batch."""
+    non-finite path, counted over all the paths of the call."""
 
     def __init__(self, message, row):
         super().__init__(message)
@@ -213,8 +214,8 @@ def _integrate_flow(net, x0, d, e, cfg: SamplerConfig):
     def v(xc, tc):
         out = net.velocity(xc, tc, cond)
         if not np.isfinite(out).all():
-            row = _first_nonfinite_row(out)
-            raise FlowDivergedError(f"velocity became non-finite at t={tc:.4f} in row {row}", row)
+            raise FlowDivergedError(f"velocity became non-finite at t={tc:.4f}",
+                                    _first_nonfinite_row(out))
         return out
 
     for k in range(cfg.steps):
@@ -231,9 +232,8 @@ def _integrate_flow(net, x0, d, e, cfg: SamplerConfig):
             k4 = v(x + h * k3, min(t + h, 1.0))
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(x).all():
-            row = _first_nonfinite_row(x)
-            raise FlowDivergedError(
-                f"flow state became non-finite after t={t + h:.4f} in row {row}", row)
+            raise FlowDivergedError(f"flow state became non-finite after t={t + h:.4f}",
+                                    _first_nonfinite_row(x))
     return x
 
 
@@ -242,7 +242,8 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
 
     d, e: one row per seed (a 1-D row is one instance). Instance i's members
     start from the counter-derived prior draws of ``seeds[i]`` (``cfg.seed``
-    is not used), and all n_inst * ensemble paths integrate as one batch.
+    is not used). Instances integrate whole, never split, at most ``PATH_BATCH``
+    paths (instances x ensemble) at a time; a larger ensemble runs alone.
     The observation stream runs once per instance, into a conditioning
     (:meth:`VelocityNet.condition`) its members share, and each solver step
     runs the state rows alone (:meth:`VelocityNet.velocity`, within 1e-6 of
@@ -259,14 +260,19 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
         raise ValueError(f"{d.shape[0]} observation rows and {e.shape[0]} design rows "
                          f"for {len(seeds)} seeds")
     n = cfg.ensemble
-    x0 = np.concatenate([_prior_draws(net.task, n, s) for s in seeds])
-    try:
-        x1 = _integrate_flow(net, x0, d, e, cfg)
-    except FlowDivergedError as err:
-        instance, member = divmod(err.row, n)
-        raise FlowDivergedError(f"{err} (instance {instance}, member {member})",
-                                err.row) from None
-    return x1.reshape(len(seeds), n, -1).astype(np.float64)
+    chunk = max(1, PATH_BATCH // n)     # instances per integration
+    out = np.empty((len(seeds), n, net.task.dim_m))
+    for lo in range(0, len(seeds), chunk):
+        rows = slice(lo, lo + chunk)
+        x0 = np.concatenate([_prior_draws(net.task, n, s) for s in seeds[rows]])
+        try:
+            x1 = _integrate_flow(net, x0, d[rows], e[rows], cfg)
+        except FlowDivergedError as err:
+            row = lo * n + err.row
+            raise FlowDivergedError(f"{err} in row {row} (instance {row // n}, "
+                                    f"member {row % n})", row) from None
+        out[rows] = x1.reshape(-1, n, out.shape[2])
+    return out
 
 
 def sample_posterior(net: VelocityNet, d, e, cfg: SamplerConfig) -> PosteriorEnsemble:

@@ -13,6 +13,7 @@ stores its arrays m, e, d and eta as ``i.m``, ``i.e``, ``i.d`` and ``i.eta``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ _ARRAYS = ("m", "e", "d", "eta")      # the arrays of a shard, in file order
 _STREAM_TUPLE = 0x64617461          # tag for per-tuple draws
 _STREAM_SHUFFLE = 0x73687566        # tag for per-epoch shard shuffles
 
-# Tuples per simulate_batch call in generate_shard. A SEIR chunk keeps every
+# Tuples per simulate_batch call in draw_tuples. A SEIR chunk keeps every
 # RK4 step its reads bracket, up to 514 steps x 4 states x rows float64:
 # transiently about 67 MB at 4096 rows and n_obs 8 (17 MB at 1024 rows).
 SIM_BATCH = 4096
@@ -81,35 +82,35 @@ def draw_tuples(task, n_obs, rngs):
     """One (m, e, d, eta) row per generator, as float64 arrays.
 
     Each generator draws the parameters, then the design, then unit-variance
-    noise z; one ``simulate_batch`` call over all rows then gives the clean
-    observations and per-row noise scales, and eta = z * scale, d = clean + eta.
+    noise z; ``simulate_batch`` then gives ``SIM_BATCH`` rows' clean observations
+    and noise scales at a time, and eta = z * scale, d = clean + eta. ``rngs``
+    may be lazy. A failing chunk raises ``RuntimeError`` naming its tuple range.
     """
-    m = np.empty((len(rngs), task.dim_m))
-    e = np.empty((len(rngs), task.e_width(n_obs)))
-    z = np.empty((len(rngs), task.d_width(n_obs)))
-    for i, rng in enumerate(rngs):
-        m[i] = task.sample_params(rng, 1)[0]
-        e[i] = task.sample_design(rng, n_obs)
-        z[i] = rng.standard_normal(z.shape[1])
-    clean, scale = task.simulate_batch(m, e, n_obs)
-    eta = z * scale[:, None]
-    return m, e, clean + eta, eta
+    rngs = iter(rngs)
+    chunks = []
+    while batch := list(itertools.islice(rngs, SIM_BATCH)):
+        draws = [(task.sample_params(rng, 1)[0], task.sample_design(rng, n_obs),
+                  rng.standard_normal(task.d_width(n_obs))) for rng in batch]
+        m, e, z = (np.array(a, dtype=np.float64) for a in zip(*draws))
+        try:
+            clean, scale = task.simulate_batch(m, e, n_obs)
+        except Exception as err:
+            lo = SIM_BATCH * len(chunks)
+            raise RuntimeError(f"forward model failed on tuples [{lo}, {lo + len(batch)}): "
+                               f"{err}") from err
+        eta = z * scale[:, None]
+        chunks.append((m, e, clean + eta, eta))
+    return tuple(np.concatenate(a) for a in zip(*chunks))
 
 
 def generate_shard(task, n_obs, count, seed) -> DatasetShard:
     if count < 1:
         raise ValueError(f"a shard needs at least one tuple, got count={count}")
-    chunks = []
-    for lo in range(0, count, SIM_BATCH):
-        hi = min(lo + SIM_BATCH, count)
-        try:
-            chunks.append(draw_tuples(task, n_obs,
-                                      [_tuple_rng(seed, n_obs, i) for i in range(lo, hi)]))
-        except Exception as err:
-            raise RuntimeError(
-                f"forward model failed in shard n_obs={n_obs}, "
-                f"tuples [{lo}, {hi}), seed={seed}: {err}") from err
-    m, e, d, eta = (np.concatenate(a).astype(np.float32) for a in zip(*chunks))
+    try:
+        rows = draw_tuples(task, n_obs, (_tuple_rng(seed, n_obs, i) for i in range(count)))
+    except Exception as err:
+        raise RuntimeError(f"shard n_obs={n_obs}, seed={seed}: {err}") from err
+    m, e, d, eta = (a.astype(np.float32) for a in rows)
     return DatasetShard(n_obs=n_obs, m=m, e=e, d=d, eta=eta, seed=seed)
 
 

@@ -5,6 +5,10 @@ epidemic trajectory on a dense time grid, the pressure field on the solver
 grid, or the closed-form response over a design grid, each computed for the
 true parameters and for the posterior-ensemble mean. Everything here returns
 data; ``cli`` writes the tables.
+
+Each evaluation draws all its instances with one ``data.draw_tuples`` call,
+samples them with one ``cfm.sample_batch`` call, then scores them. Those two
+bound how many rows they hold at once, so nothing here chunks.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import numpy as np
 from .cfm import SamplerConfig, sample_batch
 from .cfm import sample_posterior  # noqa: F401  perfbench's tracer test checks this reference
 from .data import draw_tuples
-
-GENERATION_CHUNK = 256      # instances per sample_batch call in generation_error
 
 
 @dataclass
@@ -37,7 +39,7 @@ def relative_error_de(m_true, m_est, task, e_row):
 
 
 # ---------------------------------------------------------------------------
-# trial generation
+# evaluation over fresh instances: draw, sample, score
 # ---------------------------------------------------------------------------
 
 def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig, seed=0):
@@ -45,7 +47,8 @@ def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig, seed=0
     and the DE relative error aggregated as mean +/- std over trials.
 
     Each trial draws its instance and then its sampler seed from its own
-    stream; the trials of one observation count integrate as one batch.
+    stream; the trials of one observation count go to one ``sample_batch``
+    call.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -77,25 +80,19 @@ def generation_error(net, task, n_inferences, n_obs, sampler: SamplerConfig, see
     """
     if n_inferences < 1:
         raise ValueError(f"n_inferences must be >= 1, got {n_inferences}")
-    num = 0.0
-    den = 0.0
+    rngs = (np.random.default_rng(np.random.SeedSequence((seed, 0x67656e65, i)))
+            for i in range(n_inferences))
+    _, es, ds, _ = draw_tuples(task, n_obs, rngs)
+    seeds = [(seed ^ 0x5eed) + i for i in range(n_inferences)]
+    # members are averaged in float32, the precision of the flow state
+    m_hat = sample_batch(net, ds, es, seeds, sampler).astype(np.float32).mean(axis=1)
+    num = den = 0.0
     per_case = np.empty(n_inferences)
-    done = 0
-    while done < n_inferences:
-        b = min(GENERATION_CHUNK, n_inferences - done)
-        rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0x67656e65, done + i)))
-                for i in range(b)]
-        _, es, ds, _ = draw_tuples(task, n_obs, rngs)
-        seeds = [(seed ^ 0x5eed) + done + i for i in range(b)]
-        # members are averaged in float32, the precision of the flow state
-        m_hat = sample_batch(net, ds, es, seeds, sampler).astype(np.float32).mean(axis=1)
-        for i in range(b):
-            d_hat = task.forward_observed(m_hat[i].astype(np.float64), es[i])
-            r = ds[i] - np.asarray(d_hat).reshape(-1)
-            num += float(r @ r)
-            den += float(ds[i] @ ds[i])
-            norm = np.linalg.norm(ds[i])
-            per_case[done + i] = np.linalg.norm(r) / norm if norm > 0 else np.inf
-        done += b
+    for i in range(n_inferences):
+        d_hat = task.forward_observed(m_hat[i].astype(np.float64), es[i])
+        r = ds[i] - np.asarray(d_hat).reshape(-1)
+        num += float(r @ r)
+        den += float(ds[i] @ ds[i])
+        norm = np.linalg.norm(ds[i])
+        per_case[i] = np.linalg.norm(r) / norm if norm > 0 else np.inf
     return float(np.sqrt(num / den)), per_case
-

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
 
-KL_CACHE_VERSION = 2
+KL_CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,11 @@ class KLBasis:
     normalized to sum(phi^2) * h^2 = 1, flattened over grid nodes.
     """
 
-    def __init__(self, eigenvalues, modes, const: DarcyConstants, trace: float):
+    def __init__(self, eigenvalues, modes, const: DarcyConstants):
         self.eigenvalues = eigenvalues          # (n_modes,) descending
         self.modes = modes                      # (n_modes, n_grid*n_grid)
         self.const = const
-        self.trace = float(trace)
         self.scaled_modes = (modes * np.sqrt(eigenvalues)[:, None])
-
-    @property
-    def captured_fraction(self):
-        return float(self.eigenvalues.sum() / self.trace)
 
 
 def _cache_path(const, cache_dir):
@@ -102,7 +97,7 @@ def kl_basis_build(const: DarcyConstants = CONST, cache_dir=None) -> KLBasis:
     if path is not None and os.path.exists(path):
         with np.load(path) as z:
             if int(z["version"]) == KL_CACHE_VERSION:
-                return KLBasis(z["eigenvalues"], z["modes"], const, float(z["trace"]))
+                return KLBasis(z["eigenvalues"], z["modes"], const)
     xs = np.linspace(0.0, 1.0, const.n_grid)
     k1 = const.sigma_v * const.h * np.exp(-(xs[:, None] - xs[None, :]) ** 2 / (2.0 * const.ell2))
     lam, u = np.linalg.eigh(k1)
@@ -114,13 +109,12 @@ def kl_basis_build(const: DarcyConstants = CONST, cache_dir=None) -> KLBasis:
     a, b = a[top], b[top]
     vals = np.maximum(prod[top], 0.0)
     modes = (u[:, a].T[:, :, None] * u[:, b].T[:, None, :]).reshape(const.n_modes, -1) / const.h
-    trace = lam.sum() ** 2
     if path is not None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".tmp.npz"
-        np.savez(tmp, version=KL_CACHE_VERSION, eigenvalues=vals, modes=modes, trace=trace)
+        np.savez(tmp, version=KL_CACHE_VERSION, eigenvalues=vals, modes=modes)
         os.replace(tmp, path)
-    return KLBasis(vals, modes, const, trace)
+    return KLBasis(vals, modes, const)
 
 
 def kl_expand(m, basis: KLBasis) -> np.ndarray:

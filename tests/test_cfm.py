@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from flowinverse import cfm
 from flowinverse import tensor as T
 from flowinverse.cfm import (FlowDivergedError, SamplerConfig, TrainConfig,
                              TrainingDivergedError, _integrate_flow, _prior_draws, cfm_loss,
@@ -222,6 +223,34 @@ class _OneRowNet:
         return out
 
 
+class _Rows:
+    """A conditioning that carries each path's observation."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def repeat(self, n):
+        return _Rows(np.repeat(self.d, n))
+
+
+class _OneMemberNet:
+    """The field that is 0 everywhere but on one member of the instance
+    observing ``bad``, wherever that instance falls in the batch."""
+
+    def __init__(self, task, bad, member):
+        self.task, self.bad, self.member = task, bad, member
+
+    def condition(self, d, e):
+        return _Rows(d[:, 0])
+
+    def velocity(self, m_t, t, cond):
+        out = np.zeros_like(m_t)
+        rows = np.flatnonzero(cond.d == self.bad)
+        if len(rows):
+            out[rows[self.member]] = np.nan
+        return out
+
+
 class TestSamplerConfig:
     @pytest.mark.parametrize("kwargs, problem", [
         ({"steps": 0}, "steps and ensemble must be >= 1"),
@@ -334,6 +363,17 @@ class TestSampleBatch:
                 FlowDivergedError, match=re.escape(f"{problem} (instance 1, member 2)")) as err:
             sample_batch(net, self.D, self.E, self.SEEDS, cfg)
         assert err.value.row == 6
+
+    def test_divergence_in_a_later_chunk_names_its_true_instance(self, monkeypatch):
+        # 2 instances of 4 members per integration: instance 3 is the second
+        # of the second chunk, and its member 2 is path 14 of the call
+        monkeypatch.setattr(cfm, "PATH_BATCH", 8)
+        d = np.array([[0.4], [0.9], [0.1], [0.7], [0.3]], dtype=np.float32)
+        net = _OneMemberNet(get_task("nonlinear"), d[3, 0], 2)
+        with pytest.raises(FlowDivergedError, match=re.escape(
+                "velocity became non-finite at t=0.0000 in row 14 (instance 3, member 2)")) as err:
+            sample_batch(net, d, d, [1, 2, 3, 4, 5], SamplerConfig(steps=1, ensemble=4))
+        assert err.value.row == 14
 
     def test_rejects_seed_count_mismatch(self):
         with pytest.raises(ValueError, match="2 seeds"):

@@ -132,9 +132,25 @@ class TestDrawTuples:
             def simulate_batch(self, m, e, n_obs):
                 raise FloatingPointError("solver blew up")
 
-        with pytest.raises(RuntimeError, match=r"shard n_obs=3, tuples \[0, 4\), seed=7: "
-                                               "solver blew up"):
+        with pytest.raises(RuntimeError, match=r"shard n_obs=3, seed=7: forward model failed "
+                                               r"on tuples \[0, 4\): solver blew up"):
             generate_shard(Failing(), 3, 4, 7)
+
+    def test_failing_second_chunk_names_its_tuple_range(self, monkeypatch):
+        monkeypatch.setattr(data, "SIM_BATCH", 2)
+        rows = []
+
+        class FailsSecond(NonlinearTask):
+            def simulate_batch(self, m, e, n_obs):
+                rows.append(len(m))
+                if len(rows) == 2:
+                    raise FloatingPointError("solver blew up")
+                return super().simulate_batch(m, e, n_obs)
+
+        with pytest.raises(RuntimeError, match=r"forward model failed on tuples \[2, 3\): "
+                                               "solver blew up"):
+            draw_tuples(FailsSecond(), 3, [_tuple_rng(7, 3, i) for i in range(3)])
+        assert rows == [2, 1]
 
 
 class TestPersistence:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowinverse import metrics
+from flowinverse import cfm
 from flowinverse.cfm import SamplerConfig, sample_posterior
 from flowinverse.data import draw_tuples
 from flowinverse.metrics import evaluate_sweep, generation_error, relative_error_de
@@ -71,24 +71,41 @@ class TestEvaluateSweep:
             evaluate_sweep(_ConstNet(task, 0.0), task, [1], trials=trials,
                            sampler=SamplerConfig(steps=3, ensemble=2))
 
+    def test_sweep_never_conditions_more_paths_than_the_bound(self):
+        task = get_task("nonlinear")
+        sampler = SamplerConfig(steps=2, ensemble=10)
+        trials = cfm.PATH_BATCH // sampler.ensemble + 1
+        rows = []
+
+        class Recording(_ConstNet):
+            def condition(self, d, e):
+                rows.append(len(d))
+                return super().condition(d, e)
+
+        evaluate_sweep(Recording(task, 0.1), task, [1], trials=trials, sampler=sampler)
+        assert sum(rows) == trials
+        assert max(rows) * sampler.ensemble <= cfm.PATH_BATCH
+
     def test_batched_sweep_matches_per_trial_reference(self):
         # Reference: one sample_posterior per trial on that trial's stream.
         # Batching the trials changes only float32 rounding in the network.
+        # The second trial count of 3 members spans two integrations.
         task = get_task("nonlinear")
         net = tiny_net()
         sampler = SamplerConfig(steps=6, ensemble=3)
-        reports = evaluate_sweep(net, task, [1, 3], trials=4, sampler=sampler, seed=5)
-        for rep in reports:
-            errs = []
-            for trial in range(4):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((5, 0x6576616c, rep.n_obs, trial)))
-                m, e, d, _ = draw_tuples(task, rep.n_obs, [rng])
-                cfg = SamplerConfig(steps=6, ensemble=3, seed=int(rng.integers(2 ** 31)))
-                ens = sample_posterior(net, d[0], e[0], cfg)
-                errs.append(relative_error_de(m[0], ens.mean, task, e[0]))
-            assert rep.mean_error == pytest.approx(np.mean(errs), rel=1e-5)
-            assert rep.std_error == pytest.approx(np.std(errs), rel=1e-4)
+        for trials in (4, cfm.PATH_BATCH // 3 + 1):
+            reports = evaluate_sweep(net, task, [1, 3], trials=trials, sampler=sampler, seed=5)
+            for rep in reports:
+                errs = []
+                for trial in range(trials):
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence((5, 0x6576616c, rep.n_obs, trial)))
+                    m, e, d, _ = draw_tuples(task, rep.n_obs, [rng])
+                    cfg = SamplerConfig(steps=6, ensemble=3, seed=int(rng.integers(2 ** 31)))
+                    ens = sample_posterior(net, d[0], e[0], cfg)
+                    errs.append(relative_error_de(m[0], ens.mean, task, e[0]))
+                assert rep.mean_error == pytest.approx(np.mean(errs), rel=1e-5)
+                assert rep.std_error == pytest.approx(np.std(errs), rel=1e-4)
 
 
 class TestGenerationError:
@@ -109,8 +126,9 @@ class TestGenerationError:
 
     def test_seeded_output_pinned(self, monkeypatch):
         # recorded from the two-stream net, which the float64 oracle of
-        # tests/test_net.py reproduces here; a chunk of 2 splits the batch
-        monkeypatch.setattr(metrics, "GENERATION_CHUNK", 2)
+        # tests/test_net.py reproduces here; a bound of 6 paths splits the
+        # batch into integrations of 2 instances
+        monkeypatch.setattr(cfm, "PATH_BATCH", 6)
         pooled, per_case = generation_error(tiny_net(), get_task("nonlinear"), n_inferences=5,
                                             n_obs=1, sampler=SamplerConfig(steps=4, ensemble=3),
                                             seed=2)
