@@ -206,33 +206,43 @@ def _first_nonfinite_row(a):
     return int(np.argmin(np.isfinite(a).all(axis=1)))
 
 
+def _flow_times(cfg: SamplerConfig):
+    """The flow time of each velocity call of one integration, in call order."""
+    h = 1.0 / cfg.steps
+    t = np.arange(cfg.steps) * h
+    mid = t + 0.5 * h
+    stages = {"euler": [t], "midpoint": [t, mid], "rk4": [t, mid, mid, np.minimum(t + h, 1.0)]}
+    return np.stack(stages[cfg.method], axis=1).reshape(-1)
+
+
 def _integrate_flow(net, x0, d, e, cfg: SamplerConfig):
     x = x0.astype(np.float32)
     h = 1.0 / cfg.steps
-    cond = net.condition(d, e).repeat(len(x0) // len(d))
+    times = _flow_times(cfg)
+    cond = net.condition(d, e, times).repeat(len(x0) // len(d))
 
-    def v(xc, tc):
-        out = net.velocity(xc, tc, cond)
+    def v(xc, c):
+        out = net.velocity(xc, c, cond)
         if not np.isfinite(out).all():
-            raise FlowDivergedError(f"velocity became non-finite at t={tc:.4f}",
+            raise FlowDivergedError(f"velocity became non-finite at t={times[c]:.4f}",
                                     _first_nonfinite_row(out))
         return out
 
-    for k in range(cfg.steps):
-        t = k * h
+    calls = len(times) // cfg.steps
+    for c in range(0, len(times), calls):          # c: the step's first call
         if cfg.method == "euler":
-            x = x + h * v(x, t)
+            x = x + h * v(x, c)
         elif cfg.method == "midpoint":
-            k1 = v(x, t)
-            x = x + h * v(x + 0.5 * h * k1, t + 0.5 * h)
+            k1 = v(x, c)
+            x = x + h * v(x + 0.5 * h * k1, c + 1)
         else:
-            k1 = v(x, t)
-            k2 = v(x + 0.5 * h * k1, t + 0.5 * h)
-            k3 = v(x + 0.5 * h * k2, t + 0.5 * h)
-            k4 = v(x + h * k3, min(t + h, 1.0))
+            k1 = v(x, c)
+            k2 = v(x + 0.5 * h * k1, c + 1)
+            k3 = v(x + 0.5 * h * k2, c + 2)
+            k4 = v(x + h * k3, c + 3)
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(x).all():
-            raise FlowDivergedError(f"flow state became non-finite after t={t + h:.4f}",
+            raise FlowDivergedError(f"flow state became non-finite after t={times[c] + h:.4f}",
                                     _first_nonfinite_row(x))
     return x
 
@@ -244,10 +254,12 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
     start from the counter-derived prior draws of ``seeds[i]`` (``cfg.seed``
     is not used). Instances integrate whole, never split, at most ``PATH_BATCH``
     paths (instances x ensemble) at a time; a larger ensemble runs alone.
-    The observation stream runs once per instance, into a conditioning
-    (:meth:`VelocityNet.condition`) its members share, and each solver step
-    runs the state rows alone (:meth:`VelocityNet.velocity`, within 1e-6 of
-    max|v| of :meth:`VelocityNet.forward`, the training path). Returns
+    Each integration builds one conditioning (:meth:`VelocityNet.condition`):
+    the observation stream, run once per instance for its members to share,
+    and the time embedding of every solver call's flow time, all embedded at
+    once. Each solver call then runs the state rows alone
+    (:meth:`VelocityNet.velocity`, within 1e-6 of max|v| of
+    :meth:`VelocityNet.forward`, the training path). Returns
     (n_inst, ensemble, dim_m) float64. A path that becomes
     non-finite raises :class:`FlowDivergedError`, whose message names its
     instance and member.

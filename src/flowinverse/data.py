@@ -89,9 +89,12 @@ def draw_tuples(task, n_obs, rngs):
     rngs = iter(rngs)
     chunks = []
     while batch := list(itertools.islice(rngs, SIM_BATCH)):
-        draws = [(task.sample_params(rng, 1)[0], task.sample_design(rng, n_obs),
-                  rng.standard_normal(task.d_width(n_obs))) for rng in batch]
-        m, e, z = (np.array(a, dtype=np.float64) for a in zip(*draws))
+        m, e, z = (np.empty((len(batch), k)) for k in
+                   (task.dim_m, task.e_width(n_obs), task.d_width(n_obs)))
+        for i, rng in enumerate(batch):
+            m[i] = task.sample_params(rng, 1)[0]
+            e[i] = task.sample_design(rng, n_obs)
+            rng.standard_normal(out=z[i])
         try:
             clean, scale = task.simulate_batch(m, e, n_obs)
         except Exception as err:

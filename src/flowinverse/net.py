@@ -31,10 +31,12 @@ up to the rounding of GEMMs of other shapes (within 1e-6 of max|v|):
   scores against the state key are masked) and :func:`tensor.mlp_block`,
   and :func:`tensor.head` (final norm and read-out).
 - :meth:`VelocityNet.condition` and :meth:`VelocityNet.velocity`, for
-  inference, without tensors or a tape. ``condition`` runs the observation
-  stream of a batch once, through every block, into a :class:`Conditioning`
-  of each block's keys and values; ``velocity`` then runs one solver step on
-  the state row alone, whose query attends to those keys and to its own.
+  inference, without tensors or a tape. ``condition`` computes once what an
+  integration fixes, into a :class:`Conditioning`: each solver call's time
+  embedding, the RMS gains folded into the weights they feed, and each
+  block's keys and values of the observation stream, run once; ``velocity``
+  then runs one solver call on the state row alone, whose query attends to
+  those keys and to its own.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is 2.0
@@ -99,6 +101,8 @@ def timestep_basis(t, dim: int) -> np.ndarray:
 _TEMB_PARAMS = ("fc1.w", "fc1.b", "fc2.w", "fc2.b")
 _BLOCK_PARAMS = ("ln1.g", "attn.wqkv.w", "attn.wqkv.b", "attn.wo.w", "attn.wo.b",
                 "ln2.g", "mlp.fc.w", "mlp.fc.b", "mlp.proj.w", "mlp.proj.b")
+# Each RMS gain and the weight it feeds, which inference folds into one.
+_FOLDS = {"ln1.g": "attn.wqkv.w", "ln2.g": "mlp.fc.w"}
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +157,25 @@ def param_count(params: dict) -> int:
 
 @dataclass
 class Conditioning:
-    """What a batch's observations fix for every step of one integration.
+    """What a batch's observations and the solver's flow times fix for every
+    call of one integration.
 
     ``keys`` holds each block's observation keys as an (L, B, H, hd, T)
     array and ``values`` its values as (L, B, H, T, hd), for L blocks and T
     tokens with the state. The last slot of each is the state's:
-    :meth:`VelocityNet.velocity` writes the step's state key and value there
+    :meth:`VelocityNet.velocity` writes the call's state key and value there
     and changes nothing else, so a conditioning serves one integration at a
-    time, and any number of integrations in turn. The other fields are the
-    parameter arrays in the order ``velocity`` reads them.
+    time, and any number of integrations in turn. ``times`` holds the time
+    embedding of each call's flow time, one (E,) row per call. The other
+    fields are the parameter arrays in the order ``velocity`` reads them,
+    each RMS gain g folded into the weight w it feeds, as g[:, None] · w.
     """
     keys: np.ndarray      # (L, B, H, hd, T)
     values: np.ndarray    # (L, B, H, T, hd)
+    times: np.ndarray     # (calls, E)
     state: tuple          # embed.state w, b
-    temb: tuple           # temb fc1 w, b, fc2 w, b
-    blocks: list          # per block, the arrays of _BLOCK_PARAMS
-    head: tuple           # ln_f.g, head w, b
+    blocks: list          # per block, the arrays of _BLOCK_PARAMS, gains folded
+    head: tuple           # head w with ln_f.g folded, head b
 
     def repeat(self, n):
         """This conditioning with each row repeated n times in turn."""
@@ -228,56 +235,64 @@ class VelocityNet:
         # x is the state token alone now: (B, E)
         return T.head(x, params["ln_f.g"], params["head.w"], params["head.b"])
 
-    def condition(self, d, e) -> Conditioning:
-        """The conditioning of a batch for :meth:`velocity`: the observation
+    def condition(self, d, e, times) -> Conditioning:
+        """The conditioning of one integration for :meth:`velocity`: the time
+        embedding of each call's flow time in ``times``, and the observation
         stream of (d, e) run once through every block, as :meth:`forward`
-        runs it, and each block's observation keys and values."""
+        runs it but with each RMS gain folded into the weight it feeds."""
         a = {k: p.data for k, p in self.params.items()}
-        H, L = self.config.n_head, self.config.n_layer
+        H, L, E = self.config.n_head, self.config.n_layer, self.config.n_emb
         dt = a["head.w"].dtype
+        for i in range(L):                          # (h · g) @ w is h @ (g[:, None] · w)
+            for g, w in _FOLDS.items():
+                a[f"block{i}.{w}"] = a.pop(f"block{i}.{g}")[:, None] * a[f"block{i}.{w}"]
+        a["head.w"] = a.pop("ln_f.g")[:, None] * a["head.w"]
+        basis = timestep_basis(times, E).astype(dt, copy=False).reshape(-1, E)
+        rows = np.zeros_like(basis)                 # (calls, E)
+        _time_fwd(rows, basis, *(a[f"temb.{name}"] for name in _TEMB_PARAMS))
         x = np.concatenate([_embed_fwd(f.astype(dt), a[f"embed.{k}.w"], a[f"embed.{k}.b"])
                             for k, f in self._fixed_tokens(d, e).items() if f is not None],
                            axis=1)                          # (B, T - 1, E)
-        B, n_fixed, E = x.shape
-        blocks = [tuple(a[f"block{i}.{name}"] for name in _BLOCK_PARAMS) for i in range(L)]
+        B, n_fixed, _ = x.shape
+        blocks = [tuple(a[f"block{i}.{name}"] for name in _BLOCK_PARAMS if name not in _FOLDS)
+                  for i in range(L)]
         keys = np.empty((L, B, H, E // H, n_fixed + 1), dtype=dt)
         values = np.empty((L, B, H, n_fixed + 1, E // H), dtype=dt)
-        for i, (k, v, (g1, wqkv, bqkv, wo, bo, *mlp)) in enumerate(zip(keys, values, blocks)):
-            qkv, _ = _prenorm_fwd(x, g1, wqkv, bqkv)
+        for i, (k, v, (wqkv, bqkv, wo, bo, *mlp)) in enumerate(zip(keys, values, blocks)):
+            qkv, _ = _prenorm_fwd(x, None, wqkv, bqkv)
             q = _heads(qkv.reshape(B, n_fixed, 3 * E), H, k, v, slice(None, -1))
             if i == L - 1:                # the head reads the state alone
                 break
             ctx, _ = _attention_fwd(q, k[..., :-1], v[:, :, :-1])
-            x, _, _ = _mlp_fwd(_residual_fwd(ctx.reshape(-1, E), wo, bo, x), *mlp)
-        return Conditioning(keys=keys, values=values, blocks=blocks,
+            x, _, _ = _mlp_fwd(_residual_fwd(ctx.reshape(-1, E), wo, bo, x), None, *mlp)
+        return Conditioning(keys=keys, values=values, times=rows, blocks=blocks,
                             state=(a["embed.state.w"], a["embed.state.b"]),
-                            temb=tuple(a[f"temb.{name}"] for name in _TEMB_PARAMS),
-                            head=(a["ln_f.g"], a["head.w"], a["head.b"]))
+                            head=(a["head.w"], a["head.b"]))
 
-    def velocity(self, m_t, t, cond: Conditioning) -> np.ndarray:
+    def velocity(self, m_t, k, cond: Conditioning) -> np.ndarray:
         """Inference-mode forward pass: :meth:`forward`'s velocity for the
         batch ``cond`` was made from, up to float rounding, computed on the
         state row alone with plain arrays, so no tape records it.
 
-        m_t: (B, dim_m), B the conditioning's rows; t: one flow time, a
-        scalar, for every row. Returns a (B, dim_m) array.
+        m_t: (B, dim_m), B the conditioning's rows; k: a scalar index into
+        the flow times ``cond`` was made for, one time for every row.
+        Returns a (B, dim_m) array.
         """
         B, H, E = cond.keys.shape[1], self.config.n_head, self.config.n_emb
-        dt = cond.keys.dtype
-        m_t = np.asarray(m_t, dtype=dt)
+        m_t = np.asarray(m_t, dtype=cond.keys.dtype)
         if m_t.shape != (B, self.config.dim_m):
             raise ValueError(f"m_t must have shape {(B, self.config.dim_m)} to match "
                              f"the conditioning, got {m_t.shape}")
-        if np.ndim(t) != 0:
-            raise ValueError(f"t must be a scalar, one time for every row, got {np.shape(t)}")
+        if np.ndim(k) != 0:
+            raise ValueError(f"k must be a scalar, one flow time for every row, got {np.shape(k)}")
         x = _embed_fwd(m_t, *cond.state)                    # (B, E), the state row
-        _time_fwd(x, timestep_basis(t, E).astype(dt, copy=False)[None], *cond.temb)
-        for k, v, (g1, wqkv, bqkv, wo, bo, *mlp) in zip(cond.keys, cond.values, cond.blocks):
-            qkv, _ = _prenorm_fwd(x, g1, wqkv, bqkv)
-            q = _heads(qkv.reshape(B, 1, 3 * E), H, k, v, slice(-1, None))  # the state's slot
-            ctx, _ = _attention_fwd(q, k, v)
-            x, _, _ = _mlp_fwd(_residual_fwd(ctx.reshape(B, E), wo, bo, x), *mlp)
-        return _prenorm_fwd(x, *cond.head)[0]
+        x += cond.times[k]
+        for kt, v, (wqkv, bqkv, wo, bo, *mlp) in zip(cond.keys, cond.values, cond.blocks):
+            qkv, _ = _prenorm_fwd(x, None, wqkv, bqkv)
+            q = _heads(qkv.reshape(B, 1, 3 * E), H, kt, v, slice(-1, None))  # the state's slot
+            ctx, _ = _attention_fwd(q, kt, v)
+            x, _, _ = _mlp_fwd(_residual_fwd(ctx.reshape(B, E), wo, bo, x), None, *mlp)
+        return _prenorm_fwd(x, None, *cond.head)[0]
 
     def zero_grad(self):
         for p in self.params.values():

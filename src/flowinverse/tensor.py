@@ -197,10 +197,11 @@ def _time_fwd(state, basis, w1, b1, w2, b2):
 
 
 def _prenorm_fwd(x, gain, w, b):
-    """w(rms_norm(x, gain)) of (..., E) rows, as (rows, n), and 1 / rms(x)."""
+    """w(rms_norm(x, gain)) of (..., E) rows, as (rows, n), and 1 / rms(x).
+    A gain of None is one already folded into w, as g[:, None] · w."""
     ms = np.einsum("...i,...i->...", x, x)[..., None] / x.shape[-1]
     inv = 1.0 / np.sqrt(ms + x.dtype.type(RMS_EPS))
-    h, _ = _rms_scale(x, gain, inv)
+    h = x * inv if gain is None else _rms_scale(x, gain, inv)[0]
     return _linear_fwd(h.reshape(-1, x.shape[-1]), w, b), inv
 
 

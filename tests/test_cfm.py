@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowinverse import cfm
+from flowinverse import net as net_module
 from flowinverse import tensor as T
 from flowinverse.cfm import (FlowDivergedError, SamplerConfig, TrainConfig,
                              TrainingDivergedError, _integrate_flow, _prior_draws, cfm_loss,
@@ -188,10 +189,10 @@ class _ConstantNet:
         self.task = task
         self.dim_m = dim_m
 
-    def condition(self, d, e):
+    def condition(self, d, e, times):
         return _Unconditioned()
 
-    def velocity(self, m_t, t, cond):
+    def velocity(self, m_t, k, cond):
         return np.broadcast_to(self.c, m_t.shape).copy()
 
 
@@ -201,10 +202,10 @@ class _LinearNet:
     def __init__(self, task):
         self.task = task
 
-    def condition(self, d, e):
+    def condition(self, d, e, times):
         return _Unconditioned()
 
-    def velocity(self, m_t, t, cond):
+    def velocity(self, m_t, k, cond):
         return m_t.copy()
 
 
@@ -214,10 +215,10 @@ class _OneRowNet:
     def __init__(self, task, row, value):
         self.task, self.row, self.value = task, row, value
 
-    def condition(self, d, e):
+    def condition(self, d, e, times):
         return _Unconditioned()
 
-    def velocity(self, m_t, t, cond):
+    def velocity(self, m_t, k, cond):
         out = np.zeros_like(m_t)
         out[self.row] = self.value
         return out
@@ -240,10 +241,10 @@ class _OneMemberNet:
     def __init__(self, task, bad, member):
         self.task, self.bad, self.member = task, bad, member
 
-    def condition(self, d, e):
+    def condition(self, d, e, times):
         return _Rows(d[:, 0])
 
-    def velocity(self, m_t, t, cond):
+    def velocity(self, m_t, k, cond):
         out = np.zeros_like(m_t)
         rows = np.flatnonzero(cond.d == self.bad)
         if len(rows):
@@ -374,6 +375,40 @@ class TestSampleBatch:
                 "velocity became non-finite at t=0.0000 in row 14 (instance 3, member 2)")) as err:
             sample_batch(net, d, d, [1, 2, 3, 4, 5], SamplerConfig(steps=1, ensemble=4))
         assert err.value.row == 14
+
+    @pytest.mark.parametrize("method", ["euler", "midpoint", "rk4"])
+    def test_time_rows_embed_each_call_once(self, method, monkeypatch):
+        # the reference embeds each solver call's flow time on its own, in a
+        # conditioning of that time alone; sample_batch embeds all of them
+        # before the first step, in one call of timestep_basis
+        net = tiny_net(3)
+        cfg = SamplerConfig(steps=7, method=method, ensemble=4)
+        h, n = 1.0 / cfg.steps, cfg.ensemble
+        d, e = np.float32(self.D), np.float32(self.E)
+
+        def v(x, t):
+            return net.velocity(x, 0, net.condition(d, e, [t]).repeat(n))
+
+        x = np.concatenate([_prior_draws(net.task, n, s) for s in self.SEEDS]).astype(np.float32)
+        for k in range(cfg.steps):
+            t = k * h
+            if method == "euler":
+                x = x + h * v(x, t)
+            elif method == "midpoint":
+                x = x + h * v(x + 0.5 * h * v(x, t), t + 0.5 * h)
+            else:
+                k1 = v(x, t)
+                k2 = v(x + 0.5 * h * k1, t + 0.5 * h)
+                k3 = v(x + 0.5 * h * k2, t + 0.5 * h)
+                k4 = v(x + h * k3, min(t + h, 1.0))
+                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        basis_calls = []
+        basis = net_module.timestep_basis
+        monkeypatch.setattr(net_module, "timestep_basis",
+                            lambda *a: basis_calls.append(a) or basis(*a))
+        got = sample_batch(net, d, e, self.SEEDS, cfg)
+        np.testing.assert_allclose(got.reshape(x.shape), x, rtol=0, atol=1e-6 * np.abs(x).max())
+        assert len(basis_calls) == 1
 
     def test_rejects_seed_count_mismatch(self):
         with pytest.raises(ValueError, match="2 seeds"):

@@ -50,12 +50,12 @@ class TestRoundTrip:
         m_t = rng.uniform(0, 1, (2, 6))
         d = rng.uniform(0, 40, (2, 8))
         e = rng.uniform(1, 3, (2, 4))
-        before = net.velocity(m_t, 0.5, net.condition(d, e))
+        before = net.velocity(m_t, 0, net.condition(d, e, [0.5]))
         p = tmp_path / "m.cfmt"
         save_checkpoint(p, "seir", cfg, params)
         ck = load_checkpoint(p)
         loaded = VelocityNet(task, ck.net_config, ck.params)
-        after = loaded.velocity(m_t, 0.5, loaded.condition(d, e))
+        after = loaded.velocity(m_t, 0, loaded.condition(d, e, [0.5]))
         np.testing.assert_array_equal(before, after)
 
     def test_param_count_in_header(self, tmp_path):

@@ -714,6 +714,45 @@ BENCHMARK_SPANS = (
     "tasks.darcy.darcy_solve", "tasks.darcy.kl_expand", "tasks.darcy.DarcyTask.forward_observed",
     "mcmc.log_posterior", "mcmc.run_chain", "metrics.relative_error_de",
 )
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _untraceable(spans):
+    """The spans that are not a function defined in the vars() of their
+    flowinverse module, or of a class defined there."""
+    missing = []
+    for span in spans:
+        *path, name = span.split(".")
+        cls = path.pop() if path[-1][0].isupper() else None
+        module = importlib.import_module(".".join(["flowinverse", *path]))
+        owner = module if cls is None else vars(module).get(cls)
+        fn = getattr(owner, "__dict__", {}).get(name)
+        if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+            missing.append(span)
+    return missing
+
+
+def _perfbench_spans():
+    """The span names the benchmark's tracer and layer_metrics read, from
+    their source: the tracer's SCOPES and SIZES keys, and every dotted string
+    in layer_metrics that is not a metric's name (a dict key), an f-string or
+    a prefix."""
+    tracer = ast.parse((PERFBENCH / "tracer.py").read_text())
+    spans = set()
+    for node in tracer.body:
+        name = getattr(node.targets[0], "id", "") if isinstance(node, ast.Assign) else ""
+        if name in ("SCOPES", "SIZES"):
+            items = node.value.keys if isinstance(node.value, ast.Dict) else node.value.elts
+            spans.update(item.value for item in items)
+    worker = ast.parse((PERFBENCH / "worker.py").read_text())
+    (fn,) = [n for n in worker.body
+             if isinstance(n, ast.FunctionDef) and n.name == "layer_metrics"]
+    skip = {id(n) for node in ast.walk(fn) if isinstance(node, (ast.Dict, ast.JoinedStr))
+            for n in (node.keys if isinstance(node, ast.Dict) else node.values)}
+    spans.update(node.value for node in ast.walk(fn)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and id(node) not in skip and re.fullmatch(r"\w+(\.\w+)+", node.value))
+    return spans
 
 
 def test_every_name_the_benchmark_uses_exists():
@@ -747,19 +786,18 @@ def test_every_name_the_benchmark_uses_exists():
             self.calls = 0
 
     assert CountingSeirTask().calls == 0
+    # every span name the tracer and layer_metrics read: a rename fails here,
+    # where a traced metric would silently read 0
+    spans = _perfbench_spans()
+    assert {"net.VelocityNet.velocity", "net.VelocityNet.forward", "cfm.sample_posterior",
+            "cfm.cfm_loss", "data.load_dataset", "mcmc.run_chain", "tensor.backward",
+            "tensor.adam_step", "tasks.seir.SeirTask.prior_sample",
+            "tasks.seir.SeirTask.simulate_batch"} <= spans
+    assert _untraceable(sorted(spans)) == []
 
 
 def test_every_span_the_benchmark_reads_is_traceable():
-    untraceable = []
-    for span in BENCHMARK_SPANS:
-        *path, name = span.split(".")
-        cls = path.pop() if path[-1][0].isupper() else None
-        module = importlib.import_module(".".join(["flowinverse", *path]))
-        owner = module if cls is None else vars(module).get(cls)
-        fn = getattr(owner, "__dict__", {}).get(name)
-        if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
-            untraceable.append(span)
-    assert untraceable == []
+    assert _untraceable(BENCHMARK_SPANS) == []
 
 
 def test_only_artifact_imports_struct():

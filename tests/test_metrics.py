@@ -39,10 +39,10 @@ class _ConstNet:
         self.task = task
         self.c = np.float32(c)
 
-    def condition(self, d, e):
+    def condition(self, d, e, times):
         return _Unconditioned()
 
-    def velocity(self, m_t, t, cond):
+    def velocity(self, m_t, k, cond):
         return np.full_like(m_t, self.c)
 
 
@@ -78,9 +78,9 @@ class TestEvaluateSweep:
         rows = []
 
         class Recording(_ConstNet):
-            def condition(self, d, e):
+            def condition(self, d, e, times):
                 rows.append(len(d))
-                return super().condition(d, e)
+                return super().condition(d, e, times)
 
         evaluate_sweep(Recording(task, 0.1), task, [1], trials=trials, sampler=sampler)
         assert sum(rows) == trials

@@ -130,8 +130,8 @@ class TestTransformerForward:
         for n_obs in range(1, 17):
             rng = np.random.default_rng(n_obs)
             m_t = rng.uniform(0, 1, (3, 1))
-            cond = net.condition(rng.normal(size=(3, n_obs)), rng.uniform(0, 1, (3, n_obs)))
-            out = net.velocity(m_t, 0.4, cond)
+            cond = net.condition(rng.normal(size=(3, n_obs)), rng.uniform(0, 1, (3, n_obs)), [0.4])
+            out = net.velocity(m_t, 0, cond)
             assert out.shape == (3, 1)
             assert np.isfinite(out).all()
 
@@ -156,8 +156,8 @@ class TestTransformerForward:
         m_t = rng.uniform(0, 1, (2, 6))
         d = rng.uniform(0, 50, (2, 8))
         e = rng.uniform(1, 3, (2, 4))
-        a = net.velocity(m_t, 0.3, net.condition(d, e))
-        b = net.velocity(m_t, 0.3, net.condition(d, e))
+        a = net.velocity(m_t, 0, net.condition(d, e, [0.3]))
+        b = net.velocity(m_t, 0, net.condition(d, e, [0.3]))
         np.testing.assert_array_equal(a, b)
 
     def test_param_count_pure_function_of_config(self):
@@ -220,9 +220,9 @@ class TestPermutationInvariance:
         for n_obs in (4, 8):
             d, e = _observations(task, rng, n_obs)
             m_t = rng.normal(size=(2, task.dim_m))
-            v = net.velocity(m_t, 0.6, net.condition(d, e))
+            v = net.velocity(m_t, 0, net.condition(d, e, [0.6]))
             dp, ep = _permute_observations(task, d, e, rng.permutation(n_obs))
-            vp = net.velocity(m_t, 0.6, net.condition(dp, ep))
+            vp = net.velocity(m_t, 0, net.condition(dp, ep, [0.6]))
             assert np.abs(vp - v).max() <= 1e-6 * np.abs(v).max(), n_obs
 
 
@@ -327,7 +327,7 @@ class TestSeirPaperConfig:
         # the solver's path takes one flow time for the whole batch
         want = two_stream_oracle(net.params, net.task, net.config.n_head, m_t,
                                  np.full(len(t), t[0]), batch.d, batch.e)
-        np.testing.assert_allclose(net.velocity(m_t, t[0], net.condition(batch.d, batch.e)),
+        np.testing.assert_allclose(net.velocity(m_t, 0, net.condition(batch.d, batch.e, t[:1])),
                                    want, rtol=0, atol=1e-5 * np.abs(want).max())
 
     def test_gradients_match_finite_differences(self):
@@ -366,10 +366,11 @@ class TestSeirPaperConfig:
         e = np.sort(rng.uniform(1.0, 3.0, (B, 8)), axis=1)
         d = rng.uniform(0.0, 100.0, (B, 16))
         m_t = rng.normal(size=(B, task.dim_m))
-        cond = net.condition(d, e)
-        for t in (0.0, 0.37, 1.0):
+        times = (0.0, 0.37, 1.0)
+        cond = net.condition(d, e, times)
+        for k, t in enumerate(times):
             want = net.forward(m_t, np.full(B, t), d, e).data
-            np.testing.assert_allclose(net.velocity(m_t, t, cond), want,
+            np.testing.assert_allclose(net.velocity(m_t, k, cond), want,
                                        rtol=0, atol=1e-6 * np.abs(want).max())
 
 
@@ -427,7 +428,7 @@ class TestBitwisePins:
         rng = np.random.default_rng(33)
         e = np.sort(rng.uniform(1.0, 3.0, (10, 8)), axis=1)
         d = rng.uniform(0.0, 100.0, (10, 16))
-        v = net.velocity(rng.normal(size=(10, task.dim_m)), 0.37, net.condition(d, e))
+        v = net.velocity(rng.normal(size=(10, task.dim_m)), 0, net.condition(d, e, [0.37]))
         assert _digest({"v": v}) == "f934deb4d4c035f0"
 
 
@@ -461,22 +462,45 @@ class TestConditionedVelocity:
         # does not always round alike
         net = self._net(task_name, n_layer)
         d, e, m_t, rng = self._batch(net, B, B * 10 + n_layer)
-        cond = net.condition(d, e)
-        for t in (0.0, 0.37, 1.0, float(rng.uniform(0, 1))):
+        times = (0.0, 0.37, 1.0, float(rng.uniform(0, 1)))
+        cond = net.condition(d, e, times)
+        for k, t in enumerate(times):
             want = net.forward(m_t, np.full(B, t), d, e).data
-            got = net.velocity(m_t, t, cond)
+            got = net.velocity(m_t, k, cond)
             assert got.dtype == want.dtype
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("task_name, n_layer", [("nonlinear", 2), ("seir", 6), ("darcy", 2)])
+    def test_folded_gains_match_forward_and_the_oracle(self, task_name, n_layer):
+        # every parameter perturbed as in _seir_oracle_case: a fresh net's
+        # gains are all 1, under which a gain left out of the fold cannot show
+        net = self._net(task_name, n_layer)
+        rng = np.random.default_rng(41)
+        for p in (net.params[name] for name in sorted(net.params)):
+            p.data += rng.normal(0.0, 0.05, p.shape).astype(np.float32)
+        d, e, _, rng = self._batch(net, 2, 7)
+        times = (0.0, 0.37, 1.0)
+        for ensemble in (1, 4):
+            cond = net.condition(d, e, times).repeat(ensemble)
+            d_rows, e_rows = np.repeat(d, ensemble, axis=0), np.repeat(e, ensemble, axis=0)
+            m_t = rng.normal(size=(len(d_rows), net.task.dim_m)).astype(np.float32)
+            for k, t in enumerate(times):
+                got = net.velocity(m_t, k, cond)
+                want = net.forward(m_t, np.full(len(m_t), t), d_rows, e_rows).data
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+                want = two_stream_oracle(net.params, net.task, net.config.n_head, m_t,
+                                         np.full(len(m_t), t), d_rows, e_rows)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
 
     @pytest.mark.parametrize("task_name, n_layer", [("seir", 6), ("darcy", 2)])
     def test_velocity_writes_only_the_state_slots(self, task_name, n_layer):
         net = self._net(task_name, n_layer)
         d, e, m_t, rng = self._batch(net, 10, 5)
-        cond = net.condition(d, e)
+        cond = net.condition(d, e, (0.0, 1.0, float(rng.uniform(0, 1))))
         cached = [(k[..., :-1].copy(), v[:, :, :-1].copy()) for k, v in zip(cond.keys, cond.values)]
         assert len(cached) == n_layer
-        for m, t in ((m_t, 0.0), (100 * m_t, 1.0), (-m_t, float(rng.uniform(0, 1)))):
-            net.velocity(m, t, cond)
+        for c, m in enumerate((m_t, 100 * m_t, -m_t)):
+            net.velocity(m, c, cond)
             for (k, v), (k0, v0) in zip(zip(cond.keys, cond.values), cached):
                 np.testing.assert_array_equal(k[..., :-1], k0)
                 np.testing.assert_array_equal(v[:, :, :-1], v0)
@@ -486,8 +510,9 @@ class TestConditionedVelocity:
         d, e, _, _ = self._batch(net, 10, 6)
         cfg = cfm.SamplerConfig(steps=50, ensemble=3)
         fresh = cfm.sample_batch(net, d, e, list(range(10)), cfg)
-        cond = net.condition(np.float32(d), np.float32(e))     # one row per instance
-        monkeypatch.setattr(net, "condition", lambda d, e: cond)
+        # one row per instance
+        cond = net.condition(np.float32(d), np.float32(e), cfm._flow_times(cfg))
+        monkeypatch.setattr(net, "condition", lambda d, e, times: cond)
         for _ in range(2):
             np.testing.assert_array_equal(cfm.sample_batch(net, d, e, list(range(10)), cfg), fresh)
 
@@ -502,8 +527,8 @@ class TestConditionedVelocity:
         rng = np.random.default_rng(instances * n_obs)
         pairs = [_observations(net.task, rng, n_obs) for _ in range((instances + 1) // 2)]
         d, e = (np.float32(np.concatenate(rows)[:instances]) for rows in zip(*pairs))
-        once = net.condition(d, e)
-        rows = net.condition(np.repeat(d, ensemble, axis=0), np.repeat(e, ensemble, axis=0))
+        once = net.condition(d, e, [0.5])
+        rows = net.condition(np.repeat(d, ensemble, axis=0), np.repeat(e, ensemble, axis=0), [0.5])
         repeated = once.repeat(ensemble)
         np.testing.assert_array_equal(repeated.keys[..., :-1], rows.keys[..., :-1])
         np.testing.assert_array_equal(repeated.values[..., :-1, :], rows.values[..., :-1, :])
@@ -511,24 +536,25 @@ class TestConditionedVelocity:
     def test_records_nothing_on_an_open_tape(self):
         net = self._net("seir", 6)
         d, e = _observations(net.task, np.random.default_rng(3), 4)
-        cond = net.condition(d, e)
+        cond = net.condition(d, e, [0.5])
         with T.Tape() as tape:
-            v = net.velocity(np.zeros((2, net.task.dim_m)), 0.5, cond)
+            v = net.velocity(np.zeros((2, net.task.dim_m)), 0, cond)
         assert len(tape) == 0 and v.shape == (2, net.task.dim_m)
 
     def test_rejects_rows_that_differ_from_the_conditioning(self):
         net = self._net("nonlinear", 2)
         d, e = _observations(net.task, np.random.default_rng(4), 3)
-        cond = net.condition(d, e)                 # 2 rows
+        cond = net.condition(d, e, [0.5])          # 2 rows
         with pytest.raises(ValueError, match="m_t must have shape"):
-            net.velocity(np.zeros((3, 1)), 0.5, cond)
+            net.velocity(np.zeros((3, 1)), 0, cond)
 
-    @pytest.mark.parametrize("t", [np.full(2, 0.5), np.full(1, 0.5), [[0.5]]])
+    @pytest.mark.parametrize("t", [np.full(2, 0), np.full(1, 0), [[0]]])
     def test_velocity_rejects_a_time_per_row(self, t):
-        # a solver step integrates every row at one flow time
+        # a solver call integrates every row at one flow time: one index
+        # into the conditioning's times
         net = self._net("nonlinear", 2)
-        cond = net.condition(*_observations(net.task, np.random.default_rng(4), 3))
-        with pytest.raises(ValueError, match="t must be a scalar"):
+        cond = net.condition(*_observations(net.task, np.random.default_rng(4), 3), [0.5, 0.5])
+        with pytest.raises(ValueError, match="k must be a scalar"):
             net.velocity(np.zeros((2, 1)), t, cond)
 
     @pytest.mark.parametrize("t", [0.5, np.full(1, 0.5), np.full(3, 0.5), np.full((2, 1), 0.5)])
@@ -549,14 +575,14 @@ class TestConditionedVelocity:
         for dd, ee in cases:
             msg = rf"d \({len(dd)}, {dd.shape[1]}\) and e \({len(ee)}, {ee.shape[1]}\)"
             with pytest.raises(ValueError, match=msg):
-                net.condition(dd, ee)
+                net.condition(dd, ee, [0.5])
             with pytest.raises(ValueError, match=msg):
                 net.forward(np.zeros((len(dd), net.task.dim_m)), np.full(len(dd), 0.5), dd, ee)
 
     def test_condition_rejects_empty_observations(self):
         net = self._net("nonlinear", 1)
         with pytest.raises(ValueError, match="empty"):
-            net.condition(np.zeros((1, 0)), np.zeros((1, 0)))
+            net.condition(np.zeros((1, 0)), np.zeros((1, 0)), [0.5])
 
 
 class TestConfigValidation:
@@ -567,8 +593,8 @@ class TestConfigValidation:
     def test_odd_head_dim_builds_and_runs(self):
         cfg = NetConfig(n_emb=6, n_head=2, n_layer=1)     # 3 features per head
         net = VelocityNet(get_task("nonlinear"), cfg, seed=0)
-        out = net.velocity(np.full((2, 1), 0.5), 0.3,
-                           net.condition(np.ones((2, 3)), np.full((2, 3), 0.4)))
+        out = net.velocity(np.full((2, 1), 0.5), 0,
+                           net.condition(np.ones((2, 3)), np.full((2, 3), 0.4), [0.3]))
         assert out.shape == (2, 1) and np.isfinite(out).all()
 
     def test_rejects_odd_n_emb(self):
