@@ -231,7 +231,7 @@ def _integrate_flow(net, x0, d, e, cfg: SamplerConfig):
     calls = len(times) // cfg.steps
     for c in range(0, len(times), calls):          # c: the step's first call
         if cfg.method == "euler":
-            x = x + h * v(x, c)
+            x += h * v(x, c)
         elif cfg.method == "midpoint":
             k1 = v(x, c)
             x = x + h * v(x + 0.5 * h * k1, c + 1)

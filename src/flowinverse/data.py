@@ -79,7 +79,8 @@ def _tuple_rng(seed, n_obs, index):
 
 
 def draw_tuples(task, n_obs, rngs):
-    """One (m, e, d, eta) row per generator, as float64 arrays.
+    """One (m, e, d, eta) row per generator, as an iterator over these four
+    float64 arrays, each concatenated (and its pieces released) when reached.
 
     Each generator draws the parameters, then the design, then unit-variance
     noise z; ``simulate_batch`` then gives ``SIM_BATCH`` rows' clean observations
@@ -102,8 +103,8 @@ def draw_tuples(task, n_obs, rngs):
             raise RuntimeError(f"forward model failed on tuples [{lo}, {lo + len(batch)}): "
                                f"{err}") from err
         eta = z * scale[:, None]
-        chunks.append((m, e, clean + eta, eta))
-    return tuple(np.concatenate(a) for a in zip(*chunks))
+        chunks.append([m, e, clean + eta, eta])
+    return (np.concatenate([c.pop(0) for c in chunks]) for _ in range(4))
 
 
 def generate_shard(task, n_obs, count, seed) -> DatasetShard:
@@ -113,7 +114,7 @@ def generate_shard(task, n_obs, count, seed) -> DatasetShard:
         rows = draw_tuples(task, n_obs, (_tuple_rng(seed, n_obs, i) for i in range(count)))
     except Exception as err:
         raise RuntimeError(f"shard n_obs={n_obs}, seed={seed}: {err}") from err
-    m, e, d, eta = (a.astype(np.float32) for a in rows)
+    m, e, d, eta = map(lambda a: a.astype(np.float32), rows)   # no column kept past its cast
     return DatasetShard(n_obs=n_obs, m=m, e=e, d=d, eta=eta, seed=seed)
 
 

@@ -19,9 +19,9 @@ block computes its query, output projection, residual and MLP for the state
 alone, as a (batch, n_emb) row each; keys and values still come from every
 token.
 
-The net has two entry points. Both run one set of per-layer forwards, the
-private array functions of :mod:`tensor`, so they compute the same velocity
-up to the rounding of GEMMs of other shapes (within 1e-6 of max|v|):
+The net has two entry points. Both compute with one set of formulas, the
+private array functions of :mod:`tensor`, so they give the same velocity up
+to the rounding of GEMMs of other shapes (within 1e-6 of max|v|):
 
 - :meth:`VelocityNet.forward`, for training, runs both streams as one
   sequence and records one tape op per layer: :func:`tensor.token_embedding`,
@@ -34,9 +34,10 @@ up to the rounding of GEMMs of other shapes (within 1e-6 of max|v|):
   inference, without tensors or a tape. ``condition`` computes once what an
   integration fixes, into a :class:`Conditioning`: each solver call's time
   embedding, the RMS gains folded into the weights they feed, and each
-  block's keys and values of the observation stream, run once; ``velocity``
-  then runs one solver call on the state row alone, whose query attends to
-  those keys and to its own.
+  block's keys and values of the observation stream, run once by the
+  per-layer forwards. ``velocity`` then runs one solver call as a flat loop
+  over the blocks on the (B, E) state row alone, whose query attends to
+  those keys and to its own, with the formulas beneath those forwards.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is 2.0
@@ -53,8 +54,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .tensor import (Tensor, _attention_fwd, _embed_fwd, _heads, _mlp_fwd, _prenorm_fwd,
-                     _residual_fwd, _time_fwd)
+from .tensor import (Tensor, _attention_fwd, _attention_weights, _embed_fwd, _heads,
+                     _linear_fwd, _mlp_fwd, _prenorm_fwd, _residual_fwd, _time_fwd)
 
 
 @dataclass(frozen=True)
@@ -272,11 +273,14 @@ class VelocityNet:
     def velocity(self, m_t, k, cond: Conditioning) -> np.ndarray:
         """Inference-mode forward pass: :meth:`forward`'s velocity for the
         batch ``cond`` was made from, up to float rounding, computed on the
-        state row alone with plain arrays, so no tape records it.
+        state row alone with plain arrays, so no tape records it. Each block
+        writes the state's key and value into the last slot of ``cond.keys``
+        and ``cond.values`` and adds its sub-blocks' outputs into the (B, E)
+        row in place.
 
-        m_t: (B, dim_m), B the conditioning's rows; k: a scalar index into
-        the flow times ``cond`` was made for, one time for every row.
-        Returns a (B, dim_m) array.
+        m_t: (B, dim_m), B the conditioning's rows; k: a scalar index in
+        [0, calls) into the flow times ``cond`` was made for, one time for
+        every row. Returns a (B, dim_m) array.
         """
         B, H, E = cond.keys.shape[1], self.config.n_head, self.config.n_emb
         m_t = np.asarray(m_t, dtype=cond.keys.dtype)
@@ -285,13 +289,20 @@ class VelocityNet:
                              f"the conditioning, got {m_t.shape}")
         if np.ndim(k) != 0:
             raise ValueError(f"k must be a scalar, one flow time for every row, got {np.shape(k)}")
-        x = _embed_fwd(m_t, *cond.state)                    # (B, E), the state row
+        if not 0 <= k < len(cond.times):
+            raise ValueError(f"k must lie in [0, {len(cond.times)}), an index into the "
+                             f"conditioning's flow times, got {k}")
+        x = _linear_fwd(m_t, *cond.state)                   # (B, E), the state row
         x += cond.times[k]
-        for kt, v, (wqkv, bqkv, wo, bo, *mlp) in zip(cond.keys, cond.values, cond.blocks):
-            qkv, _ = _prenorm_fwd(x, None, wqkv, bqkv)
-            q = _heads(qkv.reshape(B, 1, 3 * E), H, kt, v, slice(-1, None))  # the state's slot
-            ctx, _ = _attention_fwd(q, kt, v)
-            x, _, _ = _mlp_fwd(_residual_fwd(ctx.reshape(B, E), wo, bo, x), None, *mlp)
+        for kt, v, (wqkv, bqkv, wo, bo, w1, b1, w2, b2) in zip(cond.keys, cond.values,
+                                                                cond.blocks):
+            qkv = _prenorm_fwd(x, None, wqkv, bqkv)[0].reshape(B, 3, H, -1)
+            kt[..., -1] = qkv[:, 1]                         # the state's slot
+            v[:, :, -1] = qkv[:, 2]
+            ctx = _attention_weights(qkv[:, 0, :, None], kt) @ v
+            x += _linear_fwd(ctx.reshape(B, E), wo, bo)
+            f = _prenorm_fwd(x, None, w1, b1)[0]
+            x += _linear_fwd(np.square(np.maximum(f, 0, out=f), out=f), w2, b2)  # relu²
         return _prenorm_fwd(x, None, *cond.head)[0]
 
     def zero_grad(self):

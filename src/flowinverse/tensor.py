@@ -9,10 +9,10 @@ with different sequence lengths pose no problem.
 The tape ops are the layers of the velocity net and its loss, one record
 each: :func:`token_embedding`, :func:`time_embedding`, the transformer's two
 pre-norm sub-blocks :func:`attention_block` and :func:`mlp_block`,
-:func:`head` and the loss :func:`mse`. Each is a private array forward, which
-the net's tape-free inference path calls too, plus a hand-written backward;
-intermediates are private, so the blocks reuse buffers in place, and
-backwards recompute the cheap ones instead of keeping them on the tape.
+:func:`head` and the loss :func:`mse`. Each is a private array forward (the
+net's tape-free conditioning calls them, and its velocity step the formulas
+beneath them) plus a hand-written backward; intermediates are private, so
+the blocks reuse buffers in place, and backwards recompute the cheap ones.
 
 Reductions use numpy's fixed evaluation order, so results are bitwise
 reproducible for identical inputs.
@@ -199,8 +199,10 @@ def _time_fwd(state, basis, w1, b1, w2, b2):
 def _prenorm_fwd(x, gain, w, b):
     """w(rms_norm(x, gain)) of (..., E) rows, as (rows, n), and 1 / rms(x).
     A gain of None is one already folded into w, as g[:, None] · w."""
-    ms = np.einsum("...i,...i->...", x, x)[..., None] / x.shape[-1]
-    inv = 1.0 / np.sqrt(ms + x.dtype.type(RMS_EPS))
+    inv = np.einsum("...i,...i->...", x, x)[..., None]
+    inv /= x.shape[-1]
+    inv += x.dtype.type(RMS_EPS)
+    np.reciprocal(np.sqrt(inv, out=inv), out=inv)
     h = x * inv if gain is None else _rms_scale(x, gain, inv)[0]
     return _linear_fwd(h.reshape(-1, x.shape[-1]), w, b), inv
 
@@ -230,6 +232,21 @@ def _heads(qkv, n_head, kt, v, at=slice(None)):
     return parts[0]
 
 
+def _attention_weights(q, kt, two_stream=False):
+    """The weights of :func:`_attention_fwd`, (..., Tq, T)."""
+    s = q @ kt
+    s *= q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    if two_stream:                        # no rows if the state's is the only query
+        s[..., :-1, -1] = -np.inf
+    # the exact row max as one elementwise pass per key over a keys-major
+    # (T, rows) copy: numpy's max along a short last axis costs ~70 ns a row
+    m = np.maximum.reduce(s.reshape(-1, s.shape[-1]).T.copy(), axis=0)
+    s -= m.reshape(s.shape[:-1] + (1,))
+    np.exp(s, out=s)
+    s /= np.einsum("...i->...", s)[..., None]
+    return s
+
+
 def _attention_fwd(q, kt, v, two_stream=False):
     """Each head's softmax(q kᵀ / √hd) v of queries (B, H, Tq, hd), keys
     kt (B, H, hd, T) and values (B, H, T, hd), merged to (B, Tq, E), and the
@@ -240,19 +257,7 @@ def _attention_fwd(q, kt, v, two_stream=False):
     other alone. The backward needs no change: a weight of 0 gives its score,
     and the key and value behind it, no gradient from that row."""
     B, n_head, n_q, hd = q.shape
-    s = q @ kt
-    s *= q.dtype.type(1.0 / math.sqrt(hd))
-    if two_stream:                        # no rows if the state's is the only query
-        s[..., :-1, -1] = -np.inf
-    if s.size <= 1024:                    # exact row max: numpy's costs ~70 ns a row,
-        m = s.max(axis=-1)
-    else:                                 # a loop ~1 µs a column, fast on many short rows
-        m = s[..., 0].copy()
-        for i in range(1, s.shape[-1]):
-            np.maximum(m, s[..., i], out=m)
-    s -= m[..., None]
-    np.exp(s, out=s)
-    s /= np.einsum("...i->...", s)[..., None]
+    s = _attention_weights(q, kt, two_stream)
     return (s @ v).transpose(0, 2, 1, 3).reshape(B, n_q, n_head * hd), s
 
 

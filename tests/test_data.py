@@ -105,7 +105,7 @@ class TestDrawTuples:
     def test_rows_match_generate_shard_and_single_draws(self, name, n_obs, count, monkeypatch):
         monkeypatch.setattr(data, "SIM_BATCH", 2)
         task = get_task(name)
-        batch = draw_tuples(task, n_obs, [_tuple_rng(13, n_obs, i) for i in range(count)])
+        batch = tuple(draw_tuples(task, n_obs, [_tuple_rng(13, n_obs, i) for i in range(count)]))
         shard = generate_shard(task, n_obs, count, 13)
         for i in range(count):
             ref = _reference_instance(task, n_obs, _tuple_rng(13, n_obs, i))

@@ -431,6 +431,16 @@ class TestBitwisePins:
         v = net.velocity(rng.normal(size=(10, task.dim_m)), 0, net.condition(d, e, [0.37]))
         assert _digest({"v": v}) == "f934deb4d4c035f0"
 
+    def test_sample_batch_on_a_perturbed_net(self):
+        # gains off 1 and biases off 0: a fresh net's unit gains hide a
+        # reordering of the inference path's float operations
+        net, batch, _, _ = _seir_oracle_case(B=2)
+        draws = {method: cfm.sample_batch(net, batch.d, batch.e, [11, 12],
+                                          cfm.SamplerConfig(steps=steps, method=method,
+                                                            ensemble=3))
+                 for method, steps in (("euler", 5), ("rk4", 2))}
+        assert _digest(draws) == "da30fc69b16202d1"
+
 
 class TestConditionedVelocity:
     """``velocity`` from a prebuilt conditioning is ``forward``'s velocity,
@@ -556,6 +566,14 @@ class TestConditionedVelocity:
         cond = net.condition(*_observations(net.task, np.random.default_rng(4), 3), [0.5, 0.5])
         with pytest.raises(ValueError, match="k must be a scalar"):
             net.velocity(np.zeros((2, 1)), t, cond)
+
+    @pytest.mark.parametrize("k", [-1, -2, 2])
+    def test_velocity_rejects_an_index_outside_the_times(self, k):
+        # a negative index would read a flow time from the end
+        net = self._net("nonlinear", 2)
+        cond = net.condition(*_observations(net.task, np.random.default_rng(4), 3), [0.5, 0.7])
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 2\)"):
+            net.velocity(np.zeros((2, 1)), k, cond)
 
     @pytest.mark.parametrize("t", [0.5, np.full(1, 0.5), np.full(3, 0.5), np.full((2, 1), 0.5)])
     def test_forward_rejects_times_not_one_per_row(self, t):
