@@ -219,7 +219,12 @@ def _integrate_flow(net, x0, d, e, cfg: SamplerConfig):
     x = x0.astype(np.float32)
     h = 1.0 / cfg.steps
     times = _flow_times(cfg)
-    cond = net.condition(d, e, times).repeat(len(x0) // len(d))
+    counts = {}                     # the rows of each (d, e) width, in input order
+    for i, row in enumerate(zip(d, e)):
+        counts.setdefault(tuple(map(len, row)), []).append(i)
+    parts = [(net.condition(*(np.stack([a[i] for i in r], dtype=np.float32) for a in (d, e)),
+                            times), r) for r in counts.values()]
+    cond = parts[0][0].join(parts, len(x0) // len(d))
 
     def v(xc, c):
         out = net.velocity(xc, c, cond)
@@ -248,28 +253,31 @@ def _integrate_flow(net, x0, d, e, cfg: SamplerConfig):
 
 
 def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarray:
-    """Posterior ensembles for instances that share one observation count.
+    """Posterior ensembles for instances of any observation counts.
 
-    d, e: one row per seed (a 1-D row is one instance). Instance i's members
-    start from the counter-derived prior draws of ``seeds[i]`` (``cfg.seed``
-    is not used). Instances integrate whole, never split, at most ``PATH_BATCH``
-    paths (instances x ensemble) at a time; a larger ensemble runs alone.
-    Each integration builds one conditioning (:meth:`VelocityNet.condition`):
-    the observation stream, run once per instance for its members to share,
-    and the time embedding of every solver call's flow time, all embedded at
-    once. Each solver call then runs the state rows alone
+    d, e: one row per seed, as arrays or as sequences of rows of differing
+    counts (a 1-D row is one instance). Instance i's members start from the
+    counter-derived prior draws of ``seeds[i]`` (``cfg.seed`` is not used).
+    Instances integrate whole, never split, at most ``PATH_BATCH`` paths
+    (instances x ensemble) at a time, whatever their counts; a larger
+    ensemble runs alone. Each integration builds one conditioning: each
+    count's observation stream, run once per instance for its members to
+    share (:meth:`VelocityNet.condition`), joined in input order with the
+    shorter counts padded and masked (:meth:`Conditioning.join`), and the
+    time embedding of every solver call's flow time, all embedded at once.
+    Each solver call then runs the state rows alone
     (:meth:`VelocityNet.velocity`, within 1e-6 of max|v| of
-    :meth:`VelocityNet.forward`, the training path). Returns
-    (n_inst, ensemble, dim_m) float64. A path that becomes
-    non-finite raises :class:`FlowDivergedError`, whose message names its
-    instance and member.
+    :meth:`VelocityNet.forward`, the training path). A padded row's softmax
+    sums over more slots, so it matches its count sampled alone up to float
+    rounding. Returns (n_inst, ensemble, dim_m) float64, rows in input
+    order. A path that becomes non-finite raises :class:`FlowDivergedError`,
+    whose message names its instance and member.
     """
-    d = np.atleast_2d(np.asarray(d, dtype=np.float32))
-    e = np.atleast_2d(np.asarray(e, dtype=np.float32))
+    d, e = ([a] if len(a) and np.ndim(a[0]) == 0 else a for a in (d, e))
     if len(seeds) == 0:
         raise ValueError("seeds is empty: sample_batch needs one seed per instance")
-    if not d.shape[0] == e.shape[0] == len(seeds):
-        raise ValueError(f"{d.shape[0]} observation rows and {e.shape[0]} design rows "
+    if not len(d) == len(e) == len(seeds):
+        raise ValueError(f"{len(d)} observation rows and {len(e)} design rows "
                          f"for {len(seeds)} seeds")
     n = cfg.ensemble
     chunk = max(1, PATH_BATCH // n)     # instances per integration

@@ -45,7 +45,10 @@ def _count_list(v):
     items = v if isinstance(v, (list, tuple)) else str(v).replace(",", " ").split()
     if not items:
         raise ValueError("expected at least one integer >= 1")
-    return tuple(_count(x) for x in items)
+    counts = tuple(_count(x) for x in items)
+    if len(set(counts)) != len(counts):
+        raise ValueError(f"repeats an observation count: {counts}")
+    return counts
 
 
 def _str(v):

@@ -6,9 +6,9 @@ grid, or the closed-form response over a design grid, each computed for the
 true parameters and for the posterior-ensemble mean. Everything here returns
 data; ``cli`` writes the tables.
 
-Each evaluation draws all its instances with one ``data.draw_tuples`` call,
-samples them with one ``cfm.sample_batch`` call, then scores them. Those two
-bound how many rows they hold at once, so nothing here chunks.
+Each evaluation draws its instances with one ``data.draw_tuples`` call per
+count, samples all of them with one ``cfm.sample_batch`` call, then scores
+them. Those two bound how many rows they hold at once, so nothing chunks here.
 """
 
 from __future__ import annotations
@@ -47,23 +47,27 @@ def evaluate_sweep(net, task, n_obs_list, trials, sampler: SamplerConfig, seed=0
     and the DE relative error aggregated as mean +/- std over trials.
 
     Each trial draws its instance and then its sampler seed from its own
-    stream; the trials of one observation count go to one ``sample_batch``
+    stream; the trials of every observation count go to one ``sample_batch``
     call.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    reports = []
-    for n_obs in n_obs_list:
+    counts = list(n_obs_list)
+    if len(set(counts)) < len(counts):
+        repeated = max(counts, key=counts.count)
+        raise ValueError(f"n_obs_list repeats an observation count: {repeated}")
+    m_true, e, d, seeds = [], [], [], []       # one row per instance, count by count
+    for n_obs in counts:
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0x6576616c, n_obs, trial)))
                 for trial in range(trials)]
-        m_true, e, d, _ = draw_tuples(task, n_obs, rngs)
-        seeds = [int(rng.integers(2 ** 31)) for rng in rngs]
-        ens = sample_batch(net, d, e, seeds, sampler)
-        errs = np.array([relative_error_de(m_true[i], ens[i].mean(axis=0), task, e[i])
-                         for i in range(trials)])
-        reports.append(EvalReport(n_obs=n_obs, mean_error=float(errs.mean()),
-                                  std_error=float(errs.std()), trials=trials))
-    return reports
+        for rows, drawn in zip((m_true, e, d), draw_tuples(task, n_obs, rngs)):
+            rows.extend(drawn)
+        seeds += [int(rng.integers(2 ** 31)) for rng in rngs]
+    ens = sample_batch(net, d, e, seeds, sampler)
+    errs = np.array([relative_error_de(m_true[i], ens[i].mean(axis=0), task, e[i])
+                     for i in range(len(seeds))]).reshape(len(counts), trials)
+    return [EvalReport(n_obs=n_obs, mean_error=float(row.mean()), std_error=float(row.std()),
+                       trials=trials) for n_obs, row in zip(counts, errs)]
 
 
 def generation_error(net, task, n_inferences, n_obs, sampler: SamplerConfig, seed=0):

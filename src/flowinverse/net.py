@@ -35,9 +35,11 @@ to the rounding of GEMMs of other shapes (within 1e-6 of max|v|):
   integration fixes, into a :class:`Conditioning`: each solver call's time
   embedding, the RMS gains folded into the weights they feed, and each
   block's keys and values of the observation stream, run once by the
-  per-layer forwards. ``velocity`` then runs one solver call as a flat loop
-  over the blocks on the (B, E) state row alone, whose query attends to
-  those keys and to its own, with the formulas beneath those forwards.
+  per-layer forwards; :meth:`Conditioning.join` repeats them per member
+  and joins several counts, zero-padding the shorter under a −inf key mask.
+  ``velocity`` then runs one solver call as a flat loop over the blocks on
+  the (B, E) state row alone, whose query attends to those keys (mask
+  added) and to its own, with the formulas beneath those forwards.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is 2.0
@@ -166,10 +168,13 @@ class Conditioning:
     tokens with the state. The last slot of each is the state's:
     :meth:`VelocityNet.velocity` writes the call's state key and value there
     and changes nothing else, so a conditioning serves one integration at a
-    time, and any number of integrations in turn. ``times`` holds the time
-    embedding of each call's flow time, one (E,) row per call. The other
-    fields are the parameter arrays in the order ``velocity`` reads them,
-    each RMS gain g folded into the weight w it feeds, as g[:, None] · w.
+    time, and any number of integrations in turn. In a :meth:`join` of
+    several counts, a row of fewer tokens holds zero keys and values in the
+    slots before the state's, and the additive ``mask`` (None if no row is
+    padded) scores those slots −inf. ``times`` holds the time embedding of
+    each call's flow time, one (E,) row per call. The other fields are the
+    parameter arrays in the order ``velocity`` reads them, each RMS gain g
+    folded into the weight w it feeds, as g[:, None] · w.
     """
     keys: np.ndarray      # (L, B, H, hd, T)
     values: np.ndarray    # (L, B, H, T, hd)
@@ -177,11 +182,26 @@ class Conditioning:
     state: tuple          # embed.state w, b
     blocks: list          # per block, the arrays of _BLOCK_PARAMS, gains folded
     head: tuple           # head w with ln_f.g folded, head b
+    mask: np.ndarray | None = None    # (B, 1, 1, T): 0, or −inf on a padded slot
 
-    def repeat(self, n):
-        """This conditioning with each row repeated n times in turn."""
-        return replace(self, keys=np.repeat(self.keys, n, axis=1),
-                       values=np.repeat(self.values, n, axis=1))
+    @staticmethod
+    def join(parts, n):
+        """One conditioning of the rows of ``parts``, (conditioning, rows)
+        pairs of one net and one set of flow times, each row repeated n times
+        in turn; ``rows`` lists the joined positions of a part's rows."""
+        first = parts[0][0]
+        (L, _, H, hd, _), dt = first.keys.shape, first.keys.dtype
+        B, T = sum(c.keys.shape[1] for c, _ in parts), max(c.keys.shape[-1] for c, _ in parts)
+        keys, values = np.zeros((L, B, n, H, hd, T), dt), np.zeros((L, B, n, H, T, hd), dt)
+        mask = np.zeros((B, n, 1, 1, T), dt)
+        for c, rows in parts:                 # each part's slots, repeated per member
+            t = c.keys.shape[-1] - 1
+            keys[:, rows, ..., :t] = c.keys[:, :, None, ..., :-1]
+            values[:, rows, :, :, :t] = c.values[:, :, None, :, :-1]
+            mask[rows, ..., t:-1] = -np.inf
+        return replace(first, keys=keys.reshape(L, B * n, H, hd, T),
+                       values=values.reshape(L, B * n, H, T, hd),
+                       mask=mask.reshape(B * n, 1, 1, T) if np.isinf(mask).any() else None)
 
 
 class VelocityNet:
@@ -275,8 +295,9 @@ class VelocityNet:
         batch ``cond`` was made from, up to float rounding, computed on the
         state row alone with plain arrays, so no tape records it. Each block
         writes the state's key and value into the last slot of ``cond.keys``
-        and ``cond.values`` and adds its sub-blocks' outputs into the (B, E)
-        row in place.
+        and ``cond.values``, adds ``cond.mask``, if any, to the scores before
+        the softmax, and adds its sub-blocks' outputs into the (B, E) row in
+        place.
 
         m_t: (B, dim_m), B the conditioning's rows; k: a scalar index in
         [0, calls) into the flow times ``cond`` was made for, one time for
@@ -299,7 +320,7 @@ class VelocityNet:
             qkv = _prenorm_fwd(x, None, wqkv, bqkv)[0].reshape(B, 3, H, -1)
             kt[..., -1] = qkv[:, 1]                         # the state's slot
             v[:, :, -1] = qkv[:, 2]
-            ctx = _attention_weights(qkv[:, 0, :, None], kt) @ v
+            ctx = _attention_weights(qkv[:, 0, :, None], kt, mask=cond.mask) @ v
             x += _linear_fwd(ctx.reshape(B, E), wo, bo)
             f = _prenorm_fwd(x, None, w1, b1)[0]
             x += _linear_fwd(np.square(np.maximum(f, 0, out=f), out=f), w2, b2)  # relu²

@@ -232,12 +232,14 @@ def _heads(qkv, n_head, kt, v, at=slice(None)):
     return parts[0]
 
 
-def _attention_weights(q, kt, two_stream=False):
-    """The weights of :func:`_attention_fwd`, (..., Tq, T)."""
+def _attention_weights(q, kt, two_stream=False, mask=None):
+    """The weights of :func:`_attention_fwd`, (..., Tq, T), ``mask`` added to the scores."""
     s = q @ kt
     s *= q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
     if two_stream:                        # no rows if the state's is the only query
         s[..., :-1, -1] = -np.inf
+    if mask is not None:
+        s += mask
     # the exact row max as one elementwise pass per key over a keys-major
     # (T, rows) copy: numpy's max along a short last axis costs ~70 ns a row
     m = np.maximum.reduce(s.reshape(-1, s.shape[-1]).T.copy(), axis=0)

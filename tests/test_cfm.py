@@ -10,7 +10,7 @@ from flowinverse.cfm import (FlowDivergedError, SamplerConfig, TrainConfig,
                              TrainingDivergedError, _integrate_flow, _prior_draws, cfm_loss,
                              interpolate, sample_batch, sample_posterior, train)
 from flowinverse.data import Batch, DataGenConfig, DatasetShard, generate_dataset
-from flowinverse.net import NetConfig, VelocityNet
+from flowinverse.net import Conditioning, NetConfig, VelocityNet
 from flowinverse.tasks import get_task
 
 
@@ -179,8 +179,9 @@ class _Unconditioned:
     """What the stub nets below condition on: nothing, shared by any number
     of members."""
 
-    def repeat(self, n):
-        return self
+    @staticmethod
+    def join(parts, n):
+        return _Unconditioned()
 
 
 class _ConstantNet:
@@ -230,8 +231,12 @@ class _Rows:
     def __init__(self, d):
         self.d = d
 
-    def repeat(self, n):
-        return _Rows(np.repeat(self.d, n))
+    @staticmethod
+    def join(parts, n):
+        d = np.empty(sum(len(c.d) for c, _ in parts), dtype=parts[0][0].d.dtype)
+        for c, rows in parts:
+            d[rows] = c.d
+        return _Rows(np.repeat(d, n))
 
 
 class _OneMemberNet:
@@ -387,7 +392,7 @@ class TestSampleBatch:
         d, e = np.float32(self.D), np.float32(self.E)
 
         def v(x, t):
-            return net.velocity(x, 0, net.condition(d, e, [t]).repeat(n))
+            return net.velocity(x, 0, Conditioning.join([(net.condition(d, e, [t]), slice(None))], n))
 
         x = np.concatenate([_prior_draws(net.task, n, s) for s in self.SEEDS]).astype(np.float32)
         for k in range(cfg.steps):

@@ -92,6 +92,12 @@ class TestConfigParsing:
         cfg = resolve({"task": "seir", "data.n_obs": "4,6,8"})
         assert cfg["data.n_obs"] == (4, 6, 8)
 
+    @pytest.mark.parametrize("key", ["data.n_obs", "eval.n_obs_list"])
+    def test_repeated_count_rejected(self, key):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"bad value for '{key}': repeats an observation count: (2, 2)")):
+            resolve({"task": "seir", key: "2 2"})
+
     @pytest.mark.parametrize("key, value", [("eval.trials", 2.7), ("chain.n_samples", 99.9),
                                             ("seed", 1.5)])
     def test_fractional_integer_rejected(self, key, value):

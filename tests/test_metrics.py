@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowinverse import cfm
+from flowinverse import cfm, metrics
 from flowinverse.cfm import SamplerConfig, sample_posterior
 from flowinverse.data import draw_tuples
 from flowinverse.metrics import evaluate_sweep, generation_error, relative_error_de
@@ -70,6 +70,25 @@ class TestEvaluateSweep:
         with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
             evaluate_sweep(_ConstNet(task, 0.0), task, [1], trials=trials,
                            sampler=SamplerConfig(steps=3, ensemble=2))
+
+    def test_rejects_a_repeated_count(self):
+        task = get_task("nonlinear")
+        with pytest.raises(ValueError, match="n_obs_list repeats an observation count: 2"):
+            evaluate_sweep(_ConstNet(task, 0.0), task, [2, 1, 2], trials=1,
+                           sampler=SamplerConfig(steps=3, ensemble=2))
+
+    def test_one_sample_batch_call_for_every_count(self, monkeypatch):
+        task = get_task("nonlinear")
+        calls = []
+
+        def recording(net, d, e, seeds, cfg):
+            calls.append(sorted({len(row) for row in d}))
+            return cfm.sample_batch(net, d, e, seeds, cfg)
+
+        monkeypatch.setattr(metrics, "sample_batch", recording)
+        reports = evaluate_sweep(_ConstNet(task, 0.1), task, [3, 1, 2], trials=2,
+                                 sampler=SamplerConfig(steps=2, ensemble=3))
+        assert calls == [[1, 2, 3]] and [r.n_obs for r in reports] == [3, 1, 2]
 
     def test_sweep_never_conditions_more_paths_than_the_bound(self):
         task = get_task("nonlinear")

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from flowinverse import cfm
 from flowinverse import tensor as T
 from flowinverse.data import Batch
-from flowinverse.net import NetConfig, VelocityNet, init_params, param_count, timestep_basis
+from flowinverse.net import (Conditioning, NetConfig, VelocityNet, init_params, param_count,
+                             timestep_basis)
 from flowinverse.tasks import SeirTask, get_task
 from gradcheck import finite_difference_check
 
@@ -491,7 +493,7 @@ class TestConditionedVelocity:
         d, e, _, rng = self._batch(net, 2, 7)
         times = (0.0, 0.37, 1.0)
         for ensemble in (1, 4):
-            cond = net.condition(d, e, times).repeat(ensemble)
+            cond = Conditioning.join([(net.condition(d, e, times), slice(None))], ensemble)
             d_rows, e_rows = np.repeat(d, ensemble, axis=0), np.repeat(e, ensemble, axis=0)
             m_t = rng.normal(size=(len(d_rows), net.task.dim_m)).astype(np.float32)
             for k, t in enumerate(times):
@@ -539,7 +541,7 @@ class TestConditionedVelocity:
         d, e = (np.float32(np.concatenate(rows)[:instances]) for rows in zip(*pairs))
         once = net.condition(d, e, [0.5])
         rows = net.condition(np.repeat(d, ensemble, axis=0), np.repeat(e, ensemble, axis=0), [0.5])
-        repeated = once.repeat(ensemble)
+        repeated = Conditioning.join([(once, slice(None))], ensemble)
         np.testing.assert_array_equal(repeated.keys[..., :-1], rows.keys[..., :-1])
         np.testing.assert_array_equal(repeated.values[..., :-1, :], rows.values[..., :-1, :])
 
@@ -601,6 +603,106 @@ class TestConditionedVelocity:
         net = self._net("nonlinear", 1)
         with pytest.raises(ValueError, match="empty"):
             net.condition(np.zeros((1, 0)), np.zeros((1, 0)), [0.5])
+
+
+class TestMixedCounts:
+    """``sample_batch`` of instances of several observation counts: one
+    integration, each count's keys and values padded to the longest and the
+    padded slots masked."""
+
+    COUNTS = [3, 1, 3, 2]
+
+    @staticmethod
+    def _instances(counts):
+        rng = np.random.default_rng(sum(counts))
+        e = [np.sort(rng.uniform(1.0, 3.0, n)) for n in counts]
+        d = [rng.uniform(0.0, 100.0, 2 * n) for n in counts]
+        return d, e, [21 + i for i in range(len(counts))]
+
+    @staticmethod
+    def _per_count(net, d, e, seeds, cfg):
+        """One sample_batch call per count, its rows put back in input order."""
+        out = np.empty((len(seeds), cfg.ensemble, net.task.dim_m))
+        for n in set(map(len, e)):
+            rows = [i for i, row in enumerate(e) if len(row) == n]
+            out[rows] = cfm.sample_batch(net, np.stack([d[i] for i in rows]),
+                                         np.stack([e[i] for i in rows]),
+                                         [seeds[i] for i in rows], cfg)
+        return out
+
+    @pytest.mark.parametrize("method, steps", [("euler", 5), ("rk4", 2)])
+    def test_rows_in_input_order_match_per_count_calls(self, method, steps):
+        # a padded row's softmax sums over more slots, so it matches its
+        # count sampled alone up to float rounding, not bitwise
+        net = _seir_oracle_case(B=2)[0]
+        d, e, seeds = self._instances(self.COUNTS)
+        cfg = cfm.SamplerConfig(steps=steps, method=method, ensemble=3)
+        got = cfm.sample_batch(net, d, e, seeds, cfg)
+        want = self._per_count(net, d, e, seeds, cfg)
+        assert got.shape == (4, 3, net.task.dim_m)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("path_batch", [cfm.PATH_BATCH, 6])
+    def test_a_nonfinite_path_names_its_input_instance_and_member(self, path_batch,
+                                                                   monkeypatch):
+        # instance 3 (2 observations, padded to 3) member 1 is path 10; a
+        # bound of 6 paths puts it in the second integration
+        monkeypatch.setattr(cfm, "PATH_BATCH", path_batch)
+        net = _seir_oracle_case(B=2)[0]
+        d, e, seeds = self._instances(self.COUNTS)
+        prior_draws = cfm._prior_draws
+
+        def poisoned(task, n, seed):
+            draws = prior_draws(task, n, seed)
+            if seed == seeds[3]:
+                draws[1] = np.nan
+            return draws
+
+        monkeypatch.setattr(cfm, "_prior_draws", poisoned)
+        with pytest.raises(cfm.FlowDivergedError, match=re.escape(
+                "velocity became non-finite at t=0.0000 in row 10 (instance 3, member 1)")) as err:
+            cfm.sample_batch(net, d, e, seeds, cfm.SamplerConfig(steps=2, ensemble=3))
+        assert err.value.row == 10
+
+    def test_path_batch_holds_across_counts(self, monkeypatch):
+        net = _seir_oracle_case(B=2)[0]
+        d, e, seeds = self._instances(self.COUNTS)
+        cfg = cfm.SamplerConfig(steps=3, ensemble=3)
+        whole = cfm.sample_batch(net, d, e, seeds, cfg)
+        monkeypatch.setattr(cfm, "PATH_BATCH", 6)       # 2 instances per integration
+        paths, velocity = [], net.velocity
+
+        def recording(m_t, k, cond):
+            paths.append(len(m_t))
+            return velocity(m_t, k, cond)
+
+        monkeypatch.setattr(net, "velocity", recording)
+        got = cfm.sample_batch(net, d, e, seeds, cfg)
+        assert paths == [6] * 6                         # 2 integrations of 3 steps
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-6 * np.abs(whole).max())
+
+    def test_padded_slots_are_zero_and_masked(self):
+        # zero keys score 0 and the mask makes that −inf, whose weight is 0;
+        # zero values then add nothing, where garbage could add a NaN.
+        # RuntimeWarnings are errors in this suite.
+        net = _seir_oracle_case(B=2)[0]
+        d, e, _ = self._instances([3, 1])
+        times = [0.0, 0.5]
+        parts = [(net.condition(np.float32(d[i])[None], np.float32(e[i])[None], times), [i])
+                 for i in range(2)]
+        cond = Conditioning.join(parts, 2)              # rows 2 and 3: 1 observation
+        assert cond.keys.shape[-1] == cond.values.shape[-2] == 4
+        assert not cond.keys[:, 2:, ..., 1:3].any() and not cond.values[:, 2:, :, 1:3].any()
+        np.testing.assert_array_equal(cond.mask[2:, ..., 1:3], -np.inf)
+        assert not cond.mask[:2].any() and not cond.mask[..., [0, 3]].any()
+        assert Conditioning.join(parts[:1], 2).mask is None
+        m_t = np.random.default_rng(1).normal(size=(4, net.task.dim_m)).astype(np.float32)
+        for k in range(len(times)):
+            got = net.velocity(m_t, k, cond)
+            for i, (c, _) in enumerate(parts):
+                want = net.velocity(m_t[2 * i:2 * i + 2], k, Conditioning.join([(c, [0])], 2))
+                np.testing.assert_allclose(got[2 * i:2 * i + 2], want, rtol=0,
+                                           atol=1e-6 * np.abs(want).max())
 
 
 class TestConfigValidation:
