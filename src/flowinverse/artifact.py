@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 
@@ -56,15 +57,18 @@ def read(path, magic: bytes, version: int, error=FormatError, keys=()):
 
     Raises ``error``, a :class:`FormatError` subclass, on a wrong magic or
     version, a header that is not a JSON object holding every one of
-    ``keys``, a truncated file, an array name that is not UTF-8 or repeats
-    an earlier one, or bytes after the last array.
+    ``keys``, a truncated file (checked before each read, so no shape
+    allocates more than the file holds), an array name that is not UTF-8
+    or repeats an earlier one, or bytes after the last array.
     """
     with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
+
         def take(n, what):
-            buf = f.read(n)
-            if len(buf) != n:
-                raise error(f"{path}: truncated while reading {what}")
-            return buf
+            if n > end - f.tell():
+                raise error(f"{path}: truncated while reading {what}: {n} bytes, "
+                            f"{end - f.tell()} left")
+            return f.read(n)
 
         def unpack(fmt, what):
             return struct.unpack(fmt, take(struct.calcsize(fmt), what))
@@ -96,7 +100,7 @@ def read(path, magic: bytes, version: int, error=FormatError, keys=()):
                 raise error(f"{path}: duplicate array name '{name}'")
             (rank,) = unpack("<B", f"rank of '{name}'")
             dims = unpack(f"<{rank}I", f"shape of '{name}'")
-            raw = take(4 * int(np.prod(dims)), f"data of '{name}'")
+            raw = take(4 * math.prod(dims), f"data of '{name}'")     # no int64 wrap
             arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
         if f.read(1):
             raise error(f"{path}: trailing bytes after the last array")

@@ -219,12 +219,8 @@ def _integrate_flow(net, x0, d, e, cfg: SamplerConfig):
     x = x0.astype(np.float32)
     h = 1.0 / cfg.steps
     times = _flow_times(cfg)
-    counts = {}                     # the rows of each (d, e) width, in input order
-    for i, row in enumerate(zip(d, e)):
-        counts.setdefault(tuple(map(len, row)), []).append(i)
-    parts = [(net.condition(*(np.stack([a[i] for i in r], dtype=np.float32) for a in (d, e)),
-                            times), r) for r in counts.values()]
-    cond = parts[0][0].join(parts, len(x0) // len(d))
+    cond = net.condition(*([np.float32(row) for row in a] for a in (d, e)), times,
+                         len(x0) // len(d))
 
     def v(xc, c):
         out = net.velocity(xc, c, cond)
@@ -255,16 +251,15 @@ def _integrate_flow(net, x0, d, e, cfg: SamplerConfig):
 def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarray:
     """Posterior ensembles for instances of any observation counts.
 
-    d, e: one row per seed, as arrays or as sequences of rows of differing
-    counts (a 1-D row is one instance). Instance i's members start from the
-    counter-derived prior draws of ``seeds[i]`` (``cfg.seed`` is not used).
-    Instances integrate whole, never split, at most ``PATH_BATCH`` paths
-    (instances x ensemble) at a time, whatever their counts; a larger
-    ensemble runs alone. Each integration builds one conditioning: each
-    count's observation stream, run once per instance for its members to
-    share (:meth:`VelocityNet.condition`), joined in input order with the
-    shorter counts padded and masked (:meth:`Conditioning.join`), and the
-    time embedding of every solver call's flow time, all embedded at once.
+    d, e: one row per seed, as 2-D arrays or as sequences of 1-D rows of
+    differing counts. Instance i's members start from the counter-derived
+    prior draws of ``seeds[i]`` (``cfg.seed`` is not used). Instances
+    integrate whole, never split, at most ``PATH_BATCH`` paths (instances x
+    ensemble) at a time, whatever their counts; a larger ensemble runs
+    alone. Each integration makes one :meth:`VelocityNet.condition` call on
+    its rows, cast to float32: each count's observation stream runs once per
+    instance for its members to share, the shorter counts padded and
+    masked, and every solver call's flow time is embedded at once.
     Each solver call then runs the state rows alone
     (:meth:`VelocityNet.velocity`, within 1e-6 of max|v| of
     :meth:`VelocityNet.forward`, the training path). A padded row's softmax
@@ -273,7 +268,6 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
     order. A path that becomes non-finite raises :class:`FlowDivergedError`,
     whose message names its instance and member.
     """
-    d, e = ([a] if len(a) and np.ndim(a[0]) == 0 else a for a in (d, e))
     if len(seeds) == 0:
         raise ValueError("seeds is empty: sample_batch needs one seed per instance")
     if not len(d) == len(e) == len(seeds):
@@ -296,10 +290,9 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
 
 
 def sample_posterior(net: VelocityNet, d, e, cfg: SamplerConfig) -> PosteriorEnsemble:
-    """Draw an ensemble from the learned conditional distribution.
-
-    Each member starts from its own counter-derived prior draw; the whole
-    ensemble integrates as one batch, which is equivalent to integrating
-    members independently.
+    """Draw an ensemble from the learned conditional distribution of one
+    instance, whose 1-D rows are d and e: :func:`sample_batch` of it at seed
+    ``cfg.seed``. The whole ensemble integrates as one batch, which is
+    equivalent to integrating members independently.
     """
-    return PosteriorEnsemble(samples=sample_batch(net, d, e, [cfg.seed], cfg)[0])
+    return PosteriorEnsemble(samples=sample_batch(net, [d], [e], [cfg.seed], cfg)[0])

@@ -3,7 +3,8 @@
 A checkpoint is an :mod:`artifact` with magic ``CFMT``. Its header holds the
 task name, the net config, ``param_count``, the training ``step`` and the
 ``rng_state``; its arrays are the parameters, by name and in order. Loading a
-saved checkpoint reproduces every parameter bitwise.
+saved checkpoint checks their names and shapes against the net config's and
+reproduces every parameter bitwise.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import artifact
-from .net import NetConfig, param_count
+from .net import NetConfig, init_params, param_count
 from .tasks import TASKS
 from .tensor import Tensor
 
@@ -55,5 +56,11 @@ def load_checkpoint(path) -> Checkpoint:
         net_config = NetConfig(**header["net"])
     except (TypeError, ValueError) as err:
         raise CheckpointFormatError(f"{path}: bad net config: {err}") from err
+    want = {name: p.shape for name, p in init_params(net_config).items()}
+    got = {name: a.shape for name, a in arrays.items()}
+    if got != want:
+        name = next(k for k in [*want, *got] if want.get(k) != got.get(k))
+        raise CheckpointFormatError(f"{path}: parameter {name!r} has shape {got.get(name)} in "
+                                    f"the file and {want.get(name)} in the net config")
     return Checkpoint(task_name=header["task"], net_config=net_config, params=params,
                       step=header["step"], rng_state=header["rng_state"])

@@ -138,6 +138,8 @@ def save_dataset(shards, task_name, path):
 def load_dataset(path, task=None):
     """Load shards; returns (task_name, shards).
 
+    Each shard's arrays must have the task's layout at its n_obs, one row
+    per tuple, else ``DatasetFormatError`` names the shard and the array.
     A deterministic sample of ``VERIFY_FRACTION`` of each shard's tuples,
     at least one, is re-verified against the forward model: d minus the
     stored noise must match F(m, e) to within 1e-6 relative to the
@@ -165,7 +167,14 @@ def load_dataset(path, task=None):
     n_obs = [s.n_obs for s in shards]
     if len(set(n_obs)) != len(n_obs):
         raise DatasetFormatError(f"{path}: shards repeat an observation count: {n_obs}")
-    _verify_sample(task if task is not None else get_task(task_name), shards)
+    task = task if task is not None else get_task(task_name)
+    for i, s in enumerate(shards):
+        widths = (task.dim_m, task.e_width(s.n_obs), *[task.d_width(s.n_obs)] * 2)
+        for k, width in zip(_ARRAYS, widths):
+            if getattr(s, k).shape != (want := s.m.shape[:1] + (width,)):
+                raise DatasetFormatError(f"{path}: shard {i} (n_obs {s.n_obs}) array '{i}.{k}' "
+                                         f"has shape {getattr(s, k).shape}, not {want}")
+    _verify_sample(task, shards)
     return task_name, shards
 
 

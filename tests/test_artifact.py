@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,14 @@ def test_truncated_header(tmp_path):
     with pytest.raises(artifact.FormatError, match="truncated while reading header") as info:
         artifact.read(p, MAGIC, 1)
     assert "not JSON" not in str(info.value)
+
+
+def test_array_larger_than_the_file_names_the_array(tmp_path):
+    # (2**32 - 1)**2 entries wrap an int64 product to a negative byte count
+    blob = b"{}"
+    body = MAGIC + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 1)
+    body += struct.pack("<H", 1) + b"w" + struct.pack("<B2I", 2, 2 ** 32 - 1, 2 ** 32 - 1)
+    p = tmp_path / "a.bin"
+    p.write_bytes(body + bytes(16))
+    with pytest.raises(artifact.FormatError, match="truncated while reading data of 'w'"):
+        artifact.read(p, MAGIC, 1)

@@ -10,7 +10,7 @@ from flowinverse.cfm import (FlowDivergedError, SamplerConfig, TrainConfig,
                              TrainingDivergedError, _integrate_flow, _prior_draws, cfm_loss,
                              interpolate, sample_batch, sample_posterior, train)
 from flowinverse.data import Batch, DataGenConfig, DatasetShard, generate_dataset
-from flowinverse.net import Conditioning, NetConfig, VelocityNet
+from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import get_task
 
 
@@ -175,23 +175,14 @@ class TestTrain:
         assert history[-1] < history[0]
 
 
-class _Unconditioned:
-    """What the stub nets below condition on: nothing, shared by any number
-    of members."""
-
-    @staticmethod
-    def join(parts, n):
-        return _Unconditioned()
-
-
 class _ConstantNet:
     def __init__(self, c, dim_m, task):
         self.c = np.asarray(c, dtype=np.float32)
         self.task = task
         self.dim_m = dim_m
 
-    def condition(self, d, e, times):
-        return _Unconditioned()
+    def condition(self, d, e, times, members):
+        return None
 
     def velocity(self, m_t, k, cond):
         return np.broadcast_to(self.c, m_t.shape).copy()
@@ -203,8 +194,8 @@ class _LinearNet:
     def __init__(self, task):
         self.task = task
 
-    def condition(self, d, e, times):
-        return _Unconditioned()
+    def condition(self, d, e, times, members):
+        return None
 
     def velocity(self, m_t, k, cond):
         return m_t.copy()
@@ -216,27 +207,13 @@ class _OneRowNet:
     def __init__(self, task, row, value):
         self.task, self.row, self.value = task, row, value
 
-    def condition(self, d, e, times):
-        return _Unconditioned()
+    def condition(self, d, e, times, members):
+        return None
 
     def velocity(self, m_t, k, cond):
         out = np.zeros_like(m_t)
         out[self.row] = self.value
         return out
-
-
-class _Rows:
-    """A conditioning that carries each path's observation."""
-
-    def __init__(self, d):
-        self.d = d
-
-    @staticmethod
-    def join(parts, n):
-        d = np.empty(sum(len(c.d) for c, _ in parts), dtype=parts[0][0].d.dtype)
-        for c, rows in parts:
-            d[rows] = c.d
-        return _Rows(np.repeat(d, n))
 
 
 class _OneMemberNet:
@@ -246,12 +223,12 @@ class _OneMemberNet:
     def __init__(self, task, bad, member):
         self.task, self.bad, self.member = task, bad, member
 
-    def condition(self, d, e, times):
-        return _Rows(d[:, 0])
+    def condition(self, d, e, times, members):
+        return np.repeat([row[0] for row in d], members)     # each path's observation
 
     def velocity(self, m_t, k, cond):
         out = np.zeros_like(m_t)
-        rows = np.flatnonzero(cond.d == self.bad)
+        rows = np.flatnonzero(cond == self.bad)
         if len(rows):
             out[rows[self.member]] = np.nan
         return out
@@ -392,7 +369,7 @@ class TestSampleBatch:
         d, e = np.float32(self.D), np.float32(self.E)
 
         def v(x, t):
-            return net.velocity(x, 0, Conditioning.join([(net.condition(d, e, [t]), slice(None))], n))
+            return net.velocity(x, 0, net.condition(d, e, [t], n))
 
         x = np.concatenate([_prior_draws(net.task, n, s) for s in self.SEEDS]).astype(np.float32)
         for k in range(cfg.steps):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from dataclasses import asdict
 
@@ -201,6 +202,25 @@ class TestFormatErrors:
         artifact.write(p, MAGIC, FORMAT_VERSION, header,
                        {k: v.data for k, v in params.items()})
         with pytest.raises(CheckpointFormatError, match="parameter count mismatch"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("fault, match", [
+        ("renamed", "'block0.ln1.g' has shape None in the file and (8,)"),
+        ("transposed", "'head.w' has shape (6, 8) in the file and (8, 6)"),
+    ], ids=["renamed", "transposed"])
+    def test_parameters_must_have_the_net_config_layout(self, tmp_path, fault, match):
+        # either would load, then fail at the first sample
+        cfg, params = make_params()
+        arrays = {k: v.data for k, v in params.items()}
+        if fault == "renamed":
+            arrays = {("block0.ln1.gain" if k == "block0.ln1.g" else k): a for k, a in arrays.items()}
+        else:
+            arrays["head.w"] = arrays["head.w"].T
+        p = tmp_path / "m.cfmt"
+        artifact.write(p, MAGIC, FORMAT_VERSION,
+                       {"task": "seir", "net": asdict(cfg), "param_count": param_count(params),
+                        "step": 0, "rng_state": {}}, arrays)
+        with pytest.raises(CheckpointFormatError, match=re.escape(match)):
             load_checkpoint(p)
 
     def test_bad_net_config(self, tmp_path):

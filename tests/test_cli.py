@@ -767,6 +767,8 @@ def test_every_name_the_benchmark_uses_exists():
     from flowinverse.tasks import darcy, seir
 
     assert isinstance(darcy.CONST, darcy.DarcyConstants)
+    # kl_basis_build ignores cache_dir, but the benchmark's cold set-up
+    # still passes it
     assert "cache_dir" in inspect.signature(darcy.kl_basis_build).parameters
     assert seir.TRUE_RATES.shape == (6,)
     assert tasks.SeirTask is seir.SeirTask and tasks.DarcyTask is darcy.DarcyTask

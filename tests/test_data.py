@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,22 @@ class TestPersistence:
         artifact.write(p, MAGIC, FORMAT_VERSION, {"task": "nonlinear", "shards": shards},
                        {name: np.zeros((2, 1)) for name in names})
         with pytest.raises(DatasetFormatError, match="shard"):
+            load_dataset(str(p))
+
+    @pytest.mark.parametrize("bad, match", [
+        # training would die on an IndexError
+        (lambda s: replace(s, d=s.d[:-1]), r"'0\.d' has shape \(4, 2\), not \(5, 2\)"),
+        # it would load and train silently
+        (lambda s: replace(s, n_obs=3), r"'0\.e' has shape \(5, 2\), not \(5, 3\)"),
+        # verifying it would raise a broadcast ValueError
+        (lambda s: replace(s, e=np.concatenate([s.e, s.e[:, :1]], axis=1)),
+         r"'0\.e' has shape \(5, 3\), not \(5, 2\)"),
+    ], ids=["d-one-row-short", "header-count-over-narrower-arrays", "e-too-wide"])
+    def test_arrays_must_have_the_task_layout(self, tmp_path, bad, match):
+        (shard,) = generate_dataset(small_config(n_obs_set=(2,), tuples_per_n_obs=5))
+        p = tmp_path / "l.cfmd"
+        save_dataset([bad(shard)], "nonlinear", p)
+        with pytest.raises(DatasetFormatError, match=r"shard 0 \(n_obs \d\) array " + match):
             load_dataset(str(p))
 
     def test_rejects_a_repeated_observation_count(self, tmp_path):

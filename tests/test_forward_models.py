@@ -351,13 +351,14 @@ class TestKlBasis:
             err_sq += np.sum((K - K16) ** 2)
         assert np.sqrt(err_sq / k_sq) < 0.01
 
-    def test_cache_roundtrip(self, tmp_path):
+    def test_writes_no_file_when_given_a_cache_directory(self, tmp_path, monkeypatch):
+        # cache_dir and $FLOWINVERSE_CACHE are both ignored: the basis is
+        # always built in memory
+        monkeypatch.setenv("FLOWINVERSE_CACHE", str(tmp_path / "env"))
         const = dy.DarcyConstants(n_grid=9, n_modes=4)
-        b1 = dy.kl_basis_build(const, cache_dir=str(tmp_path))
-        b2 = dy.kl_basis_build(const, cache_dir=str(tmp_path))
-        np.testing.assert_array_equal(b1.eigenvalues, b2.eigenvalues)
-        np.testing.assert_array_equal(b1.modes, b2.modes)
-        assert len(list(tmp_path.iterdir())) == 1
+        basis = dy.kl_basis_build(const, cache_dir=str(tmp_path / "arg"))
+        assert basis.modes.shape == (4, 81)
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_cache_directory_writes_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))
@@ -367,16 +368,16 @@ class TestKlBasis:
         assert basis.modes.shape == (16, 65 * 65)
         assert list(tmp_path.iterdir()) == []
 
-    def test_fresh_builds_are_bitwise_equal(self, tmp_path):
+    def test_fresh_builds_are_bitwise_equal(self):
         # degenerate eigenpairs must not leave the basis to the eigensolver
-        b1 = dy.kl_basis_build(cache_dir=str(tmp_path / "one"))
-        b2 = dy.kl_basis_build(cache_dir=str(tmp_path / "two"))
+        b1 = dy.kl_basis_build()
+        b2 = dy.kl_basis_build()
         np.testing.assert_array_equal(b1.eigenvalues, b2.eigenvalues)
         np.testing.assert_array_equal(b1.modes, b2.modes)
 
-    def test_modes_are_eigenvectors_of_the_dense_kernel(self, tmp_path):
+    def test_modes_are_eigenvectors_of_the_dense_kernel(self):
         const = dy.DarcyConstants(n_grid=9)
-        basis = dy.kl_basis_build(const, cache_dir=str(tmp_path))
+        basis = dy.kl_basis_build(const)
         K = dense_kernel(const)
         V = basis.modes.T * const.h
         np.testing.assert_allclose(V.T @ V, np.eye(const.n_modes), atol=1e-10)

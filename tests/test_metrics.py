@@ -7,7 +7,6 @@ from flowinverse.data import draw_tuples
 from flowinverse.metrics import evaluate_sweep, generation_error, relative_error_de
 from flowinverse.net import NetConfig, VelocityNet
 from flowinverse.tasks import get_task
-from test_cfm import _Unconditioned
 
 
 def tiny_net():
@@ -39,8 +38,8 @@ class _ConstNet:
         self.task = task
         self.c = np.float32(c)
 
-    def condition(self, d, e, times):
-        return _Unconditioned()
+    def condition(self, d, e, times, members):
+        return None
 
     def velocity(self, m_t, k, cond):
         return np.full_like(m_t, self.c)
@@ -97,9 +96,9 @@ class TestEvaluateSweep:
         rows = []
 
         class Recording(_ConstNet):
-            def condition(self, d, e, times):
+            def condition(self, d, e, times, members):
                 rows.append(len(d))
-                return super().condition(d, e, times)
+                return super().condition(d, e, times, members)
 
         evaluate_sweep(Recording(task, 0.1), task, [1], trials=trials, sampler=sampler)
         assert sum(rows) == trials

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from flowinverse import cfm
+from flowinverse import net as net_module
 from flowinverse import tensor as T
 from flowinverse.data import Batch
-from flowinverse.net import (Conditioning, NetConfig, VelocityNet, init_params, param_count,
-                             timestep_basis)
+from flowinverse.net import NetConfig, VelocityNet, init_params, param_count, timestep_basis
 from flowinverse.tasks import SeirTask, get_task
 from gradcheck import finite_difference_check
 
@@ -493,7 +493,7 @@ class TestConditionedVelocity:
         d, e, _, rng = self._batch(net, 2, 7)
         times = (0.0, 0.37, 1.0)
         for ensemble in (1, 4):
-            cond = Conditioning.join([(net.condition(d, e, times), slice(None))], ensemble)
+            cond = net.condition(d, e, times, ensemble)
             d_rows, e_rows = np.repeat(d, ensemble, axis=0), np.repeat(e, ensemble, axis=0)
             m_t = rng.normal(size=(len(d_rows), net.task.dim_m)).astype(np.float32)
             for k, t in enumerate(times):
@@ -522,9 +522,8 @@ class TestConditionedVelocity:
         d, e, _, _ = self._batch(net, 10, 6)
         cfg = cfm.SamplerConfig(steps=50, ensemble=3)
         fresh = cfm.sample_batch(net, d, e, list(range(10)), cfg)
-        # one row per instance
-        cond = net.condition(np.float32(d), np.float32(e), cfm._flow_times(cfg))
-        monkeypatch.setattr(net, "condition", lambda d, e, times: cond)
+        cond = net.condition(np.float32(d), np.float32(e), cfm._flow_times(cfg), cfg.ensemble)
+        monkeypatch.setattr(net, "condition", lambda d, e, times, members: cond)
         for _ in range(2):
             np.testing.assert_array_equal(cfm.sample_batch(net, d, e, list(range(10)), cfg), fresh)
 
@@ -539,9 +538,8 @@ class TestConditionedVelocity:
         rng = np.random.default_rng(instances * n_obs)
         pairs = [_observations(net.task, rng, n_obs) for _ in range((instances + 1) // 2)]
         d, e = (np.float32(np.concatenate(rows)[:instances]) for rows in zip(*pairs))
-        once = net.condition(d, e, [0.5])
+        repeated = net.condition(d, e, [0.5], ensemble)
         rows = net.condition(np.repeat(d, ensemble, axis=0), np.repeat(e, ensemble, axis=0), [0.5])
-        repeated = Conditioning.join([(once, slice(None))], ensemble)
         np.testing.assert_array_equal(repeated.keys[..., :-1], rows.keys[..., :-1])
         np.testing.assert_array_equal(repeated.values[..., :-1, :], rows.values[..., :-1, :])
 
@@ -613,10 +611,16 @@ class TestMixedCounts:
     COUNTS = [3, 1, 3, 2]
 
     @staticmethod
-    def _instances(counts):
+    def _instances(counts, task=None):
+        """A (d, e) row of each count, SEIR's unless ``task`` is given, and
+        a seed each."""
         rng = np.random.default_rng(sum(counts))
-        e = [np.sort(rng.uniform(1.0, 3.0, n)) for n in counts]
-        d = [rng.uniform(0.0, 100.0, 2 * n) for n in counts]
+        if task is None:
+            e = [np.sort(rng.uniform(1.0, 3.0, n)) for n in counts]
+            d = [rng.uniform(0.0, 100.0, 2 * n) for n in counts]
+        else:
+            pairs = [_observations(task, rng, n) for n in counts]   # 2 rows each
+            d, e = [d[0] for d, _ in pairs], [e[0] for _, e in pairs]
         return d, e, [21 + i for i in range(len(counts))]
 
     @staticmethod
@@ -641,6 +645,30 @@ class TestMixedCounts:
         want = self._per_count(net, d, e, seeds, cfg)
         assert got.shape == (4, 3, net.task.dim_m)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("method, steps", [("euler", 5), ("rk4", 2)])
+    @pytest.mark.parametrize("task_name", ["nonlinear", "darcy"])
+    def test_rows_of_other_tasks_match_per_count_calls(self, task_name, method, steps):
+        # Darcy's padded slots sit between its design token and the state's
+        net = TestConditionedVelocity._net(task_name, 2)
+        rng = np.random.default_rng(41)
+        for p in (net.params[name] for name in sorted(net.params)):
+            p.data += rng.normal(0.0, 0.05, p.shape).astype(np.float32)
+        d, e, seeds = self._instances(self.COUNTS, net.task)
+        cfg = cfm.SamplerConfig(steps=steps, method=method, ensemble=3)
+        got = cfm.sample_batch(net, d, e, seeds, cfg)
+        want = self._per_count(net, d, e, seeds, cfg)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    def test_one_condition_and_one_time_embedding_per_integration(self, monkeypatch):
+        net = _seir_oracle_case(B=2)[0]
+        d, e, seeds = self._instances(self.COUNTS)
+        calls, basis, condition = [], net_module.timestep_basis, net.condition
+        monkeypatch.setattr(net_module, "timestep_basis",
+                            lambda *a: calls.append("timestep_basis") or basis(*a))
+        monkeypatch.setattr(net, "condition", lambda *a: calls.append("condition") or condition(*a))
+        cfm.sample_batch(net, d, e, seeds, cfm.SamplerConfig(steps=2, method="rk4", ensemble=3))
+        assert sorted(calls) == ["condition", "timestep_basis"]
 
     @pytest.mark.parametrize("path_batch", [cfm.PATH_BATCH, 6])
     def test_a_nonfinite_path_names_its_input_instance_and_member(self, path_batch,
@@ -688,19 +716,18 @@ class TestMixedCounts:
         net = _seir_oracle_case(B=2)[0]
         d, e, _ = self._instances([3, 1])
         times = [0.0, 0.5]
-        parts = [(net.condition(np.float32(d[i])[None], np.float32(e[i])[None], times), [i])
-                 for i in range(2)]
-        cond = Conditioning.join(parts, 2)              # rows 2 and 3: 1 observation
+        cond = net.condition(d, e, times, 2)            # rows 2 and 3: 1 observation
         assert cond.keys.shape[-1] == cond.values.shape[-2] == 4
         assert not cond.keys[:, 2:, ..., 1:3].any() and not cond.values[:, 2:, :, 1:3].any()
         np.testing.assert_array_equal(cond.mask[2:, ..., 1:3], -np.inf)
         assert not cond.mask[:2].any() and not cond.mask[..., [0, 3]].any()
-        assert Conditioning.join(parts[:1], 2).mask is None
+        assert net.condition(d[:1], e[:1], times, 2).mask is None
         m_t = np.random.default_rng(1).normal(size=(4, net.task.dim_m)).astype(np.float32)
         for k in range(len(times)):
             got = net.velocity(m_t, k, cond)
-            for i, (c, _) in enumerate(parts):
-                want = net.velocity(m_t[2 * i:2 * i + 2], k, Conditioning.join([(c, [0])], 2))
+            for i in range(2):
+                want = net.velocity(m_t[2 * i:2 * i + 2], k,
+                                    net.condition(d[i:i + 1], e[i:i + 1], times, 2))
                 np.testing.assert_allclose(got[2 * i:2 * i + 2], want, rtol=0,
                                            atol=1e-6 * np.abs(want).max())
 
