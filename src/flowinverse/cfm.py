@@ -216,6 +216,9 @@ def _flow_times(cfg: SamplerConfig):
 
 
 def _integrate_flow(net, x0, d, e, cfg: SamplerConfig):
+    """Integrate the flow from x0, len(x0) // len(d) consecutive paths per
+    row of (d, e), with one conditioning whose keys and values the paths of
+    a row share. Returns the float32 states at t = 1."""
     x = x0.astype(np.float32)
     h = 1.0 / cfg.steps
     times = _flow_times(cfg)
@@ -258,8 +261,9 @@ def sample_batch(net: VelocityNet, d, e, seeds, cfg: SamplerConfig) -> np.ndarra
     ensemble) at a time, whatever their counts; a larger ensemble runs
     alone. Each integration makes one :meth:`VelocityNet.condition` call on
     its rows, cast to float32: each count's observation stream runs once per
-    instance for its members to share, the shorter counts padded and
-    masked, and every solver call's flow time is embedded at once.
+    instance, its keys and values are stored once and shared by the
+    instance's members, the shorter counts padded and masked, and every
+    solver call's flow time is embedded at once.
     Each solver call then runs the state rows alone
     (:meth:`VelocityNet.velocity`, within 1e-6 of max|v| of
     :meth:`VelocityNet.forward`, the training path). A padded row's softmax

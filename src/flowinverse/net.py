@@ -35,11 +35,15 @@ to the rounding of GEMMs of other shapes (within 1e-6 of max|v|):
   integration fixes, into a :class:`Conditioning`: each solver call's time
   embedding, the RMS gains folded into the weights they feed, and each
   block's keys and values of the observation stream of instances of any
-  counts, run once per instance by the per-layer forwards, repeated per
-  path and the shorter counts zero-padded under a −inf key mask.
-  ``velocity`` then runs one solver call as a flat loop over the blocks on
-  the (B, E) state row alone, whose query attends to those keys (mask
-  added) and to its own, with the formulas beneath those forwards.
+  counts, run once per instance by the per-layer forwards, stored once per
+  instance for its members to share, the shorter counts zero-padded under
+  a −inf key mask. ``velocity`` then runs one solver call as a flat loop
+  over the blocks on the (B, E) state row alone, with the formulas beneath
+  those forwards. Per instance and head, one matmul scores its members'
+  queries against the shared keys and one weights the shared values, as
+  Hydragen (arXiv 2402.05099) attends to a shared prefix; each path's own
+  state key and value add one score to the same softmax and one term to
+  the context.
 
 Accepting a count is not generalising to it. A nonlinear-task net trained on
 1 to 4 observations gives posteriors whose median standard deviation is 2.0
@@ -51,13 +55,14 @@ trained counts the posterior does not contract as the exact one does.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import (Tensor, _attention_fwd, _attention_weights, _embed_fwd, _heads,
-                     _linear_fwd, _mlp_fwd, _prenorm_fwd, _residual_fwd, _time_fwd)
+from .tensor import (Tensor, _attention_fwd, _embed_fwd, _heads, _linear_fwd, _mlp_fwd,
+                     _prenorm_fwd, _residual_fwd, _softmax, _time_fwd)
 
 
 @dataclass(frozen=True)
@@ -158,31 +163,36 @@ def param_count(params: dict) -> int:
 # forward passes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Conditioning:
     """What a batch's observations and the solver's flow times fix for every
-    call of one integration, laid out per path.
+    call of one integration, laid out per instance and shared by its
+    ``members`` paths.
 
-    ``keys`` holds each block's observation keys as an (L, B, H, hd, T)
-    array and ``values`` its values as (L, B, H, T, hd), for L blocks, B
-    paths and T tokens with the state. The last slot of each is the state's:
-    :meth:`VelocityNet.velocity` writes the call's state key and value there
-    and changes nothing else, so a conditioning serves one integration at a
-    time, and any number of integrations in turn. A path of fewer tokens
-    than T holds zero keys and values in the slots before the state's, and
-    the additive ``mask`` (None if no path is padded) scores those slots
-    −inf. ``times`` holds the time embedding of each call's flow time, one
-    (E,) row per call. The other fields are the parameter arrays in the
-    order ``velocity`` reads them, each RMS gain g folded into the weight w
-    it feeds, as g[:, None] · w.
+    ``keys`` holds each block's observation keys as an (L, n, H, hd, T)
+    array and ``values`` its values as (L, n, H, T, hd), for L blocks, n
+    instances and T observation-stream tokens; instance i's members are the
+    paths i·members to (i + 1)·members − 1. An instance of fewer tokens than
+    T holds zero keys and values in its last slots, and the additive
+    ``mask`` (None if no instance is padded) scores those slots −inf; its
+    last slot, the self score's, is 0. ``times`` holds the time embedding of
+    each call's flow time, one (E,) row per call. The other fields are the
+    parameter arrays in the order :meth:`VelocityNet.velocity` reads them,
+    each RMS gain g folded into the weight w it feeds, as g[:, None] · w,
+    and the score scale 1/√hd into the query columns of ``attn.wqkv``'s
+    weight and bias. Every array is read-only (the unfolded parameters as
+    read-only views): ``velocity`` keeps each path's own state key and
+    value apart, so one conditioning serves any number of integrations, in
+    turn or interleaved.
     """
-    keys: np.ndarray      # (L, B, H, hd, T)
-    values: np.ndarray    # (L, B, H, T, hd)
+    keys: np.ndarray      # (L, n, H, hd, T)
+    values: np.ndarray    # (L, n, H, T, hd)
     times: np.ndarray     # (calls, E)
     state: tuple          # embed.state w, b
-    blocks: list          # per block, the arrays of _BLOCK_PARAMS, gains folded
+    blocks: list          # per block, the arrays of _BLOCK_PARAMS, gains and scale folded
     head: tuple           # head w with ln_f.g folded, head b
-    mask: np.ndarray | None = None    # (B, 1, 1, T): 0, or −inf on a padded slot
+    members: int          # paths per instance
+    mask: np.ndarray | None = None    # (n, 1, 1, T + 1): 0, or −inf on a padded slot
 
 
 class VelocityNet:
@@ -242,11 +252,12 @@ class VelocityNet:
         ``members`` paths per row of (d, e), rows of any observation counts.
         It folds the gains and embeds the solver calls' flow times ``times``
         once, runs each count's observation stream once as :meth:`forward`
-        runs it, and zero-pads the shorter counts under a −inf ``mask``."""
+        runs it, and zero-pads the shorter counts under a −inf ``mask``.
+        Each row's keys and values are stored once, for all its members."""
         if len(d) != len(e):                        # zip would drop the extra rows
             d_rows, e_rows = (getattr(a, "shape", (len(a),)) for a in (d, e))
             raise ValueError(f"d {d_rows} and e {e_rows} are not rows of one observation count")
-        a = {k: p.data for k, p in self.params.items()}
+        a = {k: p.data.view() for k, p in self.params.items()}  # made read-only below
         H, L, E = self.config.n_head, self.config.n_layer, self.config.n_emb
         dt, hd = a["head.w"].dtype, E // H
         for i in range(L):                          # (h · g) @ w is h @ (g[:, None] · w)
@@ -266,46 +277,56 @@ class VelocityNet:
             tokens = self._fixed_tokens(np.stack([d[i] for i in r]), np.stack([e[i] for i in r]))
             x = np.concatenate([_embed_fwd(f.astype(dt), a[f"embed.{k}.w"], a[f"embed.{k}.b"])
                                 for k, f in tokens.items() if f is not None], axis=1)
-            B, n_fixed, _ = x.shape                 # the state's slot is last, set by velocity
-            keys, values = (np.empty((L, B, H, hd, n_fixed + 1), dt),
-                            np.empty((L, B, H, n_fixed + 1, hd), dt))
+            B, t, _ = x.shape
+            keys, values = np.empty((L, B, H, hd, t), dt), np.empty((L, B, H, t, hd), dt)
             for i, (k, v, (wqkv, bqkv, wo, bo, *mlp)) in enumerate(zip(keys, values, blocks)):
-                q = _heads(_prenorm_fwd(x, None, wqkv, bqkv)[0].reshape(B, n_fixed, 3 * E),
-                           H, k, v, slice(None, -1))
+                q = _heads(_prenorm_fwd(x, None, wqkv, bqkv)[0].reshape(B, t, 3 * E), H, k, v)
                 if i < L - 1:                       # the head reads the state alone
-                    ctx, _ = _attention_fwd(q, k[..., :-1], v[:, :, :-1])
+                    ctx, _ = _attention_fwd(q, k, v)
                     x, _, _ = _mlp_fwd(_residual_fwd(ctx.reshape(-1, E), wo, bo, x), None, *mlp)
             parts.append((keys, values, r))
-        n, n_tok = len(d), max((k.shape[-1] for k, _, _ in parts), default=1)
-        keys, values = (np.zeros((L, n, members, H, hd, n_tok), dt),
-                        np.zeros((L, n, members, H, n_tok, hd), dt))
-        mask = np.zeros((n, members, 1, 1, n_tok), dt)
-        for k, v, r in parts:                       # each count's slots, repeated per path
-            t = k.shape[-1] - 1
-            keys[:, r, ..., :t] = k[:, :, None, ..., :-1]
-            values[:, r, :, :, :t] = v[:, :, None, :, :-1]
+        n, n_tok = len(d), max((k.shape[-1] for k, _, _ in parts), default=0)
+        keys, values = np.zeros((L, n, H, hd, n_tok), dt), np.zeros((L, n, H, n_tok, hd), dt)
+        mask = np.zeros((n, 1, 1, n_tok + 1), dt)   # the last, the self score's, stays 0
+        for k, v, r in parts:                       # each count's slots, the rest padding
+            t = k.shape[-1]
+            keys[:, r, ..., :t] = k
+            values[:, r, :, :t] = v
             mask[r, ..., t:-1] = -np.inf
-        paths = n * members
-        return Conditioning(keys=keys.reshape(L, paths, H, hd, n_tok),
-                            values=values.reshape(L, paths, H, n_tok, hd),
-                            mask=mask.reshape(paths, 1, 1, n_tok) if np.isinf(mask).any() else None,
-                            times=rows, blocks=blocks, head=(a["head.w"], a["head.b"]),
-                            state=(a["embed.state.w"], a["embed.state.b"]))
+        # velocity's queries come out of wqkv pre-scaled by 1/√hd; the folded
+        # wqkv is this call's own array, which the observation stream has used
+        q_scale = np.ones(3 * E, dt)
+        q_scale[:E] = 1.0 / math.sqrt(hd)
+        blocks = [(np.multiply(wqkv, q_scale, out=wqkv), bqkv * q_scale, *rest)
+                  for wqkv, bqkv, *rest in blocks]
+        head, state = (a["head.w"], a["head.b"]), (a["embed.state.w"], a["embed.state.b"])
+        for arr in (keys, values, mask, rows, *head, *state, *(w for ws in blocks for w in ws)):
+            arr.flags.writeable = False
+        return Conditioning(keys=keys, values=values, members=members, times=rows,
+                            mask=mask if np.isinf(mask).any() else None,
+                            blocks=blocks, head=head, state=state)
 
     def velocity(self, m_t, k, cond: Conditioning) -> np.ndarray:
         """Inference-mode forward pass: :meth:`forward`'s velocity for the
         paths ``cond`` was made for, up to float rounding, computed on the
-        state row alone with plain arrays, so no tape records it. Each block
-        writes the state's key and value into the last slot of ``cond.keys``
-        and ``cond.values``, adds ``cond.mask``, if any, to the scores before
-        the softmax, and adds its sub-blocks' outputs into the (B, E) row in
-        place.
+        state row alone with plain arrays, so no tape records it, and
+        writing nothing into ``cond``. In each block the queries of an
+        instance's members form one (members, hd) block per head, scored
+        against the instance's shared keys by one matmul; each path's score
+        against its own state key goes into the same (n, H, members, T + 1)
+        buffer, so one softmax covers [observations | self], with
+        ``cond.mask``, if any, added to the scores. The context is one
+        matmul with the shared values plus the self weight times the path's
+        own state value, and the sub-blocks' outputs add into the (B, E) row
+        in place.
 
         m_t: (B, dim_m), B the conditioning's paths; k: a scalar index in
         [0, calls) into the flow times ``cond`` was made for, one time for
         every row. Returns a (B, dim_m) array.
         """
-        B, H, E = cond.keys.shape[1], self.config.n_head, self.config.n_emb
+        n, H, hd, n_tok = cond.keys.shape[1:]
+        m, E = cond.members, self.config.n_emb
+        B = n * m
         m_t = np.asarray(m_t, dtype=cond.keys.dtype)
         if m_t.shape != (B, self.config.dim_m):
             raise ValueError(f"m_t must have shape {(B, self.config.dim_m)} to match "
@@ -317,12 +338,21 @@ class VelocityNet:
                              f"conditioning's flow times, got {k}")
         x = _linear_fwd(m_t, *cond.state)                   # (B, E), the state row
         x += cond.times[k]
+        s = np.empty((n, H, m, n_tok + 1), x.dtype)         # scores of [observations | self]
+        ctx = np.empty((n, m, H, hd), x.dtype)
+        scores, self_scores, ctx_heads = s[..., :-1], s[..., -1], ctx.swapaxes(1, 2)
+        p_self = self_scores.swapaxes(1, 2)[..., None]      # (n, m, H, 1)
         for kt, v, (wqkv, bqkv, wo, bo, w1, b1, w2, b2) in zip(cond.keys, cond.values,
                                                                 cond.blocks):
-            qkv = _prenorm_fwd(x, None, wqkv, bqkv)[0].reshape(B, 3, H, -1)
-            kt[..., -1] = qkv[:, 1]                         # the state's slot
-            v[:, :, -1] = qkv[:, 2]
-            ctx = _attention_weights(qkv[:, 0, :, None], kt, mask=cond.mask) @ v
+            qkv = _prenorm_fwd(x, None, wqkv, bqkv)[0].reshape(n, m, 3, H, hd)
+            q, k_self, v_self = qkv.transpose(2, 0, 1, 3, 4)  # (n, m, H, hd) each
+            np.matmul(q.swapaxes(1, 2), kt, out=scores)
+            np.einsum("nmhd,nmhd->nhm", q, k_self, out=self_scores)
+            if cond.mask is not None:
+                s += cond.mask
+            _softmax(s)
+            np.matmul(scores, v, out=ctx_heads)
+            ctx += v_self * p_self
             x += _linear_fwd(ctx.reshape(B, E), wo, bo)
             f = _prenorm_fwd(x, None, w1, b1)[0]
             x += _linear_fwd(np.square(np.maximum(f, 0, out=f), out=f), w2, b2)  # relu²

@@ -222,24 +222,18 @@ def _mlp_fwd(xd, gain, w1, b1, w2, b2):
     return _residual_fwd(sq, w2, b2, xd), inv, r
 
 
-def _heads(qkv, n_head, kt, v, at=slice(None)):
-    """Split a packed (B, T, 3E) q|k|v by head: its keys go to the slots ``at``
-    of kt (B, H, hd, S), its values to those of v (B, H, S, hd); return q."""
+def _heads(qkv, n_head, kt, v):
+    """Split a packed (B, T, 3E) q|k|v by head: its keys go to kt (B, H, hd, T),
+    its values to v (B, H, T, hd); return q."""
     B, n_tok, E3 = qkv.shape
     parts = qkv.reshape(B, n_tok, 3, n_head, E3 // (3 * n_head)).transpose(2, 0, 3, 1, 4)
-    kt[..., at] = parts[1].swapaxes(-1, -2)
-    v[:, :, at] = parts[2]
+    kt[...] = parts[1].swapaxes(-1, -2)
+    v[...] = parts[2]
     return parts[0]
 
 
-def _attention_weights(q, kt, two_stream=False, mask=None):
-    """The weights of :func:`_attention_fwd`, (..., Tq, T), ``mask`` added to the scores."""
-    s = q @ kt
-    s *= q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
-    if two_stream:                        # no rows if the state's is the only query
-        s[..., :-1, -1] = -np.inf
-    if mask is not None:
-        s += mask
+def _softmax(s):
+    """Softmax over the last axis of contiguous scores s, in place; returns s."""
     # the exact row max as one elementwise pass per key over a keys-major
     # (T, rows) copy: numpy's max along a short last axis costs ~70 ns a row
     m = np.maximum.reduce(s.reshape(-1, s.shape[-1]).T.copy(), axis=0)
@@ -247,6 +241,15 @@ def _attention_weights(q, kt, two_stream=False, mask=None):
     np.exp(s, out=s)
     s /= np.einsum("...i->...", s)[..., None]
     return s
+
+
+def _attention_weights(q, kt, two_stream=False):
+    """The weights of :func:`_attention_fwd`, (..., Tq, T)."""
+    s = q @ kt
+    s *= q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    if two_stream:                        # no rows if the state's is the only query
+        s[..., :-1, -1] = -np.inf
+    return _softmax(s)
 
 
 def _attention_fwd(q, kt, v, two_stream=False):

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,7 +432,7 @@ class TestBitwisePins:
         e = np.sort(rng.uniform(1.0, 3.0, (10, 8)), axis=1)
         d = rng.uniform(0.0, 100.0, (10, 16))
         v = net.velocity(rng.normal(size=(10, task.dim_m)), 0, net.condition(d, e, [0.37]))
-        assert _digest({"v": v}) == "f934deb4d4c035f0"
+        assert _digest({"v": v}) == "429a356d15ea67c8"
 
     def test_sample_batch_on_a_perturbed_net(self):
         # gains off 1 and biases off 0: a fresh net's unit gains hide a
@@ -441,7 +442,7 @@ class TestBitwisePins:
                                           cfm.SamplerConfig(steps=steps, method=method,
                                                             ensemble=3))
                  for method, steps in (("euler", 5), ("rk4", 2))}
-        assert _digest(draws) == "da30fc69b16202d1"
+        assert _digest(draws) == "28a3b0913ab21d74"
 
 
 class TestConditionedVelocity:
@@ -506,16 +507,49 @@ class TestConditionedVelocity:
 
     @pytest.mark.parametrize("task_name, n_layer", [("seir", 6), ("darcy", 2)])
     def test_velocity_writes_only_the_state_slots(self, task_name, n_layer):
+        # the state's key and value are each path's own, kept outside the
+        # conditioning, so velocity writes nothing into it
         net = self._net(task_name, n_layer)
         d, e, m_t, rng = self._batch(net, 10, 5)
         cond = net.condition(d, e, (0.0, 1.0, float(rng.uniform(0, 1))))
-        cached = [(k[..., :-1].copy(), v[:, :, :-1].copy()) for k, v in zip(cond.keys, cond.values)]
+        cached = [(k.copy(), v.copy()) for k, v in zip(cond.keys, cond.values)]
         assert len(cached) == n_layer
         for c, m in enumerate((m_t, 100 * m_t, -m_t)):
             net.velocity(m, c, cond)
             for (k, v), (k0, v0) in zip(zip(cond.keys, cond.values), cached):
-                np.testing.assert_array_equal(k[..., :-1], k0)
-                np.testing.assert_array_equal(v[:, :, :-1], v0)
+                np.testing.assert_array_equal(k, k0)
+                np.testing.assert_array_equal(v, v0)
+
+    @pytest.mark.parametrize("members", [1, 10, 200])
+    def test_keys_and_values_are_stored_once_per_instance(self, members):
+        net = self._net("seir", 6)
+        d, e, _, _ = self._batch(net, 3, 8)
+        cond = net.condition(d, e, [0.5], members)
+        one = net.condition(d, e, [0.5])
+        assert cond.keys.shape[:2] == cond.values.shape[:2] == (net.config.n_layer, len(d))
+        assert (cond.keys.nbytes, cond.values.nbytes) == (one.keys.nbytes, one.values.nbytes)
+        arrays = (cond.keys, cond.values, cond.times, *cond.state, *cond.head,
+                  *(w for ws in cond.blocks for w in ws))
+        assert not any(a.flags.writeable for a in arrays)
+        assert all(p.data.flags.writeable for p in net.params.values())   # training's
+
+    def test_condition_memory_does_not_grow_with_the_ensemble(self):
+        # a copy of the keys and values per member would add about 12 KB per
+        # path here, about 5 MB at 200 members
+        net = self._net("seir", 6)
+        d, e, _, _ = self._batch(net, 2, 9)
+        times = cfm._flow_times(cfm.SamplerConfig(steps=5))
+
+        def peak(members):
+            tracemalloc.start()
+            try:
+                net.condition(d, e, times, members)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)                                         # first-call caches
+        assert peak(200) <= peak(1) + 16 * 1024
 
     def test_a_conditioning_serves_integrations_in_turn(self, monkeypatch):
         net = self._net("seir", 6)
@@ -527,21 +561,45 @@ class TestConditionedVelocity:
         for _ in range(2):
             np.testing.assert_array_equal(cfm.sample_batch(net, d, e, list(range(10)), cfg), fresh)
 
+    def test_a_conditioning_serves_interleaved_integrations(self):
+        # two Euler integrations from different starts, their velocity calls
+        # alternating on one conditioning, give the velocities of each run alone
+        net = self._net("seir", 6)
+        d, e, m_t, _ = self._batch(net, 4, 12)
+        cfg = cfm.SamplerConfig(steps=5, ensemble=2)
+        cond = net.condition(np.float32(d), np.float32(e), cfm._flow_times(cfg), cfg.ensemble)
+        starts = np.float32(np.repeat(m_t, 2, axis=0)), np.float32(np.repeat(-m_t, 2, axis=0))
+
+        def velocities(order):
+            """Each (call, run) velocity, running the calls in ``order``."""
+            xs, out = list(starts), {}
+            for c, i in order:
+                out[c, i] = net.velocity(xs[i], c, cond)
+                xs[i] = xs[i] + np.float32(0.2) * out[c, i]
+            return out
+
+        calls = range(cfg.steps)
+        in_turn = velocities([(c, i) for i in range(2) for c in calls])
+        interleaved = velocities([(c, i) for c in calls for i in range(2)])
+        for key, v in in_turn.items():
+            np.testing.assert_array_equal(interleaved[key], v)
+
     @pytest.mark.parametrize("task_name, n_layer", [("nonlinear", 2), ("seir", 6), ("darcy", 2)])
     @pytest.mark.parametrize("instances, ensemble, n_obs",
                              [(1, 10, 8), (16, 10, 8), (25, 10, 5), (4, 100, 4)])
     def test_repeated_conditioning_is_that_of_repeated_rows(self, task_name, n_layer,
                                                             instances, ensemble, n_obs):
-        # sample_batch conditions each instance once and repeats the cache
-        # for its members: bitwise the cache of the repeated rows
+        # sample_batch conditions each instance once and shares the cache
+        # with its members: bitwise the cache of each repeated row
         net = self._net(task_name, n_layer)
         rng = np.random.default_rng(instances * n_obs)
         pairs = [_observations(net.task, rng, n_obs) for _ in range((instances + 1) // 2)]
         d, e = (np.float32(np.concatenate(rows)[:instances]) for rows in zip(*pairs))
-        repeated = net.condition(d, e, [0.5], ensemble)
+        shared = net.condition(d, e, [0.5], ensemble)
         rows = net.condition(np.repeat(d, ensemble, axis=0), np.repeat(e, ensemble, axis=0), [0.5])
-        np.testing.assert_array_equal(repeated.keys[..., :-1], rows.keys[..., :-1])
-        np.testing.assert_array_equal(repeated.values[..., :-1, :], rows.values[..., :-1, :])
+        for got, want in ((shared.keys, rows.keys), (shared.values, rows.values)):
+            want = want.reshape(want.shape[:1] + (instances, ensemble) + want.shape[2:])
+            np.testing.assert_array_equal(np.broadcast_to(got[:, :, None], want.shape), want)
 
     def test_records_nothing_on_an_open_tape(self):
         net = self._net("seir", 6)
@@ -716,11 +774,12 @@ class TestMixedCounts:
         net = _seir_oracle_case(B=2)[0]
         d, e, _ = self._instances([3, 1])
         times = [0.0, 0.5]
-        cond = net.condition(d, e, times, 2)            # rows 2 and 3: 1 observation
-        assert cond.keys.shape[-1] == cond.values.shape[-2] == 4
-        assert not cond.keys[:, 2:, ..., 1:3].any() and not cond.values[:, 2:, :, 1:3].any()
-        np.testing.assert_array_equal(cond.mask[2:, ..., 1:3], -np.inf)
-        assert not cond.mask[:2].any() and not cond.mask[..., [0, 3]].any()
+        cond = net.condition(d, e, times, 2)            # instance 1: 1 observation
+        assert cond.keys.shape[-1] == cond.values.shape[-2] == 3
+        assert not cond.keys[:, 1, ..., 1:3].any() and not cond.values[:, 1, :, 1:3].any()
+        np.testing.assert_array_equal(cond.mask[1, ..., 1:3], -np.inf)
+        assert not cond.mask[:1].any() and not cond.mask[..., [0, 3]].any()
+        assert not cond.mask.flags.writeable
         assert net.condition(d[:1], e[:1], times, 2).mask is None
         m_t = np.random.default_rng(1).normal(size=(4, net.task.dim_m)).astype(np.float32)
         for k in range(len(times)):
@@ -730,6 +789,18 @@ class TestMixedCounts:
                                     net.condition(d[i:i + 1], e[i:i + 1], times, 2))
                 np.testing.assert_allclose(got[2 * i:2 * i + 2], want, rtol=0,
                                            atol=1e-6 * np.abs(want).max())
+
+    def test_a_large_ensemble_is_its_members_sampled_alone(self):
+        # 200 members of 2 instances share one conditioning; the same prior
+        # draws integrated as 400 ensemble-1 instances give the same draws
+        net = _seir_oracle_case(B=2)[0]
+        d, e, seeds = self._instances([3, 2])
+        cfg = cfm.SamplerConfig(steps=5, ensemble=200)
+        got = cfm.sample_batch(net, d, e, seeds, cfg)
+        x0 = np.concatenate([cfm._prior_draws(net.task, 200, s) for s in seeds])
+        d_rows, e_rows = ([row for row in a for _ in range(200)] for a in (d, e))
+        want = cfm._integrate_flow(net, x0, d_rows, e_rows, cfg).reshape(got.shape)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
 
 
 class TestConfigValidation:
